@@ -20,16 +20,21 @@ regular local ring, so nothing is gained by stopping at F_p(t).
 
 saturate() finds a G-stable lattice for a representation over Q or Q(t) and
 rewrites the action integrally over Z or Z[t]; reduce_rep() applies the
-residue map of a PrimeSpec entrywise in a lattice basis.
+residue map of a PrimeSpec entrywise in a lattice basis.  Its Z-lattice
+chain runs on plain ints: the lattice is held as its canonical pair (H, D),
+each matrix is scaled once to an integer matrix over a common denominator,
+and a round is one integer HNF; rounds and budget are counted as for the
+chain L -> L + sum_g gL itself.
 """
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from . import polys
 from .errors import (BadPrime, BudgetExceeded, IntegralityError, NotSublattice,
                      ShapeError)
-from .matrices import Matrix, hnf, integer_kernel, rank
+from .matrices import Matrix, _row_hnf, integer_kernel, rank
 from .rings import (ZZ, QQ, PolynomialRingZ, PrimeField, RationalFunctionField,
                     is_prime)
 from .reps import Representation, evaluate
@@ -191,27 +196,45 @@ class PrimeSpec:
 # lattices
 
 
-def _denominator_lcm_q(m):
-    d = 1
-    for a in m.entries:
-        d = d * a.denominator // math.gcd(d, a.denominator)
-    return d
+def _denominator_lcm(values):
+    """Least positive common denominator of some Fractions."""
+    return math.lcm(*(a.denominator for a in values))
+
+
+def _scaled_rows(rows, den):
+    """den * rows as plain ints, for Fraction rows whose denominators all
+    divide den."""
+    return [[a.numerator * (den // a.denominator) for a in row] for row in rows]
+
+
+def _canonical_pair(columns, den):
+    """Canonical pair (H, D) of the lattice span_Z(columns) / den, for integer
+    columns and den > 0.  H is the tuple of nonzero columns of the column
+    HNF (lower triangular when the span has full rank) and D > 0 with
+    gcd(content(H), D) = 1.  The pair is unique for the lattice, so two
+    lattices are equal iff their pairs are."""
+    rows, _, r = _row_hnf(columns, len(columns[0]), transform=False)
+    g = den
+    for col in rows[:r]:
+        if g == 1:
+            break
+        g = math.gcd(g, *col)
+    return tuple(tuple(a // g for a in col) for col in rows[:r]), den // g
 
 
 def _canonical_pair_z(m):
-    """For a full-rank matrix over Q, the canonical (H, D) with lattice
-    span(m) = span(H)/D, H in HNF, gcd(content(H), D) = 1."""
-    d = _denominator_lcm_q(m)
-    ints = m.map_entries(lambda a: int(a * d), ZZ)
-    h, _ = hnf(ints)
-    content = 0
-    for a in h.entries:
-        content = math.gcd(content, a)
-    g = math.gcd(content, d)
-    if g > 1:
-        h = h.map_entries(lambda a: a // g, ZZ)
-        d //= g
-    return h, d
+    """The canonical pair (H, D) of the column span of a matrix over Q."""
+    den = _denominator_lcm(m.entries)
+    return _canonical_pair(_scaled_rows(m.columns(), den), den)
+
+
+def _pair_basis(pair, K):
+    """The basis matrix H / D of a full-rank canonical pair, over K = Q or
+    Q(t)."""
+    h, den = pair
+    d = len(h)
+    return Matrix._raw(K, d, d, [K.coerce(Fraction(h[j][i], den))
+                                 for i in range(d) for j in range(d)])
 
 
 class LatticeBasis:
@@ -235,24 +258,27 @@ class LatticeBasis:
             raise ShapeError("lattice basis must be invertible over %r" % (K,))
         canonical = False
         if canonicalize:
-            if ring == ZZ:
-                h, d = _canonical_pair_z(basis)
-                basis = h.map_entries(lambda a: Fraction(a, d), QQ)
+            const = _constant_q_matrix(basis)
+            if const is not None:
+                basis = _pair_basis(_canonical_pair_z(const), K)
                 canonical = True
-            else:
-                const = _constant_q_matrix(basis)
-                if const is not None:
-                    h, d = _canonical_pair_z(const)
-                    K = ring.fraction_field()
-                    basis = h.map_entries(
-                        lambda a: K.coerce(Fraction(a, d)), K)
-                    canonical = True
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "canonical", canonical)
 
     def __setattr__(self, name, value):
         raise AttributeError("LatticeBasis is immutable")
+
+    @classmethod
+    def _from_pair(cls, ring, pair):
+        """The canonical lattice H / D of a full-rank canonical pair, over Z
+        or (as a constant basis) over Z[t]; skips the checks of __init__."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "basis",
+                           _pair_basis(pair, ring.fraction_field()))
+        object.__setattr__(self, "canonical", True)
+        return self
 
     @classmethod
     def standard(cls, ring, d):
@@ -334,19 +360,13 @@ def lattice_from_columns(ring, columns):
     if ring != ZZ:
         raise ValueError("column spans are canonicalized over Z only")
     d = len(columns[0])
-    m = Matrix(QQ, [[Fraction(columns[j][i]) for j in range(len(columns))]
-                    for i in range(d)])
-    den = _denominator_lcm_q(m)
-    ints = m.map_entries(lambda a: int(a * den), ZZ)
-    h, _ = hnf(ints)
-    cols = [h.column(j) for j in range(h.ncols)
-            if any(x != 0 for x in h.column(j))]
-    if len(cols) != d:
+    cols = [[Fraction(a) for a in col] for col in columns]
+    den = _denominator_lcm(a for col in cols for a in col)
+    pair = _canonical_pair(_scaled_rows(cols, den), den)
+    if len(pair[0]) != d:
         raise ShapeError("columns span a rank-%d sublattice, need rank %d"
-                         % (len(cols), d))
-    basis = Matrix(QQ, [[Fraction(cols[j][i], den) for j in range(d)]
-                        for i in range(d)])
-    return LatticeBasis(ZZ, basis)
+                         % (len(pair[0]), d))
+    return LatticeBasis._from_pair(ZZ, pair)
 
 
 def ideal_mult(lat, ideals):
@@ -368,9 +388,7 @@ def lattice_intersect(a, b):
     if a.ring != ZZ or b.ring != ZZ:
         raise ValueError("lattice_intersect is defined over Z")
     d = a.dim
-    den = 1
-    for m in (a.basis, b.basis):
-        den = den * _denominator_lcm_q(m) // math.gcd(den, _denominator_lcm_q(m))
+    den = _denominator_lcm(a.basis.entries + b.basis.entries)
     A = a.basis.map_entries(lambda x: int(x * den), ZZ)
     B = b.basis.map_entries(lambda x: int(x * den), ZZ)
     stacked = Matrix(ZZ, [list(A.row(i)) + [-x for x in B.row(i)]
@@ -415,37 +433,67 @@ def proper_sublattice_image(sub, ambient, prime):
 # saturation
 
 
-def _span_step_z(basis, gens):
-    """One saturation round over Z: canonical basis of L + sum g L."""
-    cols = [basis.column(j) for j in range(basis.ncols)]
-    for g in gens:
-        prod = g * basis
-        cols.extend(prod.column(j) for j in range(prod.ncols))
-    return lattice_from_columns(ZZ, cols)
+def _stable_lattice_z(mats, d, budget):
+    """Run the Z-lattice chain L_0 = Z^d, L_{k+1} = L_k + sum_m m L_k for
+    some d x d matrices over Q, on plain ints.
+
+    Returns the canonical pair (H, D) of the first L_k with L_{k+1} = L_k,
+    or None when budget rounds pass without one.  Each matrix is scaled once
+    to E*m over the common denominator E, so for L_k = H / D one round is
+    the Z-span of E*H and every (E*m)*H, over D*E."""
+    E = _denominator_lcm(a for m in mats for a in m.entries)
+    scaled = [_scaled_rows(m.rows(), E) for m in mats]
+    pair = (tuple(tuple(int(i == j) for i in range(d)) for j in range(d)), 1)
+    for _ in range(budget):
+        h, den = pair
+        cols = [[E * a for a in col] for col in h]
+        for g in scaled:
+            cols.extend([sum(map(mul, row, col)) for row in g] for col in h)
+        new = _canonical_pair(cols, den * E)
+        if new == pair:
+            return pair
+        pair = new
+    return None
+
+
+def _integral_conjugate(h, g):
+    """X = H^-1 g H over Z, for the columns h of a full-rank lower-triangular
+    HNF H and a matrix g over Q; this is B^-1 g B for every basis B = H / D.
+    X comes from exact forward substitution in H X = g H, and
+    IntegralityError is raised when it is not integral."""
+    e = _denominator_lcm(g.entries)
+    G = _scaled_rows(g.rows(), e)
+    d = len(h)
+    cols = []
+    for col in h:
+        rhs = [sum(map(mul, row, col)) for row in G]  # e * g * col
+        x = []
+        for i in range(d):
+            q, rem = divmod(rhs[i] - e * sum(h[k][i] * x[k] for k in range(i)),
+                            e * h[i][i])
+            if rem:
+                raise IntegralityError("a generator is not integral in the "
+                                       "stable lattice basis")
+            x.append(q)
+        cols.append(x)
+    return Matrix._raw(ZZ, d, d, [cols[j][i] for i in range(d)
+                                  for j in range(d)])
 
 
 def _saturate_q(rep, budget):
+    """The canonical pair of the stable Z-lattice of a representation over Q,
+    and its generators over Z in that lattice's basis."""
     gens = []
     for i, g in enumerate(rep.generators):
-        gens.append(g.to_fraction_field())
-        gens.append(rep.generator_inverse(i).to_fraction_field())
-    lat = LatticeBasis.standard(ZZ, rep.dim)
-    for _ in range(budget):
-        new = _span_step_z(lat.basis, gens)
-        if new == lat:
-            b = lat.basis
-            binv = b.inverse()
-            ints = []
-            for g in rep.generators:
-                h = binv * g.to_fraction_field() * b
-                ints.append(h.from_fraction_field(ZZ))
-            int_rep = Representation(ZZ, ints, rep.relations, label=rep.label)
-            return lat, int_rep
-        lat = new
-    raise BudgetExceeded(
-        "lattice chain did not stabilize in %d rounds; the generated group "
-        "probably stabilizes no lattice (infinite image or non-unit "
-        "determinants)" % (budget,))
+        gens.append(g)
+        gens.append(rep.generator_inverse(i))
+    pair = _stable_lattice_z(gens, rep.dim, budget)
+    if pair is None:
+        raise BudgetExceeded(
+            "lattice chain did not stabilize in %d rounds; the generated "
+            "group probably stabilizes no lattice (infinite image or non-unit "
+            "determinants)" % (budget,))
+    return pair, [_integral_conjugate(pair[0], g) for g in rep.generators]
 
 
 def _qt_column_hnf(cols):
@@ -523,7 +571,10 @@ def _saturate_qt(rep, budget):
             vec = []
             for a in col:
                 q, rem = polys.divmod_poly(QQ, polys.mul(QQ, a[0], den), a[1])
-                assert not rem
+                if rem:
+                    raise IntegralityError(
+                        "the common denominator %r does not clear %r"
+                        % (den, a))
                 vec.append(q)
             cleared.append(vec)
         h = _qt_column_hnf(cleared)
@@ -588,19 +639,13 @@ def _saturate_qt(rep, budget):
             if not m.is_zero():
                 coeff_maps.append(m)
 
-    lat = LatticeBasis.standard(ZZ, d)
-    for _ in range(budget):
-        new = _span_step_z(lat.basis, coeff_maps)
-        if new == lat:
-            break
-        lat = new
-    else:
+    pair = _stable_lattice_z(coeff_maps, d, budget)
+    if pair is None:
         raise BudgetExceeded("coefficient lattice did not stabilize in %d "
                              "rounds; no Z[t]-integral model with a constant "
                              "basis change was found" % (budget,))
 
-    S = lat.basis.map_entries(lambda a: K.coerce(a), K)
-    B = T * S
+    B = T * _pair_basis(pair, K)
     Binv = B.inverse()
     ints = []
     for g in rep.generators:
@@ -620,16 +665,17 @@ def saturate(rep, budget=64):
     converts divergence into BudgetExceeded."""
     K = rep.ring
     if K == QQ:
-        return _saturate_q(rep, budget)
+        pair, ints = _saturate_q(rep, budget)
+        return (LatticeBasis._from_pair(ZZ, pair),
+                Representation(ZZ, ints, rep.relations, label=rep.label))
     if isinstance(K, RationalFunctionField):
         const_gens = [_constant_q_matrix(g) for g in rep.generators]
         if all(m is not None for m in const_gens):
             qrep = Representation(QQ, const_gens, rep.relations, label=rep.label)
-            lat_q, int_q = _saturate_q(qrep, budget)
+            pair, ints = _saturate_q(qrep, budget)
             ZT = PolynomialRingZ(K.var)
-            basis = lat_q.basis.map_entries(lambda a: K.coerce(a), K)
-            ints = [g.change_ring(ZT) for g in int_q.generators]
-            return (LatticeBasis(ZT, basis),
+            ints = [g.change_ring(ZT) for g in ints]
+            return (LatticeBasis._from_pair(ZT, pair),
                     Representation(ZT, ints, rep.relations, label=rep.label))
         return _saturate_qt(rep, budget)
     if K == ZZ or isinstance(K, PolynomialRingZ):

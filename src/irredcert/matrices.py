@@ -480,13 +480,15 @@ def _check_integer_matrix(m):
         raise IntegralityError("expected a matrix over Z, got %r" % (m.ring,))
 
 
-def _row_hnf(rows, ncols):
+def _row_hnf(rows, ncols, transform=True):
     """Row-style HNF of an integer matrix given as lists; returns (H, U, rank)
     with U unimodular, U * A = H, pivots positive, entries above each pivot
-    reduced into [0, pivot)."""
+    reduced into [0, pivot).  With transform=False, U is not computed and
+    None is returned in its place."""
     m = len(rows)
     a = [list(r) for r in rows]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)] \
+        if transform else None
     r = 0
     for c in range(ncols):
         while True:
@@ -504,20 +506,24 @@ def _row_hnf(rows, ncols):
                 q = a[i][c] // a[i0][c]
                 if q:
                     a[i] = [x - q * y for x, y in zip(a[i], a[i0])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[i0])]
+                    if transform:
+                        u[i] = [x - q * y for x, y in zip(u[i], u[i0])]
         if piv is None:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
-            u[r], u[piv] = u[piv], u[r]
+            if transform:
+                u[r], u[piv] = u[piv], u[r]
         if a[r][c] < 0:
             a[r] = [-x for x in a[r]]
-            u[r] = [-x for x in u[r]]
+            if transform:
+                u[r] = [-x for x in u[r]]
         for i in range(r):
             q = a[i][c] // a[r][c]
             if q:
                 a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+                if transform:
+                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
         r += 1
     return a, u, r
 
