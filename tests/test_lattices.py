@@ -1,5 +1,7 @@
 """Lattice bases, prime specs, saturation, and reduction."""
 
+import math
+import os
 from fractions import Fraction
 
 import pytest
@@ -13,12 +15,14 @@ from irredcert.lattices import (IMAGE_FULL, IMAGE_PROPER, IMAGE_ZERO,
                                 reduction_functorial, saturate)
 from irredcert.matrices import Matrix
 from irredcert.prng import XorShift64
-from irredcert.reps import Representation, conjugate, evaluate
+from irredcert.reps import Representation, conjugate, evaluate, load_rep
 from irredcert.rings import ZZ, QQ, PolynomialRingZ, PrimeField, \
     RationalFunctionField
 
 ZT = PolynomialRingZ("t")
 QT = RationalFunctionField("t")
+DATA = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "data")
 
 
 def s3_over(ring):
@@ -197,6 +201,127 @@ class TestSaturate:
         inv_t = QT.div(QT.one(), t)
         assert lat.basis == Matrix.from_columns(
             QT, [(QT.one(), QT.zero()), (QT.zero(), inv_t)])
+
+
+def _perm(images):
+    """Matrix of e_i -> e_images[i]."""
+    n = len(images)
+    return [[int(images[j] == i) for j in range(n)] for i in range(n)]
+
+
+def sym_gens(n):
+    """The permutation representation of S_n: a transposition and an
+    n-cycle."""
+    swap = [1, 0] + list(range(2, n))
+    cycle = [(i + 1) % n for i in range(n)]
+    return [_perm(swap), _perm(cycle)]
+
+
+def signed_gens(n):
+    """The natural representation of the hyperoctahedral group B_n."""
+    flip = [[(-1 if i == 0 else 1) * int(i == j) for j in range(n)]
+            for i in range(n)]
+    return sym_gens(n) + [flip]
+
+
+def _random_fraction(rng, nonzero=False):
+    num = rng.randint(1, 3) * rng.choice((1, -1)) if nonzero \
+        else rng.randint(-3, 3)
+    return Fraction(num, rng.randint(1, 4))
+
+
+def _rational_change(rng, d):
+    """A random invertible matrix over Q: lower triangular with a nonzero
+    diagonal, times upper unitriangular."""
+    lower = [[_random_fraction(rng, i == j) if j <= i else 0
+              for j in range(d)] for i in range(d)]
+    upper = [[1 if i == j else (_random_fraction(rng) if j > i else 0)
+              for j in range(d)] for i in range(d)]
+    return Matrix(QQ, lower) * Matrix(QQ, upper)
+
+
+def _assert_canonical_z(basis):
+    """basis = H / D with H a lower-triangular HNF (positive diagonal,
+    entries left of it in [0, diagonal)) and gcd(content(H), D) = 1."""
+    d = basis.nrows
+    den = math.lcm(*(a.denominator for a in basis.entries))
+    h = [[int(a * den) for a in row] for row in basis.rows()]
+    content = 0
+    for i in range(d):
+        assert h[i][i] > 0
+        for j in range(d):
+            if j > i:
+                assert h[i][j] == 0
+            elif j < i:
+                assert 0 <= h[i][j] < h[i][i]
+            content = math.gcd(content, h[i][j])
+    assert math.gcd(content, den) == 1
+
+
+def _assert_integral_model(rep, lat, int_rep, ring):
+    """B^-1 g B and B^-1 g^-1 B are integral for every generator g, and
+    int_rep's generators are the former, computed by generic Matrix
+    arithmetic over the field."""
+    b = lat.basis
+    binv = b.inverse()
+    assert int_rep.ring == ring
+    for i, g in enumerate(rep.generators):
+        assert (binv * g * b).from_fraction_field(ring) == \
+            int_rep.generators[i]
+        (binv * rep.generator_inverse(i) * b).from_fraction_field(ring)
+
+
+class TestSaturationInvariants:
+
+    @pytest.mark.parametrize("gens,seed", [
+        (sym_gens(3), 1), (sym_gens(5), 2), (sym_gens(7), 3),
+        (sym_gens(10), 4), (signed_gens(2), 5), (signed_gens(4), 6),
+        (signed_gens(6), 7), (signed_gens(9), 8)])
+    def test_disguised_over_q(self, gens, seed):
+        d = len(gens[0])
+        rep = Representation(QQ, [Matrix(QQ, g) for g in gens], [])
+        rep = conjugate(rep, _rational_change(XorShift64(seed), d))
+        lat, int_rep = saturate(rep)
+        assert lat.canonical
+        _assert_canonical_z(lat.basis)
+        assert lat.contains_lattice(LatticeBasis.standard(ZZ, d))
+        _assert_integral_model(rep, lat, int_rep, ZZ)
+
+    @pytest.mark.parametrize("gens", [sym_gens(3), signed_gens(3)])
+    def test_conjugated_over_qt(self, gens):
+        # diag(1, 1/2, 3) * U(t) * diag(1, t, 1), U unitriangular: both the
+        # Q[t] stage and the constant Z stage have work to do
+        t = QT.coerce(((0, 1), (1,)))
+        one, zero = QT.one(), QT.zero()
+        scale = Matrix(QT, [[1, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 3]])
+        unipotent = Matrix(QT, [[one, t, zero],
+                                [zero, one, QT.add(t, QT.coerce(-1))],
+                                [zero, zero, one]])
+        stretch = Matrix(QT, [[one, zero, zero], [zero, t, zero],
+                              [zero, zero, one]])
+        rep = conjugate(Representation(QT, [Matrix(QT, g) for g in gens], []),
+                        scale * unipotent * stretch)
+        assert any(not QT.is_polynomial(a)
+                   for g in rep.generators for a in g.entries)
+        lat, int_rep = saturate(rep)
+        _assert_integral_model(rep, lat, int_rep, ZT)
+
+    def test_s3_scaled_budget_boundary(self):
+        rep = load_rep(os.path.join(DATA, "s3_scaled.json"))
+        with pytest.raises(BudgetExceeded):
+            saturate(rep, budget=1)
+        lat, _ = saturate(rep, budget=2)
+        assert lat.basis == Matrix(QQ, [[1, 0], [0, Fraction(1, 2)]])
+
+    def test_budget_exceeded_message(self):
+        # certificates quote this text as "no-integral-model: ..."
+        rep = Representation(QQ, [Matrix(QQ, [[2, 0], [0, 1]])], [])
+        with pytest.raises(BudgetExceeded) as info:
+            saturate(rep, budget=5)
+        assert str(info.value) == (
+            "lattice chain did not stabilize in 5 rounds; the generated "
+            "group probably stabilizes no lattice (infinite image or "
+            "non-unit determinants)")
 
 
 class TestReduce:
