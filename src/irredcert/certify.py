@@ -42,7 +42,7 @@ from .meataxe import (INCONCLUSIVE, IRREDUCIBLE, REDUCIBLE, _echelon_rows,
 from .oracle import count_invariant
 from .reps import Representation, rep_to_json
 from .rings import (PolynomialRingZ, QQ, RationalFunctionField, ZZ,
-                    ring_from_json)
+                    is_prime, ring_from_json)
 
 TOOLKIT_VERSION = "0.1.0"
 
@@ -84,9 +84,7 @@ def rep_digest(rep):
 
 
 def _primes_ascending(bound=1000):
-    for n in range(2, bound):
-        if all(n % d for d in range(2, int(n ** 0.5) + 1)):
-            yield n
+    return (n for n in range(2, bound) if is_prime(n))
 
 
 class Certificate:

@@ -1,7 +1,17 @@
 """Exact matrices over a ring descriptor, and the normal-form algorithms.
 
 A Matrix is an immutable row-major tuple of raw scalar values together with
-its RingDescriptor.  The module-level algorithms:
+its RingDescriptor.
+
+Over a PrimeField the entries are ints in [0, p), and products, apply,
+sums, scaling, rref (hence kernel_basis), inverse, det, char_poly and
+poly_at_matrix run on plain int rows with no descriptor call per scalar: a
+dot product is one sum of int products reduced mod p once, a row operation
+one list expression with one reduction mod p per entry.  The ring alone
+selects this path.  Every other ring takes the generic descriptor code,
+which stays the reference the tests compare the int path against.
+
+The module-level algorithms:
 
     hnf(m)          column-style Hermite normal form over Z with a unimodular
                     transform, m * transform = h (unique canonical form of the
@@ -21,8 +31,10 @@ The HNF/SNF recipes are the classical gcd-driven eliminations (see Cohen,
 "A Course in Computational Algebraic Number Theory", ch. 2).
 """
 
+from operator import mul
+
 from .errors import IntegralityError, ShapeError, SingularError
-from .rings import ZZ
+from .rings import ZZ, PrimeField
 
 
 class Matrix:
@@ -90,9 +102,9 @@ class Matrix:
         return [list(self.column(j)) for j in range(self.ncols)]
 
     def transpose(self):
-        return Matrix._raw(self.ring, self.ncols, self.nrows,
-                           [self.entry(i, j) for j in range(self.ncols)
-                            for i in range(self.nrows)])
+        e, nc = self.entries, self.ncols
+        return Matrix._raw(self.ring, nc, self.nrows,
+                           [a for j in range(nc) for a in e[j::nc]])
 
     def map_entries(self, fn, ring=None):
         ring = ring if ring is not None else self.ring
@@ -115,6 +127,11 @@ class Matrix:
     def __add__(self, other):
         self._samesize(other)
         R = self.ring
+        if isinstance(R, PrimeField):
+            p = R.p
+            return Matrix._raw(R, self.nrows, self.ncols,
+                               [(a + b) % p for a, b in
+                                zip(self.entries, other.entries)])
         return Matrix._raw(R, self.nrows, self.ncols,
                            [R.add(a, b) for a, b in zip(self.entries, other.entries)])
 
@@ -138,6 +155,12 @@ class Matrix:
         R = self.ring
         n, m, k = self.nrows, self.ncols, other.ncols
         a, b = self.entries, other.entries
+        if isinstance(R, PrimeField):
+            p = R.p
+            cols = [b[j::k] for j in range(k)]
+            return Matrix._raw(R, n, k,
+                               [sum(map(mul, a[i * m:(i + 1) * m], col)) % p
+                                for i in range(n) for col in cols])
         out = []
         for i in range(n):
             arow = a[i * m:(i + 1) * m]
@@ -167,6 +190,10 @@ class Matrix:
     def scale(self, c):
         R = self.ring
         c = R.coerce(c)
+        if isinstance(R, PrimeField):
+            p = R.p
+            return Matrix._raw(R, self.nrows, self.ncols,
+                               [c * a % p for a in self.entries])
         return self.map_entries(lambda a: R.mul(c, a))
 
     def apply(self, vec):
@@ -174,6 +201,10 @@ class Matrix:
         if len(vec) != self.ncols:
             raise ShapeError("vector length mismatch")
         R = self.ring
+        if isinstance(R, PrimeField):
+            p, e, n = R.p, self.entries, self.ncols
+            return tuple(sum(map(mul, e[i * n:(i + 1) * n], vec)) % p
+                         for i in range(self.nrows))
         out = []
         for i in range(self.nrows):
             acc = R.zero()
@@ -270,11 +301,13 @@ def kronecker(a, b):
 
 def poly_at_matrix(K, coeffs, m):
     """Evaluate a polynomial (ascending coefficient tuple over K) at a square
-    matrix over K, by Horner."""
+    matrix over K, by Horner: deg - 1 products for degree >= 1."""
     n = m.nrows
-    acc = Matrix.zeros(K, n, n)
     ident = Matrix.identity(K, n)
-    for c in reversed(coeffs):
+    if len(coeffs) < 2:
+        return ident.scale(coeffs[0]) if coeffs else Matrix.zeros(K, n, n)
+    acc = m.scale(coeffs[-1]) + ident.scale(coeffs[-2])
+    for c in reversed(coeffs[:-2]):
         acc = acc * m + ident.scale(c)
     return acc
 
@@ -283,11 +316,53 @@ def poly_at_matrix(K, coeffs, m):
 # field algorithms
 
 
+def _int_rows(m):
+    return [list(m.entries[i * m.ncols:(i + 1) * m.ncols])
+            for i in range(m.nrows)]
+
+
+def _from_int_rows(K, rows, ncols):
+    return Matrix._raw(K, len(rows), ncols, [a for row in rows for a in row])
+
+
+def _gauss_jordan_fp(rows, ncols, p):
+    """Reduce int rows over F_p in place to reduced row echelon form in their
+    first ncols columns (later columns ride along); returns the pivots."""
+    nr = len(rows)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nr:
+            break
+        piv = next((i for i in range(r, nr) if rows[i][c]), None)
+        if piv is None:
+            continue
+        prow = rows[piv]
+        rows[piv] = rows[r]
+        if prow[c] != 1:
+            inv = pow(prow[c], -1, p)
+            prow = [a * inv % p for a in prow]
+        rows[r] = prow
+        tail = prow[c:]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
+        pivots.append(c)
+    return pivots
+
+
 def rref(m):
     """Reduced row echelon form over a field: returns (R, pivot_columns)."""
     K = m.ring
     if not K.is_field:
         raise IntegralityError("rref requires field entries")
+    if isinstance(K, PrimeField):
+        if not m.nrows:
+            return m, ()
+        rows = _int_rows(m)
+        pivots = _gauss_jordan_fp(rows, m.ncols, K.p)
+        return _from_int_rows(K, rows, m.ncols), tuple(pivots)
     rows = m.rows()
     nr, nc = m.nrows, m.ncols
     pivots = []
@@ -338,6 +413,8 @@ def kernel_basis(m):
 
 def _det_field(m):
     K = m.ring
+    if isinstance(K, PrimeField):
+        return _det_fp(_int_rows(m), K.p)
     rows = m.rows()
     n = m.nrows
     det = K.one()
@@ -361,9 +438,37 @@ def _det_field(m):
     return det
 
 
+def _det_fp(rows, p):
+    n = len(rows)
+    det = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            det = -det
+        prow = rows[c]
+        det = det * prow[c] % p
+        inv = pow(prow[c], -1, p)
+        tail = prow[c:]
+        for i in range(c + 1, n):
+            row = rows[i]
+            if row[c]:
+                f = row[c] * inv % p
+                row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
+    return det
+
+
 def _inverse_field(m):
     K = m.ring
     n = m.nrows
+    if isinstance(K, PrimeField):
+        rows = [row + [1 if i == j else 0 for j in range(n)]
+                for i, row in enumerate(_int_rows(m))]
+        if len(_gauss_jordan_fp(rows, n, K.p)) < n:
+            raise SingularError("matrix is singular")
+        return _from_int_rows(K, [row[n:] for row in rows], n)
     rows = [list(m.row(i)) + [K.one() if i == j else K.zero() for j in range(n)]
             for i in range(n)]
     r = 0
@@ -423,6 +528,8 @@ def char_poly(m):
                                "map to the fraction field first")
     if m.nrows != m.ncols:
         raise ShapeError("char_poly of a non-square matrix")
+    if isinstance(K, PrimeField):
+        return _char_poly_fp(_int_rows(m), K.p)
     n = m.nrows
     h = m.rows()
     for j in range(n - 2):
@@ -469,6 +576,47 @@ def char_poly(m):
                     cur[idx] = K.sub(cur[idx], K.mul(coeff, c))
         polys.append(tuple(cur))
     return polys[n]
+
+
+def _char_poly_fp(h, p):
+    """char_poly on int rows over F_p, by the same reduction and recurrence."""
+    n = len(h)
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            h[j + 1], h[piv] = h[piv], h[j + 1]
+            for row in h:
+                row[j + 1], row[piv] = row[piv], row[j + 1]
+        prow = h[j + 1]
+        inv = pow(prow[j], -1, p)
+        fs = [h[i][j] * inv % p for i in range(j + 2, n)]
+        # conjugation by E = I - sum_i f_i e_i e_{j+1}^T, whose factors
+        # commute: all row operations (row j+1 has zeros left of column j),
+        # then column j+1 gains sum_i f_i * column i
+        tail = prow[j:]
+        for row, f in zip(h[j + 2:], fs):
+            if f:
+                row[j:] = [(a - f * b) % p for a, b in zip(row[j:], tail)]
+        for row in h:
+            row[j + 1] = (row[j + 1] + sum(map(mul, fs, row[j + 2:]))) % p
+    polys = [[1]]
+    for k in range(1, n + 1):
+        prev = polys[k - 1]
+        diag = h[k - 1][k - 1]
+        cur = [(a - diag * b) % p for a, b in zip([0] + prev, prev + [0])]
+        run = 1
+        for i in range(k - 2, -1, -1):
+            run = run * h[i + 1][i] % p
+            if not run:
+                break
+            coeff = h[i][k - 1] * run % p
+            if coeff:
+                pi = polys[i]
+                cur[:len(pi)] = [(a - coeff * b) % p for a, b in zip(cur, pi)]
+        polys.append(cur)
+    return tuple(polys[n])
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,17 @@ def _echelon_rows(K, vecs):
 
 
 def _reduce_against(K, rows, pivots, w):
+    """w minus the multiples of the echelon rows (leading entry 1 at their
+    pivot) that clear it at each pivot in turn."""
+    if isinstance(K, PrimeField):
+        # one reduction mod p per entry, at the end; reducing each
+        # coefficient keeps the entries below len(rows) * p^2 meanwhile
+        p = K.p
+        for pi, r in zip(pivots, rows):
+            c = w[pi] % p
+            if c:
+                w = [a - c * b for a, b in zip(w, r)]
+        return [a % p for a in w]
     w = list(w)
     for pi, r in zip(pivots, rows):
         c = w[pi]
@@ -88,6 +99,8 @@ def _reduce_against(K, rows, pivots, w):
 def spin(K, mats, v):
     """Smallest subspace containing v closed under the matrices, as reduced
     echelon rows.  Stops early once the whole space is reached."""
+    if isinstance(K, PrimeField):
+        return _spin_fp(K, mats, v)
     d = len(v)
     rows, pivots = [], []
 
@@ -121,6 +134,40 @@ def spin(K, mats, v):
     return tuple(tuple(r) for r in rows)
 
 
+def _spin_fp(K, mats, v):
+    """spin over F_p on int rows kept in semi-echelon form, as in the C
+    MeatAxe: each new row is reduced against the earlier ones only, so no
+    row is revisited when a vector joins.  The span, the vectors tried and
+    their order are those of the generic spin; the canonical reduced form
+    is taken once at the end, and a full spin needs none."""
+    p, d = K.p, len(v)
+    rows, pivots = [], []
+
+    def add(w):
+        w = _reduce_against(K, rows, pivots, w)
+        for idx, a in enumerate(w):
+            if a:
+                if a != 1:
+                    inv = pow(a, -1, p)
+                    w = [x * inv % p for x in w]
+                rows.append(w)
+                pivots.append(idx)
+                return True
+        return False
+
+    queue = [tuple(v)]
+    add(v)
+    while queue and len(rows) < d:
+        b = queue.pop()
+        for m in mats:
+            w = m.apply(b)
+            if add(w):
+                queue.append(w)
+    if len(rows) == d:
+        return tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    return _echelon_rows(K, rows)
+
+
 def subspace_is_invariant(K, mats, rows):
     """Exact check that the row span is carried into itself by every matrix."""
     pivots = []
@@ -145,14 +192,6 @@ def _perp_witness(K, dual_rows):
 
 # ---------------------------------------------------------------------------
 # sampling
-
-
-def _field_order(K):
-    if isinstance(K, PrimeField):
-        return K.p
-    if isinstance(K, ExtensionField):
-        return K.order
-    return None
 
 
 def _random_scalar(K, rng):
@@ -262,7 +301,7 @@ def _norton_attempt(rep, theta, g, rec, rng):
         return IRREDUCIBLE, None
 
     # higher multiplicity: exhaustive two-sided enumeration when affordable
-    q = _field_order(K)
+    q = getattr(K, "order", None)  # finite fields only
     if q is not None and q ** nullity <= ENUM_BOUND:
         for v in _projective_kernel(K, ker):
             rows = spin(K, gens, v)

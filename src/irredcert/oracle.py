@@ -13,18 +13,9 @@ import itertools
 from .errors import SizeBound
 from .matrices import Matrix
 from .meataxe import subspace_is_invariant
-from .rings import ExtensionField, PrimeField
 
 MAX_POINTS = 2 ** 14
 MAX_CANDIDATES = 2 ** 16
-
-
-def _field_order(K):
-    if isinstance(K, PrimeField):
-        return K.p
-    if isinstance(K, ExtensionField):
-        return K.order
-    return None
 
 
 def _candidate_count(q, d):
@@ -46,7 +37,7 @@ def invariant_subspaces(rep, max_size=MAX_POINTS):
     the full space.  Raises SizeBound beyond q^d = max_size points (or when
     the subspace count itself is too large to enumerate)."""
     K = rep.ring
-    q = _field_order(K)
+    q = getattr(K, "order", None)  # finite fields only
     if q is None:
         raise ValueError("the oracle enumerates subspaces over finite fields")
     d = rep.dim

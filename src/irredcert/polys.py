@@ -2,7 +2,10 @@
 
 Coefficients are ascending, trimmed (the zero polynomial is the empty tuple),
 and every function takes the coefficient field K (a RingDescriptor) as first
-argument.  On top of the arithmetic sit:
+argument.
+
+Over a PrimeField the arithmetic runs on the plain-int kernels of fpoly;
+every other field goes through its descriptor.  On top of it sit:
 
   * distinct_irreducible_factors: the distinct monic irreducible factors of a
     polynomial over a finite field, by squarefree split, distinct-degree
@@ -17,8 +20,9 @@ argument.  On top of the arithmetic sit:
 
 from fractions import Fraction
 
+from . import fpoly
 from .errors import SingularError
-from .rings import PrimeField, is_prime
+from .rings import PrimeField
 
 
 def normalize(K, c):
@@ -42,6 +46,8 @@ def x_poly(K):
 
 
 def add(K, f, g):
+    if isinstance(K, PrimeField):
+        return tuple(fpoly.add(f, g, K.p))
     n = max(len(f), len(g))
     out = [K.zero()] * n
     for i, c in enumerate(f):
@@ -56,6 +62,8 @@ def neg(K, f):
 
 
 def sub(K, f, g):
+    if isinstance(K, PrimeField):
+        return tuple(fpoly.sub(f, g, K.p))
     return add(K, f, neg(K, g))
 
 
@@ -68,6 +76,8 @@ def scale(K, a, f):
 def mul(K, f, g):
     if not f or not g:
         return ()
+    if isinstance(K, PrimeField):
+        return tuple(fpoly.mul(f, g, K.p))
     out = [K.zero()] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if K.is_zero(a):
@@ -81,6 +91,9 @@ def divmod_poly(K, f, g):
     """Quotient and remainder; g must be nonzero over a field."""
     if not g:
         raise SingularError("polynomial division by zero")
+    if isinstance(K, PrimeField):
+        q, r = fpoly.quo_rem(f, g, K.p)
+        return tuple(q), tuple(r)
     r = list(f)
     q = [K.zero()] * max(0, len(f) - len(g) + 1)
     inv = K.inv(g[-1])
@@ -110,6 +123,8 @@ def monic(K, f):
 
 
 def gcd_monic(K, f, g):
+    if isinstance(K, PrimeField):
+        return tuple(fpoly.gcd_monic(f, g, K.p))
     while g:
         f, g = g, mod(K, f, g)
     return monic(K, f)
@@ -402,11 +417,3 @@ def certify_irreducible_q(f):
         if rabin_irreducible(K, red):
             return True
     return None
-
-
-def next_prime(n):
-    """Smallest prime strictly greater than n."""
-    n += 1
-    while not is_prime(n):
-        n += 1
-    return n

@@ -24,9 +24,13 @@ def normalize_word(word):
     """Validate and normalize a word into ((index, exp), ...) with exp +-1."""
     out = []
     for item in word:
-        idx, exp = item
-        idx = int(idx)
-        exp = int(exp)
+        try:
+            idx, exp = item
+            idx = int(idx)
+            exp = int(exp)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError("word letter %r is not a pair [index, +-1]"
+                             % (item,)) from None
         if exp not in (1, -1):
             raise ValueError("word exponents must be +1 or -1, got %r" % (exp,))
         out.append((idx, exp))
@@ -212,15 +216,39 @@ def rep_from_json(obj):
         if key not in obj:
             raise ValueError("representation document lacks %r" % (key,))
     R = ring_from_json(obj["ring"])
-    dim = int(obj["dim"])
+    try:
+        dim = int(obj["dim"])
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("dim %r is not an integer" % (obj["dim"],)) from None
+    if dim < 1:
+        raise ValueError("dim must be positive, got %d" % (dim,))
+    if not isinstance(obj["generators"], list):
+        raise ValueError("generators must be a list of matrices")
     gens = []
     for g in obj["generators"]:
-        if len(g) != dim or any(len(row) != dim for row in g):
-            raise ShapeError("generator is not %d x %d" % (dim, dim))
-        gens.append(Matrix(R, [[R.parse(s) if isinstance(s, str) else s
-                                for s in row] for row in g]))
-    relations = [normalize_word(w) for w in obj.get("relations", [])]
+        if not isinstance(g, list) or len(g) != dim or \
+                any(not isinstance(row, list) or len(row) != dim for row in g):
+            raise ShapeError("generator is not a %d x %d matrix" % (dim, dim))
+        gens.append(Matrix(R, [[_scalar_from_json(R, s) for s in row]
+                               for row in g]))
+    relations = obj.get("relations", [])
+    if not isinstance(relations, list) or \
+            not all(isinstance(w, list) for w in relations):
+        raise ValueError("relations must be a list of words")
+    relations = [normalize_word(w) for w in relations]
     return Representation(R, gens, relations, label=obj.get("label", ""))
+
+
+def _scalar_from_json(R, s):
+    """A matrix entry: a string in the scalar grammar, or a JSON value the
+    ring accepts as it is (an integer, or a coefficient list)."""
+    if isinstance(s, str):
+        return R.parse(s)
+    try:
+        return R.coerce(s)
+    except TypeError:
+        raise ValueError("matrix entry %r is not a scalar of %r"
+                         % (s, R)) from None
 
 
 def load_rep(path):

@@ -22,7 +22,9 @@ documented in docs/formats.md; parse() and format() implement that grammar.
 
 from fractions import Fraction
 
+from . import fpoly
 from .errors import BadPrime, IntegralityError, SingularError
+from .fpoly import trim
 
 # ---------------------------------------------------------------------------
 # integer utilities
@@ -205,14 +207,8 @@ def format_poly(coeffs, var):
 
 
 # ---------------------------------------------------------------------------
-# small polynomial kernels used internally by the descriptors
-# (coefficient lists ascending, trimmed)
-
-
-def _trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+# Fraction polynomial kernels used internally by Q(t)
+# (coefficient lists ascending, trimmed; the F_p ones live in fpoly)
 
 
 def _fr_add(a, b):
@@ -222,7 +218,7 @@ def _fr_add(a, b):
         out[i] += x
     for i, x in enumerate(b):
         out[i] += x
-    return _trim(out)
+    return trim(out)
 
 
 def _fr_neg(a):
@@ -237,7 +233,7 @@ def _fr_mul(a, b):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return _trim(out)
+    return trim(out)
 
 
 def _fr_divmod(a, b):
@@ -252,8 +248,8 @@ def _fr_divmod(a, b):
         q[k] = f
         for i in range(len(b)):
             a[k + i] -= f * b[i]
-        _trim(a)
-    return _trim(q), a
+        trim(a)
+    return trim(q), a
 
 
 def _fr_gcd_monic(a, b):
@@ -264,97 +260,6 @@ def _fr_gcd_monic(a, b):
         inv = 1 / a[-1]
         a = [x * inv for x in a]
     return a
-
-
-def _fp_mod(c, p):
-    return _trim([x % p for x in c])
-
-
-def _fp_add(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, x in enumerate(b):
-        out[i] = (out[i] + x) % p
-    return _trim(out)
-
-
-def _fp_sub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, x in enumerate(b):
-        out[i] = (out[i] - x) % p
-    return _trim(out)
-
-
-def _fp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _trim(out)
-
-
-def _fp_divmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    inv = pow(b[-1], p - 2, p)
-    while len(a) >= len(b) and a:
-        k = len(a) - len(b)
-        f = a[-1] * inv % p
-        q[k] = f
-        for i in range(len(b)):
-            a[k + i] = (a[k + i] - f * b[i]) % p
-        _trim(a)
-    return _trim(q), a
-
-
-def _fp_gcd_monic(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _fp_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [x * inv % p for x in a]
-    return a
-
-
-def _fp_xgcd(a, b, p):
-    """Extended gcd in F_p[x]: (g, u, v) with u*a + v*b = g, g monic."""
-    r0, r1 = list(a), list(b)
-    u0, u1 = [1], []
-    v0, v1 = [], [1]
-    while r1:
-        q, r = _fp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        u0, u1 = u1, _fp_sub(u0, _fp_mul(q, u1, p), p)
-        v0, v1 = v1, _fp_sub(v0, _fp_mul(q, v1, p), p)
-    if r0:
-        inv = pow(r0[-1], p - 2, p)
-        r0 = [x * inv % p for x in r0]
-        u0 = [x * inv % p for x in u0]
-        v0 = [x * inv % p for x in v0]
-    return r0, u0, v0
-
-
-def _fp_powmod(base, e, mod, p):
-    """base^e mod (mod) in F_p[x], e an arbitrary nonnegative int."""
-    result = [1]
-    base = _fp_divmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _fp_divmod(_fp_mul(result, base, p), mod, p)[1]
-        base = _fp_divmod(_fp_mul(base, base, p), mod, p)[1]
-        e >>= 1
-    return result
 
 
 def _prime_factors(n):
@@ -378,12 +283,12 @@ def modulus_is_irreducible(modulus, p):
     f = list(modulus)
     x = [0, 1]
     for ell in _prime_factors(k):
-        h = _fp_powmod(x, p ** (k // ell), f, p)
-        g = _fp_gcd_monic(_fp_sub(h, x, p), f, p)
+        h = fpoly.pow_mod(x, p ** (k // ell), f, p)
+        g = fpoly.gcd_monic(fpoly.sub(h, x, p), f, p)
         if len(g) - 1 > 0:
             return False
-    h = _fp_powmod(x, p ** k, f, p)
-    return _fp_sub(h, x, p) == []
+    h = fpoly.pow_mod(x, p ** k, f, p)
+    return fpoly.sub(h, x, p) == []
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +515,7 @@ class PolynomialRingZ(RingDescriptor):
                 elif isinstance(c, bool) or not isinstance(c, int):
                     raise TypeError("bad coefficient %r" % (c,))
                 out.append(c)
-            return tuple(_trim(out))
+            return tuple(trim(out))
         raise TypeError("cannot coerce %r into Z[%s]" % (a, self.var))
 
     def add(self, a, b):
@@ -620,7 +525,7 @@ class PolynomialRingZ(RingDescriptor):
             out[i] = x
         for i, x in enumerate(b):
             out[i] += x
-        return tuple(_trim(out))
+        return tuple(trim(out))
 
     def neg(self, a):
         return tuple(-x for x in a)
@@ -633,7 +538,7 @@ class PolynomialRingZ(RingDescriptor):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        return tuple(_trim(out))
+        return tuple(trim(out))
 
     def is_unit(self, a):
         return a == (1,) or a == (-1,)
@@ -675,7 +580,7 @@ class PolynomialRingZ(RingDescriptor):
             if q.denominator != 1:
                 raise IntegralityError("%s has non-integral coefficients" % (q,))
             out.append(int(q))
-        return tuple(_trim(out))
+        return tuple(trim(out))
 
     def format(self, a):
         return format_poly(a, self.var)
@@ -688,7 +593,7 @@ class PolynomialRingZ(RingDescriptor):
             if c.denominator != 1:
                 raise IntegralityError("%r is not in Z[%s]" % (s, self.var))
             out[e] = int(c)
-        return tuple(_trim(out))
+        return tuple(trim(out))
 
     def to_json(self):
         return {"ring": "Z[t]", "var": self.var}
@@ -715,8 +620,8 @@ class RationalFunctionField(RingDescriptor):
 
     def _normalize(self, num, den):
         num, den = list(num), list(den)
-        _trim(num)
-        _trim(den)
+        trim(num)
+        trim(den)
         if not den:
             raise SingularError("zero denominator in Q(%s)" % (self.var,))
         if not num:
@@ -928,7 +833,7 @@ class ExtensionField(RingDescriptor):
         if p > 2 ** 31:
             raise BadPrime("extension-field characteristic %d exceeds 2^31" % (p,))
         mod = [c % p for c in modulus]
-        _trim(mod)
+        trim(mod)
         k = len(mod) - 1
         if k < 2 or k > 8:
             raise ValueError("modulus degree must be between 2 and 8, got %d" % (k,))
@@ -953,8 +858,8 @@ class ExtensionField(RingDescriptor):
     def _reduce(self, c):
         c = [x % self.p for x in c]
         if len(c) > self.k:
-            c = _fp_divmod(c, list(self.modulus), self.p)[1]
-        return tuple(_trim(c))
+            c = fpoly.quo_rem(c, list(self.modulus), self.p)[1]
+        return tuple(trim(c))
 
     def coerce(self, a):
         if isinstance(a, bool):
@@ -969,14 +874,14 @@ class ExtensionField(RingDescriptor):
         raise TypeError("cannot coerce %r into %r" % (a, self))
 
     def add(self, a, b):
-        return tuple(_fp_add(list(a), list(b), self.p))
+        return tuple(fpoly.add(list(a), list(b), self.p))
 
     def neg(self, a):
         return tuple(-x % self.p for x in a)
 
     def mul(self, a, b):
-        c = _fp_mul(list(a), list(b), self.p)
-        return tuple(_fp_divmod(c, list(self.modulus), self.p)[1])
+        c = fpoly.mul(list(a), list(b), self.p)
+        return tuple(fpoly.quo_rem(c, list(self.modulus), self.p)[1])
 
     def is_unit(self, a):
         return bool(a)
@@ -984,11 +889,11 @@ class ExtensionField(RingDescriptor):
     def inv(self, a):
         if not a:
             raise SingularError("division by zero in %r" % (self,))
-        g, u, _ = _fp_xgcd(list(a), list(self.modulus), self.p)
+        g, u, _ = fpoly.xgcd(list(a), list(self.modulus), self.p)
         if len(g) != 1:
             raise SingularError("non-invertible element %r" % (a,))
         inv_g = pow(g[0], self.p - 2, self.p)
-        return tuple(_trim([x * inv_g % self.p for x in u]))
+        return tuple(trim([x * inv_g % self.p for x in u]))
 
     def iter_elements(self):
         p, k = self.p, self.k
@@ -998,7 +903,7 @@ class ExtensionField(RingDescriptor):
             for _ in range(k):
                 digits.append(m % p)
                 m //= p
-            yield tuple(_trim(digits))
+            yield tuple(trim(digits))
 
     def format(self, a):
         return format_poly(a, self.var)
@@ -1056,8 +961,21 @@ def ring_from_json(obj):
     if tag == "Q(t)":
         return RationalFunctionField(obj.get("var", "t"))
     if tag == "Fp":
-        return PrimeField(int(obj["p"]))
+        return PrimeField(_int_field(obj, "p"))
     if tag == "Fq":
-        return ExtensionField(int(obj["p"]), [int(c) for c in obj["modulus"]],
+        try:
+            modulus = [int(c) for c in obj["modulus"]]
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise ValueError("ring 'Fq' needs an integer list 'modulus'") \
+                from None
+        return ExtensionField(_int_field(obj, "p"), modulus,
                               obj.get("var", "x"))
     raise ValueError("unknown ring tag %r" % (tag,))
+
+
+def _int_field(obj, key):
+    try:
+        return int(obj[key])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise ValueError("ring %r needs an integer %r"
+                         % (obj["ring"], key)) from None

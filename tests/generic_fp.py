@@ -1,0 +1,100 @@
+"""Reference for the prime-field kernels: F_p through the generic path.
+
+GenericFp has the arithmetic of PrimeField but is not one, so Matrix,
+spin and polys treat it like any other descriptor and run their generic
+code on it.  The differential tests build the same data over both rings and
+require identical results.  The random cases here are shared by them.
+"""
+
+from irredcert.errors import SingularError
+from irredcert.rings import RingDescriptor
+
+# (p, d) pairs for the differential tests: F_2, F_3 and F_101, d <= 40
+FIELD_SIZES = [(2, 1), (2, 40), (3, 13), (3, 24), (101, 6), (101, 40)]
+
+
+class GenericFp(RingDescriptor):
+    """F_p with ints in [0, p), every operation a descriptor call."""
+
+    kind = "Fp-generic"
+    is_field = True
+
+    def __init__(self, p):
+        self.p = p
+        self.characteristic = p
+        self.order = p
+
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
+
+    def coerce(self, a):
+        return a % self.p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def inv(self, a):
+        if a % self.p == 0:
+            raise SingularError("division by zero in F_%d" % (self.p,))
+        return pow(a, self.p - 2, self.p)
+
+    def iter_elements(self):
+        return iter(range(self.p))
+
+    def format(self, a):
+        return str(a)
+
+    def __eq__(self, other):
+        return isinstance(other, GenericFp) and other.p == self.p
+
+    def __hash__(self):
+        return hash(("Fp-generic", self.p))
+
+
+def random_rows(rng, p, nr, nc):
+    return [[rng.randrange(p) for _ in range(nc)] for _ in range(nr)]
+
+
+def _product(a, b, p):
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)]
+            for row in a]
+
+
+def matrix_cases(rng, p, d):
+    """Named d x d int matrices over F_p: dense, rank deficient, nilpotent,
+    singular with a repeated row, zero, identity and a permutation."""
+    r = max(d // 3, 1)
+    upper = [[rng.randrange(p) if j > i else 0 for j in range(d)]
+             for i in range(d)]
+    perm = list(range(d))
+    for i in range(d - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    singular = random_rows(rng, p, d, d)
+    if d > 1:
+        singular[-1] = [(2 * x + y) % p
+                        for x, y in zip(singular[0], singular[1])]
+    else:
+        singular = [[0]]
+    return {
+        "dense": random_rows(rng, p, d, d),
+        "low_rank": _product(random_rows(rng, p, d, r),
+                             random_rows(rng, p, r, d), p),
+        # P U P^-1 with U strictly upper triangular
+        "nilpotent": [[upper[perm[i]][perm[j]] for j in range(d)]
+                      for i in range(d)],
+        "singular": singular,
+        "zero": [[0] * d for _ in range(d)],
+        "identity": [[int(i == j) for j in range(d)] for i in range(d)],
+        "permutation": [[int(j == perm[i]) for j in range(d)]
+                        for i in range(d)],
+    }

@@ -5,9 +5,28 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from irredcert.cli import main
 
 DATA = str(pathlib.Path(__file__).resolve().parents[1] / "data")
+
+
+def _f3_doc(entry):
+    return {"ring": {"ring": "Fp", "p": 3}, "dim": 2,
+            "generators": [[[entry, "0"], ["0", "1"]]]}
+
+
+# rep documents that once escaped the loaders as TypeError or KeyError
+MALFORMED_REPS = {
+    "dim_is_a_list": {"ring": "Q", "dim": [2],
+                      "generators": [[["1", "0"], ["0", "1"]]]},
+    "null_generator": {"ring": "Q", "dim": 2, "generators": [None]},
+    "null_entry_f3": _f3_doc(None),
+    "true_entry_f3": _f3_doc(True),
+    "float_entry_f3": _f3_doc(1.5),
+    "bare_fp_ring": {"ring": "Fp", "dim": 1, "generators": [[["1"]]]},
+}
 
 
 def run(capsys, *argv):
@@ -195,6 +214,16 @@ class TestErrorsAndPlumbing:
         bad.write_text("{not json")
         code, out, err = run(capsys, "certify", str(bad))
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["meataxe", "certify", "obstruction"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_REPS))
+    def test_malformed_rep_exit_1(self, capsys, tmp_path, command, case):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(MALFORMED_REPS[case]))
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1
+        assert set(json.loads(err)) == {"error", "detail"}
+        assert "Traceback" not in err and out == ""
 
     def test_console_script_installed(self):
         proc = subprocess.run([sys.executable, "-m", "irredcert.cli",

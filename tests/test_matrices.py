@@ -17,6 +17,8 @@ from irredcert.matrices import (
 from irredcert.prng import XorShift64
 from irredcert.rings import ZZ, QQ, PolynomialRingZ, PrimeField
 
+from generic_fp import FIELD_SIZES, GenericFp, matrix_cases, random_rows
+
 F2 = PrimeField(2)
 F5 = PrimeField(5)
 
@@ -283,3 +285,74 @@ def test_pow():
     assert (m ** 3).is_identity()
     assert (m ** -3).is_identity()
     assert (m ** 0).is_identity()
+
+
+class TestPrimeFieldKernels:
+    """The int-row kernels over PrimeField give exactly the results of the
+    generic descriptor code, run on the same entries over GenericFp."""
+
+    @staticmethod
+    def _pairs(p, d):
+        rng = XorShift64(1000 * p + d)
+        Kf, Kg = PrimeField(p), GenericFp(p)
+        return rng, Kf, Kg, [(name, Matrix(Kf, rows), Matrix(Kg, rows))
+                             for name, rows in matrix_cases(rng, p, d).items()]
+
+    @pytest.mark.parametrize("p,d", FIELD_SIZES)
+    def test_products_sums_and_apply(self, p, d):
+        rng, Kf, Kg, pairs = self._pairs(p, d)
+        dense_f, dense_g = pairs[0][1], pairs[0][2]
+        rect = random_rows(rng, p, d, d + 3)
+        rect_f, rect_g = Matrix(Kf, rect), Matrix(Kg, rect)
+        vec = tuple(rng.randrange(p) for _ in range(d))
+        c = rng.randrange(p)
+        for name, mf, mg in pairs:
+            assert (mf * dense_f).entries == (mg * dense_g).entries, name
+            assert (dense_f * mf).entries == (dense_g * mg).entries, name
+            assert (mf * rect_f).entries == (mg * rect_g).entries, name
+            assert (mf + dense_f).entries == (mg + dense_g).entries, name
+            assert mf.scale(c).entries == mg.scale(c).entries, name
+            assert mf.apply(vec) == mg.apply(vec), name
+            assert mf.transpose().entries == mg.transpose().entries, name
+
+    @pytest.mark.parametrize("p,d", FIELD_SIZES)
+    def test_rref_kernel_det_inverse(self, p, d):
+        rng, Kf, Kg, pairs = self._pairs(p, d)
+        wide = random_rows(rng, p, max(d // 2, 1), d)
+        tall = random_rows(rng, p, d + 2, max(d // 2, 1))
+        for rows in (wide, tall):
+            rf, pf = rref(Matrix(Kf, rows))
+            rg, pg = rref(Matrix(Kg, rows))
+            assert (rf.entries, pf) == (rg.entries, pg)
+        for name, mf, mg in pairs:
+            rf, pf = rref(mf)
+            rg, pg = rref(mg)
+            assert (rf.entries, pf) == (rg.entries, pg), name
+            assert kernel_basis(mf) == kernel_basis(mg), name
+            assert mf.det() == mg.det(), name
+            if mg.det() == 0:
+                with pytest.raises(SingularError):
+                    mf.inverse()
+                with pytest.raises(SingularError):
+                    mg.inverse()
+            else:
+                assert mf.inverse().entries == mg.inverse().entries, name
+
+    @pytest.mark.parametrize("p,d", FIELD_SIZES)
+    def test_char_poly_and_poly_at_matrix(self, p, d):
+        rng, Kf, Kg, pairs = self._pairs(p, d)
+        polys = [(), (rng.randrange(p),), (rng.randrange(p), 1),
+                 tuple(rng.randrange(p) for _ in range(3)) + (1,),
+                 (rng.randrange(p), rng.randrange(p), p - 1)]
+        for name, mf, mg in pairs:
+            cp = char_poly(mf)
+            assert cp == char_poly(mg), name
+            assert len(cp) == d + 1 and cp[-1] == 1, name
+            if name == "dense":
+                assert poly_at_matrix(Kf, cp, mf).is_zero()
+            for f in polys:
+                assert poly_at_matrix(Kf, f, mf).entries == \
+                    poly_at_matrix(Kg, f, mg).entries, (name, f)
+            a, b, c = polys[-1]
+            assert poly_at_matrix(Kf, polys[-1], mf) == (mf * mf).scale(c) \
+                + mf.scale(b) + Matrix.identity(Kf, d).scale(a), name

@@ -7,14 +7,17 @@ import pytest
 
 from irredcert.errors import AbsIrredUndecided
 from irredcert.matrices import Matrix
-from irredcert.meataxe import (INCONCLUSIVE, IRREDUCIBLE, REDUCIBLE, endo_dim,
-                               is_absolutely_irreducible, is_irreducible,
+from irredcert.meataxe import (INCONCLUSIVE, IRREDUCIBLE, REDUCIBLE,
+                               _echelon_rows, endo_dim,
+                               is_absolutely_irreducible, is_irreducible, spin,
                                subspace_is_invariant)
 from irredcert.oracle import count_invariant
 from irredcert.prng import XorShift64
 from irredcert.reps import Representation, conjugate, direct_sum
 from irredcert.rings import QQ, ExtensionField, PrimeField, \
     RationalFunctionField
+
+from generic_fp import FIELD_SIZES, GenericFp, matrix_cases, random_rows
 
 QT = RationalFunctionField("t")
 
@@ -220,3 +223,35 @@ class TestFunctionField:
         v = is_irreducible(rep)
         assert v.status == REDUCIBLE
         assert subspace_is_invariant(QT, list(rep.generators), v.witness)
+
+
+class TestPrimeFieldSpin:
+    """spin and the invariance check over PrimeField (int rows, semi-echelon
+    spin) agree with the generic code run over GenericFp."""
+
+    @pytest.mark.parametrize("p,d", FIELD_SIZES)
+    def test_spin_matches_generic(self, p, d):
+        rng = XorShift64(7 * p + d)
+        Kf, Kg = PrimeField(p), GenericFp(p)
+        cases = matrix_cases(rng, p, d)
+        # [[A, X], [0, B]] fixes the span of the first k basis vectors
+        k = d // 2
+        cases["block"] = [[0] * k + row[k:] if i >= k else row
+                          for i, row in enumerate(random_rows(rng, p, d, d))]
+        vectors = [tuple(int(i == 0) for i in range(d)),
+                   tuple(int(i == d - 1) for i in range(d)),
+                   tuple(rng.randrange(p) for _ in range(d)),
+                   (0,) * d]
+        for names in (("dense", "permutation"), ("block", "dense"),
+                      ("block", "low_rank"), ("nilpotent",),
+                      ("singular", "identity"), ("zero",)):
+            mf = [Matrix(Kf, cases[n]) for n in names]
+            mg = [Matrix(Kg, cases[n]) for n in names]
+            for v in vectors:
+                rows = spin(Kf, mf, v)
+                assert rows == spin(Kg, mg, v), (names, v)
+                assert subspace_is_invariant(Kf, mf, rows)
+            for n in (1, max(d // 2, 1)):
+                rows = _echelon_rows(Kf, random_rows(rng, p, n, d))
+                assert subspace_is_invariant(Kf, mf, rows) == \
+                    subspace_is_invariant(Kg, mg, rows), names

@@ -2,9 +2,14 @@
 
 from fractions import Fraction
 
+import pytest
+
 from irredcert import polys
+from irredcert.errors import SingularError
 from irredcert.prng import XorShift64
 from irredcert.rings import QQ, ExtensionField, PrimeField
+
+from generic_fp import GenericFp
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -118,7 +123,30 @@ def test_evaluate_and_powmod():
     assert h == (0, 1)
 
 
-def test_next_prime():
-    assert polys.next_prime(1) == 2
-    assert polys.next_prime(13) == 17
-    assert polys.next_prime(14) == 17
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_prime_field_kernels_match_generic(p):
+    """polys over PrimeField (the fpoly int-list kernels) against the generic
+    descriptor code over GenericFp, on seeded random polynomials."""
+    rng = XorShift64(p)
+    Kf, Kg = PrimeField(p), GenericFp(p)
+
+    def rand(n):
+        return polys.normalize(Kf, [rng.randrange(p) for _ in range(n)])
+
+    for _ in range(60):
+        f, g = rand(rng.randrange(40)), rand(rng.randrange(20))
+        for fn in (polys.add, polys.sub, polys.mul, polys.gcd_monic):
+            assert fn(Kf, f, g) == fn(Kg, f, g), (fn.__name__, f, g)
+        if g:
+            assert polys.divmod_poly(Kf, f, g) == polys.divmod_poly(Kg, f, g)
+        else:
+            with pytest.raises(SingularError):
+                polys.divmod_poly(Kf, f, g)
+    # the Cantor-Zassenhaus path draws the same random polynomials on both
+    for _ in range(10):
+        f = polys.monic(Kf, rand(2 + rng.randrange(20)))
+        if f:
+            seed = rng.randrange(2 ** 32)
+            assert polys.distinct_irreducible_factors(Kf, f, XorShift64(seed)) \
+                == polys.distinct_irreducible_factors(Kg, f, XorShift64(seed))
