@@ -2,16 +2,23 @@
 
 A representation over a finite field generates a finite matrix group; close
 it into a multiplication table, then compute H^0, H^1, H^2 with coefficients
-in any module for the same generators via the inhomogeneous bar complex.
-Cochains in degree q are functions G^q -> M and the differential is
+in any module for the same generators by dimension shifting along the start
+of the free resolution of the trivial module F over FG,
 
-    (d f)(g_1, ..., g_{q+1}) = g_1 . f(g_2, ..., g_{q+1})
-        + sum_{i=1..q} (-1)^i f(g_1, ..., g_i g_{i+1}, ..., g_{q+1})
-        + (-1)^{q+1} f(g_1, ..., g_q)
+    FG^k --d--> FG --eps--> F --> 0,    d(h e_i) = h g_i - h,
 
-so dim H^q = dim ker d^q - rank d^{q-1}.  Over a prime field the
-differentials are assembled as numpy integer matrices and ranked by modular
-Gaussian elimination; other coefficient fields take a slow exact fallback.
+where g_1, ..., g_k are the generators and eps sums the coefficients.  The
+image of d is the augmentation ideal I = ker eps, since the g_i generate G;
+let R = ker d.  FG is free, so Ext^q(FG, M) = 0 for q >= 1, and the long
+exact Ext sequences of 0 -> I -> FG -> F -> 0 and 0 -> R -> FG^k -> I -> 0
+give, with h(A) = dim Hom_G(A, M) and m = dim M,
+
+    d0 = h(F),    d1 = h(I) - m + d0,    d2 = h(R) - k m + h(I).
+
+I and R are submodules of permutation modules; their generator matrices are
+read off the echelon kernel basis, and every h(A) is the nullity of one
+linear system (meataxe.hom_dim).  One exact code path serves every field
+(Brown, "Cohomology of Groups", III.5-6).
 
 The obstruction report packages the deformation-theoretic numbers for the
 adjoint module: d_i = dim H^i(G, ad), the commutant dimension, the
@@ -20,21 +27,14 @@ deformation ring it predicts, and, when the input is irreducible with scalar
 commutant, the flag that the universal deformation stays irreducible.
 """
 
-import itertools
-
-import numpy as np
-
-from .errors import GroupTooLarge, SizeBound
-from .matrices import Matrix, rank, rref
-from .meataxe import INCONCLUSIVE, IRREDUCIBLE, endo_dim, is_irreducible
-from .reps import Representation, adjoint_rep
+from .errors import GroupTooLarge
+from .matrices import Matrix, kernel_basis
+from .meataxe import INCONCLUSIVE, IRREDUCIBLE, endo_dim, hom_dim, \
+    is_irreducible
+from .reps import adjoint_rep
 from .rings import ExtensionField, PrimeField
 
 GROUP_BOUND = 64
-# cap on rows*cols of an assembled differential (int64 cells)
-MAX_CELLS = 2 ** 24
-# much smaller cap for the exact non-prime-field fallback
-MAX_CELLS_GENERIC = 2 ** 16
 
 
 class FiniteGroupTable:
@@ -122,176 +122,52 @@ def module_action(table, module):
 
 
 # ---------------------------------------------------------------------------
-# bar differentials
+# cohomology by dimension shifting
 
 
-def _tuple_indices(n, q):
-    """All q-tuples over range(n) as a (q, n^q) int64 array."""
-    if q == 0:
-        return np.zeros((0, 1), dtype=np.int64)
-    return np.indices([n] * q).reshape(q, -1).astype(np.int64)
+def _kernel_action(K, boundary, perms):
+    """Generator matrices on ker(boundary) inside a permutation module.
+
+    perms[j][x] is the coordinate that generator j sends coordinate x to,
+    and boundary must commute with that action.  The kernel_basis vector of
+    a free column f is 1 at f and 0 at the other free columns, and f is its
+    last nonzero coordinate; so the coordinates of a kernel vector in that
+    basis are its entries at the free columns, and (g v)[f] = v[g^-1 f]."""
+    basis = kernel_basis(boundary)
+    free = [max(x for x, a in enumerate(v) if not K.is_zero(a))
+            for v in basis]
+    mats = []
+    for perm in perms:
+        back = [0] * len(perm)
+        for x, y in enumerate(perm):
+            back[y] = x
+        mats.append(Matrix(K, [[v[back[f]] for v in basis] for f in free]))
+    return mats
 
 
-def _pack(parts, n):
-    out = np.zeros(parts[0].shape if parts else (1,), dtype=np.int64)
-    for arr in parts:
-        out = out * n + arr
-    return out
-
-
-def _numpy_differential(actarr, multarr, q, m):
-    """The degree-q bar differential as an int64 matrix (entries reduced mod
-    p by the caller); rows index C^{q+1} coordinates, columns C^q."""
-    n = multarr.shape[0]
-    rows = n ** (q + 1) * m
-    cols = n ** q * m
-    if rows * cols > MAX_CELLS:
-        raise SizeBound("degree-%d differential needs %d cells (cap %d)"
-                        % (q, rows * cols, MAX_CELLS))
-    A = np.zeros((rows, cols), dtype=np.int64)
-    tup = _tuple_indices(n, q + 1)
-    count = tup.shape[1]
-    rowbase = _pack([tup[a] for a in range(q + 1)], n) * m
-    # leading term g_1 . f(g_2 ... g_{q+1})
-    colbase = _pack([tup[a] for a in range(1, q + 1)], n) * m
-    if colbase.shape != rowbase.shape:
-        colbase = np.broadcast_to(colbase, rowbase.shape).copy()
-    g1 = tup[0] if q + 1 >= 1 else np.zeros(count, dtype=np.int64)
-    for i in range(m):
-        for j in range(m):
-            np.add.at(A, (rowbase + i, colbase + j), actarr[g1, i, j])
-    # inner face maps f(..., g_i g_{i+1}, ...)
-    for t in range(1, q + 1):
-        parts = []
-        for a in range(q + 1):
-            if a == t - 1:
-                parts.append(multarr[tup[t - 1], tup[t]])
-            elif a == t:
-                continue
-            else:
-                parts.append(tup[a])
-        colbase = _pack(parts, n) * m
-        sign = -1 if t % 2 else 1
-        for i in range(m):
-            np.add.at(A, (rowbase + i, colbase + i), sign)
-    # trailing term f(g_1 ... g_q)
-    parts = [tup[a] for a in range(q)]
-    colbase = _pack(parts, n) * m if parts else np.zeros(count, dtype=np.int64)
-    if colbase.shape != rowbase.shape:
-        colbase = np.broadcast_to(colbase, rowbase.shape).copy()
-    sign = -1 if (q + 1) % 2 else 1
-    for i in range(m):
-        np.add.at(A, (rowbase + i, colbase + i), sign)
-    return A
-
-
-def _rank_mod_p(a, p):
-    """Rank over F_p by vectorized Gaussian elimination on an int64 array."""
-    a = np.mod(a, p)
-    nrows, ncols = a.shape
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i0 = r + int(nz[0])
-        if i0 != r:
-            a[[r, i0]] = a[[i0, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        below = a[r + 1:, c]
-        hot = np.nonzero(below)[0]
-        if hot.size:
-            a[r + 1 + hot] = (a[r + 1 + hot] - np.outer(below[hot], a[r])) % p
-        r += 1
-    return r
-
-
-def bar_differential(table, module, degree):
-    """Exact degree-q differential as a Matrix over the module field (for
-    small instances and cross-checks)."""
-    K = module.ring
-    n = table.order
-    m = module.dim
-    q = degree
-    rows = n ** (q + 1) * m
-    cols = n ** q * m
-    if rows * cols > MAX_CELLS_GENERIC:
-        raise SizeBound("exact differential needs %d cells (cap %d)"
-                        % (rows * cols, MAX_CELLS_GENERIC))
-    acts = module_action(table, module)
-    zero = K.zero()
-    data = [[zero] * cols for _ in range(rows)]
-
-    def add(r, c, v):
-        data[r][c] = K.add(data[r][c], v)
-
-    for tup in itertools.product(range(n), repeat=q + 1):
-        rowbase = 0
-        for g in tup:
-            rowbase = rowbase * n + g
-        rowbase *= m
-        tail = 0
-        for g in tup[1:]:
-            tail = tail * n + g
-        act = acts[tup[0]]
-        for i in range(m):
-            for j in range(m):
-                add(rowbase + i, tail * m + j, act.entry(i, j))
-        one, neg = K.one(), K.neg(K.one())
-        for t in range(1, q + 1):
-            merged = list(tup)
-            merged[t - 1] = table.mult[tup[t - 1]][tup[t]]
-            del merged[t]
-            colbase = 0
-            for g in merged:
-                colbase = colbase * n + g
-            v = neg if t % 2 else one
-            for i in range(m):
-                add(rowbase + i, colbase * m + i, v)
-        head = 0
-        for g in tup[:q]:
-            head = head * n + g
-        v = neg if (q + 1) % 2 else one
-        for i in range(m):
-            add(rowbase + i, head * m + i, v)
-    return Matrix(K, data)
-
-
-def cohomology_dims(table, module, max_degree=2):
-    """(dim H^0, ..., dim H^max_degree) for the module over the table group."""
+def cohomology_dims(table, module):
+    """(dim H^0, dim H^1, dim H^2) of the module over the table group."""
     K = module.ring
     if not K.is_field:
         raise ValueError("cohomology needs field coefficients")
-    m = module.dim
-    n = table.order
-    if isinstance(K, PrimeField):
-        p = K.p
-        acts = module_action(table, module)
-        actarr = np.array([[[int(a.entry(i, j)) for j in range(m)]
-                            for i in range(m)] for a in acts], dtype=np.int64)
-        multarr = np.array(table.mult, dtype=np.int64)
-        kernels = []
-        ranks = []
-        for q in range(max_degree + 1):
-            A = _numpy_differential(actarr, multarr, q, m)
-            rk = _rank_mod_p(A, p)
-            ranks.append(rk)
-            kernels.append(n ** q * m - rk)
-    else:
-        kernels = []
-        ranks = []
-        for q in range(max_degree + 1):
-            A = bar_differential(table, module, q)
-            rk = rank(A)
-            ranks.append(rk)
-            kernels.append(A.ncols - rk)
-    dims = [kernels[0]]
-    for q in range(1, max_degree + 1):
-        dims.append(kernels[q] - ranks[q - 1])
-    return tuple(dims)
+    module_action(table, module)        # rejects a module G does not act on
+    n, k, m = table.order, len(table.gen_indices), module.dim
+    rho = module.generators
+    left = [table.mult[g] for g in table.gen_indices]      # h -> g_j h
+    aug_ideal = _kernel_action(K, Matrix(K, [[1] * n]), left)
+    # d: FG^k -> FG with h e_i at coordinate i n + h
+    d = [[0] * (n * k) for _ in range(n)]
+    for i, g in enumerate(table.gen_indices):
+        for h in range(n):
+            d[table.mult[h][g]][i * n + h] += 1
+            d[h][i * n + h] -= 1
+    relations = _kernel_action(
+        K, Matrix(K, d),
+        [[i * n + p[h] for i in range(k) for h in range(n)] for p in left])
+    d0 = hom_dim(K, [Matrix.identity(K, 1)] * k, rho)
+    h_i = hom_dim(K, aug_ideal, rho)
+    h_r = hom_dim(K, relations, rho)
+    return d0, h_i - m + d0, h_r - k * m + h_i
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +241,7 @@ def obstruction_report(rep, seed=0, budget=200, bound=GROUP_BOUND):
     commutant dimension, and the flags of the report."""
     table = close_group(rep, bound=bound)
     ad = adjoint_rep(rep)
-    dims = cohomology_dims(table, ad, max_degree=2)
+    dims = cohomology_dims(table, ad)
     schur = endo_dim(rep)
     verdict = is_irreducible(rep, seed=seed, budget=budget)
     return ObstructionReport(table.order, dims, schur, verdict.status)

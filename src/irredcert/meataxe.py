@@ -32,8 +32,8 @@ from fractions import Fraction
 
 from . import polys
 from .errors import AbsIrredUndecided, SingularError
-from .matrices import Matrix, char_poly, kernel_basis, kronecker, \
-    poly_at_matrix, rref
+from .matrices import Matrix, char_poly, kernel_basis, poly_at_matrix, \
+    rank, rref
 from .prng import XorShift64
 from .reps import Representation, evaluate
 from .rings import QQ, ExtensionField, PrimeField, RationalFunctionField
@@ -575,21 +575,37 @@ def is_irreducible(rep, seed=0, budget=200):
     raise ValueError("no irreducibility test for %r" % (K,))
 
 
+def hom_dim(K, src_gens, dst_gens):
+    """dim Hom_G(A, M) for modules A and M over the field K, given by the
+    matrices a_j and rho_j of the same generators: the nullity of the
+    stacked system X a_j = rho_j X in the unknown dim M x dim A matrix X."""
+    s = src_gens[0].nrows
+    m = dst_gens[0].nrows
+    zero = K.zero()
+    rows = []
+    # row-major vec: vec(rho X) = (rho (x) I) vec X, vec(X a) = (I (x) a^T)
+    # vec X.  The equations of entry (i, t) of X sit together, one per
+    # generator: that order eliminates faster than one block per generator
+    for i in range(m):
+        for t in range(s):
+            for a, rho in zip(src_gens, dst_gens):
+                row = [zero] * (m * s)
+                for i2 in range(m):
+                    row[i2 * s + t] = rho.entry(i, i2)
+                for t2 in range(s):
+                    c = i * s + t2
+                    row[c] = K.sub(row[c], a.entry(t2, t))
+                rows.append(row)
+    return m * s - rank(Matrix._raw(K, len(rows), m * s,
+                                    [x for row in rows for x in row]))
+
+
 def endo_dim(rep):
     """Dimension over the base field of the commutant {X : Xg = gX for all
-    generators}, by exact kernel of the stacked commutator system."""
-    K = rep.ring
-    if not K.is_field:
+    generators}."""
+    if not rep.ring.is_field:
         raise ValueError("endo_dim works over a field")
-    d = rep.dim
-    ident = Matrix.identity(K, d)
-    rows = []
-    for g in rep.generators:
-        # row-major vec: vec(gX) = (g (x) I) vec X, vec(Xg) = (I (x) g^T) vec X
-        block = kronecker(g, ident) - kronecker(ident, g.transpose())
-        rows.extend(block.rows())
-    system = Matrix(K, rows)
-    return len(kernel_basis(system))
+    return hom_dim(rep.ring, rep.generators, rep.generators)
 
 
 def is_absolutely_irreducible(rep, seed=0, budget=200):

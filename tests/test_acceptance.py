@@ -13,8 +13,7 @@ from fractions import Fraction
 
 from irredcert.certify import (IRREDUCIBLE_CERTIFIED, Certificate, certify,
                                verify)
-from irredcert.cohomology import (_numpy_differential, bar_differential,
-                                  close_group, cohomology_dims, module_action,
+from irredcert.cohomology import (close_group, cohomology_dims, module_action,
                                   obstruction_report)
 from irredcert.errors import VersionMismatch
 from irredcert.lattices import (IMAGE_PROPER, LatticeBasis, PrimeSpec,
@@ -31,6 +30,8 @@ from irredcert.reps import (Representation, adjoint_rep, load_rep,
 from irredcert.rings import QQ, ZZ, PrimeField, RationalFunctionField
 
 import numpy as np
+
+from bar_complex import _numpy_differential, bar_differential
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
 

@@ -182,6 +182,25 @@ class TestObstructionCommand:
         assert doc["unobstructed"] is True
         assert doc["universal_deformation_irreducible"] is True
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("name", ["s3", "s3_scaled", "d4", "q8", "s4"])
+    def test_corpus_reduced(self, capsys, tmp_path, name, p):
+        code, out, _ = run(capsys, "reduce", f"{DATA}/{name}.json",
+                           "--prime", "(%d)" % p)
+        assert code == 0
+        red = tmp_path / "red.json"
+        red.write_text(out)
+        code, out, _ = run(capsys, "obstruction", str(red))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["d0"] == doc["schur_dim"]
+        if doc["group_order"] % p:
+            assert doc["d1"] == doc["d2"] == 0
+        if name == "s4":
+            # H^2 at p = 2 checked once as H^1(G, CoInd(M)/M)
+            expect = {2: (1, 1, 2), 3: (1, 0, 0), 5: (1, 0, 0)}[p]
+            assert (doc["d0"], doc["d1"], doc["d2"]) == expect
+
 
 class TestOracleCommand:
 
@@ -224,6 +243,16 @@ class TestErrorsAndPlumbing:
         assert code == 1
         assert set(json.loads(err)) == {"error", "detail"}
         assert "Traceback" not in err and out == ""
+
+    def test_import_leaves_numpy_out(self):
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        code = ("import sys; sys.path.insert(0, %r); "
+                "import irredcert, irredcert.cli; "
+                "print('numpy' in sys.modules)" % src)
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_console_script_installed(self):
         proc = subprocess.run([sys.executable, "-m", "irredcert.cli",

@@ -1,16 +1,25 @@
-"""Group closure, bar-complex cohomology, obstruction reports."""
+"""Group closure, cohomology by dimension shifting, obstruction reports.
+
+The bar complex in bar_complex.py is the independent oracle for
+cohomology_dims.
+"""
 
 import numpy as np
 import pytest
 
-from irredcert.cohomology import (FiniteGroupTable, bar_differential,
-                                  close_group, cohomology_dims, module_action,
+from irredcert.cohomology import (close_group, cohomology_dims, module_action,
                                   obstruction_report)
-from irredcert.errors import GroupTooLarge, SizeBound
-from irredcert.matrices import Matrix, rank
+from irredcert.errors import GroupTooLarge
+from irredcert.matrices import Matrix
 from irredcert.meataxe import endo_dim
 from irredcert.reps import Representation, adjoint_rep, trivial_rep
 from irredcert.rings import ExtensionField, PrimeField
+
+from bar_complex import (_numpy_differential, bar_differential, exact_dims,
+                         numpy_dims)
+
+F4 = ExtensionField(2, (1, 1, 1))
+F9 = ExtensionField(3, (1, 0, 1))
 
 
 def s3_over(ring):
@@ -29,6 +38,45 @@ def s4_over(ring):
 def z3_over(ring):
     return Representation(ring, [[[0, -1], [1, -1]]], [[(0, 1)] * 3],
                           label="z3")
+
+
+# integer generators of small groups; reduced mod p the order may drop
+GROUPS = {
+    "C2": [[[-1]]],
+    "C3": [[[0, -1], [1, -1]]],
+    "C4": [[[0, -1], [1, 0]]],
+    "C6": [[[0, -1], [1, 1]]],
+    "S3": [[[0, -1], [1, -1]], [[0, 1], [1, 0]]],
+    "D4": [[[0, -1], [1, 0]], [[1, 0], [0, -1]]],
+    "C5": [[[0, 0, 0, -1], [1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]]],
+    "Q8": [[[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+           [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]],
+    "B3": [[[-1, 0, 0], [0, 1, 0], [0, 0, 1]],
+           [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+           [[0, 0, 1], [1, 0, 0], [0, 1, 0]]],
+}
+
+SMALL = ("C2", "C3", "C4", "C6", "S3", "D4", "C5", "Q8")
+
+# (group, field, module) through the int64 assembler over F_p ...
+NUMPY_CASES = [(g, p, mod) for g in SMALL for p in (2, 3, 5)
+               for mod in ("trivial", "adjoint")]
+NUMPY_CASES += [("B3", 2, "trivial"), ("B3", 2, "adjoint")]
+# ... and through the exact one, whose degree-2 differential must stay
+# under its cell cap: every trivial module, the adjoint of the smallest
+EXACT_CASES = [(g, F, "trivial") for g in SMALL for F in (F4, F9)]
+EXACT_CASES += [(g, F4, "adjoint") for g in ("C2", "C3", "C4", "C6", "D4")]
+EXACT_CASES += [(g, F9, "adjoint") for g in ("C2", "C3", "C4")]
+EXACT_CASES += [("C3", PrimeField(3), "trivial")]
+
+
+def group_and_module(name, K, kind):
+    rep = Representation(K, GROUPS[name], label=name)
+    if kind == "adjoint":
+        module = adjoint_rep(rep)
+    else:
+        module = trivial_rep(K, 1, ngens=len(rep.generators))
+    return close_group(rep), module
 
 
 class TestCloseGroup:
@@ -100,31 +148,43 @@ class TestCohomologyDims:
         module = trivial_rep(PrimeField(5), 3, ngens=1)
         assert cohomology_dims(table, module) == (3, 0, 0)
 
-    def test_generic_engine_agrees_with_numpy(self):
-        # same tiny instance through both engines
-        table = close_group(z3_over(PrimeField(7)))
-        module = trivial_rep(PrimeField(3), 1, ngens=1)
-        fast = cohomology_dims(table, module)
-        kernels, ranks = [], []
-        for q in range(3):
-            A = bar_differential(table, module, q)
-            r = rank(A)
-            ranks.append(r)
-            kernels.append(A.ncols - r)
-        slow = (kernels[0], kernels[1] - ranks[0], kernels[2] - ranks[1])
-        assert fast == slow
-
     def test_extension_field_module(self):
         table = close_group(z3_over(PrimeField(7)))
-        F4 = ExtensionField(2, (1, 1, 1))
         module = trivial_rep(F4, 1, ngens=1)
         assert cohomology_dims(table, module) == (1, 0, 0)
 
-    def test_size_bound(self):
-        table = close_group(s4_over(PrimeField(5)))
-        ad = adjoint_rep(s4_over(PrimeField(5)))  # 9-dim module, 24^3 rows
-        with pytest.raises(SizeBound):
-            cohomology_dims(table, ad)
+    def test_s4_adjoint_pinned(self):
+        # S4 on data/s4.json: beyond the bar complex's cell cap at every
+        # prime; H^2 at p = 2 checked once as H^1(G, CoInd(M)/M)
+        for p, dims in ((2, (1, 1, 2)), (3, (1, 0, 0)), (5, (1, 0, 0))):
+            rep = s4_over(PrimeField(p))
+            assert cohomology_dims(close_group(rep), adjoint_rep(rep)) == dims
+
+    def test_b3_adjoint_mod_3_pinned(self):
+        # the hyperoctahedral group of order 48: the bar complex agrees in
+        # degrees 0 and 1; d2 = 0 checked once as H^1(G, CoInd(M)/M) and by
+        # restriction to a Sylow 3-subgroup
+        table, ad = group_and_module("B3", PrimeField(3), "adjoint")
+        assert table.order == 48
+        assert cohomology_dims(table, ad) == (1, 0, 0)
+
+
+class TestBarComplexOracle:
+
+    @pytest.mark.parametrize(
+        "group, p, kind", NUMPY_CASES,
+        ids=["%s-F%d-%s-numpy" % case for case in NUMPY_CASES])
+    def test_agrees_with_numpy_bar_complex(self, group, p, kind):
+        table, module = group_and_module(group, PrimeField(p), kind)
+        assert cohomology_dims(table, module) == numpy_dims(table, module)
+
+    @pytest.mark.parametrize(
+        "group, K, kind", EXACT_CASES,
+        ids=["%s-F%d-%s-exact" % (g, K.order, kind)
+             for g, K, kind in EXACT_CASES])
+    def test_agrees_with_exact_bar_complex(self, group, K, kind):
+        table, module = group_and_module(group, K, kind)
+        assert cohomology_dims(table, module) == exact_dims(table, module)
 
 
 class TestComplexProperty:
@@ -153,7 +213,6 @@ class TestComplexProperty:
 
     def test_d_compose_d_is_zero_numpy_large(self):
         # S3 adjoint mod 3: check d2 d1 = 0 with the integer matrices
-        from irredcert.cohomology import _numpy_differential
         rep = s3_over(PrimeField(3))
         table = close_group(rep)
         ad = adjoint_rep(rep)
