@@ -19,9 +19,6 @@ the whole pipeline deterministically and compares, then re-checks the
 witness or the certifying step independently of the rerun.
 
 Rules:
-  DVR             one prime, base ring a discrete valuation ring.  Subsumed
-                  by RegularOnePrime (a DVR is regular local of dimension
-                  one); accepted in certificates, never emitted.
   RegularOnePrime one prime of Z, or one maximal (p, t-c) of Z[t]; the
                   localization there is regular local.
   HeightOneFamily height-one prime (t-c) of Z[t] with a recursive
@@ -40,18 +37,15 @@ from .lattices import PrimeSpec, reduce_rep, saturate
 from .meataxe import (INCONCLUSIVE, IRREDUCIBLE, REDUCIBLE, _echelon_rows,
                       is_irreducible, subspace_is_invariant)
 from .oracle import count_invariant
-from .reps import Representation, rep_to_json
+from .reps import over_fraction_field, rep_to_json
 from .rings import (PolynomialRingZ, QQ, RationalFunctionField, ZZ,
                     is_prime, ring_from_json)
 
 TOOLKIT_VERSION = "0.1.0"
 
-RULE_DVR = "DVR"
 RULE_REGULAR_ONE_PRIME = "RegularOnePrime"
 RULE_HEIGHT_ONE_FAMILY = "HeightOneFamily"
 RULE_DIRECT_OVER_K = "DirectOverK"
-RULES = (RULE_DVR, RULE_REGULAR_ONE_PRIME, RULE_HEIGHT_ONE_FAMILY,
-         RULE_DIRECT_OVER_K)
 
 IRREDUCIBLE_CERTIFIED = "IrreducibleCertified"
 REDUCIBLE_WITH_WITNESS = "ReducibleWithWitness"
@@ -158,17 +152,6 @@ def save_certificate(cert, path):
 
 # ---------------------------------------------------------------------------
 # prime candidate selection
-
-
-def _field_rep(rep):
-    """The input viewed over its fraction field (identity when already
-    over Q or Q(t))."""
-    K = rep.ring
-    if K.is_field:
-        return rep
-    F = K.fraction_field()
-    return Representation(F, [g.to_fraction_field() for g in rep.generators],
-                          rep.relations, label=rep.label)
 
 
 def _auto_primes_z(int_rep, max_primes):
@@ -357,7 +340,7 @@ def certify(rep, primes=None, seed=0, budget=200, max_primes=50,
         "max_primes": max_primes,
         "oracle": bool(oracle_check),
     }
-    field_rep = _field_rep(rep)
+    field_rep = over_fraction_field(rep)
 
     try:
         lat, int_rep = saturate(field_rep)
@@ -573,13 +556,13 @@ def verify(cert, rep):
         if canonical_json(fresh.to_json()) != canonical_json(cert.to_json()):
             return False
         # independent audits, not relying on the rerun
-        field_rep = _field_rep(rep)
+        field_rep = over_fraction_field(rep)
         if cert.conclusion == REDUCIBLE_WITH_WITNESS:
             if cert.rule != RULE_DIRECT_OVER_K or cert.witness is None:
                 return False
             return _witness_checks(cert, field_rep)
         if cert.conclusion == IRREDUCIBLE_CERTIFIED:
-            if cert.rule in (RULE_DVR, RULE_REGULAR_ONE_PRIME):
+            if cert.rule == RULE_REGULAR_ONE_PRIME:
                 return _certifying_step_checks(cert)
             if cert.rule == RULE_HEIGHT_ONE_FAMILY:
                 return _family_checks(cert, rep)
@@ -597,7 +580,7 @@ def _family_checks(cert, rep):
     """Audit the height-one route: replay the (t-c) reduction and verify
     the embedded sub-certificate against it, then the symbolic trivial
     intersection condition on the recorded family."""
-    field_rep = _field_rep(rep)
+    field_rep = over_fraction_field(rep)
     lat, int_rep = saturate(field_rep)
     R = int_rep.ring
     if not isinstance(R, PolynomialRingZ):

@@ -3,7 +3,8 @@
 Coefficients are ascending ints in [0, p), trimmed (the zero polynomial is
 the empty list).  These are the only F_p[x] kernels in the package:
 `rings` builds F_{p^k} on them and `polys` runs its PrimeField branch
-through them.
+through them.  `is_irreducible` is the package's one Rabin test; it checks
+the moduli of F_{p^k} and the reductions that certify irreducibility over Q.
 """
 
 from .errors import SingularError
@@ -98,3 +99,29 @@ def pow_mod(base, e, mod, p):
         base = quo_rem(mul(base, base, p), mod, p)[1]
         e >>= 1
     return result
+
+
+def _prime_factors(n):
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def is_irreducible(f, p):
+    """Rabin's test: monic f of degree k >= 2 is irreducible over F_p iff
+    x^(p^k) = x (mod f) and gcd(x^(p^(k/l)) - x, f) = 1 for primes l | k."""
+    k = len(f) - 1
+    x = [0, 1]
+    for ell in _prime_factors(k):
+        h = pow_mod(x, p ** (k // ell), f, p)
+        if len(gcd_monic(sub(h, x, p), f, p)) > 1:
+            return False
+    return sub(pow_mod(x, p ** k, f, p), x, p) == []

@@ -37,7 +37,7 @@ from .errors import (BadPrime, BudgetExceeded, IntegralityError, NotSublattice,
 from .matrices import Matrix, _row_hnf, integer_kernel, rank
 from .rings import (ZZ, QQ, PolynomialRingZ, PrimeField, RationalFunctionField,
                     is_prime)
-from .reps import Representation, evaluate
+from .reps import Representation, over_fraction_field
 
 # image classification returned by proper_sublattice_image
 IMAGE_ZERO = "zero"
@@ -376,10 +376,7 @@ def ideal_mult(lat, ideals):
     ns = list(ideals)
     if not ns or any(n == 0 for n in ns):
         raise ValueError("ideals must be nonzero integers")
-    scale = 1
-    for n in ns:
-        scale = scale * abs(n) // math.gcd(scale, abs(n))
-    return LatticeBasis(ZZ, lat.basis.scale(Fraction(scale)))
+    return LatticeBasis(ZZ, lat.basis.scale(Fraction(math.lcm(*ns))))
 
 
 def lattice_intersect(a, b):
@@ -484,9 +481,9 @@ def _saturate_q(rep, budget):
     """The canonical pair of the stable Z-lattice of a representation over Q,
     and its generators over Z in that lattice's basis."""
     gens = []
-    for i, g in enumerate(rep.generators):
+    for g in rep.generators:
         gens.append(g)
-        gens.append(rep.generator_inverse(i))
+        gens.append(g.inverse())
     pair = _stable_lattice_z(gens, rep.dim, budget)
     if pair is None:
         raise BudgetExceeded(
@@ -554,9 +551,9 @@ def _saturate_qt(rep, budget):
     ZT = PolynomialRingZ(K.var)
     d = rep.dim
     gens = []
-    for i, g in enumerate(rep.generators):
+    for g in rep.generators:
         gens.append(g)
-        gens.append(rep.generator_inverse(i))
+        gens.append(g.inverse())
 
     def canonical_qt(columns):
         # columns: QT values; clear one global monic denominator, HNF, then
@@ -679,10 +676,7 @@ def saturate(rep, budget=64):
                     Representation(ZT, ints, rep.relations, label=rep.label))
         return _saturate_qt(rep, budget)
     if K == ZZ or isinstance(K, PolynomialRingZ):
-        lifted = Representation(K.fraction_field(),
-                                [g.to_fraction_field() for g in rep.generators],
-                                rep.relations, label=rep.label)
-        return saturate(lifted, budget)
+        return saturate(over_fraction_field(rep), budget)
     raise ValueError("saturate expects a representation over Q or Q(t)")
 
 
@@ -727,18 +721,3 @@ def reduce_rep(int_rep, lat, prime):
         reduced.append(rm)
     label = "%s mod %s" % (int_rep.label, prime) if int_rep.label else ""
     return Representation(k, reduced, int_rep.relations, label=label)
-
-
-def reduction_functorial(int_rep, lat, prime, words, reduced=None):
-    """Check evaluate(reduce(w)) = reduce(evaluate(w)) for the given words;
-    returns True when every word commutes with reduction."""
-    red = reduced if reduced is not None else reduce_rep(int_rep, lat, prime)
-    for w in words:
-        lhs = evaluate(red, w)
-        mid = evaluate(int_rep, w)
-        if mid.ring != prime.ring:
-            return False  # word left the ring; cannot compare
-        rhs = mid.map_entries(prime.reduce_scalar, red.ring)
-        if lhs != rhs:
-            return False
-    return True

@@ -4,7 +4,7 @@ A Matrix is an immutable row-major tuple of raw scalar values together with
 its RingDescriptor.
 
 Over a PrimeField the entries are ints in [0, p), and products, apply,
-sums, scaling, rref (hence kernel_basis), inverse, det, char_poly and
+sums, scaling, rref (hence kernel_basis and inverse), det, char_poly and
 poly_at_matrix run on plain int rows with no descriptor call per scalar: a
 dot product is one sum of int products reduced mod p once, a row operation
 one list expression with one reduction mod p per entry.  The ring alone
@@ -16,8 +16,6 @@ The module-level algorithms:
     hnf(m)          column-style Hermite normal form over Z with a unimodular
                     transform, m * transform = h (unique canonical form of the
                     column span)
-    snf(m)          Smith normal form over Z with both transforms,
-                    left * m * right = d and d_1 | d_2 | ...
     rref(m)         reduced row echelon form over a field, with pivot columns
     kernel_basis(m) basis of the right null space over a field
     char_poly(m)    monic characteristic polynomial over a field, computed by
@@ -27,7 +25,7 @@ The module-level algorithms:
     integer_kernel(m)  basis of the integer null space (a saturated Z-module),
                     read off the HNF transform
 
-The HNF/SNF recipes are the classical gcd-driven eliminations (see Cohen,
+The HNF recipe is the classical gcd-driven elimination (see Cohen,
 "A Course in Computational Algebraic Number Theory", ch. 2).
 """
 
@@ -259,16 +257,29 @@ class Matrix:
         return R.from_fraction_field(_det_field(self.to_fraction_field()))
 
     def inverse(self):
-        """Inverse over the fraction field; converted back into the base ring
-        when all entries happen to lie there."""
-        if self.nrows != self.ncols:
+        """Inverse over the fraction field, read off the reduced echelon form
+        of [m | I]; converted back into the base ring when all entries
+        happen to lie there."""
+        n = self.nrows
+        if n != self.ncols:
             raise ShapeError("inverse of a non-square matrix")
-        R = self.ring
-        inv = _inverse_field(self.to_fraction_field())
-        if R.is_field:
+        m = self.to_fraction_field()
+        K, e = m.ring, m.entries
+        z, o = K.zero(), K.one()
+        aug = []
+        for i in range(n):
+            aug.extend(e[i * n:(i + 1) * n])
+            aug.extend(o if i == j else z for j in range(n))
+        red, pivots = rref(Matrix._raw(K, n, 2 * n, aug))
+        if pivots[:n] != tuple(range(n)):
+            raise SingularError("matrix is singular")
+        e = red.entries
+        inv = Matrix._raw(K, n, n, [a for i in range(n)
+                                    for a in e[(2 * i + 1) * n:(2 * i + 2) * n]])
+        if self.ring.is_field:
             return inv
         try:
-            return inv.from_fraction_field(R)
+            return inv.from_fraction_field(self.ring)
         except IntegralityError:
             return inv
 
@@ -321,7 +332,7 @@ def _int_rows(m):
             for i in range(m.nrows)]
 
 
-def _from_int_rows(K, rows, ncols):
+def _from_rows(K, rows, ncols):
     return Matrix._raw(K, len(rows), ncols, [a for row in rows for a in row])
 
 
@@ -362,7 +373,7 @@ def rref(m):
             return m, ()
         rows = _int_rows(m)
         pivots = _gauss_jordan_fp(rows, m.ncols, K.p)
-        return _from_int_rows(K, rows, m.ncols), tuple(pivots)
+        return _from_rows(K, rows, m.ncols), tuple(pivots)
     rows = m.rows()
     nr, nc = m.nrows, m.ncols
     pivots = []
@@ -386,7 +397,7 @@ def rref(m):
         r += 1
         if r == nr:
             break
-    return Matrix(K, rows) if nr else m, tuple(pivots)
+    return _from_rows(K, rows, nc) if nr else m, tuple(pivots)
 
 
 def rank(m):
@@ -458,37 +469,6 @@ def _det_fp(rows, p):
                 f = row[c] * inv % p
                 row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
     return det
-
-
-def _inverse_field(m):
-    K = m.ring
-    n = m.nrows
-    if isinstance(K, PrimeField):
-        rows = [row + [1 if i == j else 0 for j in range(n)]
-                for i, row in enumerate(_int_rows(m))]
-        if len(_gauss_jordan_fp(rows, n, K.p)) < n:
-            raise SingularError("matrix is singular")
-        return _from_int_rows(K, [row[n:] for row in rows], n)
-    rows = [list(m.row(i)) + [K.one() if i == j else K.zero() for j in range(n)]
-            for i in range(n)]
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, n):
-            if not K.is_zero(rows[i][c]):
-                piv = i
-                break
-        if piv is None:
-            raise SingularError("matrix is singular")
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = K.inv(rows[r][c])
-        rows[r] = [K.mul(inv, a) for a in rows[r]]
-        for i in range(n):
-            if i != r and not K.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [K.sub(a, K.mul(f, b)) for a, b in zip(rows[i], rows[r])]
-        r += 1
-    return Matrix(K, [row[n:] for row in rows])
 
 
 def _det_bareiss(rows):
@@ -703,86 +683,3 @@ def integer_kernel(m):
         if all(h.entry(i, j) == 0 for i in range(m.nrows)):
             basis.append(transform.column(j))
     return basis
-
-
-def snf(m):
-    """Smith normal form over Z: returns (d, left, right) with
-    left * m * right = d diagonal and d_1 | d_2 | ... (nonnegative)."""
-    _check_integer_matrix(m)
-    nr, nc = m.nrows, m.ncols
-    a = m.rows()
-    left = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    right = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def rowop(i, k, q):
-        a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-        left[i] = [x - q * y for x, y in zip(left[i], left[k])]
-
-    def colop(j, k, q):
-        for row in a:
-            row[j] -= q * row[k]
-        for row in right:
-            row[j] -= q * row[k]
-
-    def rowswap(i, k):
-        a[i], a[k] = a[k], a[i]
-        left[i], left[k] = left[k], left[i]
-
-    def colswap(j, k):
-        for row in a:
-            row[j], row[k] = row[k], row[j]
-        for row in right:
-            row[j], row[k] = row[k], row[j]
-
-    t = 0
-    while t < min(nr, nc):
-        # find a nonzero pivot in the trailing submatrix
-        piv = None
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    piv = (i, j)
-        if piv is None:
-            break
-        if piv[0] != t:
-            rowswap(t, piv[0])
-        if piv[1] != t:
-            colswap(t, piv[1])
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    rowop(i, t, q)
-                    if a[i][t]:
-                        rowswap(i, t)
-                        dirty = True
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    colop(j, t, q)
-                    if a[t][j]:
-                        colswap(j, t)
-                        dirty = True
-            if dirty:
-                continue
-            # enforce divisibility of the trailing block by the pivot
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            rowop(t, offender, -1)  # add offender row to pivot row
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            left[t] = [-x for x in left[t]]
-        t += 1
-    return Matrix(ZZ, a), Matrix(ZZ, left), Matrix(ZZ, right)

@@ -32,6 +32,7 @@ from fractions import Fraction
 
 from . import polys
 from .errors import AbsIrredUndecided, SingularError
+from .lattices import _constant_q_matrix
 from .matrices import Matrix, char_poly, kernel_basis, poly_at_matrix, \
     rank, rref
 from .prng import XorShift64
@@ -98,58 +99,23 @@ def _reduce_against(K, rows, pivots, w):
 
 def spin(K, mats, v):
     """Smallest subspace containing v closed under the matrices, as reduced
-    echelon rows.  Stops early once the whole space is reached."""
-    if isinstance(K, PrimeField):
-        return _spin_fp(K, mats, v)
+    echelon rows.  Stops early once the whole space is reached.
+
+    The basis is kept in semi-echelon form, as in the C MeatAxe: each new
+    vector is reduced against the earlier rows only, so no row is revisited
+    when one joins.  The canonical reduced form is taken once at the end,
+    and a full spin needs none."""
     d = len(v)
+    zero, one = K.zero(), K.one()
     rows, pivots = [], []
 
     def add(w):
         w = _reduce_against(K, rows, pivots, w)
         for idx, a in enumerate(w):
-            if not K.is_zero(a):
-                inv = K.div(K.one(), a)
-                w = [K.mul(inv, x) for x in w]
-                for j in range(len(rows)):
-                    c = rows[j][idx]
-                    if not K.is_zero(c):
-                        rows[j] = [K.sub(x, K.mul(c, y))
-                                   for x, y in zip(rows[j], w)]
-                pos = 0
-                while pos < len(pivots) and pivots[pos] < idx:
-                    pos += 1
-                pivots.insert(pos, idx)
-                rows.insert(pos, w)
-                return True
-        return False
-
-    queue = [tuple(v)]
-    add(v)
-    while queue and len(rows) < d:
-        b = queue.pop()
-        for m in mats:
-            w = m.apply(b)
-            if add(list(w)):
-                queue.append(tuple(w))
-    return tuple(tuple(r) for r in rows)
-
-
-def _spin_fp(K, mats, v):
-    """spin over F_p on int rows kept in semi-echelon form, as in the C
-    MeatAxe: each new row is reduced against the earlier ones only, so no
-    row is revisited when a vector joins.  The span, the vectors tried and
-    their order are those of the generic spin; the canonical reduced form
-    is taken once at the end, and a full spin needs none."""
-    p, d = K.p, len(v)
-    rows, pivots = [], []
-
-    def add(w):
-        w = _reduce_against(K, rows, pivots, w)
-        for idx, a in enumerate(w):
-            if a:
-                if a != 1:
-                    inv = pow(a, -1, p)
-                    w = [x * inv % p for x in w]
+            if a != zero:
+                if a != one:
+                    inv = K.inv(a)
+                    w = [K.mul(inv, x) for x in w]
                 rows.append(w)
                 pivots.append(idx)
                 return True
@@ -164,7 +130,8 @@ def _spin_fp(K, mats, v):
             if add(w):
                 queue.append(w)
     if len(rows) == d:
-        return tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+        return tuple(tuple(one if i == j else zero for j in range(d))
+                     for i in range(d))
     return _echelon_rows(K, rows)
 
 
@@ -438,24 +405,6 @@ def _decide_q(rep, seed, budget):
     return MeataxeVerdict(INCONCLUSIVE, None, transcript)
 
 
-def _constant_q_rep(rep):
-    """A Q(t) representation with constant entries, as a rep over Q; None if
-    some entry actually involves t."""
-    K = rep.ring
-    mats = []
-    for g in rep.generators:
-        rows = []
-        for i in range(g.nrows):
-            row = []
-            for a in g.row(i):
-                if not K.is_constant(a):
-                    return None
-                row.append(K.as_constant(a))
-            rows.append(row)
-        mats.append(Matrix(QQ, rows))
-    return Representation(QQ, mats, rep.relations, label=rep.label)
-
-
 def _specialize_qt(rep, c):
     """The rep over Q obtained by t -> c; None if a pole or a vanishing
     determinant makes c a bad parameter value."""
@@ -471,9 +420,10 @@ def _specialize_qt(rep, c):
 
 def _decide_qt(rep, seed, budget):
     K = rep.ring
-    const = _constant_q_rep(rep)
-    if const is not None:
-        inner = _decide_q(const, seed, budget)
+    const = [_constant_q_matrix(g) for g in rep.generators]
+    if all(m is not None for m in const):
+        inner = _decide_q(Representation(QQ, const, rep.relations,
+                                         label=rep.label), seed, budget)
         witness = None
         if inner.witness is not None:
             witness = tuple(tuple(K.coerce(a) for a in row)

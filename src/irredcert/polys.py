@@ -11,18 +11,19 @@ every other field goes through its descriptor.  On top of it sit:
     polynomial over a finite field, by squarefree split, distinct-degree
     factorization, and Cantor-Zassenhaus equal-degree splitting (with the
     trace-map variant in characteristic 2);
-  * rabin_irreducible: Rabin's deterministic irreducibility test;
-  * rational helpers: rational roots of monic integer polynomials, and a
-    certificate of irreducibility over Q by reduction modulo a small prime
-    (irreducible mod ell implies irreducible over Q for monic integral f,
-    by Gauss's lemma).
+  * rational helpers: rational roots, found by Hensel lifting of roots
+    modulo a small prime, and a certificate of irreducibility over Q by
+    reduction modulo a small prime (irreducible mod ell implies irreducible
+    over Q for monic integral f, by Gauss's lemma; fpoly.is_irreducible
+    decides the reduction).
 """
 
+import math
 from fractions import Fraction
 
 from . import fpoly
 from .errors import SingularError
-from .rings import PrimeField
+from .rings import QQ, PrimeField, is_prime
 
 
 def normalize(K, c):
@@ -291,35 +292,6 @@ def distinct_irreducible_factors(K, f, rng):
     return sorted(found, key=lambda h: (len(h), h))
 
 
-def rabin_irreducible(K, f):
-    """Deterministic irreducibility test over a finite field."""
-    n = degree(f)
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    f = monic(K, f)
-    q = K.order
-    x = x_poly(K)
-    fac = []
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            fac.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        fac.append(m)
-    for ell in fac:
-        h = pow_mod(K, x, q ** (n // ell), f)
-        if degree(gcd_monic(K, sub(K, h, x), f)) > 0:
-            return False
-    h = pow_mod(K, x, q ** n, f)
-    return sub(K, h, x) == ()
-
-
 # ---------------------------------------------------------------------------
 # rational-coefficient helpers (used by the meataxe over Q and Q(t))
 
@@ -327,53 +299,69 @@ def rabin_irreducible(K, f):
 def rational_roots(f):
     """All rational roots of a nonzero polynomial with Fraction coefficients.
 
-    Clears denominators and runs the rational-root theorem on the resulting
-    integer polynomial."""
+    After the roots at 0 are split off, the roots of the monic f / lead are
+    r / c for the integer roots r of the monic integer polynomial
+    c^n f(x/c) / lead (integralize_monic)."""
     if not f:
         raise ValueError("zero polynomial")
+    f = [Fraction(a) for a in f]
     roots = set()
-    lcm = 1
-    for c in f:
-        lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in f]
-    while ints and ints[0] == 0:
-        ints = ints[1:]
+    if not f[0]:
         roots.add(Fraction(0))
-    a0, an = abs(ints[0]), abs(ints[-1])
-    for p in _divisors(a0):
-        for q in _divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if evaluate_fraction(f, cand) == 0:
-                    roots.add(cand)
+        while not f[0]:
+            f.pop(0)
+    lead = f[-1]
+    ints, c = integralize_monic([a / lead for a in f])
+    roots.update(Fraction(r, c) for r in _integer_roots(ints))
     return sorted(roots)
 
 
-def evaluate_fraction(f, a):
-    acc = Fraction(0)
+def _horner(f, a):
+    """f(a) for int (or Fraction) coefficients and argument."""
+    acc = 0
     for c in reversed(f):
         acc = acc * a + c
     return acc
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _integer_roots(f):
+    """The integer roots of a monic integer polynomial with f(0) != 0.
 
-
-def _divisors(n):
-    n = abs(n)
-    if n == 0:
-        return [1]
+    They are those of its squarefree part s, which stays squarefree modulo
+    all primes ell but the finitely many dividing its discriminant.  A root
+    of s mod ell is simple, so it lifts uniquely by Newton's iteration; once
+    the modulus M exceeds twice the Cauchy bound 1 + max |s_i| on the roots,
+    the residue of the lift in (-M/2, M/2] is the only integer root it can
+    give, and it is checked exactly."""
+    if len(f) < 2:
+        return []
+    s = tuple(Fraction(a) for a in f)
+    s = divmod_poly(QQ, s, gcd_monic(QQ, s, derivative(QQ, s)))[0]
+    s = [int(a) for a in s]  # monic, so integral by Gauss's lemma
+    ds = [i * a for i, a in enumerate(s)][1:]
+    ell = 2
+    while True:
+        red = fpoly.trim([a % ell for a in s])
+        dred = fpoly.trim([a % ell for a in ds])
+        if dred and len(fpoly.gcd_monic(red, dred, ell)) == 1:
+            break
+        ell += 1
+        while not is_prime(ell):
+            ell += 1
+    bound = 2 * (1 + max(abs(a) for a in s[:-1]))
     out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    for r in range(ell):
+        if _horner(red, r) % ell:
+            continue
+        m = ell
+        while m <= bound:
+            m *= m
+            r = (r - _horner(s, r) * pow(_horner(ds, r), -1, m)) % m
+        if r > m // 2:
+            r -= m
+        if not _horner(s, r):
+            out.append(r)
+    return out
 
 
 _CERT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -384,9 +372,7 @@ def integralize_monic(f):
     integer polynomial; returns (coeffs, c).  Roots scale by c."""
     if not f or f[-1] != 1:
         raise ValueError("expected a monic polynomial")
-    c = 1
-    for coef in f:
-        c = c * coef.denominator // _gcd(c, coef.denominator)
+    c = math.lcm(*(coef.denominator for coef in f))
     n = len(f) - 1
     out = [int(f[i] * c ** (n - i)) for i in range(n + 1)]
     return out, c
@@ -414,6 +400,6 @@ def certify_irreducible_q(f):
             continue
         if degree(gcd_monic(K, red, derivative(K, red))) > 0:
             continue
-        if rabin_irreducible(K, red):
+        if fpoly.is_irreducible(list(red), ell):
             return True
     return None

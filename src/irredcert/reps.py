@@ -6,16 +6,17 @@ must evaluate to the identity; they are verified at construction and are
 otherwise advisory, since irreducibility only depends on the matrices).
 
 A Word is a tuple of (generator index, exponent) pairs with exponents +-1.
-`evaluate` multiplies the corresponding matrices; over a non-field ring the
-product of inverses may leave the ring, in which case the result is returned
-over the fraction field instead.
+`evaluate` multiplies the corresponding matrices, inverting a generator
+only for a -1 letter (a Representation stores no inverses; it checks the
+determinants); over a non-field ring the product of inverses may leave the
+ring, in which case the result is returned over the fraction field instead.
 
 The JSON file format for representations is documented in docs/formats.md.
 """
 
 import json
 
-from .errors import ShapeError, SingularError
+from .errors import IntegralityError, ShapeError, SingularError
 from .matrices import Matrix, kronecker
 from .rings import ring_from_json
 
@@ -40,7 +41,7 @@ def normalize_word(word):
 class Representation:
     """Immutable: ring, dim, generators (tuple of Matrix), relations, label."""
 
-    __slots__ = ("ring", "dim", "generators", "relations", "label", "_inverses")
+    __slots__ = ("ring", "dim", "generators", "relations", "label")
 
     def __init__(self, ring, generators, relations=(), label=""):
         if not generators:
@@ -57,19 +58,15 @@ class Representation:
         dim = gens[0].nrows
         if any(g.nrows != dim for g in gens):
             raise ShapeError("generators must share one dimension")
-        invs = []
         for g in gens:
-            try:
-                invs.append(g.inverse())
-            except SingularError:
-                raise SingularError("generator %r is singular" % (g,)) from None
+            if ring.is_zero(g.det()):
+                raise SingularError("generator %r is singular" % (g,))
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "generators", tuple(gens))
         object.__setattr__(self, "relations",
                            tuple(normalize_word(w) for w in relations))
         object.__setattr__(self, "label", str(label))
-        object.__setattr__(self, "_inverses", tuple(invs))
         for w in self.relations:
             for idx, _ in w:
                 if not 0 <= idx < len(gens):
@@ -80,9 +77,6 @@ class Representation:
 
     def __setattr__(self, name, value):
         raise AttributeError("Representation is immutable")
-
-    def generator_inverse(self, i):
-        return self._inverses[i]
 
     def __eq__(self, other):
         return (isinstance(other, Representation) and self.ring == other.ring
@@ -110,21 +104,32 @@ def evaluate(rep, word):
     for idx, _ in word:
         if not 0 <= idx < len(rep.generators):
             raise ValueError("generator index %d out of range" % (idx,))
+    gens = rep.generators
     if R.is_field or all(exp == 1 for _, exp in word):
         acc = Matrix.identity(R, rep.dim)
         for idx, exp in word:
-            acc = acc * (rep.generators[idx] if exp == 1
-                         else rep.generator_inverse(idx))
+            acc = acc * (gens[idx] if exp == 1 else gens[idx].inverse())
         return acc
     K = R.fraction_field()
     acc = Matrix.identity(K, rep.dim)
     for idx, exp in word:
-        g = rep.generators[idx] if exp == 1 else rep.generator_inverse(idx)
+        g = gens[idx] if exp == 1 else gens[idx].inverse()
         acc = acc * (g.to_fraction_field() if g.ring != K else g)
     try:
         return acc.from_fraction_field(R)
-    except Exception:
+    except IntegralityError:
         return acc
+
+
+def over_fraction_field(rep):
+    """The representation with its generators viewed over the fraction
+    field of its ring (rep itself when the ring is a field)."""
+    R = rep.ring
+    if R.is_field:
+        return rep
+    return Representation(R.fraction_field(),
+                          [g.to_fraction_field() for g in rep.generators],
+                          rep.relations, label=rep.label)
 
 
 def adjoint_rep(rep):
@@ -135,8 +140,8 @@ def adjoint_rep(rep):
     if not rep.ring.is_field:
         raise ValueError("adjoint_rep needs a representation over a field")
     gens = []
-    for i, g in enumerate(rep.generators):
-        gens.append(kronecker(g, rep.generator_inverse(i).transpose()))
+    for g in rep.generators:
+        gens.append(kronecker(g, g.inverse().transpose()))
     return Representation(rep.ring, gens, rep.relations,
                           label=("ad(%s)" % rep.label) if rep.label else "ad")
 
@@ -158,9 +163,10 @@ def conjugate(rep, c):
     if big != rep.ring:
         try:
             back = [h.from_fraction_field(rep.ring) for h in new]
-            return Representation(rep.ring, back, rep.relations, label=rep.label)
-        except Exception:
+        except IntegralityError:
             pass
+        else:
+            return Representation(rep.ring, back, rep.relations, label=rep.label)
     return Representation(big, new, rep.relations, label=rep.label)
 
 

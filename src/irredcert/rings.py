@@ -30,21 +30,6 @@ from .fpoly import trim
 # integer utilities
 
 
-def xgcd(a, b):
-    """Extended gcd: returns (g, u, v) with u*a + v*b = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
-
-
 # The witness set {2,3,5,7,11,13,17} is known to be deterministic for
 # n < 3.4e14 (Pomerance-Selfridge-Wagstaff style verification); we stop a bit
 # short of the published bound.
@@ -208,7 +193,10 @@ def format_poly(coeffs, var):
 
 # ---------------------------------------------------------------------------
 # Fraction polynomial kernels used internally by Q(t)
-# (coefficient lists ascending, trimmed; the F_p ones live in fpoly)
+# (coefficient lists ascending, trimmed; the F_p ones live in fpoly).
+# Q(t) arithmetic runs on every matrix entry, and these direct Fraction
+# loops beat the generic polys code over Q, whose every scalar step is a
+# descriptor call.
 
 
 def _fr_add(a, b):
@@ -219,10 +207,6 @@ def _fr_add(a, b):
     for i, x in enumerate(b):
         out[i] += x
     return trim(out)
-
-
-def _fr_neg(a):
-    return [-x for x in a]
 
 
 def _fr_mul(a, b):
@@ -260,35 +244,6 @@ def _fr_gcd_monic(a, b):
         inv = 1 / a[-1]
         a = [x * inv for x in a]
     return a
-
-
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def modulus_is_irreducible(modulus, p):
-    """Rabin's test: monic f of degree k is irreducible over F_p iff
-    x^(p^k) = x (mod f) and gcd(x^(p^(k/l)) - x, f) = 1 for primes l | k."""
-    k = len(modulus) - 1
-    f = list(modulus)
-    x = [0, 1]
-    for ell in _prime_factors(k):
-        h = fpoly.pow_mod(x, p ** (k // ell), f, p)
-        g = fpoly.gcd_monic(fpoly.sub(h, x, p), f, p)
-        if len(g) - 1 > 0:
-            return False
-    h = fpoly.pow_mod(x, p ** k, f, p)
-    return fpoly.sub(h, x, p) == []
 
 
 # ---------------------------------------------------------------------------
@@ -839,7 +794,7 @@ class ExtensionField(RingDescriptor):
             raise ValueError("modulus degree must be between 2 and 8, got %d" % (k,))
         if mod[-1] != 1:
             raise ValueError("modulus must be monic")
-        if not modulus_is_irreducible(mod, p):
+        if not fpoly.is_irreducible(mod, p):
             raise BadPrime("modulus %s is reducible over F_%d"
                            % (format_poly(mod, var), p))
         self.p = p

@@ -166,6 +166,25 @@ class TestMeataxeCommand:
         assert code == 2
         assert json.loads(out)["status"] == "inconclusive"
 
+    @pytest.mark.parametrize("command,key,answer", [
+        ("meataxe", "status", "reducible"),
+        ("certify", "conclusion", "ReducibleWithWitness"),
+    ])
+    def test_large_diagonal_over_q(self, tmp_path, command, key, answer):
+        # every characteristic polynomial has a 24-digit constant term, on
+        # which a rational-root search over its divisors never ends
+        diag = ["1000003", "1000033", "1000037", "1000039"]
+        path = tmp_path / "diag.json"
+        path.write_text(json.dumps({
+            "ring": "Q", "dim": 4,
+            "generators": [[[a if i == j else "0" for j in range(4)]
+                            for i, a in enumerate(diag)]]}))
+        proc = subprocess.run([sys.executable, "-m", "irredcert.cli",
+                               command, str(path)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)[key] == answer
+
 
 class TestObstructionCommand:
 

@@ -12,7 +12,7 @@ from irredcert.lattices import (IMAGE_FULL, IMAGE_PROPER, IMAGE_ZERO,
                                 LatticeBasis, PrimeSpec, ideal_mult,
                                 lattice_from_columns, lattice_intersect,
                                 proper_sublattice_image, reduce_rep,
-                                reduction_functorial, saturate)
+                                saturate)
 from irredcert.matrices import Matrix
 from irredcert.prng import XorShift64
 from irredcert.reps import Representation, conjugate, evaluate, load_rep
@@ -23,6 +23,21 @@ ZT = PolynomialRingZ("t")
 QT = RationalFunctionField("t")
 DATA = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "data")
+
+
+def reduction_functorial(int_rep, lat, prime, words, reduced=None):
+    """Check evaluate(reduce(w)) = reduce(evaluate(w)) for the given words;
+    returns True when every word commutes with reduction."""
+    red = reduced if reduced is not None else reduce_rep(int_rep, lat, prime)
+    for w in words:
+        lhs = evaluate(red, w)
+        mid = evaluate(int_rep, w)
+        if mid.ring != prime.ring:
+            return False  # word left the ring; cannot compare
+        rhs = mid.map_entries(prime.reduce_scalar, red.ring)
+        if lhs != rhs:
+            return False
+    return True
 
 
 def s3_over(ring):
@@ -268,7 +283,7 @@ def _assert_integral_model(rep, lat, int_rep, ring):
     for i, g in enumerate(rep.generators):
         assert (binv * g * b).from_fraction_field(ring) == \
             int_rep.generators[i]
-        (binv * rep.generator_inverse(i) * b).from_fraction_field(ring)
+        (binv * g.inverse() * b).from_fraction_field(ring)
 
 
 class TestSaturationInvariants:

@@ -2,7 +2,8 @@
 
 The [[2,4],[4,2]] HNF case is checked against a naive audited column-reduction
 oracle implemented below; SNF diag values are pinned from the gcd/det
-argument (d1 = gcd of entries = 2, d1*d2 = |det| = 12 so d2 = 6).
+argument (d1 = gcd of entries = 2, d1*d2 = |det| = 12 so d2 = 6).  The
+package itself needs no Smith form, so snf lives here with its tests.
 """
 
 from fractions import Fraction
@@ -11,11 +12,12 @@ import pytest
 
 from irredcert.errors import IntegralityError, ShapeError, SingularError
 from irredcert.matrices import (
-    Matrix, char_poly, hnf, integer_kernel, kernel_basis, kronecker,
-    poly_at_matrix, rank, rref, snf,
+    Matrix, _check_integer_matrix, char_poly, hnf, integer_kernel,
+    kernel_basis, kronecker, poly_at_matrix, rank, rref,
 )
 from irredcert.prng import XorShift64
-from irredcert.rings import ZZ, QQ, PolynomialRingZ, PrimeField
+from irredcert.rings import ZZ, QQ, PolynomialRingZ, PrimeField, \
+    RationalFunctionField
 
 from generic_fp import FIELD_SIZES, GenericFp, matrix_cases, random_rows
 
@@ -109,6 +111,89 @@ def test_hnf_rejects_rationals():
     m = Matrix(QQ, [[Fraction(1, 2)]])
     with pytest.raises(IntegralityError):
         hnf(m)
+
+
+def snf(m):
+    """Smith normal form over Z: returns (d, left, right) with
+    left * m * right = d diagonal and d_1 | d_2 | ... (nonnegative)."""
+    _check_integer_matrix(m)
+    nr, nc = m.nrows, m.ncols
+    a = m.rows()
+    left = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    right = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+
+    def rowop(i, k, q):
+        a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+        left[i] = [x - q * y for x, y in zip(left[i], left[k])]
+
+    def colop(j, k, q):
+        for row in a:
+            row[j] -= q * row[k]
+        for row in right:
+            row[j] -= q * row[k]
+
+    def rowswap(i, k):
+        a[i], a[k] = a[k], a[i]
+        left[i], left[k] = left[k], left[i]
+
+    def colswap(j, k):
+        for row in a:
+            row[j], row[k] = row[k], row[j]
+        for row in right:
+            row[j], row[k] = row[k], row[j]
+
+    t = 0
+    while t < min(nr, nc):
+        # find a nonzero pivot in the trailing submatrix
+        piv = None
+        best = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
+                    best = abs(a[i][j])
+                    piv = (i, j)
+        if piv is None:
+            break
+        if piv[0] != t:
+            rowswap(t, piv[0])
+        if piv[1] != t:
+            colswap(t, piv[1])
+        while True:
+            # clear column t
+            dirty = False
+            for i in range(t + 1, nr):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    rowop(i, t, q)
+                    if a[i][t]:
+                        rowswap(i, t)
+                        dirty = True
+            for j in range(t + 1, nc):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    colop(j, t, q)
+                    if a[t][j]:
+                        colswap(j, t)
+                        dirty = True
+            if dirty:
+                continue
+            # enforce divisibility of the trailing block by the pivot
+            offender = None
+            for i in range(t + 1, nr):
+                for j in range(t + 1, nc):
+                    if a[i][j] % a[t][t] != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            rowop(t, offender, -1)  # add offender row to pivot row
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            left[t] = [-x for x in left[t]]
+        t += 1
+    return Matrix(ZZ, a), Matrix(ZZ, left), Matrix(ZZ, right)
 
 
 def test_snf_identity_and_zero():
@@ -254,6 +339,32 @@ def test_matrix_ops_and_errors():
     assert (inv * m.change_ring(QQ)).is_identity()
     uni = Matrix(ZZ, [[1, 1], [0, 1]])
     assert uni.inverse().ring == ZZ
+
+
+@pytest.mark.parametrize("K,rows", [
+    (QQ, [[1, 2], [2, 4]]),
+    (QQ, [[0]]),
+    (QQ, [[1, 2, 3], [4, 5, 6], [7, 8, 9]]),
+    (QQ, [[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+    (RationalFunctionField("t"), [["t", "t^2"], ["1", "t"]]),
+    (RationalFunctionField("t"), [["(1)/(t+1)", "1"], ["1", "t+1"]]),
+    (RationalFunctionField("t"), [["0", "0"], ["t", "1"]]),
+])
+def test_inverse_singular_over_q_and_qt(K, rows):
+    m = Matrix(K, [[K.coerce(a) if isinstance(a, int) else K.parse(a)
+                    for a in row] for row in rows])
+    assert K.is_zero(m.det())
+    with pytest.raises(SingularError):
+        m.inverse()
+
+
+def test_inverse_over_qt():
+    K = RationalFunctionField("t")
+    m = Matrix(K, [[K.parse(a) for a in row] for row in
+                   [["t", "1", "0"], ["1/2", "(1)/(t-1)", "t^2"],
+                    ["0", "3", "t+1"]]])
+    inv = m.inverse()
+    assert (m * inv).is_identity() and (inv * m).is_identity()
 
 
 def test_matrix_over_poly_ring():

@@ -28,11 +28,54 @@ def s3_over(ring):
                           relations, label="s3")
 
 
-def random_invertible(K, d, rng):
-    elements = list(K.iter_elements())
+def spin_full_rref(K, mats, v):
+    """Oracle for spin: the basis is kept in full reduced echelon form
+    after every vector that joins, with descriptor calls only."""
+    d = len(v)
+    rows, pivots = [], []
+
+    def add(w):
+        w = list(w)
+        for pi, r in zip(pivots, rows):
+            c = w[pi]
+            if not K.is_zero(c):
+                w = [K.sub(a, K.mul(c, b)) for a, b in zip(w, r)]
+        for idx, a in enumerate(w):
+            if not K.is_zero(a):
+                inv = K.div(K.one(), a)
+                w = [K.mul(inv, x) for x in w]
+                for j in range(len(rows)):
+                    c = rows[j][idx]
+                    if not K.is_zero(c):
+                        rows[j] = [K.sub(x, K.mul(c, y))
+                                   for x, y in zip(rows[j], w)]
+                pos = 0
+                while pos < len(pivots) and pivots[pos] < idx:
+                    pos += 1
+                pivots.insert(pos, idx)
+                rows.insert(pos, w)
+                return True
+        return False
+
+    queue = [tuple(v)]
+    add(v)
+    while queue and len(rows) < d:
+        b = queue.pop()
+        for m in mats:
+            w = m.apply(b)
+            if add(list(w)):
+                queue.append(tuple(w))
+    return tuple(tuple(r) for r in rows)
+
+
+def random_invertible(K, d, rng, scalar=None):
+    if scalar is None:
+        elements = list(K.iter_elements())
+
+        def scalar():
+            return elements[rng.randrange(len(elements))]
     while True:
-        m = Matrix(K, [[elements[rng.randrange(len(elements))]
-                        for _ in range(d)] for _ in range(d)])
+        m = Matrix(K, [[scalar() for _ in range(d)] for _ in range(d)])
         if not K.is_zero(m.det()):
             return m
 
@@ -226,8 +269,9 @@ class TestFunctionField:
 
 
 class TestPrimeFieldSpin:
-    """spin and the invariance check over PrimeField (int rows, semi-echelon
-    spin) agree with the generic code run over GenericFp."""
+    """The one spin over PrimeField (int rows) and over GenericFp (descriptor
+    calls) agrees with the full-RREF oracle, as does the invariance check
+    on both rings; then the same spin over Q, Q(t) and F_4."""
 
     @pytest.mark.parametrize("p,d", FIELD_SIZES)
     def test_spin_matches_generic(self, p, d):
@@ -249,9 +293,58 @@ class TestPrimeFieldSpin:
             mg = [Matrix(Kg, cases[n]) for n in names]
             for v in vectors:
                 rows = spin(Kf, mf, v)
-                assert rows == spin(Kg, mg, v), (names, v)
+                assert rows == spin(Kg, mg, v) == spin_full_rref(Kg, mg, v), \
+                    (names, v)
                 assert subspace_is_invariant(Kf, mf, rows)
             for n in (1, max(d // 2, 1)):
                 rows = _echelon_rows(Kf, random_rows(rng, p, n, d))
                 assert subspace_is_invariant(Kf, mf, rows) == \
                     subspace_is_invariant(Kg, mg, rows), names
+
+    @pytest.mark.parametrize("field", ["Q", "Q(t)", "F4"])
+    def test_spin_matches_oracle_other_fields(self, field):
+        rng = XorShift64(len(field))
+        if field == "Q":
+            K, d, rounds = QQ, 8, 4
+
+            def scalar():
+                return QQ.coerce(Fraction(rng.randint(-5, 5),
+                                          rng.randint(1, 3)))
+        elif field == "Q(t)":
+            K, d, rounds = QT, 4, 2
+
+            def scalar():
+                num = tuple(rng.randint(-2, 2) for _ in range(2))
+                den = (1, 1) if rng.randrange(4) == 0 else (1,)
+                return QT.coerce((num, den))
+        else:
+            K, d, rounds = ExtensionField(2, [1, 1, 1]), 10, 4
+            elements = list(K.iter_elements())
+
+            def scalar():
+                return elements[rng.randrange(4)]
+
+        def matrix(zero_block=False):
+            k = d // 2
+            return Matrix(K, [[K.zero() if zero_block and i >= k and j < k
+                               else scalar() for j in range(d)]
+                              for i in range(d)])
+
+        e0 = (K.one(),) + (K.zero(),) * (d - 1)
+        for _ in range(rounds):
+            # c [[A, B], [0, C]] c^-1 fixes the span of the first d/2
+            # columns of c, which lies along no coordinate axes
+            c = random_invertible(K, d, rng, scalar)
+            ci = c.inverse()
+            moved = [c * matrix(True) * ci for _ in range(2)]
+            for mats, vectors in (
+                    ([matrix(), matrix()], [e0, [scalar() for _ in range(d)]]),
+                    ([matrix(True), matrix(True)], [e0]),
+                    ([matrix(True)], [e0, [scalar() for _ in range(d)]]),
+                    (moved, [c.apply(e0)]),
+                    ([Matrix.identity(K, d), Matrix.zeros(K, d, d)],
+                     [e0, [K.zero()] * d])):
+                for v in vectors:
+                    rows = spin(K, mats, v)
+                    assert rows == spin_full_rref(K, mats, v)
+                    assert subspace_is_invariant(K, mats, rows)

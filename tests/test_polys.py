@@ -1,10 +1,11 @@
 """Polynomial arithmetic and factorization over finite fields."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from irredcert import polys
+from irredcert import fpoly, polys
 from irredcert.errors import SingularError
 from irredcert.prng import XorShift64
 from irredcert.rings import QQ, ExtensionField, PrimeField
@@ -80,16 +81,63 @@ def test_factor_random_products():
             assert got == expected
 
 
+def _monic_polys(p, n):
+    """Every monic polynomial of degree n over F_p, as int lists."""
+    for k in range(p ** n):
+        yield [k // p ** i % p for i in range(n)] + [1]
+
+
 def test_rabin_irreducible():
-    assert polys.rabin_irreducible(F2, (1, 1, 1))
-    assert not polys.rabin_irreducible(F2, (1, 0, 1))
-    assert polys.rabin_irreducible(F2, (1, 1, 0, 0, 1))  # x^4+x+1
-    assert polys.rabin_irreducible(F5, (2, 0, 1))        # x^2+2, 3 is a non-residue
-    assert not polys.rabin_irreducible(F5, (1, 0, 1))
-    # y^2 + y + x over F_4 has no root (check all four elements), so irreducible;
-    # y^2 + x is reducible since squaring is onto in characteristic 2
-    assert polys.rabin_irreducible(F4, (F4.parse("x"), (1,), (1,)))
-    assert not polys.rabin_irreducible(F4, (F4.parse("x"), (), (1,)))
+    assert fpoly.is_irreducible([1, 1, 1], 2)
+    assert not fpoly.is_irreducible([1, 0, 1], 2)
+    assert fpoly.is_irreducible([1, 1, 0, 0, 1], 2)  # x^4+x+1
+    assert fpoly.is_irreducible([2, 0, 1], 5)        # x^2+2, 3 is a non-residue
+    assert not fpoly.is_irreducible([1, 0, 1], 5)
+    # against trial division by every monic polynomial of degree <= n/2
+    for p, top in ((2, 6), (3, 4)):
+        for n in range(2, top + 1):
+            for f in _monic_polys(p, n):
+                has_factor = any(
+                    not fpoly.quo_rem(f, g, p)[1]
+                    for m in range(1, n // 2 + 1) for g in _monic_polys(p, m))
+                assert fpoly.is_irreducible(f, p) == (not has_factor), (p, f)
+
+
+def _divisors(n):
+    n = abs(n)
+    if n == 0:
+        return [1]
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return sorted(out)
+
+
+def _rational_roots_by_divisors(f):
+    """Oracle for small constant terms: the rational-root theorem, trying
+    every p/q with p | a0 and q | an after clearing denominators."""
+    roots = set()
+    lcm = 1
+    for c in f:
+        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    ints = [int(c * lcm) for c in f]
+    while ints and ints[0] == 0:
+        ints = ints[1:]
+        roots.add(Fraction(0))
+    for p in _divisors(ints[0]):
+        for q in _divisors(ints[-1]):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                value = Fraction(0)
+                for c in reversed(f):
+                    value = value * cand + c
+                if value == 0:
+                    roots.add(cand)
+    return sorted(roots)
 
 
 def test_rational_roots():
@@ -102,6 +150,37 @@ def test_rational_roots():
     # x^3 - x = x(x-1)(x+1)
     f = (Fraction(0), Fraction(-1), Fraction(0), one)
     assert polys.rational_roots(f) == [Fraction(-1), Fraction(0), Fraction(1)]
+    # 3 (x - 2)^2 (x + 1/3)^3: repeated roots, leading coefficient 3
+    f = (3,)
+    for r, e in ((2, 2), (Fraction(-1, 3), 3)):
+        for _ in range(e):
+            f = polys.mul(QQ, f, (-Fraction(r), one))
+    assert polys.rational_roots(f) == [Fraction(-1, 3), Fraction(2)]
+
+
+def test_rational_roots_match_divisor_search():
+    rng = XorShift64(300)
+    for _ in range(300):
+        f = (Fraction(rng.randint(1, 4)),)
+        for _ in range(rng.randint(0, 3)):
+            root = Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+            f = polys.mul(QQ, f, (-root, Fraction(1)))
+        for _ in range(rng.randint(0, 2)):
+            quad = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                         for _ in range(2)) + (Fraction(1),)
+            f = polys.mul(QQ, f, quad)
+        assert polys.rational_roots(f) == _rational_roots_by_divisors(f), f
+
+
+def test_rational_roots_large_constant_term():
+    # the divisor search would trial-divide a 24-digit constant term
+    roots = [1000003, 1000033, 1000037, 1000039]
+    f = (Fraction(1),)
+    for r in roots:
+        f = polys.mul(QQ, f, (Fraction(-r), Fraction(1)))
+    assert polys.rational_roots(f) == roots
+    g = polys.add(QQ, f, (Fraction(1),))
+    assert polys.rational_roots(g) == []
 
 
 def test_certify_irreducible_q():

@@ -74,7 +74,7 @@ def test_adjoint_trace_identity():
     ad = adjoint_rep(rep)
     for i, g in enumerate(rep.generators):
         lhs = ad.generators[i].trace()
-        rhs = F5.mul(g.trace(), rep.generator_inverse(i).trace())
+        rhs = F5.mul(g.trace(), g.inverse().trace())
         assert lhs == rhs
 
 

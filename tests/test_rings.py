@@ -8,23 +8,11 @@ from irredcert.errors import BadPrime, IntegralityError, SingularError
 from irredcert.prng import XorShift64
 from irredcert.rings import (
     ZZ, QQ, ExtensionField, PolynomialRingZ, PrimeField,
-    RationalFunctionField, is_prime, ring_from_json, xgcd,
+    RationalFunctionField, is_prime, ring_from_json,
 )
 
 ZT = PolynomialRingZ("t")
 QT = RationalFunctionField("t")
-
-
-def test_xgcd():
-    rng = XorShift64(11)
-    for _ in range(200):
-        a = rng.randint(-500, 500)
-        b = rng.randint(-500, 500)
-        g, u, v = xgcd(a, b)
-        assert g >= 0
-        assert u * a + v * b == g
-        if a or b:
-            assert a % g == 0 and b % g == 0
 
 
 def test_is_prime_small():
