@@ -14,6 +14,7 @@ Exit codes: 0 when certified/decided, 2 when inconclusive, 1 on error.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -132,7 +133,11 @@ def _cmd_oracle(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process.  Parsing does not
+    change it (each call fills a new namespace), and every build would
+    leave a few hundred objects in reference cycles."""
     parser = argparse.ArgumentParser(
         prog="irredcert",
         description="Irreducibility certificates for integral group "

@@ -23,16 +23,26 @@ Inconclusive.  Over Q and Q(t) enumeration is impossible and undecided
 samples simply consume budget; certification is expected to reduce modulo a
 prime first and use this path only as a fallback.
 
+Over Q the spin, the invariance check and theta run on integer rows: a
+span does not change when its vectors or the matrices are scaled, so each
+generator is scaled once to an integer matrix, vectors are primitive
+integer vectors, and reduction is fraction-free.  The canonical reduced
+echelon form over Q is taken once, for a proper spin only.  The ring alone
+selects this path; Q(t), F_q and any other descriptor take the generic
+code, the reference in the tests.
+
 Each run is deterministic given (rep, seed, budget) and yields a transcript
 suitable for embedding in a certificate.  Reducible verdicts always carry a
 witness basis that has been re-verified exactly against every generator.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from . import polys
 from .errors import AbsIrredUndecided, SingularError
-from .lattices import _constant_q_matrix
+from .lattices import _constant_q_matrix, _denominator_lcm, _scaled_rows
 from .matrices import Matrix, char_poly, kernel_basis, poly_at_matrix, \
     rank, rref
 from .prng import XorShift64
@@ -77,9 +87,39 @@ def _echelon_rows(K, vecs):
     return tuple(red.row(i) for i in range(len(pivots)))
 
 
+def _integer_rows(m):
+    """(rows of D m as plain ints, D) for a matrix m over Q and the least
+    common denominator D of its entries."""
+    e, n = m.entries, m.ncols
+    den = _denominator_lcm(e)
+    flat = _scaled_rows([e], den)[0]
+    return [flat[i:i + n] for i in range(0, len(flat), n)], den
+
+
+def _apply_int(rows, v):
+    return [sum(map(mul, r, v)) for r in rows]
+
+
+def _content_free(w):
+    """An integer vector divided by the gcd of its entries."""
+    g = gcd(*w)
+    return [a // g for a in w] if g > 1 else w
+
+
+def _primitive(v):
+    """The primitive integer vector on the line of a rational vector."""
+    return _content_free(_scaled_rows([v], _denominator_lcm(v))[0])
+
+
 def _reduce_against(K, rows, pivots, w):
-    """w minus the multiples of the echelon rows (leading entry 1 at their
-    pivot) that clear it at each pivot in turn."""
+    """w minus the multiples of the echelon rows that clear it at each pivot
+    in turn.  Each row is zero at the pivots of the rows before it.
+
+    Over Q the rows and w are integer vectors, and the step
+    w <- (a/g) w - (c/g) r, with a = r[pivot], c = w[pivot] and
+    g = gcd(a, c), is fraction-free: the result is a nonzero multiple of
+    the reduction over Q.  Over any other field the rows have leading
+    entry 1."""
     if isinstance(K, PrimeField):
         # one reduction mod p per entry, at the end; reducing each
         # coefficient keeps the entries below len(rows) * p^2 meanwhile
@@ -89,6 +129,15 @@ def _reduce_against(K, rows, pivots, w):
             if c:
                 w = [a - c * b for a, b in zip(w, r)]
         return [a % p for a in w]
+    if K == QQ:
+        for pi, r in zip(pivots, rows):
+            c = w[pi]
+            if c:
+                a = r[pi]
+                g = gcd(a, c)
+                a, c = a // g, c // g
+                w = [a * x - c * y for x, y in zip(w, r)]
+        return w
     w = list(w)
     for pi, r in zip(pivots, rows):
         c = w[pi]
@@ -104,39 +153,64 @@ def spin(K, mats, v):
     The basis is kept in semi-echelon form, as in the C MeatAxe: each new
     vector is reduced against the earlier rows only, so no row is revisited
     when one joins.  The canonical reduced form is taken once at the end,
-    and a full spin needs none."""
+    and a full spin needs none.
+
+    A span does not change when its vectors or the matrices are scaled
+    (Holt-Rees), so over Q the spin runs on integer rows: each matrix is
+    scaled once to D m over the least common denominator D of its entries,
+    v becomes a primitive integer vector, the reduction is fraction-free,
+    and each new row is divided by its content."""
     d = len(v)
-    zero, one = K.zero(), K.one()
     rows, pivots = [], []
+    if K == QQ:
+        mats = [_integer_rows(m)[0] for m in mats]
+        apply, zero = _apply_int, 0
+        v = _primitive(v)
+
+        def normalize(w, a):
+            return _content_free(w)
+    else:
+        apply, zero, one = Matrix.apply, K.zero(), K.one()
+
+        def normalize(w, a):
+            if a == one:
+                return w
+            inv = K.inv(a)
+            return [K.mul(inv, x) for x in w]
 
     def add(w):
         w = _reduce_against(K, rows, pivots, w)
         for idx, a in enumerate(w):
             if a != zero:
-                if a != one:
-                    inv = K.inv(a)
-                    w = [K.mul(inv, x) for x in w]
-                rows.append(w)
+                rows.append(normalize(w, a))
                 pivots.append(idx)
                 return True
         return False
 
-    queue = [tuple(v)]
+    queue = [v]
     add(v)
     while queue and len(rows) < d:
         b = queue.pop()
         for m in mats:
-            w = m.apply(b)
+            w = apply(m, b)
             if add(w):
                 queue.append(w)
     if len(rows) == d:
+        zero, one = K.zero(), K.one()
         return tuple(tuple(one if i == j else zero for j in range(d))
                      for i in range(d))
     return _echelon_rows(K, rows)
 
 
 def subspace_is_invariant(K, mats, rows):
-    """Exact check that the row span is carried into itself by every matrix."""
+    """Exact check that the row span is carried into itself by every matrix.
+    The rows are in semi-echelon form; over Q the check runs on the same
+    integer rows as spin."""
+    apply = Matrix.apply
+    if K == QQ:
+        mats = [_integer_rows(m)[0] for m in mats]
+        rows = [_primitive(r) for r in rows]
+        apply = _apply_int
     pivots = []
     for r in rows:
         for idx, a in enumerate(r):
@@ -145,7 +219,7 @@ def subspace_is_invariant(K, mats, rows):
                 break
     for m in mats:
         for r in rows:
-            w = _reduce_against(K, rows, pivots, m.apply(r))
+            w = _reduce_against(K, rows, pivots, apply(m, r))
             if any(not K.is_zero(a) for a in w):
                 return False
     return True
@@ -193,11 +267,44 @@ def _sample_theta(rep, rng, index):
         for _ in range(1 + rng.randrange(3)):
             words.append([rng.randrange(n) for _ in range(1 + rng.randrange(6))])
             coeffs.append(_nonzero_scalar(K, rng))
-    theta = Matrix.zeros(K, rep.dim, rep.dim)
-    for w, c in zip(words, coeffs):
-        theta = theta + evaluate(rep, [(l, 1) for l in w]).scale(c)
+    if K == QQ:
+        theta = _theta_q(rep, words, coeffs)
+    else:
+        theta = Matrix.zeros(K, rep.dim, rep.dim)
+        for w, c in zip(words, coeffs):
+            theta = theta + evaluate(rep, [(l, 1) for l in w]).scale(c)
     record = {"words": words, "coeffs": [K.format(c) for c in coeffs]}
     return theta, record
+
+
+def _theta_q(rep, words, coeffs):
+    """sum c rho(w) over Q.  Each word is multiplied out on the integer
+    rows D g of its letters under a running denominator, the product of
+    their D; one Fraction per entry is built at the end."""
+    scaled = {}
+    terms = []
+    for w, c in zip(words, coeffs):
+        prod, den = None, c.denominator
+        for l in w:
+            if l not in scaled:
+                scaled[l] = _integer_rows(rep.generators[l])
+            rows, e = scaled[l]
+            prod = rows if prod is None else _mul_int(prod, rows)
+            den *= e
+        terms.append((prod, c.numerator, den))
+    common = lcm(*(den for _, _, den in terms))
+    acc = [0] * (rep.dim * rep.dim)
+    for prod, num, den in terms:
+        f = num * (common // den)
+        flat = (x for row in prod for x in row)
+        acc = [a + f * x for a, x in zip(acc, flat)]
+    return Matrix._raw(QQ, rep.dim, rep.dim,
+                       [Fraction(a, common) for a in acc])
+
+
+def _mul_int(a, b):
+    cols = list(zip(*b))
+    return [[sum(map(mul, r, col)) for col in cols] for r in a]
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +337,19 @@ def _projective_kernel(K, ker):
                 i += 1
             else:
                 break
+
+
+def _combination(K, coeffs, vecs):
+    """sum c_i v_i, or over Q a positive multiple of it on integer rows:
+    the vector is only spun, and a spin depends only on its line."""
+    if K == QQ:
+        cs = _scaled_rows([coeffs], _denominator_lcm(coeffs))[0]
+        rows = _scaled_rows(vecs, _denominator_lcm(a for v in vecs for a in v))
+        return [sum(map(mul, cs, col)) for col in zip(*rows)]
+    v = [K.zero()] * len(vecs[0])
+    for a, b in zip(coeffs, vecs):
+        v = [K.add(x, K.mul(a, y)) for x, y in zip(v, b)]
+    return v
 
 
 def _norton_attempt(rep, theta, g, rec, rng):
@@ -289,10 +409,7 @@ def _norton_attempt(rep, theta, g, rec, rng):
     probes = list(ker)
     if len(ker) > 1:
         for _ in range(4):
-            coeffs = [_random_scalar(K, rng) for _ in ker]
-            v = [K.zero()] * d
-            for a, b in zip(coeffs, ker):
-                v = [K.add(x, K.mul(a, y)) for x, y in zip(v, b)]
+            v = _combination(K, [_random_scalar(K, rng) for _ in ker], ker)
             if any(not K.is_zero(a) for a in v):
                 probes.append(v)
     for v in probes:
@@ -356,23 +473,24 @@ def _decide_finite(rep, seed, budget):
     return MeataxeVerdict(INCONCLUSIVE, None, transcript)
 
 
-def _certified_factors_q(f):
+def _certified_factors_q(f, roots):
     """Certainly-irreducible factors of a monic f over Q that we can find
-    cheaply: linear factors from rational roots, plus any squarefree part
-    certified irreducible by a good-reduction witness.  Sorted with linear
-    factors first."""
+    cheaply: linear factors from its rational roots (given, as computed
+    once per sample), plus any squarefree part certified irreducible by a
+    good-reduction witness.  Sorted with linear factors first."""
     out = []
     seen = set()
-    for r in sorted(polys.rational_roots(f)):
+    for r in roots:
         g = (QQ.neg(QQ.coerce(r)), QQ.one())
         if g not in seen:
             seen.add(g)
             out.append(g)
     for s in polys.squarefree_parts(QQ, f):
-        if polys.degree(s) in (0, polys.degree(f)):
+        # the parts may repeat, as for (x-1)^5 (x+1)^2; each is tried once
+        if polys.degree(s) in (0, polys.degree(f)) or s in seen:
             continue
-        if s not in seen and polys.certify_irreducible_q(s) is True:
-            seen.add(s)
+        seen.add(s)
+        if polys.certify_irreducible_q(s) is True:
             out.append(s)
     return out
 
@@ -389,12 +507,13 @@ def _decide_q(rep, seed, budget):
         transcript["samples"].append(srec)
         # an irreducible characteristic polynomial leaves theta no invariant
         # subspace at all, let alone a G-invariant one
-        if polys.certify_irreducible_q(f) is True:
+        roots = polys.rational_roots(f)
+        if polys.certify_irreducible_q(f, roots) is True:
             srec["factors"].append({"poly": srec["charpoly"],
                                     "events": ["charpoly_irreducible"]})
             return _finish(rep, transcript, IRREDUCIBLE, None, i,
                            srec["charpoly"])
-        for g in _certified_factors_q(f):
+        for g in _certified_factors_q(f, roots):
             rec = {"poly": polys.format_poly_generic(K, g, "x")}
             srec["factors"].append(rec)
             out = _norton_attempt(rep, theta, g, rec, rng)

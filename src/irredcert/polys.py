@@ -378,17 +378,20 @@ def integralize_monic(f):
     return out, c
 
 
-def certify_irreducible_q(f):
+def certify_irreducible_q(f, roots=None):
     """True if monic f over Q is certainly irreducible, False if certainly
     reducible, None if undecided within the modular budget.
 
-    Degrees 2 and 3 are decided by the rational-root theorem.  Higher degrees
-    look for a prime ell with f squarefree and irreducible mod ell, which
+    Degrees 2 and 3 are decided by the rational-root theorem; a caller that
+    already has rational_roots(f) passes it as roots.  Higher degrees look
+    for a prime ell with f squarefree and irreducible mod ell, which
     certifies irreducibility over Q; failure to find one proves nothing."""
     n = len(f) - 1
     if n <= 1:
         return n == 1
-    if rational_roots(f):
+    if roots is None:
+        roots = rational_roots(f)
+    if roots:
         return False
     if n <= 3:
         return True

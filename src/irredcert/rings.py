@@ -376,17 +376,30 @@ class IntegerRing(RingDescriptor):
         return hash("Z")
 
 
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
+
+
 class RationalField(RingDescriptor):
-    """The field Q; elements are Fractions in lowest terms."""
+    """The field Q; elements are Fractions in lowest terms.
+
+    zero() and one() hand out shared constants (a Fraction is immutable),
+    and is_zero is a truth test, so neither builds a Fraction per call.
+    The MeatAxe's spin, invariance check and theta sampling over Q do not
+    go through this descriptor per scalar: they run on integer rows (see
+    meataxe.py), and a Fraction is built only for what they return."""
 
     kind = "Q"
     is_field = True
 
     def zero(self):
-        return Fraction(0)
+        return _Q_ZERO
 
     def one(self):
-        return Fraction(1)
+        return _Q_ONE
+
+    def is_zero(self, a):
+        return not a
 
     def coerce(self, a):
         if isinstance(a, bool):

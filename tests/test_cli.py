@@ -263,6 +263,25 @@ class TestErrorsAndPlumbing:
         assert set(json.loads(err)) == {"error", "detail"}
         assert "Traceback" not in err and out == ""
 
+    def test_options_do_not_leak_between_calls(self, capsys):
+        # main reuses one parser; each call must start from its defaults
+        s3 = f"{DATA}/s3.json"
+        code, out, _ = run(capsys, "certify", "--seed", "5", "--budget", "7",
+                           "--primes", "5", "--oracle", s3)
+        assert code == 0
+        assert json.loads(out)["config"] == {
+            "budget": 7, "max_primes": 50, "oracle": True, "primes": [5],
+            "seed": 5}
+        code, out, _ = run(capsys, "certify", s3)
+        assert code == 0
+        assert json.loads(out)["config"] == {
+            "budget": 200, "max_primes": 50, "oracle": False, "primes": None,
+            "seed": 0}
+        code, out, _ = run(capsys, "meataxe", "--seed", "3", s3)
+        assert json.loads(out)["transcript"]["seed"] == 3
+        code, out, _ = run(capsys, "meataxe", s3)
+        assert json.loads(out)["transcript"]["seed"] == 0
+
     def test_import_leaves_numpy_out(self):
         src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
         code = ("import sys; sys.path.insert(0, %r); "

@@ -2,13 +2,16 @@
 
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from irredcert import meataxe, polys
 from irredcert.errors import AbsIrredUndecided
 from irredcert.matrices import Matrix
 from irredcert.meataxe import (INCONCLUSIVE, IRREDUCIBLE, REDUCIBLE,
-                               _echelon_rows, endo_dim,
+                               _combination, _decide_q, _echelon_rows,
+                               _reduce_against, _sample_theta, endo_dim,
                                is_absolutely_irreducible, is_irreducible, spin,
                                subspace_is_invariant)
 from irredcert.oracle import count_invariant
@@ -18,6 +21,7 @@ from irredcert.rings import QQ, ExtensionField, PrimeField, \
     RationalFunctionField
 
 from generic_fp import FIELD_SIZES, GenericFp, matrix_cases, random_rows
+from generic_q import GenericQ, rational_cases
 
 QT = RationalFunctionField("t")
 
@@ -348,3 +352,155 @@ class TestPrimeFieldSpin:
                     rows = spin(K, mats, v)
                     assert rows == spin_full_rref(K, mats, v)
                     assert subspace_is_invariant(K, mats, rows)
+
+
+def _rational_vectors(rng, d):
+    """Start vectors for the spins over Q: unit vectors, small and 7-digit
+    denominators, a vector with large content, and zero."""
+    def small():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return [
+        [Fraction(int(i == 0)) for i in range(d)],
+        [Fraction(int(i == d - 1)) for i in range(d)],
+        [small() for _ in range(d)],
+        [Fraction(rng.randint(-9, 9), rng.choice([1, 1000003, 9999991]))
+         for _ in range(d)],
+        [Fraction(3 ** 80 * rng.randint(-4, 4)) for _ in range(d)],
+        [Fraction(0)] * d,
+    ]
+
+
+class TestRationalIntegerRows:
+    """Over QQ the spin, the invariance check, theta and the direct search
+    run on integer rows; over GenericQ the same data takes the generic
+    descriptor path, which is the reference."""
+
+    KG = GenericQ()
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return rational_cases(XorShift64(2026))
+
+    @staticmethod
+    def _mats(K, gens):
+        return [Matrix(K, g) for g in gens]
+
+    def test_spin_matches_generic(self, cases):
+        rng = XorShift64(31)
+        kinds = set()
+        for name, gens in cases.items():
+            mq, mg = self._mats(QQ, gens), self._mats(self.KG, gens)
+            d = mq[0].nrows
+            for mats_q, mats_g in ((mq, mg),
+                                   ([m.transpose() for m in mq],
+                                    [m.transpose() for m in mg]),
+                                   (mq[:1], mg[:1])):
+                for v in _rational_vectors(rng, d):
+                    rows = spin(QQ, mats_q, v)
+                    assert rows == spin(self.KG, mats_g, v) == \
+                        spin_full_rref(self.KG, mats_g, v), (name, v)
+                    assert all(type(a) is Fraction for r in rows for a in r)
+                    assert subspace_is_invariant(QQ, mats_q, rows)
+                    kinds.add("full" if len(rows) == d else
+                              "zero" if not rows else "proper")
+        assert kinds == {"full", "proper", "zero"}
+
+    def test_stored_rows_are_primitive(self, cases, monkeypatch):
+        # each row the spin keeps is divided by its content
+        sizes = []
+
+        def spy(K, rows, pivots, w):
+            if K == QQ:
+                assert all(gcd(*r) == 1 for r in rows)
+                sizes.append(len(rows))
+            return _reduce_against(K, rows, pivots, w)
+
+        monkeypatch.setattr(meataxe, "_reduce_against", spy)
+        rng = XorShift64(37)
+        for gens in cases.values():
+            mq = self._mats(QQ, gens)
+            for v in _rational_vectors(rng, mq[0].nrows):
+                spin(QQ, mq, v)
+        assert max(sizes) >= 6
+
+    def test_fraction_free_step(self):
+        # w <- (a/g) w - (c/g) r: a = 6, c = 4, g = 2
+        assert _reduce_against(QQ, [[6, 1, 0]], [0], [4, 0, 5]) == [0, -2, 15]
+        rows, pivots = [[2, 1, 1], [0, 3, 1]], [0, 1]
+        assert _reduce_against(QQ, rows, pivots, [4, 5, 7]) == [0, 0, 4]
+        assert _reduce_against(QQ, rows, pivots, [0, 0, 0]) == [0, 0, 0]
+        assert _reduce_against(QQ, rows, pivots, [-2, 2, 0]) == [0, 0, 0]
+
+    def test_probe_is_a_positive_multiple(self):
+        # a probe over Q is a multiple of sum c_i v_i on integer rows
+        rng = XorShift64(43)
+        for _ in range(30):
+            vecs = [[Fraction(rng.randint(-9, 9), rng.choice([1, 3, 1000003]))
+                     for _ in range(5)] for _ in range(3)]
+            coeffs = [QQ.coerce(rng.randint(-3, 3)) for _ in vecs]
+            ref = _combination(self.KG, coeffs, vecs)
+            got = _combination(QQ, coeffs, vecs)
+            assert all(type(a) is int for a in got)
+            k = next((Fraction(g) / r for g, r in zip(got, ref) if r), 1)
+            assert k > 0 and [Fraction(g) for g in got] == [k * r for r in ref]
+
+    def test_invariance_matches_generic(self, cases):
+        rng = XorShift64(41)
+        seen = set()
+        for name, gens in cases.items():
+            mq, mg = self._mats(QQ, gens), self._mats(self.KG, gens)
+            d = mq[0].nrows
+            candidates = [spin(self.KG, mg, v)
+                          for v in _rational_vectors(rng, d)[:4]]
+            for n in range(1, d):
+                candidates.append(_echelon_rows(self.KG, [
+                    [Fraction(rng.randint(-3, 3), rng.choice([1, 2, 1000003]))
+                     for _ in range(d)] for _ in range(n)]))
+            for rows in candidates:
+                expect = subspace_is_invariant(self.KG, mg, rows)
+                assert subspace_is_invariant(QQ, mq, rows) == expect, name
+                seen.add(expect)
+        assert seen == {True, False}
+
+    def test_theta_matches_generic(self, cases):
+        for name, gens in cases.items():
+            rq = Representation(QQ, gens, [])
+            rg = Representation(self.KG, gens, [])
+            a, b = XorShift64(5), XorShift64(5)
+            for i in range(12):
+                tq, rec_q = _sample_theta(rq, a, i)
+                tg, rec_g = _sample_theta(rg, b, i)
+                assert tq.ring == QQ and rec_q == rec_g
+                assert tq.entries == tg.entries, (name, i)
+                assert all(type(x) is Fraction for x in tq.entries)
+
+    def test_decide_q_matches_generic(self, cases):
+        statuses = set()
+        for name, gens in cases.items():
+            for seed in (0, 3):
+                vq = _decide_q(Representation(QQ, gens, []), seed, 12)
+                vg = _decide_q(Representation(self.KG, gens, []), seed, 12)
+                assert vq.status == vg.status, name
+                assert vq.witness == vg.witness, name
+                assert json.dumps(vq.transcript, sort_keys=True) == \
+                    json.dumps(vg.transcript, sort_keys=True), name
+                statuses.add(vq.status)
+        assert statuses == {IRREDUCIBLE, REDUCIBLE}
+
+    def test_rational_roots_once_per_polynomial(self, cases, monkeypatch):
+        # the roots of a sampled characteristic polynomial serve both the
+        # irreducibility check and the factor list, and a repeated
+        # squarefree part is tried once
+        calls = []
+        roots = polys.rational_roots
+
+        def counted(f):
+            calls.append(tuple(f))
+            return roots(f)
+
+        monkeypatch.setattr(polys, "rational_roots", counted)
+        rep = Representation(QQ, cases["s4+s5_big"], [])
+        for seed in range(4):
+            calls.clear()
+            assert is_irreducible(rep, seed=seed).status == REDUCIBLE
+            assert calls and len(set(calls)) == len(calls), seed
