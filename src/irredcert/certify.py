@@ -14,9 +14,11 @@ Inconclusive and says why.
 
 Certificates carry everything needed for an independent replay: the input
 digest, the run configuration (candidate primes, seed, budgets), the
-lattice found, and one transcript per reduction step.  verify() re-executes
-the whole pipeline deterministically and compares, then re-checks the
-witness or the certifying step independently of the rerun.
+lattice found, and one transcript per reduction step.  verify() checks the
+certificate without the search (check.py): the lattice, the prime and the
+recorded Norton test of the irreducible step, or the witness.  replay()
+re-executes the whole pipeline deterministically and compares byte for
+byte, then runs the same audits of the witness or the certifying step.
 
 Rules:
   RegularOnePrime one prime of Z, or one maximal (p, t-c) of Z[t]; the
@@ -249,8 +251,8 @@ def _skip_step(prime, exc):
 
 def compute_self_digest(cert):
     """Integrity checksum over the whole document minus the checksum
-    field itself; a cheap first line of tamper evidence (the replay in
-    verify is the real one)."""
+    field itself; a cheap first line of tamper evidence.  The checks of
+    verify are the real one, for the fields that carry the claim."""
     doc = cert.to_json()
     doc.pop("self_digest", None)
     return digest(doc)
@@ -462,7 +464,7 @@ def _linear_descent(int_rep, lat, prime, steps, seed, budget,
 
 
 # ---------------------------------------------------------------------------
-# replay
+# verify and replay
 
 
 def family_condition_trivial_intersection(family, ring):
@@ -532,8 +534,21 @@ def _certifying_step_checks(cert):
 
 
 def verify(cert, rep):
+    """Check the certificate against the representation without re-running
+    the search (see check.py); True when it holds.
+
+    Raises VersionMismatch when the certificate was written by a different
+    toolkit version (nothing else raises; tampered content returns False).
+    check.rejection gives the reason for a False."""
+    # imported on first use: check.py imports the format from this module,
+    # and the CLI starts without compiling the checker
+    from .check import rejection
+    return rejection(cert, rep) is None
+
+
+def replay(cert, rep):
     """Deterministically re-execute the certified run and audit the
-    conclusion; True only when everything matches.
+    conclusion; True only when everything matches byte for byte.
 
     Raises VersionMismatch when the certificate was written by a different
     toolkit version (nothing else raises; tampered content returns False).
@@ -577,7 +592,7 @@ def verify(cert, rep):
 
 
 def _family_checks(cert, rep):
-    """Audit the height-one route: replay the (t-c) reduction and verify
+    """Audit the height-one route: replay the (t-c) reduction and replay
     the embedded sub-certificate against it, then the symbolic trivial
     intersection condition on the recorded family."""
     field_rep = over_fraction_field(rep)
@@ -602,6 +617,6 @@ def _family_checks(cert, rep):
         sub = Certificate.from_json(step["sub_certificate"])
         if str(prime) != cert.family[0]:
             return False
-        if verify(sub, red):
+        if replay(sub, red):
             return True
     return False

@@ -4,7 +4,8 @@ Six subcommands, all reading representation documents (JSON) and writing a
 JSON document to stdout:
 
   certify      run the criterion, print the certificate
-  verify       replay a certificate against a representation
+  verify       check a certificate against a representation (--replay:
+               re-run certify and compare byte for byte)
   reduce       saturate and reduce at one prime, print the reduced rep
   meataxe      irreducibility verdict over the representation's own field
   obstruction  finite-group deformation obstruction report
@@ -18,8 +19,8 @@ import functools
 import json
 import sys
 
-from .certify import (Certificate, INCONCLUSIVE_RUN, TOOLKIT_VERSION,
-                      certify, load_certificate, verify)
+from .certify import (INCONCLUSIVE_RUN, TOOLKIT_VERSION, certify,
+                      load_certificate, replay, verify)
 from .cohomology import obstruction_report
 from .errors import IrredcertError
 from .lattices import PrimeSpec, reduce_rep, saturate
@@ -80,9 +81,18 @@ def _cmd_certify(args):
 def _cmd_verify(args):
     cert = load_certificate(args.cert)
     rep = load_rep(args.rep)
-    ok = verify(cert, rep)
-    _emit({"verified": ok, "conclusion": cert.conclusion,
-           "toolkit_version": TOOLKIT_VERSION})
+    ok = replay(cert, rep) if args.replay else verify(cert, rep)
+    doc = {"verified": ok, "conclusion": cert.conclusion,
+           "toolkit_version": TOOLKIT_VERSION}
+    if not ok:
+        # a rejection is rare and the checker is cheap, so it runs again
+        # for its reason; a replay the checker accepts differs in a field
+        # that carries no claim.  Imported here, as in certify.verify, so
+        # that starting the CLI does not load the checker.
+        from .check import rejection
+        doc["reason"] = rejection(cert, rep) or (
+            "re-running certify does not reproduce the certificate")
+    _emit(doc)
     return EXIT_OK if ok else EXIT_ERROR
 
 
@@ -157,9 +167,12 @@ def build_parser():
                    help="cross-check verdicts by brute force when small")
     p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("verify", help="replay a certificate")
+    p = sub.add_parser("verify", help="check a certificate against a "
+                                      "representation")
     p.add_argument("cert", help="certificate JSON file")
     p.add_argument("rep", help="representation JSON file")
+    p.add_argument("--replay", action="store_true",
+                   help="re-run certify and compare byte for byte instead")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("reduce", help="saturate and reduce at one prime")

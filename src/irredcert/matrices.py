@@ -18,6 +18,10 @@ The module-level algorithms:
                     column span)
     rref(m)         reduced row echelon form over a field, with pivot columns
     kernel_basis(m) basis of the right null space over a field
+    fraction_free_inverse(rows)  d * A^-1 and d = +-det A for an integer
+                    matrix A, by fraction-free Gauss-Jordan elimination
+                    (Bareiss, Math. Comp. 22, 1968); Matrix.inverse over Q
+                    runs on it
     char_poly(m)    monic characteristic polynomial over a field, computed by
                     Hessenberg reduction plus the standard determinant
                     recurrence (no division by integers, so it is safe in
@@ -29,10 +33,12 @@ The HNF recipe is the classical gcd-driven elimination (see Cohen,
 "A Course in Computational Algebraic Number Theory", ch. 2).
 """
 
+from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from .errors import IntegralityError, ShapeError, SingularError
-from .rings import ZZ, PrimeField
+from .rings import QQ, ZZ, PrimeField
 
 
 class Matrix:
@@ -259,23 +265,36 @@ class Matrix:
     def inverse(self):
         """Inverse over the fraction field, read off the reduced echelon form
         of [m | I]; converted back into the base ring when all entries
-        happen to lie there."""
+        happen to lie there.  Over Q (and Z) m = A / D for an integer
+        matrix A, and m^-1 = D A^-1 comes from fraction_free_inverse with
+        one Fraction per entry."""
         n = self.nrows
         if n != self.ncols:
             raise ShapeError("inverse of a non-square matrix")
         m = self.to_fraction_field()
         K, e = m.ring, m.entries
-        z, o = K.zero(), K.one()
-        aug = []
-        for i in range(n):
-            aug.extend(e[i * n:(i + 1) * n])
-            aug.extend(o if i == j else z for j in range(n))
-        red, pivots = rref(Matrix._raw(K, n, 2 * n, aug))
-        if pivots[:n] != tuple(range(n)):
-            raise SingularError("matrix is singular")
-        e = red.entries
-        inv = Matrix._raw(K, n, n, [a for i in range(n)
-                                    for a in e[(2 * i + 1) * n:(2 * i + 2) * n]])
+        if K == QQ:
+            den = lcm(*(a.denominator for a in e))
+            a = [x.numerator * (den // x.denominator) for x in e]
+            out = fraction_free_inverse([a[i * n:(i + 1) * n]
+                                         for i in range(n)])
+            if out is None:
+                raise SingularError("matrix is singular")
+            rows, d = out
+            inv = Matrix._raw(QQ, n, n, [Fraction(den * x, d)
+                                         for row in rows for x in row])
+        else:
+            z, o = K.zero(), K.one()
+            aug = []
+            for i in range(n):
+                aug.extend(e[i * n:(i + 1) * n])
+                aug.extend(o if i == j else z for j in range(n))
+            red, pivots = rref(Matrix._raw(K, n, 2 * n, aug))
+            if pivots[:n] != tuple(range(n)):
+                raise SingularError("matrix is singular")
+            e = red.entries
+            inv = Matrix._raw(K, n, n, [a for i in range(n) for a in
+                                        e[(2 * i + 1) * n:(2 * i + 2) * n]])
         if self.ring.is_field:
             return inv
         try:
@@ -469,6 +488,31 @@ def _det_fp(rows, p):
                 f = row[c] * inv % p
                 row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
     return det
+
+
+def fraction_free_inverse(rows):
+    """(R, d) with A R = d I for a square integer matrix A given as rows,
+    or None when A is singular.  d is the last pivot of fraction-free
+    Gauss-Jordan elimination on [A | I] (Bareiss, Math. Comp. 22, 1968),
+    the determinant of A up to the sign of the row swaps, so A^-1 = R / d.
+    Every entry met is a minor of [A | I], so each division is exact."""
+    n = len(rows)
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return None
+        a[k], a[piv] = a[piv], a[k]
+        prow = a[k]
+        p, tail = prow[k], prow[k + 1:]
+        for i, row in enumerate(a):
+            if i != k:
+                f = row[k]
+                row[k + 1:] = [(p * x - f * y) // prev
+                               for x, y in zip(row[k + 1:], tail)]
+        prev = p
+    return [r[n:] for r in a], prev
 
 
 def _det_bareiss(rows):

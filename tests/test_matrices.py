@@ -20,6 +20,7 @@ from irredcert.rings import ZZ, QQ, PolynomialRingZ, PrimeField, \
     RationalFunctionField
 
 from generic_fp import FIELD_SIZES, GenericFp, matrix_cases, random_rows
+from generic_q import GenericQ, basis_change, rational_cases
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -356,6 +357,26 @@ def test_inverse_singular_over_q_and_qt(K, rows):
     assert K.is_zero(m.det())
     with pytest.raises(SingularError):
         m.inverse()
+
+
+def test_inverse_over_q_matches_the_generic_path():
+    """Over Q the inverse is fraction-free Gauss-Jordan on integer rows;
+    over GenericQ it is the reduced echelon form of [m | I], one Fraction
+    operation per scalar.  The two agree entry for entry on generators
+    and basis changes with 7-digit denominators, and on integer matrices
+    whose inverse leaves Z."""
+    rng = XorShift64(7)
+    mats = [m.rows() for gens in rational_cases(rng).values()
+            for m in (Matrix(QQ, g) for g in gens)]
+    mats += [basis_change(rng, d, big=True) for d in (1, 2, 5, 8)]
+    mats += [[[2, 1], [1, 3]], [[0, 0, 3], [1, 0, 0], [0, -2, 5]]]
+    KG = GenericQ()
+    for rows in mats:
+        inv = Matrix(QQ, rows).inverse()
+        assert inv.entries == Matrix(KG, rows).inverse().entries
+        assert (inv * Matrix(QQ, rows)).is_identity()
+    assert Matrix(ZZ, [[2, 1], [1, 3]]).inverse().entries == \
+        Matrix(KG, [[2, 1], [1, 3]]).inverse().entries
 
 
 def test_inverse_over_qt():
