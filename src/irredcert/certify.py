@@ -18,7 +18,7 @@ lattice found, and one transcript per reduction step.  verify() checks the
 certificate without the search (check.py): the lattice, the prime and the
 recorded Norton test of the irreducible step, or the witness.  replay()
 re-executes the whole pipeline deterministically and compares byte for
-byte, then runs the same audits of the witness or the certifying step.
+byte, then runs the checker on the certificate.
 
 Rules:
   RegularOnePrime one prime of Z, or one maximal (p, t-c) of Z[t]; the
@@ -40,8 +40,7 @@ from .meataxe import (INCONCLUSIVE, IRREDUCIBLE, REDUCIBLE, _echelon_rows,
                       is_irreducible, subspace_is_invariant)
 from .oracle import count_invariant
 from .reps import over_fraction_field, rep_to_json
-from .rings import (PolynomialRingZ, QQ, RationalFunctionField, ZZ,
-                    is_prime, ring_from_json)
+from .rings import PolynomialRingZ, QQ, RationalFunctionField, ZZ, is_prime
 
 TOOLKIT_VERSION = "0.1.0"
 
@@ -514,25 +513,6 @@ def _witness_checks(cert, field_rep):
     return subspace_is_invariant(K, field_rep.generators, rows)
 
 
-def _certifying_step_checks(cert):
-    """One irreducible step at a prime with a regular local localization
-    must exist for the one-prime rules."""
-    try:
-        R = ring_from_json(cert.base_ring)
-    except (ValueError, TypeError, KeyError):
-        return False
-    for step in cert.steps:
-        if step.get("verdict") != IRREDUCIBLE or step.get("meataxe") is None:
-            continue
-        try:
-            spec = PrimeSpec.parse(step.get("prime", ""), R)
-        except (BadPrime, ValueError, TypeError):
-            continue
-        if spec.kind in (PrimeSpec.INTEGER, PrimeSpec.MAXIMAL):
-            return True
-    return False
-
-
 def verify(cert, rep):
     """Check the certificate against the representation without re-running
     the search (see check.py); True when it holds.
@@ -547,8 +527,9 @@ def verify(cert, rep):
 
 
 def replay(cert, rep):
-    """Deterministically re-execute the certified run and audit the
-    conclusion; True only when everything matches byte for byte.
+    """Deterministically re-execute the certified run, compare the result
+    byte for byte, then check the certificate as verify() does; True only
+    when both hold.
 
     Raises VersionMismatch when the certificate was written by a different
     toolkit version (nothing else raises; tampered content returns False).
@@ -557,10 +538,6 @@ def replay(cert, rep):
         raise VersionMismatch("certificate version %r, toolkit %r"
                               % (cert.toolkit_version, TOOLKIT_VERSION))
     try:
-        if cert.self_digest != compute_self_digest(cert):
-            return False
-        if cert.input_digest != rep_digest(rep):
-            return False
         cfg = cert.config
         fresh = certify(rep,
                         primes=cfg.get("primes"),
@@ -568,55 +545,10 @@ def replay(cert, rep):
                         budget=cfg.get("budget", 200),
                         max_primes=cfg.get("max_primes", 50),
                         oracle_check=cfg.get("oracle", False))
-        if canonical_json(fresh.to_json()) != canonical_json(cert.to_json()):
-            return False
-        # independent audits, not relying on the rerun
-        field_rep = over_fraction_field(rep)
-        if cert.conclusion == REDUCIBLE_WITH_WITNESS:
-            if cert.rule != RULE_DIRECT_OVER_K or cert.witness is None:
-                return False
-            return _witness_checks(cert, field_rep)
-        if cert.conclusion == IRREDUCIBLE_CERTIFIED:
-            if cert.rule == RULE_REGULAR_ONE_PRIME:
-                return _certifying_step_checks(cert)
-            if cert.rule == RULE_HEIGHT_ONE_FAMILY:
-                return _family_checks(cert, rep)
-            return False
-        if cert.conclusion == INCONCLUSIVE_RUN:
-            return bool(cert.reason)
+    except (IrredcertError, AssertionError, ValueError, TypeError, KeyError,
+            AttributeError):
         return False
-    except (IrredcertError, AssertionError):
+    if canonical_json(fresh.to_json()) != canonical_json(cert.to_json()):
         return False
-    except (ValueError, TypeError, KeyError, AttributeError):
-        return False
-
-
-def _family_checks(cert, rep):
-    """Audit the height-one route: replay the (t-c) reduction and replay
-    the embedded sub-certificate against it, then the symbolic trivial
-    intersection condition on the recorded family."""
-    field_rep = over_fraction_field(rep)
-    lat, int_rep = saturate(field_rep)
-    R = int_rep.ring
-    if not isinstance(R, PolynomialRingZ):
-        return False
-    if not family_condition_trivial_intersection(cert.family, R):
-        return False
-    for step in cert.steps:
-        if "sub_certificate" not in step:
-            continue
-        if step.get("verdict") != IRREDUCIBLE:
-            continue
-        try:
-            prime = PrimeSpec.parse(step["prime"], R)
-        except (BadPrime, ValueError):
-            return False
-        if prime.kind != PrimeSpec.LINEAR:
-            return False
-        red = reduce_rep(int_rep, lat, prime)
-        sub = Certificate.from_json(step["sub_certificate"])
-        if str(prime) != cert.family[0]:
-            return False
-        if replay(sub, red):
-            return True
-    return False
+    from .check import rejection
+    return rejection(cert, rep) is None

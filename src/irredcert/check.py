@@ -12,9 +12,10 @@ representation alone:
   prime      the irreducible step's prime is an integer prime of Z or a
              maximal (p, t-c) of Z[t], where every X reduces;
   reduction  theta is rebuilt from the recorded words and coefficients of
-             the deciding sample, its characteristic polynomial matches the
-             record, the recorded factor g is irreducible over F_p (Rabin)
-             and divides it, and Norton's test holds for g: when the nullity
+             the deciding sample (within the MeatAxe's limits on words),
+             its characteristic polynomial matches the record, the
+             recorded factor g is irreducible over F_p (Rabin) and
+             divides it, and Norton's test holds for g: when the nullity
              of g(theta) equals deg g, the first primal and dual kernel
              vectors spin to the whole space (Holt-Rees); for a larger
              nullity every projective point of both kernels does, within
@@ -270,10 +271,15 @@ def _theta(red, words, coeffs):
     _require(isinstance(words, list) and isinstance(coeffs, list)
              and len(words) == len(coeffs) > 0,
              "the sample's words and coeffs are not two lists of one length")
+    _require(len(words) <= meataxe.SAMPLE_WORDS, "the sample has %d words, "
+             "more than the %d the MeatAxe draws", len(words),
+             meataxe.SAMPLE_WORDS)
     theta = Matrix.zeros(K, red.dim, red.dim)
     for w, c in zip(words, coeffs):
-        _require(isinstance(w, list) and all(type(x) is int and 0 <= x < n
-                                             for x in w),
+        _require(isinstance(w, list) and 0 < len(w)
+                 <= meataxe.SAMPLE_WORD_LENGTH, "a word is not a list of 1 "
+                 "to %d letters", meataxe.SAMPLE_WORD_LENGTH)
+        _require(all(type(x) is int and 0 <= x < n for x in w),
                  "word %r has a letter that is no generator index", w)
         _require(isinstance(c, str), "coefficient %r is not a string", c)
         theta = theta + evaluate(red, [(x, 1) for x in w]).scale(K.parse(c))

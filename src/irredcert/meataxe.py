@@ -57,6 +57,11 @@ INCONCLUSIVE = "inconclusive"
 # multiplicity case; 4096 keeps the worst case around 10^4 spins
 ENUM_BOUND = 4096
 
+# random algebra elements are sums of at most SAMPLE_WORDS words of at most
+# SAMPLE_WORD_LENGTH letters each
+SAMPLE_WORDS = 3
+SAMPLE_WORD_LENGTH = 6
+
 
 class MeataxeVerdict:
     """Outcome of an irreducibility test: status, optional witness basis
@@ -256,7 +261,8 @@ def _sample_theta(rep, rng, index):
     """Algebra element theta = sum c_i * rho(w_i) plus its transcript record.
 
     The first len(generators) samples are the generators themselves; after
-    that, 1..3 words of length 1..6 with nonzero coefficients."""
+    that, 1..SAMPLE_WORDS words of 1..SAMPLE_WORD_LENGTH letters with nonzero
+    coefficients."""
     K = rep.ring
     n = len(rep.generators)
     if index < n:
@@ -264,8 +270,9 @@ def _sample_theta(rep, rng, index):
         coeffs = [K.one()]
     else:
         words, coeffs = [], []
-        for _ in range(1 + rng.randrange(3)):
-            words.append([rng.randrange(n) for _ in range(1 + rng.randrange(6))])
+        for _ in range(1 + rng.randrange(SAMPLE_WORDS)):
+            words.append([rng.randrange(n) for _ in
+                          range(1 + rng.randrange(SAMPLE_WORD_LENGTH))])
             coeffs.append(_nonzero_scalar(K, rng))
     if K == QQ:
         theta = _theta_q(rep, words, coeffs)

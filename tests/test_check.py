@@ -10,9 +10,9 @@ import random
 import pytest
 
 from irredcert.certify import (Certificate, IRREDUCIBLE_CERTIFIED,
-                               RULE_REGULAR_ONE_PRIME, _make_cert, certify,
-                               compute_self_digest, load_certificate, replay,
-                               verify)
+                               RULE_REGULAR_ONE_PRIME, _make_cert,
+                               canonical_json, certify, compute_self_digest,
+                               load_certificate, replay, verify)
 from irredcert.check import rejection
 from irredcert.cli import main
 from irredcert.errors import IrredcertError
@@ -211,6 +211,16 @@ class TestTamperedCertifyingFields:
             cert, rep, lambda b: self.sample(b).update(coeffs=["0"]))
         assert "not a string" in self.reason(
             cert, rep, lambda b: self.sample(b).update(coeffs=[1]))
+        # within the MeatAxe's limits, checked before any product is taken
+        assert self.reason(cert, rep, lambda b: self.sample(b).update(
+            words=[[0] * 10 ** 6], coeffs=["1"])) == \
+            "a word is not a list of 1 to 6 letters"
+        assert self.reason(cert, rep, lambda b: self.sample(b).update(
+            words=[[]], coeffs=["1"])) == \
+            "a word is not a list of 1 to 6 letters"
+        assert self.reason(cert, rep, lambda b: self.sample(b).update(
+            words=[[0]] * 4, coeffs=["1"] * 4)) == \
+            "the sample has 4 words, more than the 3 the MeatAxe draws"
 
     def test_recorded_charpoly(self):
         rep, cert = s3_q(), certify(s3_q())
@@ -340,10 +350,14 @@ BAD_FACTORS = ["x^", "", "x^-1", "1/0", 5, None, "x^99999999999",
 BAD_PRIMES = ["(2", "(1e3)", "(%d)" % 10 ** 30, "(2,t-0)", "(-3)", 5, None,
               "(t-x)", "()"]
 BAD_VALUES = [None, 5, "x", [], {}, [None], {"ring": "Fp", "p": 4}]
+# (words, coeffs) past the MeatAxe's limits of 3 words of 6 letters
+LONG_SAMPLES = [([[0] * 7], ["1"]), ([[0]] * 4, ["1"] * 4),
+                ([[1] * 10 ** 5], ["1"])]
 
 
 def _mutations(rng, base, qt_family):
-    """Seeded edits of a certificate document, one malformed part each."""
+    """Seeded edits of a certificate document, one malformed part each;
+    an edit that leaves the document as it was is dropped."""
     def sample(b):
         return b["steps"][-1]["meataxe"]["samples"][0]
 
@@ -354,6 +368,8 @@ def _mutations(rng, base, qt_family):
         lambda b: sample(b).update(words=[[rng.choice(BAD_LETTERS)]]),
         lambda b: sample(b).update(words=rng.choice(BAD_VALUES)),
         lambda b: sample(b).update(coeffs=rng.choice(BAD_VALUES)),
+        lambda b: sample(b).update(zip(("words", "coeffs"),
+                                       rng.choice(LONG_SAMPLES))),
         lambda b: decision(b).update(sample=rng.choice(BAD_SAMPLES)),
         lambda b: decision(b).update(factor=rng.choice(BAD_FACTORS)),
         lambda b: b.update(lattice=rng.choice(BAD_LATTICES)),
@@ -376,14 +392,13 @@ def _mutations(rng, base, qt_family):
         lambda b: b["steps"][0]["sub_certificate"].update(
             lattice=rng.choice(BAD_LATTICES)),
     ]
-    for _ in range(120):
-        blob = json.loads(json.dumps(base))
-        rng.choice(edits)(blob)
-        yield blob
-    for _ in range(20):
-        blob = json.loads(json.dumps(qt_family))
-        rng.choice(family_edits)(blob)
-        yield blob
+    for count, doc, choices in ((120, base, edits),
+                                (20, qt_family, family_edits)):
+        for _ in range(count):
+            blob = json.loads(json.dumps(doc))
+            rng.choice(choices)(blob)
+            if canonical_json(blob) != canonical_json(doc):
+                yield blob
 
 
 class TestMalformed:
