@@ -1,8 +1,10 @@
 """Golden outputs: fresh CLI runs must match the frozen files byte for byte.
 
 tests/golden/<rep>.cert.json is the stdout of `irredcert certify` on each
-corpus rep in data/, and tests/golden/<rep>.reduce.<prime>.json the stdout
-of `irredcert reduce` at one prime.  A change that alters a certificate must
+corpus rep in data/, tests/golden/<rep>.reduce.<prime>.json the stdout of
+`irredcert reduce` at one prime, and tests/golden/<rep>.meataxe.json the
+stdout of `irredcert meataxe` on each prime-field rep in data/fp/ (d from
+24 to 48 over F_3, F_101 and F_65521).  A change that alters a certificate must
 bump TOOLKIT_VERSION; after such a deliberate change, regenerate the files:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -18,6 +20,7 @@ from irredcert.cli import main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DATA = os.path.join(os.path.dirname(HERE), "data")
+DATA_FP = os.path.join(DATA, "fp")
 GOLDEN = os.path.join(HERE, "golden")
 
 # (rep, exit code of `certify`); q8 has no certifying prime and exits 2
@@ -27,6 +30,12 @@ CERTIFY = [("d4", 0), ("q8", 2), ("s3", 0), ("s3_qt", 0), ("s3_scaled", 0),
 REDUCE = ([(rep, prime) for rep in ("s3", "s3_scaled", "d4", "s4")
            for prime in ("(2)", "(3)", "(5)")]
           + [("s3_qt", "(t-0)"), ("s3_qt", "(2,t-1)")])
+
+
+# the reps over F_p: S27 standard mod 3 and a block triangular rep mod
+# 65521 are reducible (witnesses of dim 1 and 10), B32 mod 101 and a random
+# rep of dim 48 over F_101 irreducible
+MEATAXE = ["b32_mod101", "block24_mod65521", "rand48_mod101", "s27_mod3"]
 
 
 def _prime_tag(prime):
@@ -52,6 +61,11 @@ def reduce_case(rep, prime):
                   "--prime", prime]
 
 
+def meataxe_case(rep):
+    path = os.path.join(GOLDEN, "%s.meataxe.json" % rep)
+    return path, ["meataxe", os.path.join(DATA_FP, rep + ".json")]
+
+
 def _read(path):
     with open(path, encoding="utf-8") as fh:
         return fh.read()
@@ -73,10 +87,19 @@ def test_reduction_matches_golden(rep, prime):
     assert text == _read(path)
 
 
+@pytest.mark.parametrize("rep", MEATAXE)
+def test_meataxe_transcript_matches_golden(rep):
+    path, argv = meataxe_case(rep)
+    got_code, text = run_cli(argv)
+    assert got_code == 0
+    assert text == _read(path)
+
+
 def regenerate():
     os.makedirs(GOLDEN, exist_ok=True)
     cases = ([certify_case(rep) for rep, _ in CERTIFY]
-             + [reduce_case(rep, prime) for rep, prime in REDUCE])
+             + [reduce_case(rep, prime) for rep, prime in REDUCE]
+             + [meataxe_case(rep) for rep in MEATAXE])
     for path, argv in cases:
         _, text = run_cli(argv)
         with open(path, "w", encoding="utf-8") as fh:
