@@ -142,7 +142,12 @@ class Certificate:
 
 def load_certificate(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return Certificate.from_json(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("certificate document is nested too "
+                             "deeply") from None
+    return Certificate.from_json(doc)
 
 
 def save_certificate(cert, path):

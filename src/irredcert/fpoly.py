@@ -1,13 +1,67 @@
-"""Polynomial arithmetic over F_p on plain int lists.
+"""Kronecker-packed vectors over F_p, and polynomial arithmetic over F_p.
 
-Coefficients are ascending ints in [0, p), trimmed (the zero polynomial is
-the empty list).  These are the only F_p[x] kernels in the package:
-`rings` builds F_{p^k} on them and `polys` runs its PrimeField branch
-through them.  `is_irreducible` is the package's one Rabin test; it checks
-the moduli of F_{p^k} and the reductions that certify irreducibility over Q.
+A vector (or coefficient list) over F_p packs into one Python int, one slot
+of nb bytes per entry, entry i in bytes nb*i to nb*(i+1) (Kronecker
+substitution).  Adding packed ints adds the vectors slot by slot, and
+multiplying one by a small int scales it, so a matrix-vector product or a
+row operation is a few big-int operations; a polynomial product is one
+big-int product.  Slots are reduced mod p only on unpacking: slot_bytes
+picks the slot width from p and the number of products a slot accumulates,
+so that no slot overflows into the next.  Every p takes the same code; a
+slot wider than 8 bytes only unpacks more slowly.  `matrices` and `meataxe`
+run their prime-field kernels on pack and unpack.
+
+Polynomials are ascending coefficient lists of ints in [0, p), trimmed (the
+zero polynomial is the empty list).  These are the only F_p[x] kernels in
+the package: `rings` builds F_{p^k} on them and `polys` runs its PrimeField
+branch through them.  `mul` is one packed product; `pow_mod` reduces each
+product by Barrett's method, with the inverse power series of the reversed
+modulus computed once, so each step is three packed products.
+`is_irreducible` is the package's one Rabin test; it checks the moduli of
+F_{p^k} and the reductions that certify irreducibility over Q.
 """
 
+import sys
+
 from .errors import SingularError
+
+# memoryview formats of the slot widths that unpack without a loop
+_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def slot_bytes(p, terms):
+    """Bytes per slot for packed vectors over F_p whose slots hold an entry
+    in [0, p) plus at most `terms` products of two such entries: the least
+    of 1, 2, 4 and 8 that holds the bound, else a multiple of 8."""
+    nb = ((p - 1) * (terms * (p - 1) + 1)).bit_length() + 7 >> 3
+    if nb <= 2:
+        return max(nb, 1)
+    return 4 if nb <= 4 else -(-nb // 8) * 8
+
+
+def pack(vals, nb, p):
+    """The entries vals, ints in [0, p), packed into slots of nb bytes."""
+    buf = bytearray(len(vals) * nb)
+    if p <= 256:
+        buf[::nb] = bytes(vals)
+    else:
+        for k in range(((p - 1).bit_length() + 7) // 8):
+            buf[k::nb] = bytes([a >> 8 * k & 255 for a in vals])
+    return int.from_bytes(buf, "little")
+
+
+def unpack(x, n, nb, p):
+    """The n slots of a packed x >= 0 (which must fit in them), each reduced
+    mod p."""
+    fmt = _FORMATS.get(nb)
+    if fmt is None:
+        b = x.to_bytes(n * nb, "little")
+        return [int.from_bytes(b[i:i + nb], "little") % p
+                for i in range(0, n * nb, nb)]
+    vals = memoryview(x.to_bytes(n * nb, sys.byteorder)).cast(fmt).tolist()
+    if sys.byteorder == "big":
+        vals.reverse()
+    return [a % p for a in vals]
 
 
 def trim(c):
@@ -34,14 +88,12 @@ def sub(a, b, p):
 
 
 def mul(a, b, p):
+    """The product, as one product of packed ints."""
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    nb = len(b)
-    for i, x in enumerate(a):
-        if x:
-            out[i:i + nb] = [s + x * y for s, y in zip(out[i:i + nb], b)]
-    return trim([s % p for s in out])
+    nb = slot_bytes(p, min(len(a), len(b)))
+    return trim(unpack(pack(a, nb, p) * pack(b, nb, p), len(a) + len(b) - 1,
+                       nb, p))
 
 
 def quo_rem(a, b, p):
@@ -89,16 +141,61 @@ def xgcd(a, b, p):
     return r0, u0, v0
 
 
+def _series_inverse(h, k, p):
+    """The first k coefficients of the power series 1/h, h[0] != 0, by
+    Newton's iteration g <- g (2 - h g), which doubles the precision."""
+    g = [pow(h[0], -1, p)]
+    n = 1
+    while n < k:
+        n = min(2 * n, k)
+        t = [-a % p for a in mul(h[:n], g, p)[:n]]
+        t[0] = (t[0] + 2) % p
+        g = mul(g, t, p)[:n]
+    return g
+
+
 def pow_mod(base, e, mod, p):
-    """base^e mod (mod) in F_p[x], e an arbitrary nonnegative int."""
-    result = [1]
+    """base^e mod (mod) in F_p[x], e an arbitrary nonnegative int.
+
+    With n = deg mod, a product a of two remainders has degree m + n with
+    m < n - 1, and its quotient q by mod satisfies rev(q) = rev(a) / rev(mod)
+    mod x^(m+1), rev reversing the coefficients (Barrett).  The inverse of
+    rev(mod) is computed once, so each step is three packed products."""
     base = quo_rem(base, mod, p)[1]
-    while e:
+    if not e:
+        return [1]
+    n = len(mod) - 1
+    nb = slot_bytes(p, max(n, 1))
+    f = pack(mod, nb, p)
+    inv = pack(_series_inverse(mod[::-1], n - 1, p), nb, p)
+    bits = 8 * nb
+
+    def reduce(x, length):
+        a = unpack(x, length, nb, p)
+        m = length - 1 - n
+        if m < 0:
+            return trim(a)
+        low = (1 << bits * (m + 1)) - 1
+        q = unpack(pack(a[:n - 1:-1], nb, p) * inv & low, m + 1, nb, p)
+        qf = unpack(pack(q[::-1], nb, p) * f & (1 << bits * n) - 1, n, nb, p)
+        return trim([(x - y) % p for x, y in zip(a, qf)])
+
+    result = None
+    while True:
         if e & 1:
-            result = quo_rem(mul(result, base, p), mod, p)[1]
-        base = quo_rem(mul(base, base, p), mod, p)[1]
+            if result is None:
+                result = base
+            elif result and base:
+                result = reduce(pack(result, nb, p) * pack(base, nb, p),
+                                len(result) + len(base) - 1)
+            else:
+                result = []
         e >>= 1
-    return result
+        if not e:
+            return result
+        if base:
+            x = pack(base, nb, p)
+            base = reduce(x * x, 2 * len(base) - 1)
 
 
 def _prime_factors(n):

@@ -4,12 +4,15 @@ A Matrix is an immutable row-major tuple of raw scalar values together with
 its RingDescriptor.
 
 Over a PrimeField the entries are ints in [0, p), and products, apply,
-sums, scaling, rref (hence kernel_basis and inverse), det, char_poly and
-poly_at_matrix run on plain int rows with no descriptor call per scalar: a
-dot product is one sum of int products reduced mod p once, a row operation
-one list expression with one reduction mod p per entry.  The ring alone
-selects this path.  Every other ring takes the generic descriptor code,
-which stays the reference the tests compare the int path against.
+rref (hence kernel_basis, inverse and rank), det and poly_at_matrix run on
+Kronecker-packed vectors (fpoly.pack): one Python int per row or column,
+one slot per entry, reduced mod p once, on unpacking.  A product or apply
+is a sum of packed columns scaled by ints, one column per entry of the
+other factor, and a row operation adds a multiple of the packed pivot row.
+The packed columns of a matrix are computed once and kept with it, so a
+generator packs once for all the products and spins it enters.  The ring
+alone selects this path.  Every other ring takes the generic descriptor
+code, which stays the reference the tests compare the packed path against.
 
 The module-level algorithms:
 
@@ -38,13 +41,15 @@ from math import lcm
 from operator import mul
 
 from .errors import IntegralityError, ShapeError, SingularError
+from .fpoly import pack, slot_bytes, unpack
 from .rings import QQ, ZZ, PrimeField
 
 
 class Matrix:
-    """Immutable matrix over a RingDescriptor."""
+    """Immutable matrix over a RingDescriptor.  Over a PrimeField, _cols
+    caches the packed columns (packed_columns)."""
 
-    __slots__ = ("ring", "nrows", "ncols", "entries")
+    __slots__ = ("ring", "nrows", "ncols", "entries", "_cols")
 
     def __init__(self, ring, rows):
         data = []
@@ -59,6 +64,7 @@ class Matrix:
         object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "entries", tuple(data))
+        object.__setattr__(self, "_cols", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -71,6 +77,7 @@ class Matrix:
         object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "entries", tuple(entries))
+        object.__setattr__(self, "_cols", None)
         return self
 
     @classmethod
@@ -160,11 +167,13 @@ class Matrix:
         n, m, k = self.nrows, self.ncols, other.ncols
         a, b = self.entries, other.entries
         if isinstance(R, PrimeField):
+            # column j of the product is the packed columns of self scaled
+            # by the entries of column j of other
+            nb, cols = packed_columns(self)
             p = R.p
-            cols = [b[j::k] for j in range(k)]
-            return Matrix._raw(R, n, k,
-                               [sum(map(mul, a[i * m:(i + 1) * m], col)) % p
-                                for i in range(n) for col in cols])
+            out = [unpack(sum(map(mul, b[j::k], cols)), n, nb, p)
+                   for j in range(k)]
+            return Matrix._raw(R, n, k, [x for row in zip(*out) for x in row])
         out = []
         for i in range(n):
             arow = a[i * m:(i + 1) * m]
@@ -206,9 +215,10 @@ class Matrix:
             raise ShapeError("vector length mismatch")
         R = self.ring
         if isinstance(R, PrimeField):
-            p, e, n = R.p, self.entries, self.ncols
-            return tuple(sum(map(mul, e[i * n:(i + 1) * n], vec)) % p
-                         for i in range(self.nrows))
+            p = R.p
+            nb, cols = packed_columns(self)
+            return tuple(unpack(sum(map(mul, [a % p for a in vec], cols)),
+                                self.nrows, nb, p))
         out = []
         for i in range(self.nrows):
             acc = R.zero()
@@ -331,55 +341,89 @@ def kronecker(a, b):
 
 def poly_at_matrix(K, coeffs, m):
     """Evaluate a polynomial (ascending coefficient tuple over K) at a square
-    matrix over K, by Horner: deg - 1 products for degree >= 1."""
+    matrix over K, by Horner: deg - 1 products for degree >= 1, each with m
+    on the left (it commutes with every polynomial in m), so over F_p every
+    product runs on the packed columns of m."""
     n = m.nrows
     ident = Matrix.identity(K, n)
     if len(coeffs) < 2:
         return ident.scale(coeffs[0]) if coeffs else Matrix.zeros(K, n, n)
     acc = m.scale(coeffs[-1]) + ident.scale(coeffs[-2])
     for c in reversed(coeffs[:-2]):
-        acc = acc * m + ident.scale(c)
+        acc = m * acc + ident.scale(c)
     return acc
 
 
 # ---------------------------------------------------------------------------
-# field algorithms
+# packed prime-field kernels
 
 
-def _int_rows(m):
-    return [list(m.entries[i * m.ncols:(i + 1) * m.ncols])
-            for i in range(m.nrows)]
+def packed_columns(m):
+    """(nb, columns) for a matrix over F_p: its columns packed (fpoly.pack)
+    into slots of nb bytes, computed on first use and kept with m.  The
+    slots hold 2 max(nrows, ncols) products, enough for a product or apply
+    (ncols) and the spin's reduction against at most nrows rows on top."""
+    pc = m._cols
+    if pc is None:
+        p, e, n = m.ring.p, m.entries, m.ncols
+        nb = slot_bytes(p, 2 * max(m.nrows, n))
+        pc = (nb, [pack(e[j::n], nb, p) for j in range(n)])
+        object.__setattr__(m, "_cols", pc)
+    return pc
 
 
-def _from_rows(K, rows, ncols):
-    return Matrix._raw(K, len(rows), ncols, [a for row in rows for a in row])
+def _packed_rows(m, nb):
+    p, e, n = m.ring.p, m.entries, m.ncols
+    return [pack(e[i * n:(i + 1) * n], nb, p) for i in range(m.nrows)]
 
 
-def _gauss_jordan_fp(rows, ncols, p):
-    """Reduce int rows over F_p in place to reduced row echelon form in their
-    first ncols columns (later columns ride along); returns the pivots."""
+def eliminate_fp(rows, ncols, width, nb, p, jordan=True):
+    """Row-reduce packed rows over F_p (width slots of nb bytes, entries in
+    [0, p)) in place, pivoting on their first ncols slots; later slots ride
+    along.  With jordan, every other row is cleared at each pivot (reduced
+    row echelon form); without, only the rows below (echelon form).
+    Returns (pivot columns, det), det being that of the square matrix when
+    ncols == len(rows).
+
+    Each pivot row is unpacked once, reduced mod p and scaled to a leading
+    1; a row operation w += (p - c) r then adds at most (p - 1)^2 to each
+    slot, and a row meets at most one per pivot, so slots of
+    slot_bytes(p, min(len(rows), ncols)) bytes suffice."""
+    shift = 8 * nb
+    mask = (1 << shift) - 1
     nr = len(rows)
     pivots = []
+    det = 1
     for c in range(ncols):
         r = len(pivots)
         if r == nr:
             break
-        piv = next((i for i in range(r, nr) if rows[i][c]), None)
+        sh = shift * c
+        piv = next((i for i in range(r, nr) if (rows[i] >> sh & mask) % p),
+                   None)
         if piv is None:
+            det = 0
             continue
-        prow = rows[piv]
-        rows[piv] = rows[r]
-        if prow[c] != 1:
-            inv = pow(prow[c], -1, p)
-            prow = [a * inv % p for a in prow]
-        rows[r] = prow
-        tail = prow[c:]
-        for i, row in enumerate(rows):
-            f = row[c]
+        if piv != r:
+            rows[piv], rows[r] = rows[r], rows[piv]
+            det = -det
+        u = unpack(rows[r], width, nb, p)
+        a = u[c]
+        det = det * a % p
+        if a != 1:
+            inv = pow(a, -1, p)
+            u = [x * inv % p for x in u]
+        prow = rows[r] = pack(u, nb, p)
+        for i in range(0 if jordan else r + 1, nr):
+            f = (rows[i] >> sh & mask) % p
             if f and i != r:
-                row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
+                rows[i] += (p - f) * prow
         pivots.append(c)
-    return pivots
+    return pivots, det
+
+
+def _from_rows(K, rows, ncols):
+    return Matrix._raw(K, len(rows), ncols, [a for row in rows for a in row])
 
 
 def rref(m):
@@ -388,11 +432,13 @@ def rref(m):
     if not K.is_field:
         raise IntegralityError("rref requires field entries")
     if isinstance(K, PrimeField):
-        if not m.nrows:
-            return m, ()
-        rows = _int_rows(m)
-        pivots = _gauss_jordan_fp(rows, m.ncols, K.p)
-        return _from_rows(K, rows, m.ncols), tuple(pivots)
+        p, nc = K.p, m.ncols
+        nb = slot_bytes(p, min(m.nrows, nc))
+        rows = _packed_rows(m, nb)
+        pivots, _ = eliminate_fp(rows, nc, nc, nb, p)
+        return Matrix._raw(K, m.nrows, nc, [a for r in rows
+                                            for a in unpack(r, nc, nb, p)]), \
+            tuple(pivots)
     rows = m.rows()
     nr, nc = m.nrows, m.ncols
     pivots = []
@@ -420,6 +466,13 @@ def rref(m):
 
 
 def rank(m):
+    K = m.ring
+    if isinstance(K, PrimeField):
+        # the echelon form suffices: no row above a pivot is cleared
+        p, nc = K.p, m.ncols
+        nb = slot_bytes(p, min(m.nrows, nc))
+        return len(eliminate_fp(_packed_rows(m, nb), nc, nc, nb, p,
+                                jordan=False)[0])
     return len(rref(m)[1])
 
 
@@ -444,7 +497,10 @@ def kernel_basis(m):
 def _det_field(m):
     K = m.ring
     if isinstance(K, PrimeField):
-        return _det_fp(_int_rows(m), K.p)
+        p, n = K.p, m.nrows
+        nb = slot_bytes(p, n)
+        return eliminate_fp(_packed_rows(m, nb), n, n, nb, p,
+                            jordan=False)[1]
     rows = m.rows()
     n = m.nrows
     det = K.one()
@@ -465,28 +521,6 @@ def _det_field(m):
             if not K.is_zero(rows[i][c]):
                 f = K.mul(rows[i][c], inv)
                 rows[i] = [K.sub(a, K.mul(f, b)) for a, b in zip(rows[i], rows[c])]
-    return det
-
-
-def _det_fp(rows, p):
-    n = len(rows)
-    det = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        prow = rows[c]
-        det = det * prow[c] % p
-        inv = pow(prow[c], -1, p)
-        tail = prow[c:]
-        for i in range(c + 1, n):
-            row = rows[i]
-            if row[c]:
-                f = row[c] * inv % p
-                row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
     return det
 
 
@@ -600,6 +634,11 @@ def char_poly(m):
                     cur[idx] = K.sub(cur[idx], K.mul(coeff, c))
         polys.append(tuple(cur))
     return polys[n]
+
+
+def _int_rows(m):
+    return [list(m.entries[i * m.ncols:(i + 1) * m.ncols])
+            for i in range(m.nrows)]
 
 
 def _char_poly_fp(h, p):

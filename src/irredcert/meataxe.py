@@ -43,8 +43,9 @@ from operator import mul
 from . import polys
 from .errors import AbsIrredUndecided, SingularError
 from .lattices import _constant_q_matrix, _denominator_lcm, _scaled_rows
-from .matrices import Matrix, char_poly, kernel_basis, poly_at_matrix, \
-    rank, rref
+from .fpoly import pack, slot_bytes, unpack
+from .matrices import Matrix, char_poly, eliminate_fp, kernel_basis, \
+    packed_columns, poly_at_matrix, rank, rref
 from .prng import XorShift64
 from .reps import Representation, evaluate
 from .rings import QQ, ExtensionField, PrimeField, RationalFunctionField
@@ -92,6 +93,27 @@ def _echelon_rows(K, vecs):
     return tuple(red.row(i) for i in range(len(pivots)))
 
 
+def _packed_echelon(p, d, nb, rows):
+    """_echelon_rows over F_p of packed rows of d slots of nb bytes, with
+    nb at least slot_bytes(p, min(len(rows), d))."""
+    rows = list(rows)
+    pivots, _ = eliminate_fp(rows, d, d, nb, p)
+    return tuple(tuple(unpack(r, d, nb, p)) for r in rows[:len(pivots)])
+
+
+def _reduce_fp(w, rows, pivots, p, nb):
+    """A packed vector w minus the multiples of the packed semi-echelon
+    rows (leading entry 1) that clear it at each pivot in turn, as
+    w + (p - c) r, with c read from one slot; the slots are not reduced."""
+    shift = 8 * nb
+    mask = (1 << shift) - 1
+    for pi, r in zip(pivots, rows):
+        c = (w >> shift * pi & mask) % p
+        if c:
+            w += (p - c) * r
+    return w
+
+
 def _integer_rows(m):
     """(rows of D m as plain ints, D) for a matrix m over Q and the least
     common denominator D of its entries."""
@@ -124,16 +146,7 @@ def _reduce_against(K, rows, pivots, w):
     w <- (a/g) w - (c/g) r, with a = r[pivot], c = w[pivot] and
     g = gcd(a, c), is fraction-free: the result is a nonzero multiple of
     the reduction over Q.  Over any other field the rows have leading
-    entry 1."""
-    if isinstance(K, PrimeField):
-        # one reduction mod p per entry, at the end; reducing each
-        # coefficient keeps the entries below len(rows) * p^2 meanwhile
-        p = K.p
-        for pi, r in zip(pivots, rows):
-            c = w[pi] % p
-            if c:
-                w = [a - c * b for a, b in zip(w, r)]
-        return [a % p for a in w]
+    entry 1 (over F_p, _reduce_fp takes packed rows)."""
     if K == QQ:
         for pi, r in zip(pivots, rows):
             c = w[pi]
@@ -164,7 +177,10 @@ def spin(K, mats, v):
     (Holt-Rees), so over Q the spin runs on integer rows: each matrix is
     scaled once to D m over the least common denominator D of its entries,
     v becomes a primitive integer vector, the reduction is fraction-free,
-    and each new row is divided by its content."""
+    and each new row is divided by its content.  Over F_p it runs on
+    packed vectors (_spin_fp)."""
+    if isinstance(K, PrimeField):
+        return _spin_fp(K.p, mats, v)
     d = len(v)
     rows, pivots = [], []
     if K == QQ:
@@ -207,21 +223,72 @@ def spin(K, mats, v):
     return _echelon_rows(K, rows)
 
 
+def _spin_fp(p, mats, v):
+    """spin over F_p on packed vectors.  M w is the sum of the packed
+    columns of M (packed_columns) scaled by the entries of w, and each
+    image is reduced against the packed rows (_reduce_fp) and unpacked
+    once.  A new row is scaled to leading entry 1, packed, and queued
+    unpacked: the queue holds reduced vectors in place of the images,
+    which spans the same space.  Slots hold d products from M w and at
+    most d - 1 from the reduction, within packed_columns' bound."""
+    d = len(v)
+    packed = [packed_columns(m) for m in mats]
+    nb = packed[0][0] if packed else slot_bytes(p, 2 * d)
+    cols = [c for _, c in packed]
+    rows, pivots = [], []
+
+    def add(w):
+        u = unpack(_reduce_fp(w, rows, pivots, p, nb), d, nb, p)
+        idx = next((i for i, a in enumerate(u) if a), None)
+        if idx is None:
+            return None
+        if u[idx] != 1:
+            inv = pow(u[idx], -1, p)
+            u = [a * inv % p for a in u]
+        rows.append(pack(u, nb, p))
+        pivots.append(idx)
+        return u
+
+    u = add(pack([a % p for a in v], nb, p))
+    queue = [] if u is None else [u]
+    while queue and len(rows) < d:
+        b = queue.pop()
+        for c in cols:
+            u = add(sum(map(mul, b, c)))
+            if u is not None:
+                queue.append(u)
+    if len(rows) == d:
+        return tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    return _packed_echelon(p, d, nb, rows)
+
+
 def subspace_is_invariant(K, mats, rows):
     """Exact check that the row span is carried into itself by every matrix.
     The rows are in semi-echelon form; over Q the check runs on the same
-    integer rows as spin."""
-    apply = Matrix.apply
-    if K == QQ:
-        mats = [_integer_rows(m)[0] for m in mats]
-        rows = [_primitive(r) for r in rows]
-        apply = _apply_int
+    integer rows as spin, over F_p on the same packed vectors."""
     pivots = []
     for r in rows:
         for idx, a in enumerate(r):
             if not K.is_zero(a):
                 pivots.append(idx)
                 break
+    if isinstance(K, PrimeField):
+        p = K.p
+        packed = [packed_columns(m) for m in mats]
+        if not packed or not rows:
+            return True
+        nb = packed[0][0]
+        rows = [[a % p for a in r] for r in rows]
+        prows = [pack(r, nb, p) for r in rows]
+        return not any(
+            any(unpack(_reduce_fp(sum(map(mul, r, cols)), prows, pivots, p,
+                                  nb), len(r), nb, p))
+            for _, cols in packed for r in rows)
+    apply = Matrix.apply
+    if K == QQ:
+        mats = [_integer_rows(m)[0] for m in mats]
+        rows = [_primitive(r) for r in rows]
+        apply = _apply_int
     for m in mats:
         for r in rows:
             w = _reduce_against(K, rows, pivots, apply(m, r))

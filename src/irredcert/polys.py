@@ -151,6 +151,8 @@ def evaluate(K, f, a):
 
 def pow_mod(K, f, e, m):
     """f^e mod m for an arbitrary nonnegative integer e."""
+    if isinstance(K, PrimeField):
+        return tuple(fpoly.pow_mod(f, e, m, K.p))
     result = (K.one(),)
     f = mod(K, f, m)
     while e:

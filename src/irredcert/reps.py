@@ -106,10 +106,13 @@ def evaluate(rep, word):
             raise ValueError("generator index %d out of range" % (idx,))
     gens = rep.generators
     if R.is_field or all(exp == 1 for _, exp in word):
-        acc = Matrix.identity(R, rep.dim)
-        for idx, exp in word:
-            acc = acc * (gens[idx] if exp == 1 else gens[idx].inverse())
-        return acc
+        # from the right, so that each product has a letter on the left:
+        # over F_p a generator's packed columns are then computed once
+        acc = None
+        for idx, exp in reversed(word):
+            g = gens[idx] if exp == 1 else gens[idx].inverse()
+            acc = g if acc is None else g * acc
+        return Matrix.identity(R, rep.dim) if acc is None else acc
     K = R.fraction_field()
     acc = Matrix.identity(K, rep.dim)
     for idx, exp in word:
@@ -235,8 +238,10 @@ def rep_from_json(obj):
         if not isinstance(g, list) or len(g) != dim or \
                 any(not isinstance(row, list) or len(row) != dim for row in g):
             raise ShapeError("generator is not a %d x %d matrix" % (dim, dim))
-        gens.append(Matrix(R, [[_scalar_from_json(R, s) for s in row]
-                               for row in g]))
+        # parse and coerce both return canonical scalars, so the entries
+        # need no second coercion
+        gens.append(Matrix._raw(R, dim, dim, [_scalar_from_json(R, s)
+                                              for row in g for s in row]))
     relations = obj.get("relations", [])
     if not isinstance(relations, list) or \
             not all(isinstance(w, list) for w in relations):
@@ -259,7 +264,12 @@ def _scalar_from_json(R, s):
 
 def load_rep(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return rep_from_json(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("representation document is nested too "
+                             "deeply") from None
+    return rep_from_json(doc)
 
 
 def save_rep(rep, path):
