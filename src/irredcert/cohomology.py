@@ -31,7 +31,7 @@ from .errors import GroupTooLarge
 from .matrices import Matrix, kernel_basis
 from .meataxe import INCONCLUSIVE, IRREDUCIBLE, endo_dim, hom_dim, \
     is_irreducible
-from .reps import adjoint_rep
+from .reps import adjoint_rep, evaluate
 from .rings import ExtensionField, PrimeField
 
 GROUP_BOUND = 64
@@ -105,13 +105,7 @@ def module_action(table, module):
     whose generators do not satisfy the group's relations is rejected."""
     if len(module.generators) != len(table.gen_indices):
         raise ValueError("module and table have different generator counts")
-    K = module.ring
-    acts = []
-    for w in table.words:
-        m = Matrix.identity(K, module.dim)
-        for gi in w:
-            m = m * module.generators[gi]
-        acts.append(m)
+    acts = [evaluate(module, [(gi, 1) for gi in w]) for w in table.words]
     for i in range(table.order):
         for slot, gelem in enumerate(table.gen_indices):
             if acts[i] * module.generators[slot] != acts[table.mult[i][gelem]]:

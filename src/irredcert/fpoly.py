@@ -25,8 +25,10 @@ import sys
 
 from .errors import SingularError
 
-# memoryview formats of the slot widths that unpack without a loop
+# memoryview formats of the slot widths that unpack without a loop; they
+# read native byte order, which must be that of the packing
 _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_LITTLE_ENDIAN = sys.byteorder == "little"
 
 
 def slot_bytes(p, terms):
@@ -50,18 +52,15 @@ def pack(vals, nb, p):
     return int.from_bytes(buf, "little")
 
 
-def unpack(x, n, nb, p):
-    """The n slots of a packed x >= 0 (which must fit in them), each reduced
-    mod p."""
-    fmt = _FORMATS.get(nb)
+def unpack(xs, n, nb, p):
+    """The n slots of each packed int in xs (each >= 0 and fitting in them),
+    one list, each reduced mod p."""
+    b = b"".join([x.to_bytes(n * nb, "little") for x in xs])
+    fmt = _FORMATS.get(nb) if _LITTLE_ENDIAN else None
     if fmt is None:
-        b = x.to_bytes(n * nb, "little")
         return [int.from_bytes(b[i:i + nb], "little") % p
-                for i in range(0, n * nb, nb)]
-    vals = memoryview(x.to_bytes(n * nb, sys.byteorder)).cast(fmt).tolist()
-    if sys.byteorder == "big":
-        vals.reverse()
-    return [a % p for a in vals]
+                for i in range(0, len(b), nb)]
+    return [a % p for a in memoryview(b).cast(fmt).tolist()]
 
 
 def trim(c):
@@ -92,8 +91,8 @@ def mul(a, b, p):
     if not a or not b:
         return []
     nb = slot_bytes(p, min(len(a), len(b)))
-    return trim(unpack(pack(a, nb, p) * pack(b, nb, p), len(a) + len(b) - 1,
-                       nb, p))
+    return trim(unpack([pack(a, nb, p) * pack(b, nb, p)],
+                       len(a) + len(b) - 1, nb, p))
 
 
 def quo_rem(a, b, p):
@@ -171,13 +170,14 @@ def pow_mod(base, e, mod, p):
     bits = 8 * nb
 
     def reduce(x, length):
-        a = unpack(x, length, nb, p)
+        a = unpack([x], length, nb, p)
         m = length - 1 - n
         if m < 0:
             return trim(a)
         low = (1 << bits * (m + 1)) - 1
-        q = unpack(pack(a[:n - 1:-1], nb, p) * inv & low, m + 1, nb, p)
-        qf = unpack(pack(q[::-1], nb, p) * f & (1 << bits * n) - 1, n, nb, p)
+        q = unpack([pack(a[:n - 1:-1], nb, p) * inv & low], m + 1, nb, p)
+        qf = unpack([pack(q[::-1], nb, p) * f & (1 << bits * n) - 1], n, nb,
+                    p)
         return trim([(x - y) % p for x, y in zip(a, qf)])
 
     result = None

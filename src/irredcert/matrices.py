@@ -170,10 +170,10 @@ class Matrix:
             # column j of the product is the packed columns of self scaled
             # by the entries of column j of other
             nb, cols = packed_columns(self)
-            p = R.p
-            out = [unpack(sum(map(mul, b[j::k], cols)), n, nb, p)
-                   for j in range(k)]
-            return Matrix._raw(R, n, k, [x for row in zip(*out) for x in row])
+            out = unpack([sum(map(mul, b[j::k], cols)) for j in range(k)], n,
+                         nb, R.p)
+            return Matrix._raw(R, n, k, [x for i in range(n)
+                                         for x in out[i::n]])
         out = []
         for i in range(n):
             arow = a[i * m:(i + 1) * m]
@@ -217,7 +217,7 @@ class Matrix:
         if isinstance(R, PrimeField):
             p = R.p
             nb, cols = packed_columns(self)
-            return tuple(unpack(sum(map(mul, [a % p for a in vec], cols)),
+            return tuple(unpack([sum(map(mul, [a % p for a in vec], cols))],
                                 self.nrows, nb, p))
         out = []
         for i in range(self.nrows):
@@ -399,21 +399,25 @@ def eliminate_fp(rows, ncols, width, nb, p, jordan=True):
         if r == nr:
             break
         sh = shift * c
-        piv = next((i for i in range(r, nr) if (rows[i] >> sh & mask) % p),
-                   None)
-        if piv is None:
+        for i in range(r, nr):
+            a = (rows[i] >> sh & mask) % p
+            if a:
+                break
+        else:
             det = 0
             continue
-        if piv != r:
-            rows[piv], rows[r] = rows[r], rows[piv]
+        prow = rows[i]
+        if i != r:
+            rows[i] = rows[r]
             det = -det
-        u = unpack(rows[r], width, nb, p)
-        a = u[c]
         det = det * a % p
-        if a != 1:
-            inv = pow(a, -1, p)
-            u = [x * inv % p for x in u]
-        prow = rows[r] = pack(u, nb, p)
+        if jordan or r + 1 < nr:
+            u = unpack([prow], width, nb, p)
+            if a != 1:
+                inv = pow(a, -1, p)
+                u = [x * inv % p for x in u]
+            prow = pack(u, nb, p)
+        rows[r] = prow
         for i in range(0 if jordan else r + 1, nr):
             f = (rows[i] >> sh & mask) % p
             if f and i != r:
@@ -436,8 +440,7 @@ def rref(m):
         nb = slot_bytes(p, min(m.nrows, nc))
         rows = _packed_rows(m, nb)
         pivots, _ = eliminate_fp(rows, nc, nc, nb, p)
-        return Matrix._raw(K, m.nrows, nc, [a for r in rows
-                                            for a in unpack(r, nc, nb, p)]), \
+        return Matrix._raw(K, m.nrows, nc, unpack(rows, nc, nb, p)), \
             tuple(pivots)
     rows = m.rows()
     nr, nc = m.nrows, m.ncols

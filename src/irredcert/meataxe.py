@@ -97,8 +97,9 @@ def _packed_echelon(p, d, nb, rows):
     """_echelon_rows over F_p of packed rows of d slots of nb bytes, with
     nb at least slot_bytes(p, min(len(rows), d))."""
     rows = list(rows)
-    pivots, _ = eliminate_fp(rows, d, d, nb, p)
-    return tuple(tuple(unpack(r, d, nb, p)) for r in rows[:len(pivots)])
+    k = len(eliminate_fp(rows, d, d, nb, p)[0])
+    flat = unpack(rows[:k], d, nb, p)
+    return tuple(tuple(flat[i:i + d]) for i in range(0, k * d, d))
 
 
 def _reduce_fp(w, rows, pivots, p, nb):
@@ -238,7 +239,7 @@ def _spin_fp(p, mats, v):
     rows, pivots = [], []
 
     def add(w):
-        u = unpack(_reduce_fp(w, rows, pivots, p, nb), d, nb, p)
+        u = unpack([_reduce_fp(w, rows, pivots, p, nb)], d, nb, p)
         idx = next((i for i, a in enumerate(u) if a), None)
         if idx is None:
             return None
@@ -281,8 +282,8 @@ def subspace_is_invariant(K, mats, rows):
         rows = [[a % p for a in r] for r in rows]
         prows = [pack(r, nb, p) for r in rows]
         return not any(
-            any(unpack(_reduce_fp(sum(map(mul, r, cols)), prows, pivots, p,
-                                  nb), len(r), nb, p))
+            any(unpack([_reduce_fp(sum(map(mul, r, cols)), prows, pivots, p,
+                                   nb)], len(r), nb, p))
             for _, cols in packed for r in rows)
     apply = Matrix.apply
     if K == QQ:

@@ -9,8 +9,11 @@ require identical results.  The random cases here are shared by them.
 from irredcert.errors import SingularError
 from irredcert.rings import RingDescriptor
 
-# (p, d) pairs for the differential tests: F_2, F_3 and F_101, d <= 40
-FIELD_SIZES = [(2, 1), (2, 40), (3, 13), (3, 24), (101, 6), (101, 40)]
+# (p, d) pairs for the differential tests: F_2, F_3 and F_101 up to d = 64,
+# F_65521, whose packed slots take 8 bytes, and F_(2^31 - 1), whose slots
+# are wider than 8 bytes
+FIELD_SIZES = [(2, 1), (2, 40), (2, 64), (3, 13), (3, 24), (101, 6),
+               (101, 40), (101, 64), (65521, 24), (2147483647, 16)]
 
 
 class GenericFp(RingDescriptor):
@@ -70,8 +73,9 @@ def _product(a, b, p):
 
 
 def matrix_cases(rng, p, d):
-    """Named d x d int matrices over F_p: dense, rank deficient, nilpotent,
-    singular with a repeated row, zero, identity and a permutation."""
+    """Named d x d int matrices over F_p: dense, all entries p - 1, rank
+    deficient, nilpotent, singular with a repeated row, zero, identity and
+    a permutation."""
     r = max(d // 3, 1)
     upper = [[rng.randrange(p) if j > i else 0 for j in range(d)]
              for i in range(d)]
@@ -87,6 +91,8 @@ def matrix_cases(rng, p, d):
         singular = [[0]]
     return {
         "dense": random_rows(rng, p, d, d),
+        # every entry p - 1: each packed slot reaches its bound
+        "full": [[p - 1] * d for _ in range(d)],
         "low_rank": _product(random_rows(rng, p, d, r),
                              random_rows(rng, p, r, d), p),
         # P U P^-1 with U strictly upper triangular

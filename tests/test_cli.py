@@ -263,6 +263,26 @@ class TestErrorsAndPlumbing:
         assert set(json.loads(err)) == {"error", "detail"}
         assert "Traceback" not in err and out == ""
 
+    @pytest.mark.parametrize("argv,kind", [
+        (["certify", "{deep}"], "representation"),
+        (["meataxe", "{deep}"], "representation"),
+        (["verify", "{deep}", "{data}/s3.json"], "certificate"),
+        (["verify", "{golden}/s3.cert.json", "{deep}"], "representation")])
+    def test_deeply_nested_document_exit_1(self, capsys, tmp_path, argv,
+                                           kind):
+        # json.load raises RecursionError on 100,000 nested brackets
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        golden = pathlib.Path(__file__).resolve().parent / "golden"
+        code, out, err = run(capsys, *[a.format(deep=deep, data=DATA,
+                                                golden=golden)
+                                       for a in argv])
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "detail": "%s document is nested too deeply" % (kind,)}
+        assert out == ""
+
     def test_options_do_not_leak_between_calls(self, capsys):
         # main reuses one parser; each call must start from its defaults
         s3 = f"{DATA}/s3.json"

@@ -470,6 +470,24 @@ class TestPrimeFieldKernels:
             else:
                 assert mf.inverse().entries == mg.inverse().entries, name
 
+    @pytest.mark.parametrize("p", [2, 101, 2147483647])
+    def test_empty_shapes(self, p):
+        # no rows or no columns: nothing to pack
+        Kf, Kg = PrimeField(p), GenericFp(p)
+        for nr, nc in ((0, 3), (3, 0), (0, 0)):
+            rows = [[1] * nc for _ in range(nr)]
+            mf = Matrix._raw(Kf, nr, nc, [x for r in rows for x in r])
+            mg = Matrix._raw(Kg, nr, nc, [x for r in rows for x in r])
+            rf, pf = rref(mf)
+            rg, pg = rref(mg)
+            assert (rf.entries, pf) == (rg.entries, pg)
+            assert rank(mf) == rank(mg) == 0
+            assert kernel_basis(mf) == kernel_basis(mg)
+            assert mf.apply((1,) * nc) == mg.apply((1,) * nc)
+            other = Matrix._raw(Kf, nc, 2, [1] * (2 * nc))
+            assert (mf * other).entries == (0,) * (2 * nr)
+        assert Matrix._raw(Kf, 0, 0, []).det() == 1
+
     @pytest.mark.parametrize("p,d", FIELD_SIZES)
     def test_char_poly_and_poly_at_matrix(self, p, d):
         rng, Kf, Kg, pairs = self._pairs(p, d)

@@ -291,6 +291,7 @@ class TestPrimeFieldSpin:
                    tuple(rng.randrange(p) for _ in range(d)),
                    (0,) * d]
         for names in (("dense", "permutation"), ("block", "dense"),
+                      ("full", "dense"),
                       ("block", "low_rank"), ("nilpotent",),
                       ("singular", "identity"), ("zero",)):
             mf = [Matrix(Kf, cases[n]) for n in names]

@@ -203,6 +203,45 @@ def test_evaluate_and_powmod():
 
 
 
+@pytest.mark.parametrize("p", [2, 3, 101, 65521, 2147483647])
+def test_packed_fpoly_matches_schoolbook(p):
+    """fpoly's packed mul and Barrett pow_mod, and quo_rem, against the
+    schoolbook code of polys over GenericFp, up to degree 130."""
+    rng = XorShift64(17 * p)
+    Kg = GenericFp(p)
+
+    def rand(n):
+        return [rng.randrange(p) for _ in range(n)]
+
+    for _ in range(40):
+        a = fpoly.trim(rand(rng.randrange(132)))
+        b = fpoly.trim(rand(rng.randrange(132)))
+        assert fpoly.mul(a, b, p) == list(polys.mul(Kg, tuple(a), tuple(b)))
+        if b:
+            q, r = fpoly.quo_rem(a, b, p)
+            assert (tuple(q), tuple(r)) == \
+                polys.divmod_poly(Kg, tuple(a), tuple(b))
+    top = [p - 1] * 131  # every slot of the product at its bound
+    assert fpoly.mul(top, top, p) == list(polys.mul(Kg, tuple(top), tuple(top)))
+    for n in (0, 1, 2, 3, 17, 64, 130):
+        mod = rand(n) + [1 + rng.randrange(p - 1)]  # not monic in general
+        base = fpoly.trim(rand(rng.randrange(2 * n + 2)))
+        for e in (0, 1, 2, 3, p, rng.randrange(1 << 20)):
+            assert fpoly.pow_mod(base, e, mod, p) == \
+                list(polys.pow_mod(Kg, tuple(base), e, tuple(mod))), (n, e)
+
+
+def test_slot_bytes_holds_its_bound():
+    for p in (2, 3, 5, 101, 257, 65521, 2147483647):
+        for terms in (0, 1, 2, 7, 64, 1000, 10 ** 6):
+            nb = fpoly.slot_bytes(p, terms)
+            assert nb in (1, 2, 4) or nb % 8 == 0
+            assert terms * (p - 1) ** 2 + p - 1 < 256 ** nb
+            vals = [p - 1, 0, 1, p // 2]
+            assert fpoly.unpack([fpoly.pack(vals, nb, p)], 4, nb, p) == vals
+    assert fpoly.slot_bytes(2147483647, 16) == 16
+
+
 @pytest.mark.parametrize("p", [2, 3, 101])
 def test_prime_field_kernels_match_generic(p):
     """polys over PrimeField (the fpoly int-list kernels) against the generic
