@@ -41,15 +41,20 @@ def slot_bytes(p, terms):
     return 4 if nb <= 4 else -(-nb // 8) * 8
 
 
-def pack(vals, nb, p):
-    """The entries vals, ints in [0, p), packed into slots of nb bytes."""
+def pack(vals, nb, p, n=None):
+    """The entries vals, ints in [0, p), packed into slots of nb bytes: one
+    int, or with n one int per n consecutive entries."""
     buf = bytearray(len(vals) * nb)
     if p <= 256:
         buf[::nb] = bytes(vals)
     else:
         for k in range(((p - 1).bit_length() + 7) // 8):
             buf[k::nb] = bytes([a >> 8 * k & 255 for a in vals])
-    return int.from_bytes(buf, "little")
+    if n is None:
+        return int.from_bytes(buf, "little")
+    step = n * nb
+    return [int.from_bytes(buf[i:i + step], "little")
+            for i in range(0, len(buf), step)]
 
 
 def unpack(xs, n, nb, p):

@@ -33,7 +33,7 @@ from operator import mul
 
 from . import polys
 from .errors import (BadPrime, BudgetExceeded, IntegralityError, NotSublattice,
-                     ShapeError)
+                     ShapeError, SingularError)
 from .matrices import Matrix, _row_hnf, integer_kernel, rank
 from .rings import (ZZ, QQ, PolynomialRingZ, PrimeField, RationalFunctionField,
                     is_prime)
@@ -711,13 +711,13 @@ def reduce_rep(int_rep, lat, prime):
     if prime.kind == PrimeSpec.ZERO:
         out = [m.to_fraction_field() if m.ring != k else m for m in mats]
         return Representation(k, out, int_rep.relations, label=int_rep.label)
-    reduced = []
-    for m in mats:
-        if m.ring != R:
-            m = m.change_ring(R)
-        rm = m.map_entries(prime.reduce_scalar, k)
-        if k.is_zero(rm.det()):
-            raise BadPrime("generator determinant vanishes at %s" % (prime,))
-        reduced.append(rm)
+    reduced = [(m if m.ring == R else m.change_ring(R))
+               .map_entries(prime.reduce_scalar, k) for m in mats]
     label = "%s mod %s" % (int_rep.label, prime) if int_rep.label else ""
-    return Representation(k, reduced, int_rep.relations, label=label)
+    try:
+        return Representation(k, reduced, int_rep.relations, label=label)
+    except SingularError:
+        # the only check of Representation that raises it is on the
+        # generator determinants, made before the relations are evaluated
+        raise BadPrime("generator determinant vanishes at %s"
+                       % (prime,)) from None

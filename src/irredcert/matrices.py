@@ -365,16 +365,16 @@ def packed_columns(m):
     (ncols) and the spin's reduction against at most nrows rows on top."""
     pc = m._cols
     if pc is None:
-        p, e, n = m.ring.p, m.entries, m.ncols
-        nb = slot_bytes(p, 2 * max(m.nrows, n))
-        pc = (nb, [pack(e[j::n], nb, p) for j in range(n)])
+        nb = slot_bytes(m.ring.p, 2 * max(m.nrows, m.ncols))
+        pc = (nb, _packed_rows(m.transpose(), nb))
         object.__setattr__(m, "_cols", pc)
     return pc
 
 
 def _packed_rows(m, nb):
-    p, e, n = m.ring.p, m.entries, m.ncols
-    return [pack(e[i * n:(i + 1) * n], nb, p) for i in range(m.nrows)]
+    if not m.ncols:
+        return [0] * m.nrows
+    return pack(m.entries, nb, m.ring.p, m.ncols)
 
 
 def eliminate_fp(rows, ncols, width, nb, p, jordan=True):
