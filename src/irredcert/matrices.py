@@ -377,13 +377,12 @@ def _packed_rows(m, nb):
     return pack(m.entries, nb, m.ring.p, m.ncols)
 
 
-def eliminate_fp(rows, ncols, width, nb, p, jordan=True):
-    """Row-reduce packed rows over F_p (width slots of nb bytes, entries in
-    [0, p)) in place, pivoting on their first ncols slots; later slots ride
-    along.  With jordan, every other row is cleared at each pivot (reduced
-    row echelon form); without, only the rows below (echelon form).
-    Returns (pivot columns, det), det being that of the square matrix when
-    ncols == len(rows).
+def eliminate_fp(rows, ncols, nb, p, jordan=True):
+    """Row-reduce packed rows over F_p (ncols slots of nb bytes, entries in
+    [0, p)) in place.  With jordan, every other row is cleared at each pivot
+    (reduced row echelon form); without, only the rows below (echelon
+    form).  Returns (pivot columns, det), det being that of the square
+    matrix when ncols == len(rows).
 
     Each pivot row is unpacked once, reduced mod p and scaled to a leading
     1; a row operation w += (p - c) r then adds at most (p - 1)^2 to each
@@ -412,7 +411,7 @@ def eliminate_fp(rows, ncols, width, nb, p, jordan=True):
             det = -det
         det = det * a % p
         if jordan or r + 1 < nr:
-            u = unpack([prow], width, nb, p)
+            u = unpack([prow], ncols, nb, p)
             if a != 1:
                 inv = pow(a, -1, p)
                 u = [x * inv % p for x in u]
@@ -424,6 +423,10 @@ def eliminate_fp(rows, ncols, width, nb, p, jordan=True):
                 rows[i] += (p - f) * prow
         pivots.append(c)
     return pivots, det
+
+
+# ---------------------------------------------------------------------------
+# field algorithms
 
 
 def _from_rows(K, rows, ncols):
@@ -439,7 +442,7 @@ def rref(m):
         p, nc = K.p, m.ncols
         nb = slot_bytes(p, min(m.nrows, nc))
         rows = _packed_rows(m, nb)
-        pivots, _ = eliminate_fp(rows, nc, nc, nb, p)
+        pivots, _ = eliminate_fp(rows, nc, nb, p)
         return Matrix._raw(K, m.nrows, nc, unpack(rows, nc, nb, p)), \
             tuple(pivots)
     rows = m.rows()
@@ -474,7 +477,7 @@ def rank(m):
         # the echelon form suffices: no row above a pivot is cleared
         p, nc = K.p, m.ncols
         nb = slot_bytes(p, min(m.nrows, nc))
-        return len(eliminate_fp(_packed_rows(m, nb), nc, nc, nb, p,
+        return len(eliminate_fp(_packed_rows(m, nb), nc, nb, p,
                                 jordan=False)[0])
     return len(rref(m)[1])
 
@@ -502,8 +505,7 @@ def _det_field(m):
     if isinstance(K, PrimeField):
         p, n = K.p, m.nrows
         nb = slot_bytes(p, n)
-        return eliminate_fp(_packed_rows(m, nb), n, n, nb, p,
-                            jordan=False)[1]
+        return eliminate_fp(_packed_rows(m, nb), n, nb, p, jordan=False)[1]
     rows = m.rows()
     n = m.nrows
     det = K.one()

@@ -23,13 +23,18 @@ Inconclusive.  Over Q and Q(t) enumeration is impossible and undecided
 samples simply consume budget; certification is expected to reduce modulo a
 prime first and use this path only as a fallback.
 
-Over Q the spin, the invariance check and theta run on integer rows: a
-span does not change when its vectors or the matrices are scaled, so each
-generator is scaled once to an integer matrix, vectors are primitive
-integer vectors, and reduction is fraction-free.  The canonical reduced
-echelon form over Q is taken once, for a proper spin only.  The ring alone
-selects this path; Q(t), F_q and any other descriptor take the generic
-code, the reference in the tests.
+Over F_p the spin and the invariance check run on Kronecker-packed
+vectors (fpoly.pack): a vector is one int with one slot per coordinate,
+M w is a sum of the packed columns of M scaled by the coordinates of w,
+and a reduction step adds a multiple of a packed row, with its factor read
+from one slot; the slots are reduced mod p once, on unpacking.  Over Q the
+spin, the invariance check and theta run on integer rows: a span does not
+change when its vectors or the matrices are scaled, so each generator is
+scaled once to an integer matrix, vectors are primitive integer vectors,
+and reduction is fraction-free.  The canonical reduced echelon form is
+taken once, for a proper spin only.  The ring alone selects these paths;
+Q(t), F_q and any other descriptor take the generic code, the reference in
+the tests.
 
 Each run is deterministic given (rep, seed, budget) and yields a transcript
 suitable for embedding in a certificate.  Reducible verdicts always carry a
@@ -95,9 +100,8 @@ def _echelon_rows(K, vecs):
 
 def _packed_echelon(p, d, nb, rows):
     """_echelon_rows over F_p of packed rows of d slots of nb bytes, with
-    nb at least slot_bytes(p, min(len(rows), d))."""
-    rows = list(rows)
-    k = len(eliminate_fp(rows, d, d, nb, p)[0])
+    nb at least slot_bytes(p, min(len(rows), d)); reduces rows in place."""
+    k = len(eliminate_fp(rows, d, nb, p)[0])
     flat = unpack(rows[:k], d, nb, p)
     return tuple(tuple(flat[i:i + d]) for i in range(0, k * d, d))
 

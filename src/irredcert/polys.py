@@ -4,8 +4,10 @@ Coefficients are ascending, trimmed (the zero polynomial is the empty tuple),
 and every function takes the coefficient field K (a RingDescriptor) as first
 argument.
 
-Over a PrimeField the arithmetic runs on the plain-int kernels of fpoly;
-every other field goes through its descriptor.  On top of it sit:
+Over a PrimeField the arithmetic runs on the kernels of fpoly: products
+are packed big-int products and pow_mod reduces by Barrett's method, while
+division and gcd run on int lists.  Every other field goes through its
+descriptor.  On top of it sit:
 
   * distinct_irreducible_factors: the distinct monic irreducible factors of a
     polynomial over a finite field, by squarefree split, distinct-degree
