@@ -166,41 +166,35 @@ def pow_mod(base, e, mod, p):
     mod x^(m+1), rev reversing the coefficients (Barrett).  The inverse of
     rev(mod) is computed once, so each step is three packed products."""
     base = quo_rem(base, mod, p)[1]
-    if not e:
-        return [1]
     n = len(mod) - 1
     nb = slot_bytes(p, max(n, 1))
+    bits = 8 * nb
     f = pack(mod, nb, p)
     inv = pack(_series_inverse(mod[::-1], n - 1, p), nb, p)
-    bits = 8 * nb
 
-    def reduce(x, length):
-        a = unpack([x], length, nb, p)
-        m = length - 1 - n
+    def mulmod(a, b):
+        if not a or not b:
+            return []
+        x = pack(a, nb, p)
+        prod = unpack([x * (x if b is a else pack(b, nb, p))],
+                      len(a) + len(b) - 1, nb, p)
+        m = len(prod) - 1 - n
         if m < 0:
-            return trim(a)
-        low = (1 << bits * (m + 1)) - 1
-        q = unpack([pack(a[:n - 1:-1], nb, p) * inv & low], m + 1, nb, p)
+            return trim(prod)
+        q = unpack([pack(prod[:n - 1:-1], nb, p) * inv
+                    & (1 << bits * (m + 1)) - 1], m + 1, nb, p)
         qf = unpack([pack(q[::-1], nb, p) * f & (1 << bits * n) - 1], n, nb,
                     p)
-        return trim([(x - y) % p for x, y in zip(a, qf)])
+        return trim([(u - w) % p for u, w in zip(prod, qf)])
 
-    result = None
-    while True:
+    result = [1]
+    while e:
         if e & 1:
-            if result is None:
-                result = base
-            elif result and base:
-                result = reduce(pack(result, nb, p) * pack(base, nb, p),
-                                len(result) + len(base) - 1)
-            else:
-                result = []
+            result = mulmod(result, base)
         e >>= 1
-        if not e:
-            return result
-        if base:
-            x = pack(base, nb, p)
-            base = reduce(x * x, 2 * len(base) - 1)
+        if e:
+            base = mulmod(base, base)
+    return result
 
 
 def _prime_factors(n):

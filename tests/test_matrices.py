@@ -420,7 +420,7 @@ def test_pow():
 
 
 class TestPrimeFieldKernels:
-    """The int-row kernels over PrimeField give exactly the results of the
+    """The packed kernels over PrimeField give exactly the results of the
     generic descriptor code, run on the same entries over GenericFp."""
 
     @staticmethod

@@ -3,17 +3,19 @@
 import json
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import pytest
 
 from irredcert import meataxe, polys
 from irredcert.errors import AbsIrredUndecided
-from irredcert.matrices import Matrix
+from irredcert.fpoly import pack, unpack
+from irredcert.matrices import Matrix, packed_columns
 from irredcert.meataxe import (INCONCLUSIVE, IRREDUCIBLE, REDUCIBLE,
                                _combination, _decide_q, _echelon_rows,
-                               _reduce_against, _sample_theta, endo_dim,
-                               is_absolutely_irreducible, is_irreducible, spin,
-                               subspace_is_invariant)
+                               _reduce_against, _reduce_fp, _sample_theta,
+                               endo_dim, is_absolutely_irreducible,
+                               is_irreducible, spin, subspace_is_invariant)
 from irredcert.oracle import count_invariant
 from irredcert.prng import XorShift64
 from irredcert.reps import Representation, conjugate, direct_sum
@@ -273,7 +275,7 @@ class TestFunctionField:
 
 
 class TestPrimeFieldSpin:
-    """The one spin over PrimeField (int rows) and over GenericFp (descriptor
+    """The one spin over PrimeField (packed) and over GenericFp (descriptor
     calls) agrees with the full-RREF oracle, as does the invariance check
     on both rings; then the same spin over Q, Q(t) and F_4."""
 
@@ -305,6 +307,25 @@ class TestPrimeFieldSpin:
                 rows = _echelon_rows(Kf, random_rows(rng, p, n, d))
                 assert subspace_is_invariant(Kf, mf, rows) == \
                     subspace_is_invariant(Kg, mg, rows), names
+
+    @pytest.mark.parametrize("p,d", [(3, 40), (3, 64), (101, 64)])
+    def test_packed_slots_hold_the_spin_bound(self, p, d):
+        # every entry p - 1: M w fills each slot to d (p - 1)^2, and the
+        # reduction against d - 1 rows whose entries past the pivot are
+        # p - 1 adds close to (d - 1)(p - 1)^2 to the last slot; at (3, 40)
+        # that passes the one byte that d products alone would need
+        K = PrimeField(p)
+        full = Matrix(K, [[p - 1] * d] * d)
+        assert (full * full).entries == (d * (p - 1) ** 2 % p,) * (d * d)
+        nb, cols = packed_columns(full)
+        rows = [[0] * k + [1] + [p - 1] * (d - 1 - k) for k in range(d - 1)]
+        w = sum(map(mul, [p - 1] * d, cols))
+        got = _reduce_fp(w, [pack(r, nb, p) for r in rows], range(d - 1), p,
+                         nb)
+        want = list(full.apply((p - 1,) * d))
+        for k, r in enumerate(rows):
+            want = [(x - want[k] * y) % p for x, y in zip(want, r)]
+        assert unpack([got], d, nb, p) == want
 
     @pytest.mark.parametrize("field", ["Q", "Q(t)", "F4"])
     def test_spin_matches_oracle_other_fields(self, field):
