@@ -4,8 +4,9 @@ tests/golden/<rep>.cert.json is the stdout of `irredcert certify` on each
 corpus rep in data/, tests/golden/<rep>.reduce.<prime>.json the stdout of
 `irredcert reduce` at one prime, and tests/golden/<rep>.meataxe.json the
 stdout of `irredcert meataxe` on each prime-field rep in data/fp/ (d from
-24 to 48 over F_3, F_101 and F_65521).  A change that alters a certificate must
-bump TOOLKIT_VERSION; after such a deliberate change, regenerate the files:
+24 to 48 over F_3, F_101 and F_65521, made once with perfbench/gen.py).  A
+change that alters a certificate or a transcript must bump TOOLKIT_VERSION;
+after such a deliberate change, regenerate the files:
 
     PYTHONPATH=src python tests/test_golden.py
 """

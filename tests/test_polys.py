@@ -221,8 +221,8 @@ def test_packed_fpoly_matches_schoolbook(p):
             q, r = fpoly.quo_rem(a, b, p)
             assert (tuple(q), tuple(r)) == \
                 polys.divmod_poly(Kg, tuple(a), tuple(b))
-    top = [p - 1] * 131  # every slot of the product at its bound
-    assert fpoly.mul(top, top, p) == list(polys.mul(Kg, tuple(top), tuple(top)))
+    top = (p - 1,) * 131  # every slot of the product at its bound
+    assert fpoly.mul(top, top, p) == list(polys.mul(Kg, top, top))
     for n in (0, 1, 2, 3, 17, 64, 130):
         mod = rand(n) + [1 + rng.randrange(p - 1)]  # not monic in general
         base = fpoly.trim(rand(rng.randrange(2 * n + 2)))
