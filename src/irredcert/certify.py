@@ -64,6 +64,10 @@ AUTO_PATIENCE = 8
 # largest subspace-lattice size the --oracle cross-check will enumerate
 ORACLE_POINTS = 2 ** 12
 
+# most reductions the automatic prime search attempts; recorded in the
+# config of every certificate
+MAX_PRIMES = 50
+
 
 def canonical_json(obj):
     """Key-sorted, whitespace-free dump; the digest and equality baseline."""
@@ -160,7 +164,7 @@ def save_certificate(cert, path):
 # prime candidate selection
 
 
-def _auto_primes_z(int_rep, max_primes):
+def _auto_primes_z(int_rep):
     """Ascending rational primes skipping divisors of the generator
     determinants (those reductions would be BadPrime)."""
     bad = 1
@@ -170,7 +174,7 @@ def _auto_primes_z(int_rep, max_primes):
     for p in _primes_ascending():
         if bad % p:
             out.append(p)
-            if len(out) >= max_primes:
+            if len(out) >= MAX_PRIMES:
                 break
     return out
 
@@ -285,18 +289,6 @@ def _make_cert(rep, config, **kw):
     return cert
 
 
-def _direct_step(field_rep, seed, budget):
-    """The zero-ideal probe: MeatAxe over K itself."""
-    verdict = is_irreducible(field_rep, seed=seed, budget=budget)
-    step = {
-        "prime": "(0)",
-        "residue_field": field_rep.ring.to_json(),
-        "verdict": verdict.status,
-        "meataxe": _transcript_json(field_rep, verdict),
-    }
-    return step, verdict
-
-
 def _format_rows(K, rows):
     return [[K.format(a) for a in row] for row in rows]
 
@@ -317,17 +309,16 @@ def _inconclusive_reason(reducible, probe_status):
     return "undecided: " + "; ".join(parts)
 
 
-def certify(rep, primes=None, seed=0, budget=200, max_primes=50,
-            oracle_check=False):
+def certify(rep, primes=None, seed=0, budget=200, oracle_check=False):
     """Run the criterion on a representation over Q or Q(t).
 
     primes: optional explicit candidate list (ints, PrimeSpec strings, or
     PrimeSpec objects); auto-selected ascending when omitted.  Explicit
     lists are tried in full; the automatic search gives up on the prime
-    route after AUTO_PATIENCE fruitless reductions.  seed and budget feed
-    every MeatAxe call.  oracle_check additionally enumerates invariant
-    subspaces of each finite reduction when small enough and insists the
-    verdict matches.
+    route after AUTO_PATIENCE fruitless reductions or MAX_PRIMES in all.
+    seed and budget feed every MeatAxe call.  oracle_check additionally
+    enumerates invariant subspaces of each finite reduction when small
+    enough and insists the verdict matches.
 
     Returns a Certificate; never raises for ordinary non-decisions (those
     become conclusion Inconclusive with a reason).
@@ -343,7 +334,7 @@ def certify(rep, primes=None, seed=0, budget=200, max_primes=50,
                    [x if isinstance(x, int) else str(x) for x in primes]),
         "seed": seed,
         "budget": budget,
-        "max_primes": max_primes,
+        "max_primes": MAX_PRIMES,
         "oracle": bool(oracle_check),
     }
     field_rep = over_fraction_field(rep)
@@ -351,7 +342,7 @@ def certify(rep, primes=None, seed=0, budget=200, max_primes=50,
     try:
         lat, int_rep = saturate(field_rep)
     except BudgetExceeded as exc:
-        step, verdict = _direct_step(field_rep, seed, budget)
+        step, verdict = _run_step(field_rep, "(0)", seed, budget, False)
         if verdict.status == REDUCIBLE:
             return _make_cert(rep, config, steps=[step],
                               rule=RULE_DIRECT_OVER_K,
@@ -373,13 +364,13 @@ def certify(rep, primes=None, seed=0, budget=200, max_primes=50,
         candidates = _normalize_prime_list(primes, R)
     elif R == ZZ:
         candidates = [PrimeSpec.integer(p)
-                      for p in _auto_primes_z(int_rep, max_primes)]
+                      for p in _auto_primes_z(int_rep)]
     else:
         candidates = []
         for p in _primes_ascending():
             for c in AUTO_SHIFTS:
                 candidates.append(PrimeSpec.maximal(p, c, R))
-            if len(candidates) >= 3 * max_primes:
+            if len(candidates) >= 3 * MAX_PRIMES:
                 break
 
     def finish(**kw):
@@ -390,11 +381,11 @@ def certify(rep, primes=None, seed=0, budget=200, max_primes=50,
     fruitless = 0
     for prime in candidates:
         if not explicit and (fruitless >= AUTO_PATIENCE
-                             or len(steps) >= max_primes):
+                             or len(steps) >= MAX_PRIMES):
             break
         if prime.kind == PrimeSpec.LINEAR:
             fam = _linear_descent(int_rep, lat, prime, steps, seed, budget,
-                                  max_primes, oracle_check)
+                                  oracle_check)
             if fam is not None:
                 return finish(rule=RULE_HEIGHT_ONE_FAMILY,
                               conclusion=IRREDUCIBLE_CERTIFIED,
@@ -421,13 +412,13 @@ def certify(rep, primes=None, seed=0, budget=200, max_primes=50,
         for c in AUTO_SHIFTS:
             prime = PrimeSpec.linear(c, R)
             fam = _linear_descent(int_rep, lat, prime, steps, seed, budget,
-                                  max_primes, oracle_check)
+                                  oracle_check)
             if fam is not None:
                 return finish(rule=RULE_HEIGHT_ONE_FAMILY,
                               conclusion=IRREDUCIBLE_CERTIFIED,
                               family=fam)
 
-    step, verdict = _direct_step(field_rep, seed, budget)
+    step, verdict = _run_step(field_rep, "(0)", seed, budget, False)
     steps.append(step)
     if verdict.status == REDUCIBLE:
         return finish(rule=RULE_DIRECT_OVER_K,
@@ -436,8 +427,7 @@ def certify(rep, primes=None, seed=0, budget=200, max_primes=50,
     return finish(reason=_inconclusive_reason(reducible, verdict.status))
 
 
-def _linear_descent(int_rep, lat, prime, steps, seed, budget,
-                    max_primes, oracle_check):
+def _linear_descent(int_rep, lat, prime, steps, seed, budget, oracle_check):
     """Height-one route: reduce at (t-c) to a representation over Q and
     certify that recursively.  On success appends the step (with the
     sub-certificate embedded) and returns the family list; otherwise
@@ -448,7 +438,7 @@ def _linear_descent(int_rep, lat, prime, steps, seed, budget,
         steps.append(_skip_step(prime, exc))
         return None
     sub = certify(red, primes=None, seed=seed, budget=budget,
-                  max_primes=max_primes, oracle_check=oracle_check)
+                  oracle_check=oracle_check)
     step = {
         "prime": str(prime),
         "residue_field": red.ring.to_json(),
@@ -548,7 +538,6 @@ def replay(cert, rep):
                         primes=cfg.get("primes"),
                         seed=cfg.get("seed", 0),
                         budget=cfg.get("budget", 200),
-                        max_primes=cfg.get("max_primes", 50),
                         oracle_check=cfg.get("oracle", False))
     except (IrredcertError, AssertionError, ValueError, TypeError, KeyError,
             AttributeError):

@@ -8,7 +8,9 @@ representation alone:
 
   lattice    for the recorded basis B and every generator g, X = B^-1 g B is
              integral over R with det X = +-1, so L = B R^d is stable under
-             g and g^-1 (X^-1 is integral too);
+             g and g^-1 (X^-1 is integral too); for a constant basis and
+             generators X comes from matrices.integral_conjugates on
+             integer rows, the conjugation saturation runs;
   prime      the irreducible step's prime is an integer prime of Z or a
              maximal (p, t-c) of Z[t], where every X reduces;
   reduction  theta is rebuilt from the recorded words and coefficients of
@@ -33,8 +35,6 @@ config, events, reducible primes) carry no claim: edited and re-digested,
 they still verify.  certify.replay is the byte-exact check.
 """
 
-from operator import mul
-
 from . import fpoly, meataxe, polys
 from .certify import (INCONCLUSIVE_RUN, IRREDUCIBLE_CERTIFIED,
                       REDUCIBLE_WITH_WITNESS, RULE_DIRECT_OVER_K,
@@ -44,10 +44,9 @@ from .certify import (INCONCLUSIVE_RUN, IRREDUCIBLE_CERTIFIED,
                       family_condition_trivial_intersection, rep_digest)
 from .errors import (IntegralityError, IrredcertError, SingularError,
                      VersionMismatch)
-from .lattices import (PrimeSpec, _constant_q_matrix, _denominator_lcm,
-                       _scaled_rows, reduce_rep)
-from .matrices import (Matrix, _det_bareiss, char_poly, fraction_free_inverse,
-                       kernel_basis, poly_at_matrix)
+from .lattices import PrimeSpec, reduce_rep
+from .matrices import (Matrix, _constant_q_matrix, char_poly, integer_rows,
+                       integral_conjugates, kernel_basis, poly_at_matrix)
 from .reps import Representation, evaluate, over_fraction_field
 from .rings import ZZ, PolynomialRingZ, parse_poly_string, ring_from_json
 
@@ -137,13 +136,22 @@ def _integral_generators(lattice, field_rep, R):
                               for a in row])
     const = [_constant_q_matrix(m) for m in (b,) + field_rep.generators]
     if all(m is not None for m in const):
-        mats = []
-        for i, x in enumerate(_conjugates_z(const[0], const[1:])):
-            det = _det_bareiss(x)
+        xs = []
+        try:
+            for x in integral_conjugates(integer_rows(const[0])[0],
+                                         const[1:]):
+                xs.append(x)
+        except SingularError:
+            raise _Rejected("the lattice basis is singular") from None
+        except IntegralityError:
+            # the conjugates come in order, so len(xs) names the failing one
+            raise _Rejected("generator %d is not integral in the recorded "
+                            "lattice" % (len(xs),)) from None
+        for i, x in enumerate(xs):
+            det = x.det()
             _require(det in (1, -1), "generator %d has determinant %d in "
                      "the recorded lattice, not +-1", i, det)
-            mats.append(Matrix(R, x))
-        return mats
+        return xs if R == ZZ else [x.change_ring(R) for x in xs]
     try:
         binv = b.inverse()
     except SingularError:
@@ -161,35 +169,6 @@ def _integral_generators(lattice, field_rep, R):
                  R.format(det))
         mats.append(x)
     return mats
-
-
-def _conjugates_z(b, gens):
-    """X = B^-1 g B as integer rows, for a basis B and matrices g over Q.
-
-    With B = A / D for an integer matrix A, and A R = c I from
-    fraction_free_inverse, B^-1 = D R / c; so for g = G / e,
-    X = R G A / (c e): two integer products and one exact division."""
-    a = _scaled_rows(b.rows(), _denominator_lcm(b.entries))
-    out = fraction_free_inverse(a)
-    _require(out is not None, "the lattice basis is singular")
-    r, c = out
-    cols_a = list(zip(*a))
-    xs = []
-    for i, g in enumerate(gens):
-        e = _denominator_lcm(g.entries)
-        cols = list(zip(*[[sum(map(mul, row, col)) for col in cols_a]
-                          for row in _scaled_rows(g.rows(), e)]))
-        x = []
-        for row in r:
-            xrow = []
-            for col in cols:
-                q, rem = divmod(sum(map(mul, row, col)), c * e)
-                _require(not rem, "generator %d is not integral in the "
-                         "recorded lattice", i)
-                xrow.append(q)
-            x.append(xrow)
-        xs.append(x)
-    return xs
 
 
 # ---------------------------------------------------------------------------

@@ -206,12 +206,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except IrredcertError as exc:
-        json.dump({"error": type(exc).__name__, "detail": str(exc)},
-                  sys.stderr, indent=2, sort_keys=True)
-        sys.stderr.write("\n")
-        return EXIT_ERROR
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (IrredcertError, OSError, ValueError) as exc:
         json.dump({"error": type(exc).__name__, "detail": str(exc)},
                   sys.stderr, indent=2, sort_keys=True)
         sys.stderr.write("\n")

@@ -22,9 +22,11 @@ saturate() finds a G-stable lattice for a representation over Q or Q(t) and
 rewrites the action integrally over Z or Z[t]; reduce_rep() applies the
 residue map of a PrimeSpec entrywise in a lattice basis.  Its Z-lattice
 chain runs on plain ints: the lattice is held as its canonical pair (H, D),
-each matrix is scaled once to an integer matrix over a common denominator,
-and a round is one integer HNF; rounds and budget are counted as for the
-chain L -> L + sum_g gL itself.
+each matrix is scaled once to an integer matrix over a common denominator
+(matrices.scaled_rows), and a round is one integer HNF; rounds and budget
+are counted as for the chain L -> L + sum_g gL itself.  The generators in
+the stable lattice's basis come from matrices.integral_conjugates, the
+conjugation the checker runs too.
 """
 
 import math
@@ -34,7 +36,9 @@ from operator import mul
 from . import polys
 from .errors import (BadPrime, BudgetExceeded, IntegralityError, NotSublattice,
                      ShapeError, SingularError)
-from .matrices import Matrix, _row_hnf, integer_kernel, rank
+from .matrices import (Matrix, _constant_q_matrix, _row_hnf,
+                       denominator_lcm, integer_kernel, integral_conjugates,
+                       rank, scaled_rows)
 from .rings import (ZZ, QQ, PolynomialRingZ, PrimeField, RationalFunctionField,
                     is_prime)
 from .reps import Representation, over_fraction_field
@@ -196,17 +200,6 @@ class PrimeSpec:
 # lattices
 
 
-def _denominator_lcm(values):
-    """Least positive common denominator of some Fractions."""
-    return math.lcm(*(a.denominator for a in values))
-
-
-def _scaled_rows(rows, den):
-    """den * rows as plain ints, for Fraction rows whose denominators all
-    divide den."""
-    return [[a.numerator * (den // a.denominator) for a in row] for row in rows]
-
-
 def _canonical_pair(columns, den):
     """Canonical pair (H, D) of the lattice span_Z(columns) / den, for integer
     columns and den > 0.  H is the tuple of nonzero columns of the column
@@ -224,8 +217,8 @@ def _canonical_pair(columns, den):
 
 def _canonical_pair_z(m):
     """The canonical pair (H, D) of the column span of a matrix over Q."""
-    den = _denominator_lcm(m.entries)
-    return _canonical_pair(_scaled_rows(m.columns(), den), den)
+    den = denominator_lcm(m.entries)
+    return _canonical_pair(scaled_rows(m.columns(), den), den)
 
 
 def _pair_basis(pair, K):
@@ -340,29 +333,14 @@ class LatticeBasis:
         return "LatticeBasis(%r, %r)" % (self.ring, self.basis)
 
 
-def _constant_q_matrix(m):
-    """If every entry of a Q(t) matrix is constant, the matrix over Q; else None."""
-    K = m.ring
-    if K == QQ:
-        return m
-    if not isinstance(K, RationalFunctionField):
-        return None
-    out = []
-    for a in m.entries:
-        if not K.is_constant(a):
-            return None
-        out.append(K.as_constant(a))
-    return Matrix._raw(QQ, m.nrows, m.ncols, out)
-
-
 def lattice_from_columns(ring, columns):
     """Canonical full-rank lattice spanned by the given K-vectors (Z only)."""
     if ring != ZZ:
         raise ValueError("column spans are canonicalized over Z only")
     d = len(columns[0])
     cols = [[Fraction(a) for a in col] for col in columns]
-    den = _denominator_lcm(a for col in cols for a in col)
-    pair = _canonical_pair(_scaled_rows(cols, den), den)
+    den = denominator_lcm(a for col in cols for a in col)
+    pair = _canonical_pair(scaled_rows(cols, den), den)
     if len(pair[0]) != d:
         raise ShapeError("columns span a rank-%d sublattice, need rank %d"
                          % (len(pair[0]), d))
@@ -385,16 +363,13 @@ def lattice_intersect(a, b):
     if a.ring != ZZ or b.ring != ZZ:
         raise ValueError("lattice_intersect is defined over Z")
     d = a.dim
-    den = _denominator_lcm(a.basis.entries + b.basis.entries)
-    A = a.basis.map_entries(lambda x: int(x * den), ZZ)
-    B = b.basis.map_entries(lambda x: int(x * den), ZZ)
-    stacked = Matrix(ZZ, [list(A.row(i)) + [-x for x in B.row(i)]
-                          for i in range(d)])
-    kernel = integer_kernel(stacked)
-    columns = []
-    for v in kernel:
-        columns.append(tuple(Fraction(x, den) for x in A.apply(v[:d])))
-    return lattice_from_columns(ZZ, columns)
+    den = denominator_lcm(a.basis.entries + b.basis.entries)
+    A = scaled_rows(a.basis.rows(), den)
+    B = scaled_rows(b.basis.rows(), den)
+    kernel = integer_kernel(Matrix(ZZ, [ra + [-x for x in rb]
+                                        for ra, rb in zip(A, B)]))
+    return lattice_from_columns(ZZ, [[Fraction(sum(map(mul, r, v[:d])), den)
+                                      for r in A] for v in kernel])
 
 
 def proper_sublattice_image(sub, ambient, prime):
@@ -438,8 +413,8 @@ def _stable_lattice_z(mats, d, budget):
     or None when budget rounds pass without one.  Each matrix is scaled once
     to E*m over the common denominator E, so for L_k = H / D one round is
     the Z-span of E*H and every (E*m)*H, over D*E."""
-    E = _denominator_lcm(a for m in mats for a in m.entries)
-    scaled = [_scaled_rows(m.rows(), E) for m in mats]
+    E = denominator_lcm(a for m in mats for a in m.entries)
+    scaled = [scaled_rows(m.rows(), E) for m in mats]
     pair = (tuple(tuple(int(i == j) for i in range(d)) for j in range(d)), 1)
     for _ in range(budget):
         h, den = pair
@@ -451,30 +426,6 @@ def _stable_lattice_z(mats, d, budget):
             return pair
         pair = new
     return None
-
-
-def _integral_conjugate(h, g):
-    """X = H^-1 g H over Z, for the columns h of a full-rank lower-triangular
-    HNF H and a matrix g over Q; this is B^-1 g B for every basis B = H / D.
-    X comes from exact forward substitution in H X = g H, and
-    IntegralityError is raised when it is not integral."""
-    e = _denominator_lcm(g.entries)
-    G = _scaled_rows(g.rows(), e)
-    d = len(h)
-    cols = []
-    for col in h:
-        rhs = [sum(map(mul, row, col)) for row in G]  # e * g * col
-        x = []
-        for i in range(d):
-            q, rem = divmod(rhs[i] - e * sum(h[k][i] * x[k] for k in range(i)),
-                            e * h[i][i])
-            if rem:
-                raise IntegralityError("a generator is not integral in the "
-                                       "stable lattice basis")
-            x.append(q)
-        cols.append(x)
-    return Matrix._raw(ZZ, d, d, [cols[j][i] for i in range(d)
-                                  for j in range(d)])
 
 
 def _saturate_q(rep, budget):
@@ -490,7 +441,8 @@ def _saturate_q(rep, budget):
             "lattice chain did not stabilize in %d rounds; the generated "
             "group probably stabilizes no lattice (infinite image or non-unit "
             "determinants)" % (budget,))
-    return pair, [_integral_conjugate(pair[0], g) for g in rep.generators]
+    return pair, list(integral_conjugates(list(zip(*pair[0])),
+                                          rep.generators))
 
 
 def _qt_column_hnf(cols):

@@ -21,10 +21,14 @@ The module-level algorithms:
                     column span)
     rref(m)         reduced row echelon form over a field, with pivot columns
     kernel_basis(m) basis of the right null space over a field
+    integer_rows(m) D m as integer rows, for a matrix m over Q and the
+                    least common denominator D of its entries
     fraction_free_inverse(rows)  d * A^-1 and d = +-det A for an integer
                     matrix A, by fraction-free Gauss-Jordan elimination
-                    (Bareiss, Math. Comp. 22, 1968); Matrix.inverse over Q
-                    runs on it
+                    (_bareiss, Bareiss, Math. Comp. 22, 1968; forward-only
+                    it is Matrix.det over Z); Matrix.inverse over Q runs on it
+    integral_conjugates(a, gens)  B^-1 g B over Z, on integer rows, for
+                    saturation and the checker
     char_poly(m)    monic characteristic polynomial over a field, computed by
                     Hessenberg reduction plus the standard determinant
                     recurrence (no division by integers, so it is safe in
@@ -42,7 +46,7 @@ from operator import mul
 
 from .errors import IntegralityError, ShapeError, SingularError
 from .fpoly import pack, slot_bytes, unpack
-from .rings import QQ, ZZ, PrimeField
+from .rings import QQ, ZZ, PrimeField, RationalFunctionField
 
 
 class Matrix:
@@ -269,7 +273,8 @@ class Matrix:
         if R.is_field:
             return _det_field(self)
         if R == ZZ:
-            return _det_bareiss(self.rows())
+            d, sign = _bareiss(self.rows(), self.nrows, False)
+            return sign * d
         return R.from_fraction_field(_det_field(self.to_fraction_field()))
 
     def inverse(self):
@@ -284,10 +289,8 @@ class Matrix:
         m = self.to_fraction_field()
         K, e = m.ring, m.entries
         if K == QQ:
-            den = lcm(*(a.denominator for a in e))
-            a = [x.numerator * (den // x.denominator) for x in e]
-            out = fraction_free_inverse([a[i * n:(i + 1) * n]
-                                         for i in range(n)])
+            a, den = integer_rows(m)
+            out = fraction_free_inverse(a)
             if out is None:
                 raise SingularError("matrix is singular")
             rows, d = out
@@ -529,58 +532,6 @@ def _det_field(m):
     return det
 
 
-def fraction_free_inverse(rows):
-    """(R, d) with A R = d I for a square integer matrix A given as rows,
-    or None when A is singular.  d is the last pivot of fraction-free
-    Gauss-Jordan elimination on [A | I] (Bareiss, Math. Comp. 22, 1968),
-    the determinant of A up to the sign of the row swaps, so A^-1 = R / d.
-    Every entry met is a minor of [A | I], so each division is exact."""
-    n = len(rows)
-    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return None
-        a[k], a[piv] = a[piv], a[k]
-        prow = a[k]
-        p, tail = prow[k], prow[k + 1:]
-        for i, row in enumerate(a):
-            if i != k:
-                f = row[k]
-                row[k + 1:] = [(p * x - f * y) // prev
-                               for x, y in zip(row[k + 1:], tail)]
-        prev = p
-    return [r[n:] for r in a], prev
-
-
-def _det_bareiss(rows):
-    """Fraction-free determinant of an integer matrix."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = None
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def char_poly(m):
     """Monic characteristic polynomial det(xI - m) over a field, as an
     ascending coefficient tuple.  Hessenberg reduction keeps every division
@@ -592,7 +543,7 @@ def char_poly(m):
     if m.nrows != m.ncols:
         raise ShapeError("char_poly of a non-square matrix")
     if isinstance(K, PrimeField):
-        return _char_poly_fp(_int_rows(m), K.p)
+        return _char_poly_fp(m.rows(), K.p)
     n = m.nrows
     h = m.rows()
     for j in range(n - 2):
@@ -641,11 +592,6 @@ def char_poly(m):
     return polys[n]
 
 
-def _int_rows(m):
-    return [list(m.entries[i * m.ncols:(i + 1) * m.ncols])
-            for i in range(m.nrows)]
-
-
 def _char_poly_fp(h, p):
     """char_poly on int rows over F_p, by the same reduction and recurrence."""
     n = len(h)
@@ -685,6 +631,116 @@ def _char_poly_fp(h, p):
                 cur[:len(pi)] = [(a - coeff * b) % p for a, b in zip(cur, pi)]
         polys.append(cur)
     return tuple(polys[n])
+
+
+# ---------------------------------------------------------------------------
+# matrices over Q on integer rows, and fraction-free elimination over Z
+
+
+def denominator_lcm(values):
+    """Least positive common denominator of some Fractions."""
+    return lcm(*(a.denominator for a in values))
+
+
+def scaled_rows(rows, den):
+    """den * rows as plain ints, for Fraction rows whose denominators all
+    divide den."""
+    return [[a.numerator * (den // a.denominator) for a in row] for row in rows]
+
+
+def integer_rows(m):
+    """(rows of D m as plain ints, D) for a matrix m over Q and the least
+    common denominator D of its entries, scaled in one pass over the flat
+    entries."""
+    e, n = m.entries, m.ncols
+    den = denominator_lcm(e)
+    flat = scaled_rows([e], den)[0]
+    return [flat[i * n:(i + 1) * n] for i in range(m.nrows)], den
+
+
+def int_product(a, b):
+    """The product of two integer matrices given as rows."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, r, col)) for col in cols] for r in a]
+
+
+def _constant_q_matrix(m):
+    """If every entry of a Q(t) matrix is constant, the matrix over Q; else None."""
+    K = m.ring
+    if K == QQ:
+        return m
+    if not isinstance(K, RationalFunctionField):
+        return None
+    out = []
+    for a in m.entries:
+        if not K.is_constant(a):
+            return None
+        out.append(K.as_constant(a))
+    return Matrix._raw(QQ, m.nrows, m.ncols, out)
+
+
+def _bareiss(a, n, jordan):
+    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) in place
+    on the integer rows a, n of them, pivoting in the first n columns.
+    With jordan, every other row is updated at each pivot (Gauss-Jordan);
+    without, only the rows below.  Returns (d, sign): d is the last pivot,
+    0 when the first n columns are singular, and sign d is their
+    determinant.  Every entry met is a minor of a, so each division is
+    exact."""
+    prev, sign = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0, sign
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        prow = a[k]
+        p, tail = prow[k], prow[k + 1:]
+        for i in range(0 if jordan else k + 1, n):
+            if i != k:
+                row = a[i]
+                f = row[k]
+                row[k + 1:] = [(p * x - f * y) // prev
+                               for x, y in zip(row[k + 1:], tail)]
+        prev = p
+    return prev, sign
+
+
+def fraction_free_inverse(rows):
+    """(R, d) with A R = d I for a square integer matrix A given as rows,
+    or None when A is singular.  d = +-det A is the last pivot of _bareiss
+    with Gauss-Jordan on [A | I], so A^-1 = R / d."""
+    n = len(rows)
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    d = _bareiss(a, n, True)[0]
+    return ([r[n:] for r in a], d) if d else None
+
+
+def integral_conjugates(a, gens):
+    """The matrices X = B^-1 g B over Z, one per matrix g over Q in gens
+    and in their order, for the invertible basis B = A / D given by the
+    integer rows a of A (D cancels).  With A R = c I from
+    fraction_free_inverse and g = G / e, X = R G A / (c e): two integer
+    products and one exact division.
+
+    Raises SingularError at once when A is singular.  The conjugates are
+    then yielded one by one, and IntegralityError is raised in place of
+    the first that is not integral."""
+    out = fraction_free_inverse(a)
+    if out is None:
+        raise SingularError("the basis is singular")
+    r, c = out
+    return (_exact_quotient(int_product(r, int_product(rows, a)), c * e)
+            for rows, e in map(integer_rows, gens))
+
+
+def _exact_quotient(x, q):
+    """The square matrix over Z with integer rows x / q; IntegralityError
+    unless exact."""
+    if any(v % q for row in x for v in row):
+        raise IntegralityError("a conjugate is not integral in the basis")
+    return Matrix._raw(ZZ, len(x), len(x), [v // q for row in x for v in row])
 
 
 # ---------------------------------------------------------------------------

@@ -47,10 +47,11 @@ from operator import mul
 
 from . import polys
 from .errors import AbsIrredUndecided, SingularError
-from .lattices import _constant_q_matrix, _denominator_lcm, _scaled_rows
 from .fpoly import pack, slot_bytes, unpack
-from .matrices import Matrix, char_poly, eliminate_fp, kernel_basis, \
-    packed_columns, poly_at_matrix, rank, rref
+from .matrices import (Matrix, _constant_q_matrix, char_poly,
+                       denominator_lcm, eliminate_fp, int_product,
+                       integer_rows, kernel_basis, packed_columns,
+                       poly_at_matrix, rank, rref, scaled_rows)
 from .prng import XorShift64
 from .reps import Representation, evaluate
 from .rings import QQ, ExtensionField, PrimeField, RationalFunctionField
@@ -119,15 +120,6 @@ def _reduce_fp(w, rows, pivots, p, nb):
     return w
 
 
-def _integer_rows(m):
-    """(rows of D m as plain ints, D) for a matrix m over Q and the least
-    common denominator D of its entries."""
-    e, n = m.entries, m.ncols
-    den = _denominator_lcm(e)
-    flat = _scaled_rows([e], den)[0]
-    return [flat[i:i + n] for i in range(0, len(flat), n)], den
-
-
 def _apply_int(rows, v):
     return [sum(map(mul, r, v)) for r in rows]
 
@@ -140,7 +132,7 @@ def _content_free(w):
 
 def _primitive(v):
     """The primitive integer vector on the line of a rational vector."""
-    return _content_free(_scaled_rows([v], _denominator_lcm(v))[0])
+    return _content_free(scaled_rows([v], denominator_lcm(v))[0])
 
 
 def _reduce_against(K, rows, pivots, w):
@@ -189,7 +181,7 @@ def spin(K, mats, v):
     d = len(v)
     rows, pivots = [], []
     if K == QQ:
-        mats = [_integer_rows(m)[0] for m in mats]
+        mats = [integer_rows(m)[0] for m in mats]
         apply, zero = _apply_int, 0
         v = _primitive(v)
 
@@ -291,7 +283,7 @@ def subspace_is_invariant(K, mats, rows):
             for _, cols in packed for r in rows)
     apply = Matrix.apply
     if K == QQ:
-        mats = [_integer_rows(m)[0] for m in mats]
+        mats = [integer_rows(m)[0] for m in mats]
         rows = [_primitive(r) for r in rows]
         apply = _apply_int
     for m in mats:
@@ -366,9 +358,9 @@ def _theta_q(rep, words, coeffs):
         prod, den = None, c.denominator
         for l in w:
             if l not in scaled:
-                scaled[l] = _integer_rows(rep.generators[l])
+                scaled[l] = integer_rows(rep.generators[l])
             rows, e = scaled[l]
-            prod = rows if prod is None else _mul_int(prod, rows)
+            prod = rows if prod is None else int_product(prod, rows)
             den *= e
         terms.append((prod, c.numerator, den))
     common = lcm(*(den for _, _, den in terms))
@@ -379,11 +371,6 @@ def _theta_q(rep, words, coeffs):
         acc = [a + f * x for a, x in zip(acc, flat)]
     return Matrix._raw(QQ, rep.dim, rep.dim,
                        [Fraction(a, common) for a in acc])
-
-
-def _mul_int(a, b):
-    cols = list(zip(*b))
-    return [[sum(map(mul, r, col)) for col in cols] for r in a]
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +409,8 @@ def _combination(K, coeffs, vecs):
     """sum c_i v_i, or over Q a positive multiple of it on integer rows:
     the vector is only spun, and a spin depends only on its line."""
     if K == QQ:
-        cs = _scaled_rows([coeffs], _denominator_lcm(coeffs))[0]
-        rows = _scaled_rows(vecs, _denominator_lcm(a for v in vecs for a in v))
+        cs = scaled_rows([coeffs], denominator_lcm(coeffs))[0]
+        rows = scaled_rows(vecs, denominator_lcm(a for v in vecs for a in v))
         return [sum(map(mul, cs, col)) for col in zip(*rows)]
     v = [K.zero()] * len(vecs[0])
     for a, b in zip(coeffs, vecs):
@@ -431,8 +418,21 @@ def _combination(K, coeffs, vecs):
     return v
 
 
+def _kernel_vectors(K, kind, ker):
+    """The vectors of a kernel basis that Norton's test of this kind spins:
+    the first one, every projective point, or the basis itself."""
+    if kind == "spin":
+        return ker[:1]
+    if kind == "enumeration":
+        return _projective_kernel(K, ker)
+    return ker
+
+
 def _norton_attempt(rep, theta, g, rec, rng):
-    """Run Norton's test for one irreducible factor g of char_poly(theta).
+    """Run Norton's test for one irreducible factor g of char_poly(theta):
+    one spin on each side when the nullity of g(theta) is deg g, a
+    two-sided enumeration of both projective kernels when affordable, and
+    else a probe for reducibility only.
 
     Returns (status, witness_rows) on a decision, None when this factor
     cannot decide (higher multiplicity, enumeration too large or field
@@ -450,60 +450,38 @@ def _norton_attempt(rep, theta, g, rec, rng):
     if nullity == 0:
         events.append("not_a_factor")
         return None
-    tgens = [m.transpose() for m in gens]
 
-    if nullity == degg:
-        rows = spin(K, gens, ker[0])
-        if len(rows) < d:
-            events.append("primal_spin_proper:%d" % (len(rows),))
-            return REDUCIBLE, rows
-        events.append("primal_spin_full")
-        dual_ker = kernel_basis(N.transpose())
-        drows = spin(K, tgens, dual_ker[0])
-        if len(drows) < d:
-            events.append("dual_spin_proper:%d" % (len(drows),))
-            return REDUCIBLE, _perp_witness(K, drows)
-        events.append("dual_spin_full")
-        return IRREDUCIBLE, None
-
-    # higher multiplicity: exhaustive two-sided enumeration when affordable
     q = getattr(K, "order", None)  # finite fields only
-    if q is not None and q ** nullity <= ENUM_BOUND:
-        for v in _projective_kernel(K, ker):
-            rows = spin(K, gens, v)
-            if len(rows) < d:
-                events.append("primal_enumeration_proper:%d" % (len(rows),))
-                return REDUCIBLE, rows
-        events.append("primal_enumeration_full")
-        dual_ker = kernel_basis(N.transpose())
-        for u in _projective_kernel(K, dual_ker):
-            drows = spin(K, tgens, u)
-            if len(drows) < d:
-                events.append("dual_enumeration_proper:%d" % (len(drows),))
-                return REDUCIBLE, _perp_witness(K, drows)
-        events.append("dual_enumeration_full")
-        return IRREDUCIBLE, None
-
-    # infinite field or oversized kernel: probe for reducibility only
-    probes = list(ker)
-    if len(ker) > 1:
-        for _ in range(4):
-            v = _combination(K, [_random_scalar(K, rng) for _ in ker], ker)
-            if any(not K.is_zero(a) for a in v):
-                probes.append(v)
-    for v in probes:
+    if nullity == degg:
+        kind = "spin"
+    elif q is not None and q ** nullity <= ENUM_BOUND:
+        kind = "enumeration"
+    else:
+        kind = "probe"
+    vectors = _kernel_vectors(K, kind, ker)
+    if kind == "probe" and len(ker) > 1:
+        combos = [_combination(K, [_random_scalar(K, rng) for _ in ker], ker)
+                  for _ in range(4)]
+        vectors = ker + [v for v in combos if any(not K.is_zero(a) for a in v)]
+    for v in vectors:
         rows = spin(K, gens, v)
         if len(rows) < d:
-            events.append("primal_probe_proper:%d" % (len(rows),))
+            events.append("primal_%s_proper:%d" % (kind, len(rows)))
             return REDUCIBLE, rows
-    dual_ker = kernel_basis(N.transpose())
-    for u in dual_ker:
+    if kind != "probe":
+        events.append("primal_%s_full" % (kind,))
+
+    tgens = [m.transpose() for m in gens]
+    for u in _kernel_vectors(K, kind, kernel_basis(N.transpose())):
         drows = spin(K, tgens, u)
         if len(drows) < d:
-            events.append("dual_probe_proper:%d" % (len(drows),))
+            events.append("dual_%s_proper:%d" % (kind, len(drows)))
             return REDUCIBLE, _perp_witness(K, drows)
-    events.append("undecided_high_multiplicity")
-    return None
+    if kind == "probe":
+        events.append("undecided_high_multiplicity")
+        return None
+    events.append("dual_%s_full" % (kind,))
+    return IRREDUCIBLE, None
 
 
 def _finish(rep, transcript, status, witness, sample_index, factor_str):

@@ -12,15 +12,17 @@ import pytest
 
 from irredcert.errors import IntegralityError, ShapeError, SingularError
 from irredcert.matrices import (
-    Matrix, _check_integer_matrix, char_poly, hnf, integer_kernel,
-    kernel_basis, kronecker, poly_at_matrix, rank, rref,
+    Matrix, _bareiss, _check_integer_matrix, _det_field, char_poly,
+    fraction_free_inverse, hnf, int_product, integer_kernel, integer_rows,
+    integral_conjugates, kernel_basis, kronecker, poly_at_matrix, rank, rref,
 )
 from irredcert.prng import XorShift64
 from irredcert.rings import ZZ, QQ, PolynomialRingZ, PrimeField, \
     RationalFunctionField
 
 from generic_fp import FIELD_SIZES, GenericFp, matrix_cases, random_rows
-from generic_q import GenericQ, basis_change, rational_cases
+from generic_q import GenericQ, basis_change, conjugated, rational_cases, \
+    std_sn
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -288,6 +290,26 @@ def test_char_poly_trace_det():
         assert cp[0] == -m.det()
 
 
+def test_bareiss_det_matches_the_field_path():
+    """Forward-only and Gauss-Jordan, _bareiss ends on the same last pivot
+    d and sign, and sign d is the determinant over Q: on random integer
+    matrices, singular ones (a zero column, two equal rows) and 0 x 0."""
+    rng = XorShift64(11)
+    cases = [[], [[0]], [[0, 0], [0, 5]], [[1, 2, 3], [4, 5, 6], [1, 2, 3]],
+             [[0, 1, 0], [0, 0, 1], [1, 0, 0]]]
+    cases += [_rand_matrix(QQ, n, rng).rows() for n in (1, 2, 3, 4, 6)
+              for _ in range(8)]
+    for rows in cases:
+        rows = [[int(a) for a in row] for row in rows]
+        n = len(rows)
+        d, sign = _bareiss([list(r) for r in rows], n, False)
+        assert sign * d == _det_field(Matrix._raw(QQ, n, n, [
+            Fraction(a) for row in rows for a in row])), rows
+        assert _bareiss([list(r) + [0] * n for r in rows], n, True) == \
+            (d, sign), rows
+        assert Matrix(ZZ, rows).det() == sign * d
+
+
 def test_kernel_basis():
     assert kernel_basis(Matrix.identity(QQ, 2)) == []
     F3 = PrimeField(3)
@@ -375,8 +397,46 @@ def test_inverse_over_q_matches_the_generic_path():
         inv = Matrix(QQ, rows).inverse()
         assert inv.entries == Matrix(KG, rows).inverse().entries
         assert (inv * Matrix(QQ, rows)).is_identity()
+        a = integer_rows(Matrix(QQ, rows))[0]
+        r, d = fraction_free_inverse(a)
+        n = len(a)
+        assert int_product(a, r) == [[d * int(i == j) for j in range(n)]
+                                     for i in range(n)]
     assert Matrix(ZZ, [[2, 1], [1, 3]]).inverse().entries == \
         Matrix(KG, [[2, 1], [1, 3]]).inverse().entries
+
+
+def test_integral_conjugates_match_the_generic_path():
+    """B^-1 g B on integer rows equals the generic b.inverse() * g * b over
+    Q for bases B = L D U that are not triangular, with 7-digit
+    denominators: the generators of S_n come back from g = B g0 B^-1."""
+    rng = XorShift64(5)
+    KG = GenericQ()
+    for n in (2, 3, 4, 5):
+        g0s = std_sn(n)
+        for big in (False, True):
+            b = basis_change(rng, n - 1, big=big)
+            gens = [Matrix(QQ, [[Fraction(x) for x in row] for row in g.rows()])
+                    for g in conjugated(KG, g0s, b)]
+            a = integer_rows(Matrix(QQ, b))[0]
+            xs = [x.rows() for x in integral_conjugates(a, gens)]
+            assert xs == g0s
+            bg = Matrix(KG, b)
+            for x, g in zip(xs, gens):
+                assert (bg.inverse() * Matrix(KG, g.rows()) * bg).rows() == x
+
+
+def test_integral_conjugates_reject_non_integral_and_singular():
+    """The conjugates before the first non-integral one are yielded; a
+    singular basis is refused before any."""
+    swap = Matrix(QQ, [[0, 1], [1, 0]])
+    out = integral_conjugates([[2, 0], [0, 1]],
+                              [Matrix.identity(QQ, 2), swap, swap])
+    assert next(out) == Matrix.identity(ZZ, 2)
+    with pytest.raises(IntegralityError):
+        next(out)  # [[0, 1/2], [2, 0]]
+    with pytest.raises(SingularError):
+        integral_conjugates([[1, 2], [2, 4]], [swap])
 
 
 def test_inverse_over_qt():
