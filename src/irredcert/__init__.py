@@ -15,8 +15,7 @@ from .certify import (Certificate, TOOLKIT_VERSION, certify,
 from .cohomology import (close_group, cohomology_dims, module_action,
                          obstruction_report)
 from .errors import IrredcertError
-from .lattices import (LatticeBasis, PrimeSpec, ideal_mult, lattice_intersect,
-                       proper_sublattice_image, reduce_rep, saturate)
+from .lattices import LatticeBasis, PrimeSpec, reduce_rep, saturate
 from .matrices import Matrix
 from .meataxe import endo_dim, is_absolutely_irreducible, is_irreducible
 from .oracle import count_invariant, invariant_subspaces
@@ -33,10 +32,9 @@ __all__ = [
     "Matrix", "PolynomialRingZ", "PrimeField", "PrimeSpec", "QQ",
     "RationalFunctionField", "Representation", "TOOLKIT_VERSION", "ZZ",
     "adjoint_rep", "certify", "close_group", "cohomology_dims", "conjugate",
-    "count_invariant", "direct_sum", "endo_dim", "evaluate", "ideal_mult",
+    "count_invariant", "direct_sum", "endo_dim", "evaluate",
     "invariant_subspaces", "is_absolutely_irreducible", "is_irreducible",
-    "lattice_intersect", "load_certificate", "load_rep", "module_action",
-    "obstruction_report", "proper_sublattice_image", "reduce_rep",
-    "rep_from_json", "rep_to_json", "ring_from_json", "saturate",
-    "save_certificate", "save_rep", "trivial_rep", "verify",
+    "load_certificate", "load_rep", "module_action", "obstruction_report",
+    "reduce_rep", "rep_from_json", "rep_to_json", "ring_from_json",
+    "saturate", "save_certificate", "save_rep", "trivial_rep", "verify",
 ]

@@ -68,6 +68,9 @@ ORACLE_POINTS = 2 ** 12
 # config of every certificate
 MAX_PRIMES = 50
 
+# the automatic prime search draws its primes from those below this bound
+PRIME_BOUND = 1000
+
 
 def canonical_json(obj):
     """Key-sorted, whitespace-free dump; the digest and equality baseline."""
@@ -82,8 +85,8 @@ def rep_digest(rep):
     return digest(rep_to_json(rep))
 
 
-def _primes_ascending(bound=1000):
-    return (n for n in range(2, bound) if is_prime(n))
+def _primes_ascending():
+    return (n for n in range(2, PRIME_BOUND) if is_prime(n))
 
 
 class Certificate:

@@ -34,6 +34,7 @@ from .meataxe import INCONCLUSIVE, IRREDUCIBLE, endo_dim, hom_dim, \
 from .reps import adjoint_rep, evaluate
 from .rings import ExtensionField, PrimeField
 
+# close_group tabulates groups of at most this order
 GROUP_BOUND = 64
 
 
@@ -60,10 +61,10 @@ class FiniteGroupTable:
             % (self.order, len(self.gen_indices))
 
 
-def close_group(rep, bound=GROUP_BOUND):
+def close_group(rep):
     """BFS closure of the matrix group generated by rep's generators.
 
-    Raises GroupTooLarge past the element bound (default 64)."""
+    Raises GroupTooLarge past GROUP_BOUND elements."""
     K = rep.ring
     if not isinstance(K, (PrimeField, ExtensionField)):
         raise ValueError("group closure needs a finite field (infinite "
@@ -80,9 +81,9 @@ def close_group(rep, bound=GROUP_BOUND):
             for gi, g in enumerate(rep.generators):
                 f = e * g
                 if f not in index:
-                    if len(elements) >= bound:
-                        raise GroupTooLarge(
-                            "group closure exceeded %d elements" % (bound,))
+                    if len(elements) >= GROUP_BOUND:
+                        raise GroupTooLarge("group closure exceeded %d "
+                                            "elements" % (GROUP_BOUND,))
                     index[f] = len(elements)
                     elements.append(f)
                     words.append(words[ei] + (gi,))
@@ -230,10 +231,10 @@ class ObstructionReport:
                                       self.unobstructed))
 
 
-def obstruction_report(rep, seed=0, budget=200, bound=GROUP_BOUND):
+def obstruction_report(rep, seed=0, budget=200):
     """Close the group, compute (d0, d1, d2) for the adjoint module, the
     commutant dimension, and the flags of the report."""
-    table = close_group(rep, bound=bound)
+    table = close_group(rep)
     ad = adjoint_rep(rep)
     dims = cohomology_dims(table, ad)
     schur = endo_dim(rep)

@@ -34,20 +34,13 @@ from fractions import Fraction
 from operator import mul
 
 from . import polys
-from .errors import (BadPrime, BudgetExceeded, IntegralityError, NotSublattice,
-                     ShapeError, SingularError)
+from .errors import (BadPrime, BudgetExceeded, IntegralityError, ShapeError,
+                     SingularError)
 from .matrices import (Matrix, _constant_q_matrix, _row_hnf,
-                       denominator_lcm, integer_kernel, integral_conjugates,
-                       rank, scaled_rows)
+                       denominator_lcm, integral_conjugates, scaled_rows)
 from .rings import (ZZ, QQ, PolynomialRingZ, PrimeField, RationalFunctionField,
                     is_prime)
 from .reps import Representation, over_fraction_field
-
-# image classification returned by proper_sublattice_image
-IMAGE_ZERO = "zero"
-IMAGE_PROPER = "proper_nonzero"
-IMAGE_FULL = "full"
-
 
 class PrimeSpec:
     """A prime ideal of Z or Z[t] from the supported menu, with its residue
@@ -186,9 +179,6 @@ class PrimeSpec:
                 and self.kind == other.kind and self.p == other.p
                 and self.c == other.c)
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return hash((self.ring, self.kind, self.p, self.c))
 
@@ -206,7 +196,7 @@ def _canonical_pair(columns, den):
     HNF (lower triangular when the span has full rank) and D > 0 with
     gcd(content(H), D) = 1.  The pair is unique for the lattice, so two
     lattices are equal iff their pairs are."""
-    rows, _, r = _row_hnf(columns, len(columns[0]), transform=False)
+    rows, r = _row_hnf(columns, len(columns[0]))
     g = den
     for col in rows[:r]:
         if g == 1:
@@ -235,7 +225,7 @@ class LatticeBasis:
 
     __slots__ = ("ring", "basis", "canonical")
 
-    def __init__(self, ring, basis, canonicalize=True):
+    def __init__(self, ring, basis):
         if ring != ZZ and not isinstance(ring, PolynomialRingZ):
             raise ValueError("lattice base ring must be Z or Z[t]")
         K = ring.fraction_field()
@@ -249,12 +239,10 @@ class LatticeBasis:
             raise ShapeError("lattice basis must be square")
         if K.is_zero(basis.det()):
             raise ShapeError("lattice basis must be invertible over %r" % (K,))
-        canonical = False
-        if canonicalize:
-            const = _constant_q_matrix(basis)
-            if const is not None:
-                basis = _pair_basis(_canonical_pair_z(const), K)
-                canonical = True
+        const = _constant_q_matrix(basis)
+        canonical = const is not None
+        if canonical:
+            basis = _pair_basis(_canonical_pair_z(const), K)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "canonical", canonical)
@@ -321,9 +309,6 @@ class LatticeBasis:
             return self.basis == other.basis
         return self.contains_lattice(other) and other.contains_lattice(self)
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         if not self.canonical:
             raise TypeError("only canonical lattice bases hash")
@@ -345,60 +330,6 @@ def lattice_from_columns(ring, columns):
         raise ShapeError("columns span a rank-%d sublattice, need rank %d"
                          % (len(pair[0]), d))
     return LatticeBasis._from_pair(ZZ, pair)
-
-
-def ideal_mult(lat, ideals):
-    """The lattice (n_1) cap ... cap (n_k) * L = lcm(n_i) * L over Z."""
-    if lat.ring != ZZ:
-        raise ValueError("ideal_mult is defined over Z")
-    ns = list(ideals)
-    if not ns or any(n == 0 for n in ns):
-        raise ValueError("ideals must be nonzero integers")
-    return LatticeBasis(ZZ, lat.basis.scale(Fraction(math.lcm(*ns))))
-
-
-def lattice_intersect(a, b):
-    """Exact intersection of two full-rank lattices over Z, via the integer
-    kernel of [A | -B] read off the HNF transform."""
-    if a.ring != ZZ or b.ring != ZZ:
-        raise ValueError("lattice_intersect is defined over Z")
-    d = a.dim
-    den = denominator_lcm(a.basis.entries + b.basis.entries)
-    A = scaled_rows(a.basis.rows(), den)
-    B = scaled_rows(b.basis.rows(), den)
-    kernel = integer_kernel(Matrix(ZZ, [ra + [-x for x in rb]
-                                        for ra, rb in zip(A, B)]))
-    return lattice_from_columns(ZZ, [[Fraction(sum(map(mul, r, v[:d])), den)
-                                      for r in A] for v in kernel])
-
-
-def proper_sublattice_image(sub, ambient, prime):
-    """Classify the image of a full-rank sublattice M inside L/pL.
-
-    Returns IMAGE_ZERO (M inside pL), IMAGE_FULL (M + pL = L), or
-    IMAGE_PROPER.  Raises NotSublattice when M is not contained in L."""
-    if isinstance(prime, PrimeSpec):
-        if prime.kind != PrimeSpec.INTEGER:
-            raise BadPrime("sublattice images are classified at integer primes")
-        p = prime.p
-    else:
-        p = int(prime)
-        if not is_prime(p):
-            raise BadPrime("%r is not prime" % (p,))
-    c = ambient.coordinates(sub.basis)
-    try:
-        c = c.from_fraction_field(ZZ)
-    except IntegralityError:
-        raise NotSublattice("claimed sublattice is not contained in the "
-                            "ambient lattice") from None
-    F = PrimeField(p)
-    cbar = c.map_entries(lambda a: a % p, F)
-    r = rank(cbar)
-    if r == 0:
-        return IMAGE_ZERO
-    if r == sub.dim:
-        return IMAGE_FULL
-    return IMAGE_PROPER
 
 
 # ---------------------------------------------------------------------------

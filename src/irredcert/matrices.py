@@ -16,9 +16,6 @@ code, which stays the reference the tests compare the packed path against.
 
 The module-level algorithms:
 
-    hnf(m)          column-style Hermite normal form over Z with a unimodular
-                    transform, m * transform = h (unique canonical form of the
-                    column span)
     rref(m)         reduced row echelon form over a field, with pivot columns
     kernel_basis(m) basis of the right null space over a field
     integer_rows(m) D m as integer rows, for a matrix m over Q and the
@@ -33,8 +30,8 @@ The module-level algorithms:
                     Hessenberg reduction plus the standard determinant
                     recurrence (no division by integers, so it is safe in
                     small characteristic, unlike Faddeev-LeVerrier)
-    integer_kernel(m)  basis of the integer null space (a saturated Z-module),
-                    read off the HNF transform
+    _row_hnf(rows, ncols)  row-style Hermite normal form over Z of integer
+                    rows, behind the canonical lattice bases of saturation
 
 The HNF recipe is the classical gcd-driven elimination (see Cohen,
 "A Course in Computational Algebraic Number Theory", ch. 2).
@@ -237,9 +234,6 @@ class Matrix:
         return (isinstance(other, Matrix) and self.ring == other.ring
                 and self.nrows == other.nrows and self.ncols == other.ncols
                 and self.entries == other.entries)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         return hash((self.nrows, self.ncols, self.entries))
@@ -747,20 +741,14 @@ def _exact_quotient(x, q):
 # integer normal forms
 
 
-def _check_integer_matrix(m):
-    if m.ring != ZZ:
-        raise IntegralityError("expected a matrix over Z, got %r" % (m.ring,))
-
-
-def _row_hnf(rows, ncols, transform=True):
-    """Row-style HNF of an integer matrix given as lists; returns (H, U, rank)
-    with U unimodular, U * A = H, pivots positive, entries above each pivot
-    reduced into [0, pivot).  With transform=False, U is not computed and
-    None is returned in its place."""
+def _row_hnf(rows, ncols):
+    """Row-style HNF of the first ncols columns of an integer matrix given
+    as lists; returns (H, rank) with pivots positive and entries above each
+    pivot reduced into [0, pivot).  The row operations act on whole rows,
+    so columns past ncols ride along: with an identity block there, they
+    record the unimodular U with U * A = H."""
     m = len(rows)
     a = [list(r) for r in rows]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)] \
-        if transform else None
     r = 0
     for c in range(ncols):
         while True:
@@ -778,52 +766,15 @@ def _row_hnf(rows, ncols, transform=True):
                 q = a[i][c] // a[i0][c]
                 if q:
                     a[i] = [x - q * y for x, y in zip(a[i], a[i0])]
-                    if transform:
-                        u[i] = [x - q * y for x, y in zip(u[i], u[i0])]
         if piv is None:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
-            if transform:
-                u[r], u[piv] = u[piv], u[r]
         if a[r][c] < 0:
             a[r] = [-x for x in a[r]]
-            if transform:
-                u[r] = [-x for x in u[r]]
         for i in range(r):
             q = a[i][c] // a[r][c]
             if q:
                 a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                if transform:
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
         r += 1
-    return a, u, r
-
-
-def hnf(m):
-    """Column-style Hermite normal form over Z.
-
-    Returns (h, transform) with transform unimodular and m * transform = h;
-    h is the unique canonical basis matrix of the column span (nonzero columns
-    first, positive pivots descending the rows, entries to the left of each
-    pivot reduced mod the pivot).  Zero columns are pushed to the right."""
-    _check_integer_matrix(m)
-    at = [list(m.column(j)) for j in range(m.ncols)]
-    h_rows, u, _ = _row_hnf(at, m.nrows)
-    h = Matrix(ZZ, [[h_rows[j][i] for j in range(m.ncols)]
-                    for i in range(m.nrows)])
-    transform = Matrix(ZZ, [[u[j][i] for j in range(m.ncols)]
-                            for i in range(m.ncols)])
-    return h, transform
-
-
-def integer_kernel(m):
-    """Basis of {v in Z^ncols : m v = 0}, a saturated submodule, as the HNF
-    transform columns that map onto zero columns of the HNF."""
-    _check_integer_matrix(m)
-    h, transform = hnf(m)
-    basis = []
-    for j in range(m.ncols):
-        if all(h.entry(i, j) == 0 for i in range(m.nrows)):
-            basis.append(transform.column(j))
-    return basis
+    return a, r

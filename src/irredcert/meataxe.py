@@ -23,18 +23,22 @@ Inconclusive.  Over Q and Q(t) enumeration is impossible and undecided
 samples simply consume budget; certification is expected to reduce modulo a
 prime first and use this path only as a fallback.
 
-Over F_p the spin and the invariance check run on Kronecker-packed
-vectors (fpoly.pack): a vector is one int with one slot per coordinate,
-M w is a sum of the packed columns of M scaled by the coordinates of w,
-and a reduction step adds a multiple of a packed row, with its factor read
-from one slot; the slots are reduced mod p once, on unpacking.  Over Q the
-spin, the invariance check and theta run on integer rows: a span does not
+The spin and the invariance check share one span-growing loop, _grow: the
+spin grows the span of one vector until it is closed or the whole space,
+and the check seeds the loop with the rows of a subspace and stops at the
+first image that leaves their span.  Over F_p the loop runs on
+Kronecker-packed vectors (fpoly.pack): a vector is one int with one slot
+per coordinate, M w is a sum of the packed columns of M scaled by the
+coordinates of w, and a reduction step adds a multiple of a packed row,
+with its factor read from one slot; the slots are reduced mod p once, on
+unpacking.  Over Q the loop and theta run on integer rows: a span does not
 change when its vectors or the matrices are scaled, so each generator is
 scaled once to an integer matrix, vectors are primitive integer vectors,
 and reduction is fraction-free.  The canonical reduced echelon form is
 taken once, for a proper spin only.  The ring alone selects these paths;
 Q(t), F_q and any other descriptor take the generic code, the reference in
-the tests.
+the tests.  One sampling loop, _decide, serves finite fields and Q; only
+where the factors of the characteristic polynomial come from differs.
 
 Each run is deterministic given (rep, seed, budget) and yields a transcript
 suitable for embedding in a certificate.  Reducible verdicts always carry a
@@ -161,137 +165,112 @@ def _reduce_against(K, rows, pivots, w):
     return w
 
 
-def spin(K, mats, v):
-    """Smallest subspace containing v closed under the matrices, as reduced
-    echelon rows.  Stops early once the whole space is reached.
+def _grow(K, mats, vecs, cap):
+    """Grow the span of the vectors under the matrices until it is closed
+    or holds cap rows: the one loop behind spin and subspace_is_invariant.
 
-    The basis is kept in semi-echelon form, as in the C MeatAxe: each new
-    vector is reduced against the earlier rows only, so no row is revisited
-    when one joins.  The canonical reduced form is taken once at the end,
-    and a full spin needs none.
+    Returns (rows, echelon): semi-echelon rows of the span in the field's
+    own form, and a function giving its canonical reduced echelon rows.
+    As in the C MeatAxe, each new vector is reduced against the earlier
+    rows only, so no row is revisited when one joins, and the loop stops
+    at the vector that makes cap rows.
 
-    A span does not change when its vectors or the matrices are scaled
-    (Holt-Rees), so over Q the spin runs on integer rows: each matrix is
-    scaled once to D m over the least common denominator D of its entries,
-    v becomes a primitive integer vector, the reduction is fraction-free,
-    and each new row is divided by its content.  Over F_p it runs on
-    packed vectors (_spin_fp)."""
-    if isinstance(K, PrimeField):
-        return _spin_fp(K.p, mats, v)
-    d = len(v)
+    Over F_p the vectors are packed: M w is the sum of the packed columns
+    of M (packed_columns) scaled by the entries of w, each vector is
+    reduced against the packed rows (_reduce_fp) and unpacked once, and
+    the queue holds the reduced vectors, which span the same space as the
+    images.  Slots hold d products from M w and at most d - 1 from the
+    reduction, within packed_columns' bound.  A span does not change when
+    its vectors or the matrices are scaled (Holt-Rees), so over Q the loop
+    runs on integer rows: each matrix is scaled once to D m over the least
+    common denominator D of its entries, the vectors become primitive
+    integer vectors, the reduction is fraction-free, and each new row is
+    divided by its content.  Over any other field the rows have leading
+    entry 1."""
     rows, pivots = [], []
-    if K == QQ:
-        mats = [integer_rows(m)[0] for m in mats]
-        apply, zero = _apply_int, 0
-        v = _primitive(v)
+    if isinstance(K, PrimeField):
+        p, d = K.p, len(vecs[0]) if vecs else 0
+        packed = [packed_columns(m) for m in mats]
+        nb = packed[0][0] if packed else slot_bytes(p, 2 * d)
+        mats = [c for _, c in packed]
+        vecs = [pack([a % p for a in v], nb, p) for v in vecs]
 
-        def normalize(w, a):
-            return _content_free(w)
+        def apply(cols, w):
+            return sum(map(mul, w, cols))
+
+        def add(w):
+            u = unpack([_reduce_fp(w, rows, pivots, p, nb)], d, nb, p)
+            idx = next((i for i, a in enumerate(u) if a), None)
+            if idx is None:
+                return None
+            if u[idx] != 1:
+                inv = pow(u[idx], -1, p)
+                u = [a * inv % p for a in u]
+            rows.append(pack(u, nb, p))
+            pivots.append(idx)
+            return u
+
+        def echelon():
+            return _packed_echelon(p, d, nb, rows)
     else:
-        apply, zero, one = Matrix.apply, K.zero(), K.one()
+        if K == QQ:
+            mats = [integer_rows(m)[0] for m in mats]
+            apply, zero = _apply_int, 0
+            vecs = [_primitive(v) for v in vecs]
 
-        def normalize(w, a):
-            if a == one:
-                return w
-            inv = K.inv(a)
-            return [K.mul(inv, x) for x in w]
+            def normalize(w, a):
+                return _content_free(w)
+        else:
+            apply, zero, one = Matrix.apply, K.zero(), K.one()
 
-    def add(w):
-        w = _reduce_against(K, rows, pivots, w)
-        for idx, a in enumerate(w):
-            if a != zero:
-                rows.append(normalize(w, a))
-                pivots.append(idx)
-                return True
-        return False
+            def normalize(w, a):
+                if a == one:
+                    return w
+                inv = K.inv(a)
+                return [K.mul(inv, x) for x in w]
 
-    queue = [v]
-    add(v)
-    while queue and len(rows) < d:
+        def add(w):
+            r = _reduce_against(K, rows, pivots, w)
+            for idx, a in enumerate(r):
+                if a != zero:
+                    rows.append(normalize(r, a))
+                    pivots.append(idx)
+                    return w
+            return None
+
+        def echelon():
+            return _echelon_rows(K, rows)
+
+    queue = [u for u in map(add, vecs) if u is not None]
+    while queue and len(rows) < cap:
         b = queue.pop()
         for m in mats:
-            w = apply(m, b)
-            if add(w):
-                queue.append(w)
-    if len(rows) == d:
-        zero, one = K.zero(), K.one()
-        return tuple(tuple(one if i == j else zero for j in range(d))
-                     for i in range(d))
-    return _echelon_rows(K, rows)
-
-
-def _spin_fp(p, mats, v):
-    """spin over F_p on packed vectors.  M w is the sum of the packed
-    columns of M (packed_columns) scaled by the entries of w, and each
-    image is reduced against the packed rows (_reduce_fp) and unpacked
-    once.  A new row is scaled to leading entry 1, packed, and queued
-    unpacked: the queue holds reduced vectors in place of the images,
-    which spans the same space.  Slots hold d products from M w and at
-    most d - 1 from the reduction, within packed_columns' bound."""
-    d = len(v)
-    packed = [packed_columns(m) for m in mats]
-    nb = packed[0][0] if packed else slot_bytes(p, 2 * d)
-    cols = [c for _, c in packed]
-    rows, pivots = [], []
-
-    def add(w):
-        u = unpack([_reduce_fp(w, rows, pivots, p, nb)], d, nb, p)
-        idx = next((i for i, a in enumerate(u) if a), None)
-        if idx is None:
-            return None
-        if u[idx] != 1:
-            inv = pow(u[idx], -1, p)
-            u = [a * inv % p for a in u]
-        rows.append(pack(u, nb, p))
-        pivots.append(idx)
-        return u
-
-    u = add(pack([a % p for a in v], nb, p))
-    queue = [] if u is None else [u]
-    while queue and len(rows) < d:
-        b = queue.pop()
-        for c in cols:
-            u = add(sum(map(mul, b, c)))
+            u = add(apply(m, b))
             if u is not None:
                 queue.append(u)
-    if len(rows) == d:
-        return tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-    return _packed_echelon(p, d, nb, rows)
+                if len(rows) == cap:
+                    break
+    return rows, echelon
+
+
+def spin(K, mats, v):
+    """Smallest subspace containing v closed under the matrices, as reduced
+    echelon rows: the identity rows once the span is the whole space, and
+    else the canonical form of the rows _grow keeps, taken once."""
+    d = len(v)
+    rows, echelon = _grow(K, mats, [v], d)
+    if len(rows) < d:
+        return echelon()
+    zero, one = K.zero(), K.one()
+    return tuple(tuple(one if i == j else zero for j in range(d))
+                 for i in range(d))
 
 
 def subspace_is_invariant(K, mats, rows):
-    """Exact check that the row span is carried into itself by every matrix.
-    The rows are in semi-echelon form; over Q the check runs on the same
-    integer rows as spin, over F_p on the same packed vectors."""
-    pivots = []
-    for r in rows:
-        for idx, a in enumerate(r):
-            if not K.is_zero(a):
-                pivots.append(idx)
-                break
-    if isinstance(K, PrimeField):
-        p = K.p
-        packed = [packed_columns(m) for m in mats]
-        if not packed or not rows:
-            return True
-        nb = packed[0][0]
-        rows = [[a % p for a in r] for r in rows]
-        prows = [pack(r, nb, p) for r in rows]
-        return not any(
-            any(unpack([_reduce_fp(sum(map(mul, r, cols)), prows, pivots, p,
-                                   nb)], len(r), nb, p))
-            for _, cols in packed for r in rows)
-    apply = Matrix.apply
-    if K == QQ:
-        mats = [integer_rows(m)[0] for m in mats]
-        rows = [_primitive(r) for r in rows]
-        apply = _apply_int
-    for m in mats:
-        for r in rows:
-            w = _reduce_against(K, rows, pivots, apply(m, r))
-            if any(not K.is_zero(a) for a in w):
-                return False
-    return True
+    """Exact check that the span of the linearly independent rows is
+    carried into itself by every matrix: _grow seeded with the rows stops
+    at the first image that leaves the span."""
+    return len(_grow(K, mats, rows, len(rows) + 1)[0]) == len(rows)
 
 
 def _perp_witness(K, dual_rows):
@@ -509,27 +488,6 @@ def _base_transcript(rep, seed, budget):
     }
 
 
-def _decide_finite(rep, seed, budget):
-    K = rep.ring
-    rng = XorShift64(seed)
-    transcript = _base_transcript(rep, seed, budget)
-    for i in range(budget):
-        theta, srec = _sample_theta(rep, rng, i)
-        f = char_poly(theta)
-        srec["charpoly"] = polys.format_poly_generic(K, f, "x")
-        srec["factors"] = []
-        transcript["samples"].append(srec)
-        for g in polys.distinct_irreducible_factors(K, f, rng):
-            rec = {"poly": polys.format_poly_generic(K, g, "x")}
-            srec["factors"].append(rec)
-            out = _norton_attempt(rep, theta, g, rec, rng)
-            if out is not None:
-                return _finish(rep, transcript, out[0], out[1], i, rec["poly"])
-    transcript["decision"] = {"status": INCONCLUSIVE,
-                              "reason": "budget exhausted"}
-    return MeataxeVerdict(INCONCLUSIVE, None, transcript)
-
-
 def _certified_factors_q(f, roots):
     """Certainly-irreducible factors of a monic f over Q that we can find
     cheaply: linear factors from its rational roots (given, as computed
@@ -552,7 +510,13 @@ def _certified_factors_q(f, roots):
     return out
 
 
-def _decide_q(rep, seed, budget):
+def _decide(rep, seed, budget):
+    """The sampling loop over a finite field or Q: draw theta, factor its
+    characteristic polynomial and run Norton's test on each factor until
+    one decides or the budget runs out.  Over a finite field the factors
+    are all the distinct irreducible ones; over Q they are those
+    _certified_factors_q finds, after the check that the characteristic
+    polynomial itself is irreducible."""
     K = rep.ring
     rng = XorShift64(seed)
     transcript = _base_transcript(rep, seed, budget)
@@ -562,15 +526,19 @@ def _decide_q(rep, seed, budget):
         srec["charpoly"] = polys.format_poly_generic(K, f, "x")
         srec["factors"] = []
         transcript["samples"].append(srec)
-        # an irreducible characteristic polynomial leaves theta no invariant
-        # subspace at all, let alone a G-invariant one
-        roots = polys.rational_roots(f)
-        if polys.certify_irreducible_q(f, roots) is True:
-            srec["factors"].append({"poly": srec["charpoly"],
-                                    "events": ["charpoly_irreducible"]})
-            return _finish(rep, transcript, IRREDUCIBLE, None, i,
-                           srec["charpoly"])
-        for g in _certified_factors_q(f, roots):
+        if K.characteristic > 0:
+            factors = polys.distinct_irreducible_factors(K, f, rng)
+        else:
+            # an irreducible characteristic polynomial leaves theta no
+            # invariant subspace at all, let alone a G-invariant one
+            roots = polys.rational_roots(f)
+            if polys.certify_irreducible_q(f, roots) is True:
+                srec["factors"].append({"poly": srec["charpoly"],
+                                        "events": ["charpoly_irreducible"]})
+                return _finish(rep, transcript, IRREDUCIBLE, None, i,
+                               srec["charpoly"])
+            factors = _certified_factors_q(f, roots)
+        for g in factors:
             rec = {"poly": polys.format_poly_generic(K, g, "x")}
             srec["factors"].append(rec)
             out = _norton_attempt(rep, theta, g, rec, rng)
@@ -598,8 +566,8 @@ def _decide_qt(rep, seed, budget):
     K = rep.ring
     const = [_constant_q_matrix(g) for g in rep.generators]
     if all(m is not None for m in const):
-        inner = _decide_q(Representation(QQ, const, rep.relations,
-                                         label=rep.label), seed, budget)
+        inner = _decide(Representation(QQ, const, rep.relations,
+                                       label=rep.label), seed, budget)
         witness = None
         if inner.witness is not None:
             witness = tuple(tuple(K.coerce(a) for a in row)
@@ -619,7 +587,7 @@ def _decide_qt(rep, seed, budget):
         if spec is None:
             transcript["specializations"].append({"t": c, "status": "bad"})
             continue
-        inner = _decide_q(spec, seed, max(budget // 4, 8))
+        inner = _decide(spec, seed, max(budget // 4, 8))
         transcript["specializations"].append({"t": c, "status": inner.status})
         if inner.status == IRREDUCIBLE:
             transcript["decision"] = {
@@ -692,10 +660,8 @@ def is_irreducible(rep, seed=0, budget=200):
             {"seed": seed, "budget": budget, "field": K.to_json(), "dim": 1,
              "samples": [],
              "decision": {"status": IRREDUCIBLE, "reason": "dimension 1"}})
-    if isinstance(K, (PrimeField, ExtensionField)):
-        return _decide_finite(rep, seed, budget)
-    if K == QQ:
-        return _decide_q(rep, seed, budget)
+    if isinstance(K, (PrimeField, ExtensionField)) or K == QQ:
+        return _decide(rep, seed, budget)
     if isinstance(K, RationalFunctionField):
         return _decide_qt(rep, seed, budget)
     raise ValueError("no irreducibility test for %r" % (K,))

@@ -12,7 +12,9 @@ descriptor.  On top of it sit:
   * distinct_irreducible_factors: the distinct monic irreducible factors of a
     polynomial over a finite field, by squarefree split, distinct-degree
     factorization, and Cantor-Zassenhaus equal-degree splitting (with the
-    trace-map variant in characteristic 2);
+    trace-map variant in characteristic 2).  The distinct-degree loop stops
+    once 2d passes the degree left, which is then irreducible, so an
+    irreducible polynomial of degree n costs n // 2 powers of x;
   * rational helpers: rational roots, found by Hensel lifting of roots
     modulo a small prime, and a certificate of irreducibility over Q by
     reduction modulo a small prime (irreducible mod ell implies irreducible
@@ -220,13 +222,15 @@ def squarefree_parts(K, f):
 
 
 def distinct_degree_split(K, f):
-    """For squarefree monic f, return [(d, product of degree-d factors)]."""
+    """For squarefree monic f, return [(d, product of degree-d factors)].
+    Once 2 (d + 1) > deg g the g left over is irreducible, since every
+    factor of degree at most d is split off: the loop stops there."""
     q = K.order
     out = []
     h = x_poly(K)
     g = f
     d = 0
-    while degree(g) >= 1 and d < degree(g):
+    while 2 * (d + 1) <= degree(g):
         d += 1
         h = pow_mod(K, h, q, g)
         factor = gcd_monic(K, sub(K, h, x_poly(K)), g)

@@ -82,9 +82,6 @@ class Representation:
         return (isinstance(other, Representation) and self.ring == other.ring
                 and self.generators == other.generators)
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return hash((self.ring, self.generators))
 

@@ -297,9 +297,6 @@ class RingDescriptor:
     def __repr__(self):
         return self.kind
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
 
 class IntegerRing(RingDescriptor):
     """The ring Z; elements are Python ints."""

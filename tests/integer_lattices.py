@@ -1,0 +1,113 @@
+"""Integer lattice arithmetic that only the tests use.
+
+The package needs no HNF transform, integer kernel, ideal product, lattice
+intersection or sublattice image: saturation keeps only the canonical
+lattice pair.  These helpers check the lattice side of the criterion
+(acceptance criteria 4-6, tests/test_lattices.py) and the HNF itself
+(tests/test_matrices.py).  hnf runs the package's own row HNF
+(matrices._row_hnf) with an identity block alongside, which records the
+unimodular transform.
+"""
+
+import math
+from fractions import Fraction
+from operator import mul
+
+from irredcert.errors import BadPrime, IntegralityError, NotSublattice
+from irredcert.lattices import LatticeBasis, PrimeSpec, lattice_from_columns
+from irredcert.matrices import (Matrix, _row_hnf, denominator_lcm, rank,
+                                scaled_rows)
+from irredcert.rings import ZZ, PrimeField, is_prime
+
+# image classification returned by proper_sublattice_image
+IMAGE_ZERO = "zero"
+IMAGE_PROPER = "proper_nonzero"
+IMAGE_FULL = "full"
+
+
+def check_integer_matrix(m):
+    if m.ring != ZZ:
+        raise IntegralityError("expected a matrix over Z, got %r" % (m.ring,))
+
+
+def hnf(m):
+    """Column-style Hermite normal form over Z.
+
+    Returns (h, transform) with transform unimodular and m * transform = h;
+    h is the unique canonical basis matrix of the column span (nonzero columns
+    first, positive pivots descending the rows, entries to the left of each
+    pivot reduced mod the pivot).  Zero columns are pushed to the right."""
+    check_integer_matrix(m)
+    n, k = m.ncols, m.nrows
+    rows, _ = _row_hnf([list(m.column(j)) + [int(i == j) for i in range(n)]
+                        for j in range(n)], k)
+    h = Matrix(ZZ, [[rows[j][i] for j in range(n)] for i in range(k)])
+    transform = Matrix(ZZ, [[rows[j][k + i] for j in range(n)]
+                            for i in range(n)])
+    return h, transform
+
+
+def integer_kernel(m):
+    """Basis of {v in Z^ncols : m v = 0}, a saturated submodule, as the HNF
+    transform columns that map onto zero columns of the HNF."""
+    check_integer_matrix(m)
+    h, transform = hnf(m)
+    basis = []
+    for j in range(m.ncols):
+        if all(h.entry(i, j) == 0 for i in range(m.nrows)):
+            basis.append(transform.column(j))
+    return basis
+
+
+def ideal_mult(lat, ideals):
+    """The lattice (n_1) cap ... cap (n_k) * L = lcm(n_i) * L over Z."""
+    if lat.ring != ZZ:
+        raise ValueError("ideal_mult is defined over Z")
+    ns = list(ideals)
+    if not ns or any(n == 0 for n in ns):
+        raise ValueError("ideals must be nonzero integers")
+    return LatticeBasis(ZZ, lat.basis.scale(Fraction(math.lcm(*ns))))
+
+
+def lattice_intersect(a, b):
+    """Exact intersection of two full-rank lattices over Z, via the integer
+    kernel of [A | -B] read off the HNF transform."""
+    if a.ring != ZZ or b.ring != ZZ:
+        raise ValueError("lattice_intersect is defined over Z")
+    d = a.dim
+    den = denominator_lcm(a.basis.entries + b.basis.entries)
+    A = scaled_rows(a.basis.rows(), den)
+    B = scaled_rows(b.basis.rows(), den)
+    kernel = integer_kernel(Matrix(ZZ, [ra + [-x for x in rb]
+                                        for ra, rb in zip(A, B)]))
+    return lattice_from_columns(ZZ, [[Fraction(sum(map(mul, r, v[:d])), den)
+                                      for r in A] for v in kernel])
+
+
+def proper_sublattice_image(sub, ambient, prime):
+    """Classify the image of a full-rank sublattice M inside L/pL.
+
+    Returns IMAGE_ZERO (M inside pL), IMAGE_FULL (M + pL = L), or
+    IMAGE_PROPER.  Raises NotSublattice when M is not contained in L."""
+    if isinstance(prime, PrimeSpec):
+        if prime.kind != PrimeSpec.INTEGER:
+            raise BadPrime("sublattice images are classified at integer primes")
+        p = prime.p
+    else:
+        p = int(prime)
+        if not is_prime(p):
+            raise BadPrime("%r is not prime" % (p,))
+    c = ambient.coordinates(sub.basis)
+    try:
+        c = c.from_fraction_field(ZZ)
+    except IntegralityError:
+        raise NotSublattice("claimed sublattice is not contained in the "
+                            "ambient lattice") from None
+    F = PrimeField(p)
+    cbar = c.map_entries(lambda a: a % p, F)
+    r = rank(cbar)
+    if r == 0:
+        return IMAGE_ZERO
+    if r == sub.dim:
+        return IMAGE_FULL
+    return IMAGE_PROPER

@@ -16,10 +16,8 @@ from irredcert.certify import (IRREDUCIBLE_CERTIFIED, Certificate, certify,
 from irredcert.cohomology import (close_group, cohomology_dims, module_action,
                                   obstruction_report)
 from irredcert.errors import VersionMismatch
-from irredcert.lattices import (IMAGE_PROPER, LatticeBasis, PrimeSpec,
-                                ideal_mult, lattice_intersect,
-                                proper_sublattice_image, reduce_rep, saturate)
-from irredcert.matrices import Matrix, hnf, integer_kernel, kernel_basis
+from irredcert.lattices import LatticeBasis, PrimeSpec, reduce_rep, saturate
+from irredcert.matrices import Matrix, kernel_basis
 from irredcert.meataxe import (INCONCLUSIVE, IRREDUCIBLE, REDUCIBLE,
                                _echelon_rows, endo_dim, is_irreducible,
                                subspace_is_invariant)
@@ -32,6 +30,8 @@ from irredcert.rings import QQ, ZZ, PrimeField, RationalFunctionField
 import numpy as np
 
 from bar_complex import _numpy_differential, bar_differential
+from integer_lattices import (IMAGE_PROPER, hnf, ideal_mult, integer_kernel,
+                              lattice_intersect, proper_sublattice_image)
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
 

@@ -8,16 +8,17 @@ import pytest
 
 from irredcert.errors import (BadPrime, BudgetExceeded, IntegralityError,
                               NotSublattice, ShapeError)
-from irredcert.lattices import (IMAGE_FULL, IMAGE_PROPER, IMAGE_ZERO,
-                                LatticeBasis, PrimeSpec, ideal_mult,
-                                lattice_from_columns, lattice_intersect,
-                                proper_sublattice_image, reduce_rep,
-                                saturate)
+from irredcert.lattices import (LatticeBasis, PrimeSpec, lattice_from_columns,
+                                reduce_rep, saturate)
 from irredcert.matrices import Matrix
 from irredcert.prng import XorShift64
 from irredcert.reps import Representation, conjugate, evaluate, load_rep
 from irredcert.rings import ZZ, QQ, PolynomialRingZ, PrimeField, \
     RationalFunctionField
+
+from integer_lattices import (IMAGE_FULL, IMAGE_PROPER, IMAGE_ZERO,
+                              ideal_mult, lattice_intersect,
+                              proper_sublattice_image)
 
 ZT = PolynomialRingZ("t")
 QT = RationalFunctionField("t")

@@ -3,7 +3,8 @@
 The [[2,4],[4,2]] HNF case is checked against a naive audited column-reduction
 oracle implemented below; SNF diag values are pinned from the gcd/det
 argument (d1 = gcd of entries = 2, d1*d2 = |det| = 12 so d2 = 6).  The
-package itself needs no Smith form, so snf lives here with its tests.
+package itself needs no Smith form, so snf lives here with its tests; hnf
+and integer_kernel live in integer_lattices, shared with the lattice tests.
 """
 
 from fractions import Fraction
@@ -12,9 +13,9 @@ import pytest
 
 from irredcert.errors import IntegralityError, ShapeError, SingularError
 from irredcert.matrices import (
-    Matrix, _bareiss, _check_integer_matrix, _det_field, char_poly,
-    fraction_free_inverse, hnf, int_product, integer_kernel, integer_rows,
-    integral_conjugates, kernel_basis, kronecker, poly_at_matrix, rank, rref,
+    Matrix, _bareiss, _det_field, _row_hnf, char_poly, fraction_free_inverse,
+    int_product, integer_rows, integral_conjugates, kernel_basis, kronecker,
+    poly_at_matrix, rank, rref,
 )
 from irredcert.prng import XorShift64
 from irredcert.rings import ZZ, QQ, PolynomialRingZ, PrimeField, \
@@ -23,6 +24,7 @@ from irredcert.rings import ZZ, QQ, PolynomialRingZ, PrimeField, \
 from generic_fp import FIELD_SIZES, GenericFp, matrix_cases, random_rows
 from generic_q import GenericQ, basis_change, conjugated, rational_cases, \
     std_sn
+from integer_lattices import check_integer_matrix, hnf, integer_kernel
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -95,6 +97,11 @@ def test_hnf_canonicity_random():
         h2, _ = hnf(m * u)
         assert h1 == h2
         assert h1.rows() == _naive_column_hnf(m.rows())
+        # without the transform block, the package's row HNF of the columns
+        # is the same H, with the rank
+        cols, r = _row_hnf(m.columns(), 3)
+        assert [list(row) for row in zip(*cols)] == h1.rows()
+        assert r == rank(m.to_fraction_field())
 
 
 def _random_unimodular(rng, n):
@@ -119,7 +126,7 @@ def test_hnf_rejects_rationals():
 def snf(m):
     """Smith normal form over Z: returns (d, left, right) with
     left * m * right = d diagonal and d_1 | d_2 | ... (nonnegative)."""
-    _check_integer_matrix(m)
+    check_integer_matrix(m)
     nr, nc = m.nrows, m.ncols
     a = m.rows()
     left = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]

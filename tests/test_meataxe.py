@@ -12,7 +12,7 @@ from irredcert.errors import AbsIrredUndecided
 from irredcert.fpoly import pack, unpack
 from irredcert.matrices import Matrix, packed_columns
 from irredcert.meataxe import (INCONCLUSIVE, IRREDUCIBLE, REDUCIBLE,
-                               _combination, _decide_q, _echelon_rows,
+                               _combination, _decide, _echelon_rows,
                                _reduce_against, _reduce_fp, _sample_theta,
                                endo_dim, is_absolutely_irreducible,
                                is_irreducible, spin, subspace_is_invariant)
@@ -376,6 +376,59 @@ class TestPrimeFieldSpin:
                     assert subspace_is_invariant(K, mats, rows)
 
 
+@pytest.mark.parametrize("field", ["F3", "Q", "F4", "Q(t)"])
+def test_subspace_is_invariant_on_every_path(field, monkeypatch):
+    """The invariance check on each path of the shared loop: packed over
+    F_3, integer rows over Q, descriptor calls over F_4 and Q(t).  Turning
+    down a line that is not invariant stops at the first image that leaves
+    it: one reduction for the seed and at most one per generator."""
+    rng = XorShift64(len(field) + 11)
+    if field == "F4":
+        K = ExtensionField(2, [1, 1, 1])
+        elements = list(K.iter_elements())
+
+        def scalar():
+            return elements[rng.randrange(4)]
+    elif field == "Q(t)":
+        K = QT
+
+        def scalar():
+            return QT.coerce((tuple(rng.randint(-2, 2) for _ in range(2)),
+                              (1,)))
+    else:
+        K = PrimeField(3) if field == "F3" else QQ
+
+        def scalar():
+            return K.coerce(Fraction(rng.randint(-4, 4), rng.choice([1, 2])))
+
+    d, k = 8, 4
+    # [[A, B], [0, C]] fixes the span of the first k basis vectors, and the
+    # 1 in the corner moves the last basis vector off its line
+    mats = []
+    for _ in range(3):
+        rows = [[K.zero() if i >= k and j < k else scalar() for j in range(d)]
+                for i in range(d)]
+        rows[0][d - 1] = K.one()
+        mats.append(Matrix(K, rows))
+    unit = [tuple(K.one() if i == j else K.zero() for j in range(d))
+            for i in range(d)]
+    proper = spin(K, mats, unit[0])
+    assert 0 < len(proper) <= k
+    for rows in ((), tuple(unit), proper):
+        assert subspace_is_invariant(K, mats, rows)
+
+    name = "_reduce_fp" if field == "F3" else "_reduce_against"
+    reduce, calls = getattr(meataxe, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return reduce(*args)
+
+    monkeypatch.setattr(meataxe, name, counted)
+    assert not subspace_is_invariant(K, mats, [unit[d - 1]])
+    assert 1 <= len(calls) <= 1 + len(mats)
+
+
 def _rational_vectors(rng, d):
     """Start vectors for the spins over Q: unit vectors, small and 7-digit
     denominators, a vector with large content, and zero."""
@@ -500,8 +553,8 @@ class TestRationalIntegerRows:
         statuses = set()
         for name, gens in cases.items():
             for seed in (0, 3):
-                vq = _decide_q(Representation(QQ, gens, []), seed, 12)
-                vg = _decide_q(Representation(self.KG, gens, []), seed, 12)
+                vq = _decide(Representation(QQ, gens, []), seed, 12)
+                vg = _decide(Representation(self.KG, gens, []), seed, 12)
                 assert vq.status == vg.status, name
                 assert vq.witness == vg.witness, name
                 assert json.dumps(vq.transcript, sort_keys=True) == \

@@ -81,6 +81,62 @@ def test_factor_random_products():
             assert got == expected
 
 
+def _random_irreducible(K, n, rng):
+    elems = list(K.iter_elements())
+    while True:
+        f = tuple(rng.choice(elems) for _ in range(n)) + (K.one(),)
+        if polys.distinct_irreducible_factors(K, f, rng) == [f]:
+            return f
+
+
+def _ddf_to_the_top(K, f):
+    """Distinct-degree split that runs d up to deg g, the reference."""
+    out, h, g, d = [], polys.x_poly(K), f, 0
+    while polys.degree(g) >= 1 and d < polys.degree(g):
+        d += 1
+        h = polys.pow_mod(K, h, K.order, g)
+        factor = polys.gcd_monic(K, polys.sub(K, h, polys.x_poly(K)), g)
+        if polys.degree(factor) >= 1:
+            out.append((d, factor))
+            g = polys.divmod_poly(K, g, factor)[0]
+            h = polys.mod(K, h, g)
+    return out
+
+
+def test_distinct_degree_split_stops_at_half_the_degree(monkeypatch):
+    # once 2 (d + 1) > deg g, what is left is irreducible: an irreducible
+    # polynomial of degree n takes n // 2 powers of x, not n
+    rng = XorShift64(29)
+    cases = [(K, _random_irreducible(K, n, rng))
+             for K, n in ((F3, 8), (F2, 9), (F5, 2), (F4, 5), (F2, 1))]
+    calls = []
+    pow_mod = polys.pow_mod
+
+    def counted(K, f, e, m):
+        calls.append(e)
+        return pow_mod(K, f, e, m)
+
+    monkeypatch.setattr(polys, "pow_mod", counted)
+    for K, f in cases:
+        calls.clear()
+        n = polys.degree(f)
+        assert polys.distinct_degree_split(K, f) == [(n, f)]
+        assert len(calls) <= n // 2, (K, f, len(calls))
+
+
+def test_distinct_degree_split_matches_the_full_loop():
+    rng = XorShift64(31)
+    for K in (F2, F3, PrimeField(101), F4):
+        for _ in range(12):
+            # a squarefree product of distinct irreducibles of degree 1 to 4
+            factors = {_random_irreducible(K, rng.randint(1, 4), rng)
+                       for _ in range(rng.randint(1, 4))}
+            f = (K.one(),)
+            for g in factors:
+                f = polys.mul(K, f, g)
+            assert polys.distinct_degree_split(K, f) == _ddf_to_the_top(K, f)
+
+
 def _monic_polys(p, n):
     """Every monic polynomial of degree n over F_p, as int lists."""
     for k in range(p ** n):
