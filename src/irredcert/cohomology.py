@@ -16,9 +16,12 @@ give, with h(A) = dim Hom_G(A, M) and m = dim M,
     d0 = h(F),    d1 = h(I) - m + d0,    d2 = h(R) - k m + h(I).
 
 I and R are submodules of permutation modules; their generator matrices are
-read off the echelon kernel basis, and every h(A) is the nullity of one
-linear system (meataxe.hom_dim).  One exact code path serves every field
-(Brown, "Cohomology of Groups", III.5-6).
+read off the echelon kernel basis.  Every h(A) comes from meataxe.hom_dim,
+which spins A from a few seed vectors and carries their images, so its
+unknowns are the m entries of each seed's image (27 for B3's I on its
+9-dimensional adjoint, 45 for its R) rather than the m dim A entries of a
+whole homomorphism.  One exact code path serves every field (Brown,
+"Cohomology of Groups", III.5-6).
 
 The obstruction report packages the deformation-theoretic numbers for the
 adjoint module: d_i = dim H^i(G, ad), the commutant dimension, the
@@ -64,6 +67,10 @@ class FiniteGroupTable:
 def close_group(rep):
     """BFS closure of the matrix group generated by rep's generators.
 
+    The closure meets e g for every element e and generator g, and the
+    multiplication table follows from those products alone: element j is
+    e g for the element e before it on its word, so x j = (x e) g.
+
     Raises GroupTooLarge past GROUP_BOUND elements."""
     K = rep.ring
     if not isinstance(K, (PrimeField, ExtensionField)):
@@ -73,11 +80,14 @@ def close_group(rep):
     elements = [ident]
     index = {ident: 0}
     words = [()]
+    parent = [None]
+    right = []          # right[x][gi]: the index of element x times g_gi
     frontier = [0]
     while frontier:
         nxt = []
         for ei in frontier:
             e = elements[ei]
+            right.append([])
             for gi, g in enumerate(rep.generators):
                 f = e * g
                 if f not in index:
@@ -87,11 +97,17 @@ def close_group(rep):
                     index[f] = len(elements)
                     elements.append(f)
                     words.append(words[ei] + (gi,))
+                    parent.append(ei)
                     nxt.append(index[f])
+                right[ei].append(index[f])
         frontier = nxt
     n = len(elements)
-    mult = [[index[elements[i] * elements[j]] for j in range(n)]
-            for i in range(n)]
+    mult = []
+    for i in range(n):
+        row = [i]
+        for j in range(1, n):
+            row.append(right[row[parent[j]]][words[j][-1]])
+        mult.append(row)
     inverse = [mult[i].index(0) for i in range(n)]
     gen_indices = [index[g] for g in rep.generators]
     return FiniteGroupTable(elements, mult, inverse, gen_indices, words)
@@ -129,14 +145,15 @@ def _kernel_action(K, boundary, perms):
     last nonzero coordinate; so the coordinates of a kernel vector in that
     basis are its entries at the free columns, and (g v)[f] = v[g^-1 f]."""
     basis = kernel_basis(boundary)
-    free = [max(x for x, a in enumerate(v) if not K.is_zero(a))
+    free = [next(x for x in range(len(v) - 1, -1, -1) if not K.is_zero(v[x]))
             for v in basis]
     mats = []
     for perm in perms:
         back = [0] * len(perm)
         for x, y in enumerate(perm):
             back[y] = x
-        mats.append(Matrix(K, [[v[back[f]] for v in basis] for f in free]))
+        mats.append(Matrix._raw(K, len(free), len(free),
+                                [v[back[f]] for f in free for v in basis]))
     return mats
 
 

@@ -28,10 +28,6 @@ class BadPrime(IrredcertError):
     in the ring it is paired with."""
 
 
-class NotSublattice(IrredcertError):
-    """A claimed sublattice is not contained in the ambient lattice."""
-
-
 class BudgetExceeded(IrredcertError):
     """An iterative search (saturation rounds, meataxe words, splitting
     attempts) hit its configured budget without reaching a decision."""

@@ -270,21 +270,9 @@ class LatticeBasis:
     def dim(self):
         return self.basis.nrows
 
-    def is_standard(self):
-        return self.basis.is_identity()
-
     def coordinates(self, other_basis):
         """Matrix C over K with self.basis * C = other_basis."""
         return self.basis.inverse() * other_basis
-
-    def contains_vector(self, v):
-        y = self.basis.inverse().apply(tuple(v))
-        try:
-            for a in y:
-                self.ring.from_fraction_field(a)
-        except IntegralityError:
-            return False
-        return True
 
     def contains_lattice(self, other):
         c = self.coordinates(other.basis)
@@ -293,14 +281,6 @@ class LatticeBasis:
         except IntegralityError:
             return False
         return True
-
-    def index_of(self, sub):
-        """[L : M] for a full-rank sublattice M, as a positive integer (Z)."""
-        c = self.coordinates(sub.basis).from_fraction_field(self.ring)
-        det = c.det()
-        if self.ring == ZZ:
-            return abs(det)
-        return det
 
     def __eq__(self, other):
         if not isinstance(other, LatticeBasis) or self.ring != other.ring:
@@ -316,20 +296,6 @@ class LatticeBasis:
 
     def __repr__(self):
         return "LatticeBasis(%r, %r)" % (self.ring, self.basis)
-
-
-def lattice_from_columns(ring, columns):
-    """Canonical full-rank lattice spanned by the given K-vectors (Z only)."""
-    if ring != ZZ:
-        raise ValueError("column spans are canonicalized over Z only")
-    d = len(columns[0])
-    cols = [[Fraction(a) for a in col] for col in columns]
-    den = denominator_lcm(a for col in cols for a in col)
-    pair = _canonical_pair(scaled_rows(cols, den), den)
-    if len(pair[0]) != d:
-        raise ShapeError("columns span a rank-%d sublattice, need rank %d"
-                         % (len(pair[0]), d))
-    return LatticeBasis._from_pair(ZZ, pair)
 
 
 # ---------------------------------------------------------------------------

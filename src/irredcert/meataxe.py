@@ -39,6 +39,8 @@ taken once, for a proper spin only.  The ring alone selects these paths;
 Q(t), F_q and any other descriptor take the generic code, the reference in
 the tests.  One sampling loop, _decide, serves finite fields and Q; only
 where the factors of the characteristic polynomial come from differs.
+hom_dim spins a module together with the images of its vectors, on the
+same three representations and reductions.
 
 Each run is deterministic given (rep, seed, budget) and yields a transcript
 suitable for embedding in a certificate.  Reducible verdicts always carry a
@@ -55,7 +57,7 @@ from .fpoly import pack, slot_bytes, unpack
 from .matrices import (Matrix, _constant_q_matrix, char_poly,
                        denominator_lcm, eliminate_fp, int_product,
                        integer_rows, kernel_basis, packed_columns,
-                       poly_at_matrix, rank, rref, scaled_rows)
+                       poly_at_matrix, rref, scaled_rows)
 from .prng import XorShift64
 from .reps import Representation, evaluate
 from .rings import QQ, ExtensionField, PrimeField, RationalFunctionField
@@ -669,27 +671,141 @@ def is_irreducible(rep, seed=0, budget=200):
 
 def hom_dim(K, src_gens, dst_gens):
     """dim Hom_G(A, M) for modules A and M over the field K, given by the
-    matrices a_j and rho_j of the same generators: the nullity of the
-    stacked system X a_j = rho_j X in the unknown dim M x dim A matrix X."""
-    s = src_gens[0].nrows
-    m = dst_gens[0].nrows
-    zero = K.zero()
-    rows = []
-    # row-major vec: vec(rho X) = (rho (x) I) vec X, vec(X a) = (I (x) a^T)
-    # vec X.  The equations of entry (i, t) of X sit together, one per
-    # generator: that order eliminates faster than one block per generator
-    for i in range(m):
-        for t in range(s):
-            for a, rho in zip(src_gens, dst_gens):
-                row = [zero] * (m * s)
-                for i2 in range(m):
-                    row[i2 * s + t] = rho.entry(i, i2)
-                for t2 in range(s):
-                    c = i * s + t2
-                    row[c] = K.sub(row[c], a.entry(t2, t))
-                rows.append(row)
-    return m * s - rank(Matrix._raw(K, len(rows), m * s,
-                                    [x for row in rows for x in row]))
+    matrices a_j and rho_j of the same generators, by spinning A with
+    images (Holt, Eick and O'Brien, ch. 7).
+
+    The seeds are the unit vectors of A that the spin of the earlier seeds
+    does not reach; a homomorphism X is fixed by their images, so with S
+    seeds and m = dim M the unknowns are the m S entries of those images.
+    Each vector b of the spin carries X b as an m x m S matrix in the
+    unknowns, so a_j b carries rho_j X b, and the pair [vector | image] is
+    reduced as one against the kept pairs.  A vector that stays nonzero
+    is kept, and its image defines X on it; one that reduces to 0 leaves
+    an image that X must send to 0, m equations.  X is a homomorphism
+    exactly when all of them hold, so the answer is m S minus their rank,
+    the size of their span under _grow with no matrices.
+
+    The image is kept column by column, so a new seed appends its m
+    columns.  As in _grow, over F_p the pair is one packed int, and rho_j
+    acts on all columns at once: row k of the image, read off every m-th
+    slot, times the packed column k of rho_j.  Over Q the pair is an
+    integer row, a_j scaled by the denominator of rho_j and rho_j by that
+    of a_j so that both halves scale alike, reduced fraction-free.  Any
+    other field takes the generic code."""
+    a, m = src_gens[0].nrows, dst_gens[0].nrows
+    if not a or not m:
+        return 0
+    rows, pivots = [], []
+    n = 0                   # unknowns so far, m per seed
+    packed = isinstance(K, PrimeField)
+    if packed:
+        p, zero, one = K.p, 0, 1
+        # slots meet a products from a_j or m from rho_j, a from reduction
+        nb = slot_bytes(p, a + max(a, m))
+        sh = 8 * nb
+        # every m-th slot, for as many image columns as there can be
+        spread = int.from_bytes((b"\xff" * nb + bytes(nb * (m - 1))) * m * a,
+                                "little")
+        gens = [(pack(x.transpose().entries, nb, p, a),
+                 pack(r.transpose().entries, nb, p, m))
+                for x, r in zip(src_gens, dst_gens)]
+
+        def unit(t):
+            return 1 << sh * t
+
+        def step(b, gen):
+            v, img = b
+            xcols, rcols = gen
+            img = sum(c * (img >> sh * k & spread)
+                      for k, c in enumerate(rcols))
+            return sum(map(mul, v, xcols)) + (img << sh * a)
+
+        def reduce(w):
+            return unpack([_reduce_fp(w, rows, pivots, p, nb)], a + m * n,
+                          nb, p)
+
+        def lead(u):
+            c = next(filter(None, u[:a]), 0)
+            return u.index(c) if c else None
+
+        def keep(u, idx):
+            if u[idx] != 1:
+                inv = pow(u[idx], -1, p)
+                u = [x * inv % p for x in u]
+            rows.append(pack(u, nb, p))
+            pivots.append(idx)
+            return u[:a], rows[-1] >> sh * a
+    else:
+        if K == QQ:
+            zero, one = 0, 1
+            gens = []
+            for x, r in zip(src_gens, dst_gens):
+                (xr, dx), (rr, dr) = integer_rows(x), integer_rows(r)
+                gens.append(([[dr * c for c in row] for row in xr],
+                             [[dx * c for c in row] for row in rr],
+                             _apply_int))
+            normalize = _content_free
+        else:
+            zero, one = K.zero(), K.one()
+            gens = [(x, r, Matrix.apply) for x, r in zip(src_gens, dst_gens)]
+
+            def normalize(u):
+                inv = K.inv(next(c for c in u if c != zero))
+                return u if inv == one else [K.mul(inv, c) for c in u]
+
+        def unit(t):
+            w = [zero] * (a + m * n)
+            w[t] = one
+            return w
+
+        def step(b, gen):
+            x, r, apply = gen
+            w = list(apply(x, b[:a]))
+            for i in range(a, len(b), m):
+                w.extend(apply(r, b[i:i + m]))
+            return w
+
+        def reduce(w):
+            return _reduce_against(K, rows, pivots, w)
+
+        def lead(u):
+            return next((i for i in range(a) if u[i] != zero), None)
+
+        def keep(u, idx):
+            rows.append(normalize(u))
+            pivots.append(idx)
+            return rows[-1]
+
+    eqs = {}                # equations as tuples, each once
+    for t in range(a):
+        if len(rows) == a:
+            break
+        u = reduce(unit(t))
+        idx = lead(u)
+        if idx is None:
+            continue
+        # a new seed, X e_t = y with m new unknowns y, which the rows kept
+        # so far do not involve (packed rows need no zeros appended)
+        if not packed:
+            for r in rows:
+                r.extend([zero] * (m * m))
+        u.extend([zero] * (m * m))
+        for i in range(m):
+            u[a + m * (n + i) + i] = one
+        n += m
+        queue = [keep(u, idx)]
+        while queue:
+            b = queue.pop()
+            for gen in gens:
+                u = reduce(step(b, gen))
+                idx = lead(u)
+                if idx is None:
+                    for i in range(m):
+                        eqs[tuple(u[a + i::m])] = None
+                else:
+                    queue.append(keep(u, idx))
+    eqs = [list(e) + [zero] * (n - len(e)) for e in eqs]
+    return n - len(_grow(K, [], eqs, 0)[0])
 
 
 def endo_dim(rep):

@@ -646,9 +646,6 @@ class RationalFunctionField(RingDescriptor):
             raise SingularError("division by zero in Q(%s)" % (self.var,))
         return self._normalize(a[1], a[0])
 
-    def is_polynomial(self, a):
-        return len(a[1]) == 1
-
     def is_constant(self, a):
         return len(a[1]) == 1 and len(a[0]) <= 1
 

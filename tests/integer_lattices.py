@@ -1,28 +1,71 @@
 """Integer lattice arithmetic that only the tests use.
 
 The package needs no HNF transform, integer kernel, ideal product, lattice
-intersection or sublattice image: saturation keeps only the canonical
-lattice pair.  These helpers check the lattice side of the criterion
-(acceptance criteria 4-6, tests/test_lattices.py) and the HNF itself
-(tests/test_matrices.py).  hnf runs the package's own row HNF
-(matrices._row_hnf) with an identity block alongside, which records the
-unimodular transform.
+intersection, sublattice image, lattice of a column span, index or vector
+membership: saturation keeps only the canonical lattice pair.  These
+helpers check the lattice side of the criterion (acceptance criteria 4-6,
+tests/test_lattices.py) and the HNF itself (tests/test_matrices.py).  hnf
+runs the package's own row HNF (matrices._row_hnf) with an identity block
+alongside, which records the unimodular transform.
 """
 
 import math
 from fractions import Fraction
 from operator import mul
 
-from irredcert.errors import BadPrime, IntegralityError, NotSublattice
-from irredcert.lattices import LatticeBasis, PrimeSpec, lattice_from_columns
+from irredcert.errors import (BadPrime, IntegralityError, IrredcertError,
+                              ShapeError)
+from irredcert.lattices import LatticeBasis, PrimeSpec, _canonical_pair
 from irredcert.matrices import (Matrix, _row_hnf, denominator_lcm, rank,
                                 scaled_rows)
 from irredcert.rings import ZZ, PrimeField, is_prime
+
+class NotSublattice(IrredcertError):
+    """A claimed sublattice is not contained in the ambient lattice."""
+
 
 # image classification returned by proper_sublattice_image
 IMAGE_ZERO = "zero"
 IMAGE_PROPER = "proper_nonzero"
 IMAGE_FULL = "full"
+
+
+def lattice_from_columns(ring, columns):
+    """Canonical full-rank lattice spanned by the given K-vectors (Z only)."""
+    if ring != ZZ:
+        raise ValueError("column spans are canonicalized over Z only")
+    d = len(columns[0])
+    cols = [[Fraction(a) for a in col] for col in columns]
+    den = denominator_lcm(a for col in cols for a in col)
+    pair = _canonical_pair(scaled_rows(cols, den), den)
+    if len(pair[0]) != d:
+        raise ShapeError("columns span a rank-%d sublattice, need rank %d"
+                         % (len(pair[0]), d))
+    return LatticeBasis._from_pair(ZZ, pair)
+
+
+def is_standard(lat):
+    return lat.basis.is_identity()
+
+
+def contains_vector(lat, v):
+    y = lat.basis.inverse().apply(tuple(v))
+    try:
+        for a in y:
+            lat.ring.from_fraction_field(a)
+    except IntegralityError:
+        return False
+    return True
+
+
+def index_of(lat, sub):
+    """[L : M] for a full-rank sublattice M of L, as a positive integer
+    over Z."""
+    c = lat.coordinates(sub.basis).from_fraction_field(lat.ring)
+    det = c.det()
+    if lat.ring == ZZ:
+        return abs(det)
+    return det
 
 
 def check_integer_matrix(m):

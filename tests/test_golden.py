@@ -2,11 +2,13 @@
 
 tests/golden/<rep>.cert.json is the stdout of `irredcert certify` on each
 corpus rep in data/, tests/golden/<rep>.reduce.<prime>.json the stdout of
-`irredcert reduce` at one prime, and tests/golden/<rep>.meataxe.json the
-stdout of `irredcert meataxe` on each prime-field rep in data/fp/ (d from
-24 to 48 over F_3, F_101 and F_65521, made once with perfbench/gen.py).  A
-change that alters a certificate or a transcript must bump TOOLKIT_VERSION;
-after such a deliberate change, regenerate the files:
+`irredcert reduce` at one prime, tests/golden/<rep>.obstruction.<prime>.json
+the stdout of `irredcert obstruction` on each of those reductions that
+lands in a finite field, and tests/golden/<rep>.meataxe.json the stdout of
+`irredcert meataxe` on each prime-field rep in data/fp/ (d from 24 to 48
+over F_3, F_101 and F_65521, made once with perfbench/gen.py).  A change
+that alters a certificate or a transcript must bump TOOLKIT_VERSION; after
+such a deliberate change, regenerate the files:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -31,6 +33,10 @@ CERTIFY = [("d4", 0), ("q8", 2), ("s3", 0), ("s3_qt", 0), ("s3_scaled", 0),
 REDUCE = ([(rep, prime) for rep in ("s3", "s3_scaled", "d4", "s4")
            for prime in ("(2)", "(3)", "(5)")]
           + [("s3_qt", "(t-0)"), ("s3_qt", "(2,t-1)")])
+
+# the reductions over a finite field, whose groups close_group tabulates;
+# s4 mod 2 is the obstructed one, d = (1, 1, 2)
+OBSTRUCTION = [(rep, prime) for rep, prime in REDUCE if prime != "(t-0)"]
 
 
 # the reps over F_p: S27 standard mod 3 and a block triangular rep mod
@@ -62,6 +68,13 @@ def reduce_case(rep, prime):
                   "--prime", prime]
 
 
+def obstruction_case(rep, prime):
+    reduced, _ = reduce_case(rep, prime)
+    path = os.path.join(GOLDEN, "%s.obstruction.%s.json"
+                        % (rep, _prime_tag(prime)))
+    return path, ["obstruction", reduced]
+
+
 def meataxe_case(rep):
     path = os.path.join(GOLDEN, "%s.meataxe.json" % rep)
     return path, ["meataxe", os.path.join(DATA_FP, rep + ".json")]
@@ -88,6 +101,14 @@ def test_reduction_matches_golden(rep, prime):
     assert text == _read(path)
 
 
+@pytest.mark.parametrize("rep,prime", OBSTRUCTION)
+def test_obstruction_report_matches_golden(rep, prime):
+    path, argv = obstruction_case(rep, prime)
+    got_code, text = run_cli(argv)
+    assert got_code == 0
+    assert text == _read(path)
+
+
 @pytest.mark.parametrize("rep", MEATAXE)
 def test_meataxe_transcript_matches_golden(rep):
     path, argv = meataxe_case(rep)
@@ -100,6 +121,7 @@ def regenerate():
     os.makedirs(GOLDEN, exist_ok=True)
     cases = ([certify_case(rep) for rep, _ in CERTIFY]
              + [reduce_case(rep, prime) for rep, prime in REDUCE]
+             + [obstruction_case(rep, prime) for rep, prime in OBSTRUCTION]
              + [meataxe_case(rep) for rep in MEATAXE])
     for path, argv in cases:
         _, text = run_cli(argv)
