@@ -27,15 +27,16 @@ DATA_FP = os.path.join(DATA, "fp")
 GOLDEN = os.path.join(HERE, "golden")
 
 # (rep, exit code of `certify`); q8 has no certifying prime and exits 2
-CERTIFY = [("d4", 0), ("q8", 2), ("s3", 0), ("s3_qt", 0), ("s3_scaled", 0),
-           ("s4", 0)]
+CERTIFY = [("b3_qt", 0), ("d4", 0), ("q8", 2), ("s3", 0), ("s3_qt", 0),
+           ("s3_scaled", 0), ("s4", 0)]
 
 REDUCE = ([(rep, prime) for rep in ("s3", "s3_scaled", "d4", "s4")
            for prime in ("(2)", "(3)", "(5)")]
-          + [("s3_qt", "(t-0)"), ("s3_qt", "(2,t-1)")])
+          + [(rep, prime) for rep in ("s3_qt", "b3_qt")
+             for prime in ("(t-0)", "(2,t-1)")])
 
 # the reductions over a finite field, whose groups close_group tabulates;
-# s4 mod 2 is the obstructed one, d = (1, 1, 2)
+# s4 mod 2 and b3_qt at (2,t-1) are the obstructed ones, d2 = 2 and 1
 OBSTRUCTION = [(rep, prime) for rep, prime in REDUCE if prime != "(t-0)"]
 
 

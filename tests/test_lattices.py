@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from irredcert.certify import certify, verify
 from irredcert.errors import (BadPrime, BudgetExceeded, IntegralityError,
                               ShapeError)
 from irredcert.lattices import LatticeBasis, PrimeSpec, reduce_rep, saturate
@@ -217,6 +218,20 @@ class TestSaturate:
         inv_t = QT.div(QT.one(), t)
         assert lat.basis == Matrix.from_columns(
             QT, [(QT.one(), QT.zero()), (QT.zero(), inv_t)])
+
+    def test_b3_qt_saturates_to_a_nonconstant_lattice(self):
+        # the golden b3_qt takes _saturate_qt, not the constant shortcut,
+        # and its certificate is checked on the checker's Z[t] branch
+        rep = load_rep(os.path.join(DATA, "b3_qt.json"))
+        assert any(not QT.is_constant(a)
+                   for g in rep.generators for a in g.entries)
+        lat, int_rep = saturate(rep)
+        assert not lat.canonical
+        assert any(not QT.is_constant(a) for a in lat.basis.entries)
+        _assert_integral_model(rep, lat, int_rep, ZT)
+        cert = certify(rep)
+        assert cert.conclusion == "IrreducibleCertified"
+        assert verify(cert, rep)
 
 
 def _perm(images):
