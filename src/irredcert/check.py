@@ -8,9 +8,10 @@ representation alone:
 
   lattice    for the recorded basis B and every generator g, X = B^-1 g B is
              integral over R with det X = +-1, so L = B R^d is stable under
-             g and g^-1 (X^-1 is integral too); for a constant basis and
-             generators X comes from matrices.integral_conjugates on
-             integer rows, the conjugation saturation runs;
+             g and g^-1 (X^-1 is integral too); X comes from
+             matrices.integral_conjugates, the conjugation saturation
+             runs, on integer rows for a constant basis and generators and
+             on Z[t] rows otherwise;
   prime      the irreducible step's prime is an integer prime of Z or a
              maximal (p, t-c) of Z[t], where every X reduces;
   reduction  theta is rebuilt from the recorded words and coefficients of
@@ -46,7 +47,8 @@ from .errors import (IntegralityError, IrredcertError, SingularError,
                      VersionMismatch)
 from .lattices import PrimeSpec, reduce_rep
 from .matrices import (Matrix, _constant_q_matrix, char_poly, integer_rows,
-                       integral_conjugates, kernel_basis, poly_at_matrix)
+                       integral_conjugates, kernel_basis, poly_at_matrix,
+                       poly_rows)
 from .reps import Representation, evaluate, over_fraction_field
 from .rings import ZZ, PolynomialRingZ, parse_poly_string, ring_from_json
 
@@ -126,7 +128,9 @@ def _check(cert, rep):
 
 def _integral_generators(lattice, field_rep, R):
     """The matrices X = B^-1 g B over R for the recorded basis B, each
-    checked integral with det X = +-1."""
+    checked integral with det X = +-1: from matrices.integral_conjugates,
+    on integer rows when B and every g are constant and on Z[t] rows
+    otherwise."""
     K, d = field_rep.ring, field_rep.dim
     _require(isinstance(lattice, list) and len(lattice) == d
              and all(isinstance(row, list) and len(row) == d
@@ -136,39 +140,24 @@ def _integral_generators(lattice, field_rep, R):
                               for a in row])
     const = [_constant_q_matrix(m) for m in (b,) + field_rep.generators]
     if all(m is not None for m in const):
-        xs = []
-        try:
-            for x in integral_conjugates(integer_rows(const[0])[0],
-                                         const[1:]):
-                xs.append(x)
-        except SingularError:
-            raise _Rejected("the lattice basis is singular") from None
-        except IntegralityError:
-            # the conjugates come in order, so len(xs) names the failing one
-            raise _Rejected("generator %d is not integral in the recorded "
-                            "lattice" % (len(xs),)) from None
-        for i, x in enumerate(xs):
-            det = x.det()
-            _require(det in (1, -1), "generator %d has determinant %d in "
-                     "the recorded lattice, not +-1", i, det)
-        return xs if R == ZZ else [x.change_ring(R) for x in xs]
+        a, gens = integer_rows(const[0])[0], const[1:]
+    else:
+        a, gens = poly_rows(b)[0], field_rep.generators
+    xs = []
     try:
-        binv = b.inverse()
+        for x in integral_conjugates(a, gens):
+            xs.append(x)
     except SingularError:
         raise _Rejected("the lattice basis is singular") from None
-    mats = []
-    for i, g in enumerate(field_rep.generators):
-        try:
-            x = (binv * g * b).from_fraction_field(R)
-        except IntegralityError:
-            raise _Rejected("generator %d is not integral in the recorded "
-                            "lattice" % (i,)) from None
+    except IntegralityError:
+        # the conjugates come in order, so len(xs) names the failing one
+        raise _Rejected("generator %d is not integral in the recorded "
+                        "lattice" % (len(xs),)) from None
+    for i, x in enumerate(xs):
         det = x.det()
-        _require(det in (R.one(), R.neg(R.one())), "generator %d has "
-                 "determinant %s in the recorded lattice, not +-1", i,
-                 R.format(det))
-        mats.append(x)
-    return mats
+        _require(x.ring.is_unit(det), "generator %d has determinant %s in "
+                 "the recorded lattice, not +-1", i, x.ring.format(det))
+    return [x if x.ring == R else x.change_ring(R) for x in xs]
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .errors import GroupTooLarge
 from .matrices import Matrix, kernel_basis
 from .meataxe import INCONCLUSIVE, IRREDUCIBLE, endo_dim, hom_dim, \
     is_irreducible
-from .reps import adjoint_rep, evaluate
+from .reps import adjoint_rep
 from .rings import ExtensionField, PrimeField
 
 # close_group tabulates groups of at most this order
@@ -114,18 +114,25 @@ def close_group(rep):
 
 
 def module_action(table, module):
-    """Action matrix of every table element on the module, rebuilt from the
-    stored generator words.
+    """Action matrix of every table element on the module, built along the
+    table's BFS tree: the elements are numbered in the order the closure
+    first reached them, each as e g for an earlier element e, so the first
+    (element, generator) pair to reach an element gives its matrix.
 
-    Multiplicativity is verified on every (element, generator) pair; by
-    induction along the BFS words that forces it on all pairs, so a module
-    whose generators do not satisfy the group's relations is rejected."""
+    Multiplicativity is verified on every other pair; by induction along
+    the BFS words that forces it on all pairs, so a module whose
+    generators do not satisfy the group's relations is rejected."""
     if len(module.generators) != len(table.gen_indices):
         raise ValueError("module and table have different generator counts")
-    acts = [evaluate(module, [(gi, 1) for gi in w]) for w in table.words]
+    acts = [None] * table.order
+    acts[0] = Matrix.identity(module.ring, module.dim)
     for i in range(table.order):
         for slot, gelem in enumerate(table.gen_indices):
-            if acts[i] * module.generators[slot] != acts[table.mult[i][gelem]]:
+            prod = acts[i] * module.generators[slot]
+            j = table.mult[i][gelem]
+            if acts[j] is None:
+                acts[j] = prod
+            elif acts[j] != prod:
                 raise ValueError(
                     "module generators do not satisfy the group's relations "
                     "(action is not well defined)")

@@ -24,9 +24,11 @@ residue map of a PrimeSpec entrywise in a lattice basis.  Its Z-lattice
 chain runs on plain ints: the lattice is held as its canonical pair (H, D),
 each matrix is scaled once to an integer matrix over a common denominator
 (matrices.scaled_rows), and a round is one integer HNF; rounds and budget
-are counted as for the chain L -> L + sum_g gL itself.  The generators in
-the stable lattice's basis come from matrices.integral_conjugates, the
-conjugation the checker runs too.
+are counted as for the chain L -> L + sum_g gL itself.  The Q(t) case
+runs on Z[t] numerators over one denominator (matrices.poly_rows) and
+their products at t = 2^k.  The generators in the stable lattice's basis
+come from matrices.integral_conjugates, the conjugation the checker and
+reduce_rep run too.
 """
 
 import math
@@ -36,8 +38,10 @@ from operator import mul
 from . import polys
 from .errors import (BadPrime, BudgetExceeded, IntegralityError, ShapeError,
                      SingularError)
-from .matrices import (Matrix, _constant_q_matrix, _row_hnf,
-                       denominator_lcm, integral_conjugates, scaled_rows)
+from .matrices import (Matrix, _constant_q_matrix, _divexact, _pmul,
+                       _row_hnf, conjugate_numerators, denominator_lcm,
+                       from_poly_rows, integer_rows, integral_conjugates,
+                       poly_rows, scaled_rows, zt_product)
 from .rings import (ZZ, QQ, PolynomialRingZ, PrimeField, RationalFunctionField,
                     is_prime)
 from .reps import Representation, over_fraction_field
@@ -383,11 +387,14 @@ def _qt_column_hnf(cols):
 
 
 def _saturate_qt(rep, budget):
-    """Saturation over Q(t), in two stages.
+    """Saturation over Q(t), in two stages, on Z[t] numerators over one
+    denominator (matrices.poly_rows) and their packed products.
 
     Stage 1 works over the PID Q[t]: grow the Q[t]-span of the standard basis
     under all generators and inverses, canonicalizing by column HNF over Q[t]
     after clearing a global denominator, until the chain stabilizes.  The
+    generators and inverses share one denominator E, so a round is one
+    product of [E I; G_1; ...] by the basis numerators A, over E D.  The
     stabilized basis T conjugates every generator into GL_d(Q[t]).
 
     Stage 2 restores Z-integrality with a constant basis change: the matrices
@@ -395,7 +402,10 @@ def _saturate_qt(rep, budget):
     integral for every coefficient matrix A_j of every T^-1 g T.  So the
     standard Z-lattice is grown under all those coefficient matrices until
     stable.  If either chain fails to stabilize the input has no reachable
-    integral model and BudgetExceeded propagates."""
+    integral model and BudgetExceeded propagates.  Both conjugations are
+    matrices.conjugate_numerators, whose quotients are decided on Z[t]
+    values: in Q[t] by the primitive part and content of the divisor
+    (Gauss's lemma), in Z[t] by integral_conjugates."""
     K = rep.ring
     ZT = PolynomialRingZ(K.var)
     d = rep.dim
@@ -403,27 +413,18 @@ def _saturate_qt(rep, budget):
     for g in rep.generators:
         gens.append(g)
         gens.append(g.inverse())
+    stacked, E = poly_rows(Matrix._raw(K, d * len(gens), d,
+                                       [a for g in gens for a in g.entries]))
+    images = [[E if i == j else () for j in range(d)]
+              for i in range(d)] + stacked
 
-    def canonical_qt(columns):
-        # columns: QT values; clear one global monic denominator, HNF, then
-        # strip the common polynomial content into the denominator
-        den = (Fraction(1),)
-        for col in columns:
-            for a in col:
-                g = polys.gcd_monic(QQ, den, a[1])
-                den = polys.divmod_poly(QQ, polys.mul(QQ, den, a[1]), g)[0]
-        cleared = []
-        for col in columns:
-            vec = []
-            for a in col:
-                q, rem = polys.divmod_poly(QQ, polys.mul(QQ, a[0], den), a[1])
-                if rem:
-                    raise IntegralityError(
-                        "the common denominator %r does not clear %r"
-                        % (den, a))
-                vec.append(q)
-            cleared.append(vec)
-        h = _qt_column_hnf(cleared)
+    def canonical_qt(columns, den):
+        # columns: Z[t] numerators over the Z[t] denominator den; make den
+        # monic (a constant factor does not change the Q[t]-span), HNF,
+        # then strip the common polynomial content into the denominator
+        den = polys.monic(QQ, tuple(Fraction(c) for c in den))
+        h = _qt_column_hnf([[tuple(Fraction(c) for c in a) for a in col]
+                            for col in columns])
         content = ()
         for col in h:
             for a in col:
@@ -434,21 +435,15 @@ def _saturate_qt(rep, budget):
             den = polys.divmod_poly(QQ, den, g)[0]
         return tuple(tuple(col) for col in h), tuple(den)
 
-    def to_qt_matrix(h, den):
-        cols = [[K._normalize(list(a), list(den)) for a in col] for col in h]
-        return Matrix.from_columns(K, cols)
-
     ident = [tuple((Fraction(1),) if i == j else () for i in range(d))
              for j in range(d)]
     current = (tuple(ident), (Fraction(1),))
     for _ in range(budget):
-        basis_m = to_qt_matrix(*current)
-        columns = [basis_m.column(j) for j in range(d)]
-        stacked = list(columns)
-        for g in gens:
-            prod = g * basis_m
-            stacked.extend(prod.column(j) for j in range(d))
-        new = canonical_qt(stacked)
+        a, den = _zt_basis(*current)
+        prod = zt_product(images, a)
+        new = canonical_qt([[prod[b + i][j] for i in range(d)]
+                            for b in range(0, len(prod), d)
+                            for j in range(d)], _pmul(den, E))
         if len(new[0]) != d:
             raise ShapeError("saturation lost rank; generators not invertible?")
         if new == current:
@@ -458,30 +453,20 @@ def _saturate_qt(rep, budget):
         raise BudgetExceeded("Q[t]-lattice chain did not stabilize in %d rounds"
                              % (budget,))
 
-    T = to_qt_matrix(*current)
-    Tinv = T.inverse()
-    taus = []
-    for g in gens:
-        h = Tinv * g * T
-        for a in h.entries:
-            if len(a[1]) != 1:
-                raise BudgetExceeded("stabilized Q[t]-basis failed to clear "
-                                     "denominators (unexpected)")
-        taus.append(h)
-
-    # stage 2: coefficient matrices of every tau, acting on Q^d
+    # stage 2: coefficient matrices of every T^-1 g T = x / q, acting on Q^d
+    a, den = _zt_basis(*current)
     coeff_maps = []
-    for h in taus:
-        maxdeg = max(len(a[0]) for a in h.entries)
-        for j in range(maxdeg):
-            rows = []
-            for i in range(d):
-                row = []
-                for l in range(d):
-                    num = h.entry(i, l)[0]
-                    row.append(num[j] if j < len(num) else Fraction(0))
-                rows.append(row)
-            m = Matrix(QQ, rows)
+    for x, q in conjugate_numerators(a, gens):
+        content = math.gcd(*q) * (1 if q[-1] > 0 else -1)
+        prim = tuple(c // content for c in q)
+        try:
+            x = [_divexact(v, prim) for row in x for v in row]
+        except IntegralityError:
+            raise BudgetExceeded("stabilized Q[t]-basis failed to clear "
+                                 "denominators (unexpected)") from None
+        for j in range(max(map(len, x))):
+            m = Matrix._raw(QQ, d, d, [Fraction(v[j], content) if j < len(v)
+                                       else Fraction(0) for v in x])
             if not m.is_zero():
                 coeff_maps.append(m)
 
@@ -491,14 +476,26 @@ def _saturate_qt(rep, budget):
                              "rounds; no Z[t]-integral model with a constant "
                              "basis change was found" % (budget,))
 
-    B = T * _pair_basis(pair, K)
-    Binv = B.inverse()
-    ints = []
-    for g in rep.generators:
-        h = Binv * g * B
-        ints.append(h.from_fraction_field(ZT))
+    # B = T H / D_H for the stable pair (H, D_H): numerators A H over den D_H
+    h, den_h = pair
+    a = zt_product(a, [[(h[j][i],) if h[j][i] else () for j in range(d)]
+                       for i in range(d)])
+    ints = list(integral_conjugates(a, rep.generators))
     int_rep = Representation(ZT, ints, rep.relations, label=rep.label)
+    B = from_poly_rows(K, a, tuple(den_h * c for c in den))
     return LatticeBasis(ZT, B), int_rep
+
+
+def _zt_basis(h, den):
+    """(rows of A, D) in Z[t] for the basis h / den of a canonical Q[t]
+    pair: h its Q[t] columns, den monic; A = D (h / den) with D den times
+    the least positive integer that clears every coefficient."""
+    scale = math.lcm(*(c.denominator for col in h for a in col for c in a),
+                     *(c.denominator for c in den))
+    d = len(h)
+    return ([[tuple(c.numerator * (scale // c.denominator) for c in h[j][i])
+              for j in range(d)] for i in range(d)],
+            tuple(c.numerator * (scale // c.denominator) for c in den))
 
 
 def saturate(rep, budget=64):
@@ -543,16 +540,14 @@ def reduce_rep(int_rep, lat, prime):
     if int_rep.ring == R:
         mats = list(gens)
     elif int_rep.ring == K:
-        binv = lat.basis.inverse()
-        mats = []
-        for g in gens:
-            h = binv * g * lat.basis
-            try:
-                mats.append(h.from_fraction_field(R))
-            except IntegralityError:
-                raise IntegralityError(
-                    "representation is not integral in the lattice basis; "
-                    "run saturate first") from None
+        b = lat.basis
+        try:
+            mats = list(integral_conjugates(
+                integer_rows(b)[0] if K == QQ else poly_rows(b)[0], gens))
+        except IntegralityError:
+            raise IntegralityError(
+                "representation is not integral in the lattice basis; "
+                "run saturate first") from None
     else:
         raise ValueError("reduce_rep needs a representation over %r or %r"
                          % (R, K))

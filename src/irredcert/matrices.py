@@ -10,9 +10,19 @@ one slot per entry, reduced mod p once, on unpacking.  A product or apply
 is a sum of packed columns scaled by ints, one column per entry of the
 other factor, and a row operation adds a multiple of the packed pivot row.
 The packed columns of a matrix are computed once and kept with it, so a
-generator packs once for all the products and spins it enters.  The ring
-alone selects this path.  Every other ring takes the generic descriptor
-code, which stays the reference the tests compare the packed path against.
+generator packs once for all the products and spins it enters.
+
+In characteristic 0 one integer elimination, _bareiss, serves Z, Q, Z[t]
+and Q(t).  A matrix over Q is an integer matrix over one denominator
+(integer_rows), and one over Q(t) a Z[t] matrix over one denominator in
+Z[t] (poly_rows), whose entries are evaluated at t = 2^k, so that their
+products, determinant, inverse and integral conjugates are integer linear
+algebra too (see the section on Z[t] below).  Entries in canonical form
+are built again only for the values that leave these kernels.
+
+The ring alone selects a path.  Every other ring, and the sums, rref and
+char_poly over Q and Q(t), take the generic descriptor code, which stays
+the reference the tests compare the packed paths against.
 
 The module-level algorithms:
 
@@ -20,12 +30,15 @@ The module-level algorithms:
     kernel_basis(m) basis of the right null space over a field
     integer_rows(m) D m as integer rows, for a matrix m over Q and the
                     least common denominator D of its entries
+    poly_rows(m)    D m as Z[t] rows, for a matrix m over Q(t) and a common
+                    denominator D in Z[t]
     fraction_free_inverse(rows)  d * A^-1 and d = +-det A for an integer
                     matrix A, by fraction-free Gauss-Jordan elimination
                     (_bareiss, Bareiss, Math. Comp. 22, 1968; forward-only
-                    it is Matrix.det over Z); Matrix.inverse over Q runs on it
-    integral_conjugates(a, gens)  B^-1 g B over Z, on integer rows, for
-                    saturation and the checker
+                    it is Matrix.det over Z and Q); Matrix.inverse over Z,
+                    Q, Z[t] and Q(t) runs on it
+    integral_conjugates(a, gens)  B^-1 g B over Z or Z[t], on integer or
+                    Z[t] rows, for saturation, reduction and the checker
     char_poly(m)    monic characteristic polynomial over a field, computed by
                     Hessenberg reduction plus the standard determinant
                     recurrence (no division by integers, so it is safe in
@@ -42,8 +55,9 @@ from math import lcm
 from operator import mul
 
 from .errors import IntegralityError, ShapeError, SingularError
-from .fpoly import pack, slot_bytes, unpack
-from .rings import QQ, ZZ, PrimeField, RationalFunctionField
+from .fpoly import pack, slot_bytes, trim, unpack
+from .rings import (QQ, ZZ, PolynomialRingZ, PrimeField,
+                    RationalFunctionField)
 
 
 class Matrix:
@@ -167,6 +181,11 @@ class Matrix:
         R = self.ring
         n, m, k = self.nrows, self.ncols, other.ncols
         a, b = self.entries, other.entries
+        if isinstance(R, (PolynomialRingZ, RationalFunctionField)):
+            if not (n and m and k):
+                return Matrix.zeros(R, n, k)
+            (x, dx), (y, dy) = poly_rows(self), poly_rows(other)
+            return from_poly_rows(R, zt_product(x, y), _pmul(dx, dy))
         if isinstance(R, PrimeField):
             # column j of the product is the packed columns of self scaled
             # by the entries of column j of other
@@ -263,34 +282,56 @@ class Matrix:
         """Exact determinant, as an element of the matrix's own ring."""
         if self.nrows != self.ncols:
             raise ShapeError("determinant of a non-square matrix")
-        R = self.ring
-        if R.is_field:
-            return _det_field(self)
-        if R == ZZ:
-            d, sign = _bareiss(self.rows(), self.nrows, False)
-            return sign * d
-        return R.from_fraction_field(_det_field(self.to_fraction_field()))
+        R, n = self.ring, self.nrows
+        if R == QQ or R == ZZ:
+            a, den = integer_rows(self)
+            d, sign = _bareiss(a, n, False)
+            return sign * d if R == ZZ else Fraction(sign * d, den ** n)
+        if isinstance(R, (PolynomialRingZ, RationalFunctionField)):
+            a, den = poly_rows(self)
+            k = _slot(_minor_bound(a))
+            d, sign = _bareiss(_packed(a, k), n, False)
+            d = _digits(sign * d, k)
+            if isinstance(R, PolynomialRingZ):
+                return d
+            k = _slot(_norm(den) ** n)
+            return R.quotient(d, _digits(_at(den, k) ** n, k))
+        return _det_field(self)
 
     def inverse(self):
-        """Inverse over the fraction field, read off the reduced echelon form
-        of [m | I]; converted back into the base ring when all entries
-        happen to lie there.  Over Q (and Z) m = A / D for an integer
-        matrix A, and m^-1 = D A^-1 comes from fraction_free_inverse with
-        one Fraction per entry."""
+        """Inverse over the fraction field, converted back into the base
+        ring when all entries happen to lie there.  Over Z and Q, m = A / D
+        for an integer matrix A, and m^-1 = D A^-1 comes from
+        fraction_free_inverse with one Fraction per entry; over Z[t] and
+        Q(t) the same runs on the Z[t] entries of A at t = 2^k, with one
+        canonical Q(t) value per entry.  Any other field reads it off the
+        reduced echelon form of [m | I]."""
         n = self.nrows
         if n != self.ncols:
             raise ShapeError("inverse of a non-square matrix")
-        m = self.to_fraction_field()
-        K, e = m.ring, m.entries
-        if K == QQ:
-            a, den = integer_rows(m)
+        R = self.ring
+        if R == QQ or R == ZZ:
+            a, den = integer_rows(self)
             out = fraction_free_inverse(a)
             if out is None:
                 raise SingularError("matrix is singular")
             rows, d = out
             inv = Matrix._raw(QQ, n, n, [Fraction(den * x, d)
                                          for row in rows for x in row])
+        elif isinstance(R, (PolynomialRingZ, RationalFunctionField)):
+            a, den = poly_rows(self)
+            k = _slot(_minor_bound(a))
+            out = fraction_free_inverse(_packed(a, k))
+            if out is None:
+                raise SingularError("matrix is singular")
+            rows, d = out
+            K = R.fraction_field()
+            d = _digits(d, k)
+            inv = Matrix._raw(K, n, n, [K.quotient(_pmul(den, _digits(x, k)),
+                                                   d)
+                                        for row in rows for x in row])
         else:
+            K, e = R, self.entries
             z, o = K.zero(), K.one()
             aug = []
             for i in range(n):
@@ -712,21 +753,53 @@ def fraction_free_inverse(rows):
 
 
 def integral_conjugates(a, gens):
-    """The matrices X = B^-1 g B over Z, one per matrix g over Q in gens
+    """The matrices X = B^-1 g B over Z or Z[t], one per matrix g in gens
     and in their order, for the invertible basis B = A / D given by the
-    integer rows a of A (D cancels).  With A R = c I from
-    fraction_free_inverse and g = G / e, X = R G A / (c e): two integer
-    products and one exact division.
+    rows a of A (D cancels): integer rows when gens are over Q, Z[t] rows
+    when they are over Q(t).  X = R G A / (c e) (conjugate_numerators),
+    and the exact division by c e decides integrality, on integers or on
+    Z[t] values.
 
     Raises SingularError at once when A is singular.  The conjugates are
     then yielded one by one, and IntegralityError is raised in place of
     the first that is not integral."""
+    conj = conjugate_numerators(a, gens)
+    if gens and gens[0].ring != QQ:
+        R = PolynomialRingZ(gens[0].ring.var)
+        return (Matrix._raw(R, len(x), len(x), [_divexact(v, q) for row in x
+                                                for v in row])
+                for x, q in conj)
+    return (_exact_quotient(x, q) for x, q in conj)
+
+
+def conjugate_numerators(a, gens):
+    """(X, q) per matrix g in gens, in their order, with B^-1 g B = X / q
+    for the invertible basis B = A / D given by the rows a of A (D
+    cancels), over Z for gens over Q and over Z[t] for gens over Q(t).
+    With A R = c I from fraction_free_inverse and g = G / e, X = R G A and
+    q = c e: two products.  Over Z[t] both run on the entries at t = 2^k,
+    with k from the bounds of _minor_bound and _product_bound on R and
+    G A, and X is unpacked.  Raises SingularError at once when A is
+    singular; the pairs are then yielded one by one."""
+    if gens and gens[0].ring != QQ:
+        forms = [poly_rows(g) for g in gens]
+        k = _slot(_minor_bound(a) * max([1] + [len(a) * _product_bound(
+            rows, a) for rows, _ in forms]))
+        a = _packed(a, k)
+        forms = [(_packed(rows, k), e) for rows, e in forms]
+    else:
+        forms, k = map(integer_rows, gens), None
     out = fraction_free_inverse(a)
     if out is None:
         raise SingularError("the basis is singular")
     r, c = out
-    return (_exact_quotient(int_product(r, int_product(rows, a)), c * e)
-            for rows, e in map(integer_rows, gens))
+    if k is None:
+        return ((int_product(r, int_product(rows, a)), c * e)
+                for rows, e in forms)
+    c = _digits(c, k)
+    return (([[_digits(v, k) for v in row]
+              for row in int_product(r, int_product(rows, a))], _pmul(c, e))
+            for rows, e in forms)
 
 
 def _exact_quotient(x, q):
@@ -735,6 +808,137 @@ def _exact_quotient(x, q):
     if any(v % q for row in x for v in row):
         raise IntegralityError("a conjugate is not integral in the basis")
     return Matrix._raw(ZZ, len(x), len(x), [v // q for row in x for v in row])
+
+
+# ---------------------------------------------------------------------------
+# matrices over Z[t] and Q(t) on packed integers
+#
+# A matrix over Q(t) is held as one denominator D in Z[t] over a matrix A
+# with Z[t] entries (poly_rows), integer coefficient tuples; over Z[t],
+# D = 1.  Evaluation at t = 2^k is a ring homomorphism Z[t] -> Z (Kronecker
+# substitution; von zur Gathen and Gerhard, Modern Computer Algebra, 8.4),
+# so products, _bareiss and fraction_free_inverse run unchanged on the
+# entries at 2^k: a zero test is exact, and so is each of Bareiss's exact
+# divisions (they hold in any integral domain).  A value whose
+# coefficients are all below 2^(k-1) in absolute value is read back from
+# its balanced base-2^k digits (_digits), so k comes from a bound on every
+# value unpacked or tested for zero, plus a sign bit (_slot).  Divisibility
+# is never read off packed ints (t / 2 is an integer at t = 2^k): it is
+# decided on the unpacked Z[t] values (_divexact).
+
+
+def poly_rows(m):
+    """(rows of D m as Z[t] values, D) for a matrix m over Q(t) or Z[t]
+    and a common denominator D in Z[t] of its entries
+    (RationalFunctionField.clear_denominators; D = 1 over Z[t]), the Q(t)
+    analogue of integer_rows."""
+    R, e, n = m.ring, m.entries, m.ncols
+    den = (1,)
+    if isinstance(R, RationalFunctionField):
+        e, den = R.clear_denominators(e)
+    return [list(e[i * n:(i + 1) * n]) for i in range(m.nrows)], den
+
+
+def from_poly_rows(R, rows, den):
+    """The matrix (Z[t] rows) / den over R = Z[t] (den = 1) or Q(t), with
+    canonical entries."""
+    if isinstance(R, PolynomialRingZ):
+        e = [v for row in rows for v in row]
+    else:
+        e = [R.quotient(v, den) for row in rows for v in row]
+    return Matrix._raw(R, len(rows), len(rows[0]) if rows else 0, e)
+
+
+def zt_product(a, b):
+    """The product of two matrices over Z[t] given as nonempty rows, as one
+    integer product at t = 2^k."""
+    k = _slot(_product_bound(a, b))
+    return [[_digits(v, k) for v in row]
+            for row in int_product(_packed(a, k), _packed(b, k))]
+
+
+def _norm(f):
+    return sum(map(abs, f))
+
+
+def _minor_bound(rows):
+    """A bound on the coefficient 1-norm of every minor of [A | I] for the
+    Z[t] rows of A, so of every entry _bareiss meets on it: the product
+    over the rows of 1 plus the row's sum of entry 1-norms (a minor's
+    expansion takes one entry from each of its rows)."""
+    bound = 1
+    for row in rows:
+        bound *= 1 + sum(map(_norm, row))
+    return bound
+
+
+def _product_bound(a, b):
+    """A bound on the coefficient 1-norm of every entry of the product of
+    the Z[t] rows a and b: ||sum a b|| <= sum ||a|| ||b||, at most the
+    largest row sum of 1-norms in a times the largest 1-norm in b."""
+    return max((sum(map(_norm, row)) for row in a), default=0) * \
+        max((_norm(v) for row in b for v in row), default=0)
+
+
+def _slot(bound):
+    """Bits per slot for Z[t] values whose coefficients are at most bound
+    in absolute value: those of bound, and a sign bit."""
+    return bound.bit_length() + 1
+
+
+def _at(f, k):
+    """The Z[t] value f at t = 2^k."""
+    v = 0
+    for c in reversed(f):
+        v = (v << k) + c
+    return v
+
+
+def _packed(rows, k):
+    """The Z[t] rows at t = 2^k."""
+    return [[_at(f, k) for f in row] for row in rows]
+
+
+def _digits(v, k):
+    """The Z[t] value with coefficients below 2^(k-1) in absolute value
+    that takes the value v at t = 2^k: the balanced base-2^k digits of v,
+    ascending and trimmed."""
+    half, mask = 1 << k - 1, (1 << k) - 1
+    out = []
+    for _ in range(abs(v).bit_length() // k + 2):
+        c = v & mask
+        if c >= half:
+            c -= 1 << k
+        out.append(c)
+        v = (v - c) >> k
+    return tuple(trim(out))
+
+
+def _pmul(f, g):
+    """The product of two Z[t] values, as one integer product."""
+    if not f or not g:
+        return ()
+    k = _slot(_norm(f) * _norm(g))
+    return _digits(_at(f, k) * _at(g, k), k)
+
+
+def _divexact(f, g):
+    """f / g for Z[t] values f and g != 0 by long division on the
+    coefficients; IntegralityError unless g divides f in Z[t]."""
+    r = list(f)
+    n, lead = len(g), g[-1]
+    q = [0] * max(0, len(r) - n + 1)
+    for i in range(len(r) - n, -1, -1):
+        c, rem = divmod(r[i + n - 1], lead)
+        if rem:
+            raise IntegralityError("a conjugate is not integral in the basis")
+        if c:
+            q[i] = c
+            for j, y in enumerate(g):
+                r[i + j] -= c * y
+    if any(r):
+        raise IntegralityError("a conjugate is not integral in the basis")
+    return tuple(trim(q))
 
 
 # ---------------------------------------------------------------------------

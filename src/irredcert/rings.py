@@ -21,6 +21,7 @@ documented in docs/formats.md; parse() and format() implement that grammar.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from . import fpoly
 from .errors import BadPrime, IntegralityError, SingularError
@@ -194,9 +195,14 @@ def format_poly(coeffs, var):
 # ---------------------------------------------------------------------------
 # Fraction polynomial kernels used internally by Q(t)
 # (coefficient lists ascending, trimmed; the F_p ones live in fpoly).
-# Q(t) arithmetic runs on every matrix entry, and these direct Fraction
-# loops beat the generic polys code over Q, whose every scalar step is a
-# descriptor call.
+# Matrix products, determinants, inverses and conjugations over Q(t) run
+# on Z[t] numerators at t = 2^k (see matrices), so these serve the scalar
+# arithmetic of the descriptor (sums, rref and char_poly over Q(t), the
+# MeatAxe's sampling there), the gcd of _normalize for a value that leaves
+# the kernels with a non-constant denominator, and the lcm of the
+# denominators in clear_denominators.  These direct Fraction loops beat
+# the generic polys code over Q, whose every scalar step is a descriptor
+# call.
 
 
 def _fr_add(a, b):
@@ -591,6 +597,10 @@ class RationalFunctionField(RingDescriptor):
             raise SingularError("zero denominator in Q(%s)" % (self.var,))
         if not num:
             return ((), (Fraction(1),))
+        if len(den) == 1:
+            # a constant denominator only divides the coefficients
+            inv = 1 / den[0]
+            return (tuple(x * inv for x in num), (_Q_ONE,))
         g = _fr_gcd_monic(num, den)
         if len(g) > 1:
             num = _fr_divmod(num, g)[0]
@@ -601,6 +611,37 @@ class RationalFunctionField(RingDescriptor):
             num = [x * inv for x in num]
             den = [x * inv for x in den]
         return (tuple(num), tuple(den))
+
+    def quotient(self, num, den):
+        """The canonical element num / den for Z[t] values num and den != 0
+        (integer coefficient sequences)."""
+        return self._normalize([Fraction(c) for c in num],
+                               [Fraction(c) for c in den])
+
+    def clear_denominators(self, values):
+        """(numerators, D) for some elements a of Q(t): D in Z[t] and each
+        D a in Z[t], all as integer coefficient tuples.  D is the lcm of
+        the monic denominators, times the least positive integer that makes
+        it and every numerator integral.  When every denominator is
+        constant, as in most inputs, no polynomial gcd is taken."""
+        dens = set(a[1] for a in values)
+        common = [_Q_ONE]
+        for den in dens:
+            if len(den) > 1:
+                g = _fr_gcd_monic(common, den)
+                common = _fr_mul(common, _fr_divmod(den, g)[0])
+        if len(common) > 1:
+            cofactor = {den: _fr_divmod(common, den)[0] for den in dens}
+            nums = [_fr_mul(num, cofactor[den]) for num, den in values]
+        else:
+            nums = [num for num, _ in values]
+        scale = lcm(*(c.denominator for f in nums for c in f),
+                    *(c.denominator for c in common))
+
+        def cleared(f):
+            return tuple(c.numerator * (scale // c.denominator) for c in f)
+
+        return [cleared(f) for f in nums], cleared(common)
 
     def zero(self):
         return ((), (Fraction(1),))

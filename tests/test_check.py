@@ -12,10 +12,11 @@ import pytest
 from irredcert.certify import (Certificate, IRREDUCIBLE_CERTIFIED,
                                RULE_REGULAR_ONE_PRIME, _make_cert,
                                canonical_json, certify, compute_self_digest,
-                               load_certificate, replay, verify)
+                               load_certificate, rep_digest, replay, verify)
 from irredcert.check import rejection
 from irredcert.cli import main
 from irredcert.errors import IrredcertError
+from irredcert.matrices import Matrix
 from irredcert.meataxe import is_irreducible
 from irredcert.reps import Representation, load_rep
 from irredcert.rings import QQ, ZZ, PrimeField
@@ -175,6 +176,38 @@ class TestTamperedCertifyingFields:
         reason = self.reason(cert, rep, lambda b: b.update(
             lattice=[["t", "0"], ["0", "1"]]))
         assert reason == "generator 0 is not integral in the recorded lattice"
+
+    def test_non_constant_lattice_of_b3_qt(self):
+        """The Z[t] branch of the lattice check, on the golden b3_qt
+        certificate, whose lattice has non-constant entries."""
+        rep = load_rep(str(DATA / "b3_qt.json"))
+        cert = load_certificate(str(GOLDEN / "b3_qt.cert.json"))
+        K, t = rep.ring, rep.ring.parse("t")
+        b = Matrix(K, [[K.parse(a) for a in row] for row in cert.lattice])
+        assert any(not K.is_constant(a) for a in b.entries)
+
+        def lat(m):
+            return lambda blob: blob.update(lattice=[
+                [K.format(a) for a in m.row(i)] for i in range(m.nrows)])
+        stretch = Matrix(K, [[t, 0, 0], [0, 1, 0], [0, 0, 1]])
+        # generator 0 is [[-1, 0, 0], [-2, 1, 0], [2, 0, 1]] in the lattice,
+        # so it stays integral when the first basis vector is stretched by
+        # t; generator 1 has a 1 in its first row and does not
+        assert self.reason(cert, rep, lat(b * stretch)) == \
+            "generator 1 is not integral in the recorded lattice"
+        # the third basis vector replaced by the first
+        assert self.reason(cert, rep, lat(b * Matrix(K, [
+            [1, 0, 1], [0, 1, 0], [0, 0, 0]]))) == \
+            "the lattice basis is singular"
+        # a fourth generator that acts in the lattice as diag(t, 1, 1):
+        # integral, of determinant t
+        extra = b * stretch * b.inverse()
+        rep4 = Representation(K, list(rep.generators) + [extra],
+                              rep.relations, label=rep.label)
+        blob = copy(cert)
+        blob["input_digest"] = rep_digest(rep4)
+        assert rejection(redigested(blob), rep4) == (
+            "generator 3 has determinant t in the recorded lattice, not +-1")
 
     def test_determinant_must_be_a_unit(self):
         # x^2 - 2 is irreducible mod 3, so only the lattice check can see

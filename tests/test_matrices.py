@@ -7,6 +7,7 @@ package itself needs no Smith form, so snf lives here with its tests; hnf
 and integer_kernel live in integer_lattices, shared with the lattice tests.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from irredcert.errors import IntegralityError, ShapeError, SingularError
 from irredcert.matrices import (
     Matrix, _bareiss, _det_field, _row_hnf, char_poly, fraction_free_inverse,
     int_product, integer_rows, integral_conjugates, kernel_basis, kronecker,
-    poly_at_matrix, rank, rref,
+    poly_at_matrix, poly_rows, rank, rref,
 )
 from irredcert.prng import XorShift64
 from irredcert.rings import ZZ, QQ, PolynomialRingZ, PrimeField, \
@@ -24,6 +25,8 @@ from irredcert.rings import ZZ, QQ, PolynomialRingZ, PrimeField, \
 from generic_fp import FIELD_SIZES, GenericFp, matrix_cases, random_rows
 from generic_q import GenericQ, basis_change, conjugated, rational_cases, \
     std_sn
+from generic_qt import QT, ZT, generic, over, random_matrix, random_qt, \
+    reference_conjugates, reference_det, reference_inverse, singular
 from integer_lattices import check_integer_matrix, hnf, integer_kernel
 
 F2 = PrimeField(2)
@@ -573,3 +576,121 @@ class TestPrimeFieldKernels:
             a, b, c = polys[-1]
             assert poly_at_matrix(Kf, polys[-1], mf) == (mf * mf).scale(c) \
                 + mf.scale(b) + Matrix.identity(Kf, d).scale(a), name
+
+
+class TestPackedPolyKernels:
+    """Over Q(t) and Z[t] products, det, inverse and integral conjugation
+    run on the Z[t] numerators at t = 2^k; over GenericQt the same come
+    from the descriptor code (tests/generic_qt.py).  They agree entry for
+    entry, and integrality is decided on the unpacked values."""
+
+    @staticmethod
+    def _square_cases(rng, ring):
+        # the generic inverse over Q(t) grows fast with n, so n <= 3 there
+        sizes = (1, 1, 2, 3) if ring == QT else (1, 1, 2, 3, 4)
+        cases = [Matrix._raw(ring, 0, 0, [])]
+        cases += [random_matrix(rng, ring, n, n, deg=1) for n in sizes
+                  for _ in range(2)]
+        cases += [singular(rng, ring, n, deg=1) for n in sizes[2:]]
+        cases += [Matrix.zeros(ring, 1, 1), Matrix.zeros(ring, 2, 2)]
+        if ring == QT:
+            # denominators of degree 8 and 9
+            cases += [random_matrix(rng, ring, n, n, deg=1, den_deg=8 + n % 2)
+                      for n in (1, 2)]
+        else:
+            cases += [random_matrix(rng, ring, 2, 2, deg=9)]
+        # negative coefficients near 2^64
+        near = [(-(1 << 64) + rng.randrange(50), rng.randint(-3, 3),
+                 -(1 << 64) + 7) for _ in range(9)]
+        cases.append(Matrix(ring, [near[:3], near[3:6], near[6:]]))
+        return cases
+
+    @pytest.mark.parametrize("ring", [QT, ZT])
+    def test_product_det_inverse_match_the_generic_path(self, ring):
+        rng = random.Random(12)
+        for m in self._square_cases(rng, ring):
+            other = random_matrix(rng, ring, m.nrows, m.nrows)
+            assert m * other == over(ring, generic(m) * generic(other)), m
+            assert m.det() == reference_det(m), m
+            if ring.fraction_field().is_zero(
+                    m.to_fraction_field().det()):
+                with pytest.raises(SingularError):
+                    m.inverse()
+                with pytest.raises(SingularError):
+                    generic(m).inverse()
+            else:
+                assert m.inverse() == reference_inverse(m), m
+        for n, l, k in ((2, 3, 1), (0, 2, 3), (3, 0, 2), (1, 4, 2)):
+            a = random_matrix(rng, ring, n, l)
+            b = random_matrix(rng, ring, l, k)
+            assert a * b == over(ring, generic(a) * generic(b))
+
+    def test_entries_that_reach_the_slot_bound(self):
+        """A product entry sum a b of constants with one sign reaches the
+        bound ||sum a b|| <= sum ||a|| ||b|| exactly, so a slot one bit
+        narrower, with no room for the sign, misreads it."""
+        for ring in (QT, ZT):
+            for c in (1, 3, 1 << 32, (1 << 64) - 1):
+                for sign in (1, -1):
+                    a = Matrix(ring, [[sign * c] * 3] * 2)
+                    b = Matrix(ring, [[c] * 2] * 3)
+                    assert (a * b).entries == \
+                        Matrix(ring, [[sign * 3 * c * c] * 2] * 2).entries
+                    assert a * b == over(ring, generic(a) * generic(b))
+
+    def test_integral_conjugates_match_the_generic_path(self):
+        """X = B^-1 g B over Z[t] comes back from g = B X B^-1 for bases
+        with denominators of degree up to 8; a generator that is not
+        integral in the basis raises IntegralityError at its index on both
+        paths."""
+        rng = random.Random(3)
+        bases = [random_matrix(rng, QT, n, n, deg=1, bits=2, den_deg=1)
+                 for n in (1, 2, 2)]
+        # the generic path is slow on dense bases with many denominators,
+        # so the larger ones are a diagonal times a unitriangular matrix
+        for dens in ((8, 0), (1, 2, 1)):
+            n = len(dens)
+            diag = Matrix._raw(QT, n, n, [
+                random_qt(rng, 1, 2, dens[i]) if i == j else QT.zero()
+                for i in range(n) for j in range(n)])
+            bases.append(diag * Matrix(QT, [
+                [1 if i == j else (rng.randint(-3, 3) if j < i else 0)
+                 for j in range(n)] for i in range(n)]))
+        for b in bases:
+            n = b.nrows
+            if QT.is_zero(b.det()):
+                continue
+            xs = [random_matrix(rng, ZT, n, n, deg=1) for _ in range(3)]
+            bg = generic(b)
+            gens = [over(QT, bg * generic(x) * bg.inverse()) for x in xs]
+            a = poly_rows(b)[0]
+            assert list(integral_conjugates(a, gens)) == xs
+            assert reference_conjugates(b, gens) == xs
+            bad = gens[:1] + [random_matrix(rng, QT, n, n, den_deg=2)]
+            got = integral_conjugates(a, bad)
+            assert next(got) == xs[0]
+            with pytest.raises(IntegralityError):
+                next(got)
+            with pytest.raises(IntegralityError):
+                reference_conjugates(b, bad)
+        with pytest.raises(SingularError):
+            integral_conjugates(poly_rows(singular(rng, QT, 3))[0], gens)
+
+    def test_divisible_at_two_to_the_k_is_not_integral(self):
+        """B = diag(1, 2) and g = [[1, 0], [t, 1]] give B^-1 g B with the
+        entry t/2.  Its numerator t over c = det B = 2 is divisible at
+        t = 2^k, yet the conjugate is not integral."""
+        t = QT.parse("t")
+        g = Matrix(QT, [[1, 0], [t, 1]])
+        for b in (Matrix(QT, [[1, 0], [0, 2]]),
+                  Matrix(QT, [[1, 0], [0, QT.parse("2*t")]]) * Matrix(
+                      QT, [[1, 0], [0, QT.parse("(1)/(t)")]])):
+            with pytest.raises(IntegralityError):
+                next(integral_conjugates(poly_rows(b)[0], [g]))
+            with pytest.raises(IntegralityError):
+                reference_conjugates(b, [g])
+        # the inverse of [[2, t], [0, 1]] over Z[t] leaves Z[t]
+        m = Matrix(ZT, [[(2,), (0, 1)], [(), (1,)]])
+        assert m.inverse().ring == QT
+        assert m.inverse() == reference_inverse(m)
+        assert m.inverse().entry(0, 1) == QT.parse("-1/2*t")
