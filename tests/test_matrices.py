@@ -678,13 +678,13 @@ class TestPackedPolyKernels:
 
     def test_divisible_at_two_to_the_k_is_not_integral(self):
         """B = diag(1, 2) and g = [[1, 0], [t, 1]] give B^-1 g B with the
-        entry t/2.  Its numerator t over c = det B = 2 is divisible at
-        t = 2^k, yet the conjugate is not integral."""
-        t = QT.parse("t")
-        g = Matrix(QT, [[1, 0], [t, 1]])
-        for b in (Matrix(QT, [[1, 0], [0, 2]]),
-                  Matrix(QT, [[1, 0], [0, QT.parse("2*t")]]) * Matrix(
-                      QT, [[1, 0], [0, QT.parse("(1)/(t)")]])):
+        entry t/2: its numerator t over c = det B = 2 is divisible at
+        t = 2^k, yet the conjugate is not integral.  So is t^2 over 2t for
+        B = diag(1, 2t) and g = [[1, 0], [t^2, 1]]."""
+        for b, g in ((["1", "2"], [["1", "0"], ["t", "1"]]),
+                     (["1", "2*t"], [["1", "0"], ["t^2", "1"]])):
+            b = Matrix(QT, [[QT.parse(b[0]), 0], [0, QT.parse(b[1])]])
+            g = Matrix(QT, [[QT.parse(a) for a in row] for row in g])
             with pytest.raises(IntegralityError):
                 next(integral_conjugates(poly_rows(b)[0], [g]))
             with pytest.raises(IntegralityError):
