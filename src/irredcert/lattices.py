@@ -435,11 +435,17 @@ def _saturate_qt(rep, budget):
             den = polys.divmod_poly(QQ, den, g)[0]
         return tuple(tuple(col) for col in h), tuple(den)
 
+    def basis_rows(h, den):
+        # the basis h / den of a canonical Q[t] pair as Z[t] rows over a
+        # denominator in Z[t]
+        return poly_rows(Matrix._raw(K, d, d, [(h[j][i], den) for i in range(d)
+                                               for j in range(d)]))
+
     ident = [tuple((Fraction(1),) if i == j else () for i in range(d))
              for j in range(d)]
     current = (tuple(ident), (Fraction(1),))
     for _ in range(budget):
-        a, den = _zt_basis(*current)
+        a, den = basis_rows(*current)
         prod = zt_product(images, a)
         new = canonical_qt([[prod[b + i][j] for i in range(d)]
                             for b in range(0, len(prod), d)
@@ -454,7 +460,7 @@ def _saturate_qt(rep, budget):
                              % (budget,))
 
     # stage 2: coefficient matrices of every T^-1 g T = x / q, acting on Q^d
-    a, den = _zt_basis(*current)
+    a, den = basis_rows(*current)
     coeff_maps = []
     for x, q in conjugate_numerators(a, gens):
         content = math.gcd(*q) * (1 if q[-1] > 0 else -1)
@@ -484,18 +490,6 @@ def _saturate_qt(rep, budget):
     int_rep = Representation(ZT, ints, rep.relations, label=rep.label)
     B = from_poly_rows(K, a, tuple(den_h * c for c in den))
     return LatticeBasis(ZT, B), int_rep
-
-
-def _zt_basis(h, den):
-    """(rows of A, D) in Z[t] for the basis h / den of a canonical Q[t]
-    pair: h its Q[t] columns, den monic; A = D (h / den) with D den times
-    the least positive integer that clears every coefficient."""
-    scale = math.lcm(*(c.denominator for col in h for a in col for c in a),
-                     *(c.denominator for c in den))
-    d = len(h)
-    return ([[tuple(c.numerator * (scale // c.denominator) for c in h[j][i])
-              for j in range(d)] for i in range(d)],
-            tuple(c.numerator * (scale // c.denominator) for c in den))
 
 
 def saturate(rep, budget=64):

@@ -1,4 +1,4 @@
-"""Reference for Q(t) and Z[t] matrices on packed integers: the descriptor path.
+"""Reference for the packed Q(t) and Z[t] kernels: the descriptor path.
 
 GenericQt has the arithmetic of RationalFunctionField but is not one, so
 Matrix products, det and inverse run the generic descriptor code on it: an
