@@ -106,12 +106,6 @@ class Matrix:
         z = ring.zero()
         return cls._raw(ring, nrows, ncols, [z] * (nrows * ncols))
 
-    @classmethod
-    def from_columns(cls, ring, cols):
-        nrows = len(cols[0]) if cols else 0
-        return cls(ring, [[cols[j][i] for j in range(len(cols))]
-                          for i in range(nrows)])
-
     def entry(self, i, j):
         return self.entries[i * self.ncols + j]
 

@@ -153,8 +153,7 @@ class TestLatticeBasis:
         assert lat.canonical
         # non-constant basis: compare by containment
         t = QT.coerce(((0, 1), (1,)))
-        b2 = Matrix.from_columns(QT, [(QT.one(), QT.zero()),
-                                      (QT.zero(), t)])
+        b2 = Matrix(QT, [(QT.one(), QT.zero()), (QT.zero(), t)])
         lat2 = LatticeBasis(ZT, b2)
         assert not lat2.canonical
         assert lat2 == LatticeBasis(ZT, b2 * Matrix(QT, [[1, 1], [0, 1]]))
@@ -208,16 +207,15 @@ class TestSaturate:
         # conjugate the constant model by diag(1, t): saturation must undo it
         rep = s3_over(QT)
         t = QT.coerce(((0, 1), (1,)))
-        c = Matrix.from_columns(QT, [(QT.one(), QT.zero()),
-                                     (QT.zero(), t)])
+        c = Matrix(QT, [(QT.one(), QT.zero()), (QT.zero(), t)])
         hidden = conjugate(rep, c.inverse())  # generators pick up t and 1/t
         lat, int_rep = saturate(hidden)
         assert int_rep.ring == ZT
         expected = tuple(g.change_ring(ZT) for g in s3_over(ZZ).generators)
         assert int_rep.generators == expected
         inv_t = QT.div(QT.one(), t)
-        assert lat.basis == Matrix.from_columns(
-            QT, [(QT.one(), QT.zero()), (QT.zero(), inv_t)])
+        assert lat.basis == Matrix(QT, [(QT.one(), QT.zero()),
+                                        (QT.zero(), inv_t)])
 
     def test_b3_qt_saturates_to_a_nonconstant_lattice(self):
         # the golden b3_qt takes _saturate_qt, not the constant shortcut,

@@ -259,7 +259,7 @@ class TestFunctionField:
     def test_nonconstant_irreducible_by_specialization(self):
         rep = s3_over(QT)
         t = QT.coerce(((0, 1), (1,)))
-        c = Matrix.from_columns(QT, [(QT.one(), QT.zero()), (QT.zero(), t)])
+        c = Matrix(QT, [(QT.one(), QT.zero()), (QT.zero(), t)])
         hidden = conjugate(rep, c)
         v = is_irreducible(hidden)
         assert v.status == IRREDUCIBLE
@@ -267,7 +267,7 @@ class TestFunctionField:
 
     def test_nonconstant_reducible_witness(self):
         t = QT.coerce(((0, 1), (1,)))
-        g = Matrix.from_columns(QT, [(t, QT.zero()), (QT.zero(), QT.one())])
+        g = Matrix(QT, [(t, QT.zero()), (QT.zero(), QT.one())])
         rep = Representation(QT, [g], [])
         v = is_irreducible(rep)
         assert v.status == REDUCIBLE
