@@ -612,8 +612,7 @@ class TestPackedPolyKernels:
             other = random_matrix(rng, ring, m.nrows, m.nrows)
             assert m * other == over(ring, generic(m) * generic(other)), m
             assert m.det() == reference_det(m), m
-            if ring.fraction_field().is_zero(
-                    m.to_fraction_field().det()):
+            if QT.is_zero(generic(m).det()):
                 with pytest.raises(SingularError):
                     m.inverse()
                 with pytest.raises(SingularError):
