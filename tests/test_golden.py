@@ -26,9 +26,12 @@ DATA = os.path.join(os.path.dirname(HERE), "data")
 DATA_FP = os.path.join(DATA, "fp")
 GOLDEN = os.path.join(HERE, "golden")
 
-# (rep, exit code of `certify`); q8 has no certifying prime and exits 2
+# (rep, exit code of `certify`); q8 has no certifying prime and exits 2.
+# s9 (standard rep, d = 8) certifies at (2) by enumerating both projective
+# kernels of nullity 7; s6 (d = 5) is split at (3) by a dual spin, whose
+# witness is the annihilator _perp_witness computes, and certifies at (5)
 CERTIFY = [("b3_qt", 0), ("d4", 0), ("q8", 2), ("s3", 0), ("s3_qt", 0),
-           ("s3_scaled", 0), ("s4", 0)]
+           ("s3_scaled", 0), ("s4", 0), ("s6", 0), ("s9", 0)]
 
 REDUCE = ([(rep, prime) for rep in ("s3", "s3_scaled", "d4", "s4")
            for prime in ("(2)", "(3)", "(5)")]
