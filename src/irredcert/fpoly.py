@@ -5,11 +5,20 @@ of nb bytes per entry, entry i in bytes nb*i to nb*(i+1) (Kronecker
 substitution).  Adding packed ints adds the vectors slot by slot, and
 multiplying one by a small int scales it, so a matrix-vector product or a
 row operation is a few big-int operations; a polynomial product is one
-big-int product.  Slots are reduced mod p only on unpacking: slot_bytes
-picks the slot width from p and the number of products a slot accumulates,
-so that no slot overflows into the next.  Every p takes the same code; a
-slot wider than 8 bytes only unpacks more slowly.  `matrices` and `meataxe`
-run their prime-field kernels on pack and unpack.
+big-int product.  Slots are not reduced mod p as they accumulate:
+slot_bytes picks the slot width from p and the number of products a slot
+takes, so that no slot overflows into the next.
+
+A slot is one byte for p = 2 up to 254 products, p = 3 up to 63, p = 5 up
+to 15 and p = 7 up to 6, so in the spin and products, whose slots take 2d
+products, for F_2 up to d = 127 and F_3 up to d = 31.  A packed vector is
+then just its bytes: unpack reduces them all with one bytes.translate
+through a 256-entry table, and monic_slots reduces a vector, finds its
+first nonzero slot with lstrip and scales it to a leading 1 through a
+second table, in C.  Wider slots take the list path: unpack reads them
+through a memoryview (2, 4 and 8 bytes) or int.from_bytes and reduces
+each entry.  `matrices` and `meataxe` run their prime-field
+kernels on pack, unpack and monic_slots.
 
 Polynomials are ascending coefficient lists of ints in [0, p), trimmed (the
 zero polynomial is the empty list).  These are the only F_p[x] kernels in
@@ -25,10 +34,23 @@ import sys
 
 from .errors import SingularError
 
-# memoryview formats of the slot widths that unpack without a loop; they
-# read native byte order, which must be that of the packing
-_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# memoryview formats of the wider slot widths that unpack without a loop;
+# they read native byte order, which must be that of the packing
+_FORMATS = {2: "H", 4: "I", 8: "Q"}
 _LITTLE_ENDIAN = sys.byteorder == "little"
+
+# per p < 256, the tables that divide a byte by c mod p, for c in [1, p):
+# table c maps byte i to i c^-1 mod p, so table 1 reduces mod p
+_DIVIDE = {}
+
+
+def _divide_tables(p):
+    tables = _DIVIDE.get(p)
+    if tables is None:
+        tables = [None] + [bytes(i * pow(c, -1, p) % p for i in range(256))
+                           for c in range(1, p)]
+        _DIVIDE[p] = tables
+    return tables
 
 
 def slot_bytes(p, terms):
@@ -61,11 +83,41 @@ def unpack(xs, n, nb, p):
     """The n slots of each packed int in xs (each >= 0 and fitting in them),
     one list, each reduced mod p."""
     b = b"".join([x.to_bytes(n * nb, "little") for x in xs])
+    if nb == 1:
+        return list(b.translate(_divide_tables(p)[1]))
     fmt = _FORMATS.get(nb) if _LITTLE_ENDIAN else None
     if fmt is None:
         return [int.from_bytes(b[i:i + nb], "little") % p
                 for i in range(0, len(b), nb)]
     return [a % p for a in memoryview(b).cast(fmt).tolist()]
+
+
+def monic_slots(w, n, nb, p):
+    """The packed vector w of n slots (>= 0, fitting in them) reduced mod p
+    and scaled to a leading 1: (pivot, packed, entries), the pivot being
+    its first nonzero slot, or None when w is zero mod p.
+
+    With one-byte slots the entries are the bytes of the packed result, so
+    that reducing, finding the pivot and scaling are a translate, an lstrip
+    and a translate; with wider slots they are a list."""
+    if nb == 1:
+        tables = _divide_tables(p)
+        b = w.to_bytes(n, "little").translate(tables[1])
+        rest = b.lstrip(b"\0")
+        if not rest:
+            return None
+        if rest[0] != 1:
+            b = b.translate(tables[rest[0]])
+        return n - len(rest), int.from_bytes(b, "little"), b
+    u = unpack([w], n, nb, p)
+    c = next(filter(None, u), 0)
+    if not c:
+        return None
+    idx = u.index(c)
+    if c != 1:
+        inv = pow(c, -1, p)
+        u = [a * inv % p for a in u]
+    return idx, pack(u, nb, p), u
 
 
 def trim(c):

@@ -6,9 +6,10 @@ its RingDescriptor.
 Over a PrimeField the entries are ints in [0, p), and products, apply,
 rref (hence kernel_basis, inverse and rank), det and poly_at_matrix run on
 Kronecker-packed vectors (fpoly.pack): one Python int per row or column,
-one slot per entry, reduced mod p once, on unpacking.  A product or apply
-is a sum of packed columns scaled by ints, one column per entry of the
-other factor, and a row operation adds a multiple of the packed pivot row.
+one slot per entry, reduced mod p once, on unpacking or when a pivot row
+is made monic (fpoly.monic_slots).  A product or apply is a sum of packed
+columns scaled by ints, one column per entry of the other factor, and a
+row operation adds a multiple of the packed pivot row.
 The packed columns of a matrix are computed once and kept with it, so a
 generator packs once for all the products and spins it enters.
 
@@ -55,7 +56,7 @@ from math import lcm
 from operator import mul
 
 from .errors import IntegralityError, ShapeError, SingularError
-from .fpoly import pack, slot_bytes, trim, unpack
+from .fpoly import monic_slots, pack, slot_bytes, trim, unpack
 from .rings import (QQ, ZZ, PolynomialRingZ, PrimeField,
                     RationalFunctionField)
 
@@ -416,8 +417,8 @@ def eliminate_fp(rows, ncols, nb, p, jordan=True):
     form).  Returns (pivot columns, det), det being that of the square
     matrix when ncols == len(rows).
 
-    Each pivot row is unpacked once, reduced mod p and scaled to a leading
-    1; a row operation w += (p - c) r then adds at most (p - 1)^2 to each
+    Each pivot row is reduced mod p and scaled to a leading 1 once
+    (fpoly.monic_slots); a row operation w += (p - c) r then adds at most (p - 1)^2 to each
     slot, and a row meets at most one per pivot, so slots of
     slot_bytes(p, min(len(rows), ncols)) bytes suffice."""
     shift = 8 * nb
@@ -443,11 +444,9 @@ def eliminate_fp(rows, ncols, nb, p, jordan=True):
             det = -det
         det = det * a % p
         if jordan or r + 1 < nr:
-            u = unpack([prow], ncols, nb, p)
-            if a != 1:
-                inv = pow(a, -1, p)
-                u = [x * inv % p for x in u]
-            prow = pack(u, nb, p)
+            # every slot before c is 0 mod p, so c is the pivot monic_slots
+            # finds
+            prow = monic_slots(prow, ncols, nb, p)[1]
         rows[r] = prow
         for i in range(0 if jordan else r + 1, nr):
             f = (rows[i] >> sh & mask) % p

@@ -30,11 +30,12 @@ first image that leaves their span.  Over F_p the loop runs on
 Kronecker-packed vectors (fpoly.pack): a vector is one int with one slot
 per coordinate, M w is a sum of the packed columns of M scaled by the
 coordinates of w, and a reduction step adds a multiple of a packed row,
-with its factor read from one slot; the slots are reduced mod p once, on
-unpacking.  Over Q the loop and theta run on integer rows: a span does not
-change when its vectors or the matrices are scaled, so each generator is
-scaled once to an integer matrix, vectors are primitive integer vectors,
-and reduction is fraction-free.  The canonical reduced echelon form is
+with its factor read from one slot; the slots are reduced mod p once per
+vector, when fpoly.monic_slots scales it to a leading 1.  Over Q the loop
+and theta run on integer rows: a span does not change when its vectors or
+the matrices are scaled, so each generator is scaled once to an integer
+matrix, vectors are primitive integer vectors, and reduction is
+fraction-free.  The canonical reduced echelon form is
 taken once, for a proper spin only.  The ring alone selects these paths;
 Q(t), F_q and any other descriptor take the generic code, the reference in
 the tests.  One sampling loop, _decide, serves finite fields and Q; only
@@ -48,12 +49,13 @@ witness basis that has been re-verified exactly against every generator.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
 from . import polys
 from .errors import AbsIrredUndecided, SingularError
-from .fpoly import pack, slot_bytes, unpack
+from .fpoly import monic_slots, pack, slot_bytes, unpack
 from .matrices import (Matrix, _constant_q_matrix, char_poly,
                        denominator_lcm, eliminate_fp, int_product,
                        integer_rows, kernel_basis, packed_columns,
@@ -113,14 +115,14 @@ def _packed_echelon(p, d, nb, rows):
     return tuple(tuple(flat[i:i + d]) for i in range(0, k * d, d))
 
 
-def _reduce_fp(w, rows, pivots, p, nb):
+def _reduce_fp(w, rows, shifts, p, nb):
     """A packed vector w minus the multiples of the packed semi-echelon
     rows (leading entry 1) that clear it at each pivot in turn, as
-    w + (p - c) r, with c read from one slot; the slots are not reduced."""
-    shift = 8 * nb
-    mask = (1 << shift) - 1
-    for pi, r in zip(pivots, rows):
-        c = (w >> shift * pi & mask) % p
+    w + (p - c) r, with c read from the slot at bit shift 8 nb pivot; the
+    slots are not reduced."""
+    mask = (1 << 8 * nb) - 1
+    for s, r in zip(shifts, rows):
+        c = (w >> s & mask) % p
         if c:
             w += (p - c) * r
     return w
@@ -179,10 +181,12 @@ def _grow(K, mats, vecs, cap):
 
     Over F_p the vectors are packed: M w is the sum of the packed columns
     of M (packed_columns) scaled by the entries of w, each vector is
-    reduced against the packed rows (_reduce_fp) and unpacked once, and
-    the queue holds the reduced vectors, which span the same space as the
-    images.  Slots hold d products from M w and at most d - 1 from the
-    reduction, within packed_columns' bound.  A span does not change when
+    reduced against the packed rows (_reduce_fp) at their pivots' slot
+    shifts and made monic once (fpoly.monic_slots, in C when the slots are
+    one byte), and the queue holds the entries of the reduced vectors,
+    which span the same space as the images.  Slots hold d products from
+    M w and at most d - 1 from the reduction, within packed_columns'
+    bound.  A span does not change when
     its vectors or the matrices are scaled (Holt-Rees), so over Q the loop
     runs on integer rows: each matrix is scaled once to D m over the least
     common denominator D of its entries, the vectors become primitive
@@ -196,21 +200,18 @@ def _grow(K, mats, vecs, cap):
         nb = packed[0][0] if packed else slot_bytes(p, 2 * d)
         mats = [c for _, c in packed]
         vecs = [pack([a % p for a in v], nb, p) for v in vecs]
+        sh = 8 * nb         # the pivots are kept as slot shifts
 
         def apply(cols, w):
             return sum(map(mul, w, cols))
 
         def add(w):
-            u = unpack([_reduce_fp(w, rows, pivots, p, nb)], d, nb, p)
-            idx = next((i for i, a in enumerate(u) if a), None)
-            if idx is None:
+            out = monic_slots(_reduce_fp(w, rows, pivots, p, nb), d, nb, p)
+            if out is None:
                 return None
-            if u[idx] != 1:
-                inv = pow(u[idx], -1, p)
-                u = [a * inv % p for a in u]
-            rows.append(pack(u, nb, p))
-            pivots.append(idx)
-            return u
+            rows.append(out[1])
+            pivots.append(sh * out[0])
+            return out[2]
 
         def echelon():
             return _packed_echelon(p, d, nb, rows)
@@ -263,6 +264,12 @@ def spin(K, mats, v):
     rows, echelon = _grow(K, mats, [v], d)
     if len(rows) < d:
         return echelon()
+    return _identity_rows(K, d)
+
+
+@lru_cache(maxsize=64)
+def _identity_rows(K, d):
+    """The d x d identity as rows, built once per field and dimension."""
     zero, one = K.zero(), K.one()
     return tuple(tuple(one if i == j else zero for j in range(d))
                  for i in range(d))
@@ -360,7 +367,13 @@ def _theta_q(rep, words, coeffs):
 
 def _projective_kernel(K, ker):
     """One representative per line of the span of the kernel basis (finite
-    fields only; first nonzero coordinate normalized to 1 by construction)."""
+    fields only; first nonzero coordinate normalized to 1 by construction):
+    for each lead basis vector in turn, the lead vector plus every
+    combination of the later ones, the coefficient of the first later one
+    changing fastest."""
+    if isinstance(K, PrimeField):
+        yield from _projective_kernel_fp(K.p, ker)
+        return
     elements = list(K.iter_elements())
     n = len(ker)
     d = len(ker[0])
@@ -384,6 +397,25 @@ def _projective_kernel(K, ker):
                 i += 1
             else:
                 break
+
+
+def _projective_kernel_fp(p, ker):
+    """_projective_kernel over F_p, in the same order, on the packed basis:
+    each point is one packed sum of a point of the later basis vectors and
+    a multiple of the next one, and each lead's points unpack at once.  A
+    point sums the lead vector and n - 1 multiples, within
+    slot_bytes(p, n)."""
+    n, d = len(ker), len(ker[0])
+    nb = slot_bytes(p, n)
+    basis = pack([a for v in ker for a in v], nb, p, d)
+    for lead in range(n):
+        points = [basis[lead]]
+        for b in reversed(basis[lead + 1:]):
+            multiples = [c * b for c in range(p)]
+            points = [x + y for x in points for y in multiples]
+        flat = unpack(points, d, nb, p)
+        for i in range(0, len(flat), d):
+            yield flat[i:i + d]
 
 
 def _combination(K, coeffs, vecs):
@@ -733,7 +765,7 @@ def hom_dim(K, src_gens, dst_gens):
                 inv = pow(u[idx], -1, p)
                 u = [x * inv % p for x in u]
             rows.append(pack(u, nb, p))
-            pivots.append(idx)
+            pivots.append(sh * idx)     # as in _grow, slot shifts
             return u[:a], rows[-1] >> sh * a
     else:
         if K == QQ:

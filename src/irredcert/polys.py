@@ -136,14 +136,12 @@ def gcd_monic(K, f, g):
 
 
 def derivative(K, f):
-    out = []
-    for i in range(1, len(f)):
-        c = f[i]
-        acc = K.zero()
-        for _ in range(i):
-            acc = K.add(acc, c)
-        out.append(acc)
-    return normalize(K, out)
+    """f', each coefficient i c one product: of ints over F_p, else of
+    K.coerce(i) and c."""
+    if isinstance(K, PrimeField):
+        p = K.p
+        return normalize(K, [i * f[i] % p for i in range(1, len(f))])
+    return normalize(K, [K.mul(K.coerce(i), f[i]) for i in range(1, len(f))])
 
 
 def evaluate(K, f, a):

@@ -320,8 +320,8 @@ class TestPrimeFieldSpin:
         nb, cols = packed_columns(full)
         rows = [[0] * k + [1] + [p - 1] * (d - 1 - k) for k in range(d - 1)]
         w = sum(map(mul, [p - 1] * d, cols))
-        got = _reduce_fp(w, [pack(r, nb, p) for r in rows], range(d - 1), p,
-                         nb)
+        got = _reduce_fp(w, [pack(r, nb, p) for r in rows],
+                         [8 * nb * k for k in range(d - 1)], p, nb)
         want = list(full.apply((p - 1,) * d))
         for k, r in enumerate(rows):
             want = [(x - want[k] * y) % p for x, y in zip(want, r)]

@@ -8,7 +8,8 @@ import pytest
 from irredcert import fpoly, polys
 from irredcert.errors import SingularError
 from irredcert.prng import XorShift64
-from irredcert.rings import QQ, ExtensionField, PrimeField
+from irredcert.rings import (QQ, ExtensionField, PrimeField,
+                             RationalFunctionField)
 
 from generic_fp import GenericFp
 
@@ -39,6 +40,32 @@ def test_derivative_char_p():
     assert polys.derivative(F3, (1, 1, 0, 1)) == (1,)
     # derivative of x^3 over F_3 vanishes
     assert polys.derivative(F3, (0, 0, 0, 1)) == ()
+
+
+def test_derivative_is_repeated_addition():
+    """i c as one product equals c added i times, over F_p, F_q, Q, Q(t)
+    and the generic F_p, coefficient for coefficient."""
+    rng = XorShift64(5)
+    QT = RationalFunctionField("t")
+    scalars = {
+        F3: lambda: rng.randrange(3),
+        PrimeField(101): lambda: rng.randrange(101),
+        GenericFp(7): lambda: rng.randrange(7),
+        F4: lambda: F4.coerce((rng.randrange(2), rng.randrange(2))),
+        QQ: lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+        QT: lambda: QT.coerce(((rng.randint(-3, 3), rng.randint(-3, 3)),
+                               (1, rng.randint(0, 2)))),
+    }
+    for K, scalar in scalars.items():
+        for n in (0, 1, 2, 5, 12):
+            f = polys.normalize(K, [scalar() for _ in range(n)] + [K.one()])
+            want = []
+            for i in range(1, len(f)):
+                acc = K.zero()
+                for _ in range(i):
+                    acc = K.add(acc, f[i])
+                want.append(acc)
+            assert polys.derivative(K, f) == polys.normalize(K, want), (K, f)
 
 
 def test_squarefree_parts_char_p():
