@@ -32,6 +32,7 @@ Rules:
 
 import hashlib
 import json
+from functools import lru_cache
 
 from .errors import (BadPrime, BudgetExceeded, IrredcertError, SizeBound,
                      VersionMismatch)
@@ -85,8 +86,10 @@ def rep_digest(rep):
     return digest(rep_to_json(rep))
 
 
+@lru_cache(maxsize=1)
 def _primes_ascending():
-    return (n for n in range(2, PRIME_BOUND) if is_prime(n))
+    """The primes below PRIME_BOUND, ascending, found once."""
+    return tuple(n for n in range(2, PRIME_BOUND) if is_prime(n))
 
 
 class Certificate:
