@@ -17,8 +17,8 @@ through a 256-entry table, and monic_slots reduces a vector, finds its
 first nonzero slot with lstrip and scales it to a leading 1 through a
 second table, in C.  Wider slots take the list path: unpack reads them
 through a memoryview (2, 4 and 8 bytes) or int.from_bytes and reduces
-each entry.  `matrices` and `meataxe` run their prime-field
-kernels on pack, unpack and monic_slots.
+each entry.  `matrices` and `meataxe` run their prime-field kernels on
+pack, unpack and monic_slots.
 
 Polynomials are ascending coefficient lists of ints in [0, p), trimmed (the
 zero polynomial is the empty list).  These are the only F_p[x] kernels in

@@ -418,9 +418,9 @@ def eliminate_fp(rows, ncols, nb, p, jordan=True):
     matrix when ncols == len(rows).
 
     Each pivot row is reduced mod p and scaled to a leading 1 once
-    (fpoly.monic_slots); a row operation w += (p - c) r then adds at most (p - 1)^2 to each
-    slot, and a row meets at most one per pivot, so slots of
-    slot_bytes(p, min(len(rows), ncols)) bytes suffice."""
+    (fpoly.monic_slots); a row operation w += (p - c) r then adds at most
+    (p - 1)^2 to each slot, and a row meets at most one per pivot, so
+    slots of slot_bytes(p, min(len(rows), ncols)) bytes suffice."""
     shift = 8 * nb
     mask = (1 << shift) - 1
     nr = len(rows)

@@ -35,13 +35,13 @@ vector, when fpoly.monic_slots scales it to a leading 1.  Over Q the loop
 and theta run on integer rows: a span does not change when its vectors or
 the matrices are scaled, so each generator is scaled once to an integer
 matrix, vectors are primitive integer vectors, and reduction is
-fraction-free.  The canonical reduced echelon form is
-taken once, for a proper spin only.  The ring alone selects these paths;
-Q(t), F_q and any other descriptor take the generic code, the reference in
-the tests.  One sampling loop, _decide, serves finite fields and Q; only
-where the factors of the characteristic polynomial come from differs.
-hom_dim spins a module together with the images of its vectors, on the
-same three representations and reductions.
+fraction-free.  The canonical reduced echelon form is taken once, for a
+proper spin only.  The ring alone selects these paths; Q(t), F_q and any
+other descriptor take the generic code, the reference in the tests.  One
+sampling loop, _decide, serves finite fields and Q; only where the
+factors of the characteristic polynomial come from differs.  hom_dim
+spins a module together with the images of its vectors, on the same three
+representations and reductions.
 
 Each run is deterministic given (rep, seed, budget) and yields a transcript
 suitable for embedding in a certificate.  Reducible verdicts always carry a
@@ -186,13 +186,12 @@ def _grow(K, mats, vecs, cap):
     one byte), and the queue holds the entries of the reduced vectors,
     which span the same space as the images.  Slots hold d products from
     M w and at most d - 1 from the reduction, within packed_columns'
-    bound.  A span does not change when
-    its vectors or the matrices are scaled (Holt-Rees), so over Q the loop
-    runs on integer rows: each matrix is scaled once to D m over the least
-    common denominator D of its entries, the vectors become primitive
-    integer vectors, the reduction is fraction-free, and each new row is
-    divided by its content.  Over any other field the rows have leading
-    entry 1."""
+    bound.  A span does not change when its vectors or the matrices are
+    scaled (Holt-Rees), so over Q the loop runs on integer rows: each
+    matrix is scaled once to D m over the least common denominator D of
+    its entries, the vectors become primitive integer vectors, the
+    reduction is fraction-free, and each new row is divided by its
+    content.  Over any other field the rows have leading entry 1."""
     rows, pivots = [], []
     if isinstance(K, PrimeField):
         p, d = K.p, len(vecs[0]) if vecs else 0
