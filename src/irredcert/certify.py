@@ -32,7 +32,6 @@ Rules:
 
 import hashlib
 import json
-from functools import lru_cache
 
 from .errors import (BadPrime, BudgetExceeded, IrredcertError, SizeBound,
                      VersionMismatch)
@@ -86,10 +85,8 @@ def rep_digest(rep):
     return digest(rep_to_json(rep))
 
 
-@lru_cache(maxsize=1)
 def _primes_ascending():
-    """The primes below PRIME_BOUND, ascending, found once."""
-    return tuple(n for n in range(2, PRIME_BOUND) if is_prime(n))
+    return (n for n in range(2, PRIME_BOUND) if is_prime(n))
 
 
 class Certificate:
