@@ -118,8 +118,8 @@ def _packed_echelon(p, d, nb, rows):
 def _reduce_fp(w, rows, shifts, p, nb):
     """A packed vector w minus the multiples of the packed semi-echelon
     rows (leading entry 1) that clear it at each pivot in turn, as
-    w + (p - c) r, with c read from the slot at bit shift 8 nb pivot; the
-    slots are not reduced."""
+    w + (p - c) r, with c read from the row's pivot slot, given by its bit
+    shift 8 nb pivot; the slots are not reduced."""
     mask = (1 << 8 * nb) - 1
     for s, r in zip(shifts, rows):
         c = (w >> s & mask) % p

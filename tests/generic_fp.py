@@ -11,9 +11,14 @@ from irredcert.rings import RingDescriptor
 
 # (p, d) pairs for the differential tests: F_2, F_3 and F_101 up to d = 64,
 # F_65521, whose packed slots take 8 bytes, and F_(2^31 - 1), whose slots
-# are wider than 8 bytes
+# are wider than 8 bytes; and small p on both sides of the switch from
+# one- to two-byte slots in a d x d matrix's packed columns (2d products):
+# F_3 at d = 31 and 32, F_5 at 7 and 8, F_7 at 3 and 4, F_11 at 1 and 2,
+# and F_13, whose spin slots are never one byte
 FIELD_SIZES = [(2, 1), (2, 40), (2, 64), (3, 13), (3, 24), (101, 6),
-               (101, 40), (101, 64), (65521, 24), (2147483647, 16)]
+               (101, 40), (101, 64), (65521, 24), (2147483647, 16),
+               (3, 31), (3, 32), (5, 7), (5, 8), (7, 3), (7, 4), (11, 1),
+               (11, 2), (13, 6)]
 
 
 class GenericFp(RingDescriptor):

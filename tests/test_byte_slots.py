@@ -1,43 +1,31 @@
-"""Byte-slot kernels over F_p against the generic descriptor path.
+"""Byte-slot kernels over F_p against references.
 
 With one-byte slots (fpoly.slot_bytes) a packed vector is reduced, pivoted
 and scaled by bytes.translate (fpoly.monic_slots, fpoly.unpack); with wider
-slots by lists.  Random cases for p in {2, 3, 5, 7, 11, 13}, with d on both
-sides of the switch from one- to two-byte slots in the spin's packed
-columns (2d products: p = 3 at d = 31 and 32, p = 5 at d = 7 and 8, p = 7
-at d = 3 and 4), run over PrimeField and over GenericFp, which takes the
-generic descriptor code, and must agree exactly.  Every case includes
-vectors and matrices whose entries are all p - 1.
+slots by lists.  The spin, the invariance check, rref, kernel_basis and det
+are compared with GenericFp on both sides of the switch through
+generic_fp.FIELD_SIZES; here unpack and monic_slots meet a descriptor-call
+reference on random slots, on slots at their bound and on vectors whose
+entries are all p - 1, the packed enumeration of a kernel meets the
+generic one point for point, and products reach the one-byte bound.
 """
-
-from operator import mul
 
 import pytest
 
 from irredcert import fpoly, polys
 from irredcert.fpoly import monic_slots, pack, slot_bytes, unpack
-from irredcert.matrices import (Matrix, kernel_basis, packed_columns,
-                                poly_at_matrix, rref)
-from irredcert.meataxe import (_echelon_rows, _projective_kernel,
-                               _reduce_fp, spin, subspace_is_invariant)
+from irredcert.matrices import Matrix, kernel_basis, packed_columns, \
+    poly_at_matrix
+from irredcert.meataxe import _projective_kernel, spin
 from irredcert.prng import XorShift64
 from irredcert.rings import PrimeField
 
-from generic_fp import GenericFp, matrix_cases, random_rows
+from generic_fp import GenericFp
 
 # (p, d, bytes per slot of a d x d matrix's packed columns)
 SIZES = [(2, 1, 1), (2, 9, 1), (2, 24, 1), (3, 5, 1), (3, 31, 1),
          (3, 32, 2), (5, 7, 1), (5, 8, 2), (7, 3, 1), (7, 4, 2), (11, 1, 1),
          (11, 2, 2), (13, 1, 2), (13, 6, 2)]
-
-
-def vectors(rng, p, d):
-    """Unit vectors at both ends, a random vector, every entry p - 1,
-    every entry 1 and zero."""
-    return [tuple(int(i == 0) for i in range(d)),
-            tuple(int(i == d - 1) for i in range(d)),
-            tuple(rng.randrange(p) for _ in range(d)),
-            (p - 1,) * d, (1,) * d, (0,) * d]
 
 
 def reference_monic(u, p):
@@ -60,8 +48,8 @@ def test_slot_width_switch(p, d, nb):
 
 @pytest.mark.parametrize("p,d,nb", SIZES)
 def test_unpack_and_monic_slots_match_the_reference(p, d, nb):
-    """Slots anywhere in [0, 256^nb), every one at 255 or p - 1, zero and
-    a single nonzero slot at either end."""
+    """Slots anywhere in [0, 256^nb), every one at its top value, at p or
+    at p - 1, zero, and a single nonzero slot at either end."""
     rng = XorShift64(31 * p + d)
     top = (1 << 8 * nb) - 1
     cases = [[rng.randrange(top + 1) for _ in range(d)] for _ in range(20)]
@@ -84,65 +72,6 @@ def test_unpack_and_monic_slots_match_the_reference(p, d, nb):
     xs = [pack([rng.randrange(p) for _ in range(d)], nb, p) for _ in range(5)]
     assert unpack(xs, d, nb, p) == [a for x in xs for a in
                                     unpack([x], d, nb, p)]
-
-
-@pytest.mark.parametrize("p,d,nb", SIZES)
-def test_spin_and_invariance_match_generic(p, d, nb):
-    rng = XorShift64(1009 * p + d)
-    Kf, Kg = PrimeField(p), GenericFp(p)
-    cases = matrix_cases(rng, p, d)
-    k = d // 2
-    # [[A, X], [0, B]] fixes the span of the first k basis vectors
-    cases["block"] = [[0] * k + row[k:] if i >= k else row
-                      for i, row in enumerate(random_rows(rng, p, d, d))]
-    for names in (("dense", "permutation"), ("full",), ("full", "dense"),
-                  ("block", "low_rank"), ("nilpotent", "singular"),
-                  ("identity", "zero")):
-        mf = [Matrix(Kf, cases[n]) for n in names]
-        mg = [Matrix(Kg, cases[n]) for n in names]
-        for v in vectors(rng, p, d):
-            rows = spin(Kf, mf, v)
-            assert rows == spin(Kg, mg, v), (names, v)
-            assert subspace_is_invariant(Kf, mf, rows)
-        for n in (1, max(d // 2, 1), d):
-            rows = _echelon_rows(Kf, random_rows(rng, p, n, d))
-            assert subspace_is_invariant(Kf, mf, rows) == \
-                subspace_is_invariant(Kg, mg, rows), names
-
-
-@pytest.mark.parametrize("p,d,nb", SIZES)
-def test_rref_kernel_det_match_generic(p, d, nb):
-    rng = XorShift64(7919 * p + d)
-    Kf, Kg = PrimeField(p), GenericFp(p)
-    mats = list(matrix_cases(rng, p, d).values())
-    mats += [random_rows(rng, p, max(d // 2, 1), d),
-             random_rows(rng, p, d + 2, max(d // 2, 1)),
-             [[p - 1] * (d + 1) for _ in range(d)]]
-    for rows in mats:
-        mf, mg = Matrix(Kf, rows), Matrix(Kg, rows)
-        rf, pf = rref(mf)
-        rg, pg = rref(mg)
-        assert (rf.entries, pf) == (rg.entries, pg), rows
-        assert kernel_basis(mf) == kernel_basis(mg), rows
-        if mf.nrows == mf.ncols:
-            assert mf.det() == mg.det(), rows
-
-
-@pytest.mark.parametrize("p,d,nb", SIZES)
-def test_reduction_at_slot_shifts(p, d, nb):
-    """_reduce_fp against monic semi-echelon rows with every entry past
-    the pivot p - 1, of a vector with every entry at the bound of d
-    products."""
-    full = Matrix(PrimeField(p), [[p - 1] * d] * d)
-    nb, cols = packed_columns(full)
-    rows = [[0] * k + [1] + [p - 1] * (d - 1 - k) for k in range(d - 1)]
-    w = sum(map(mul, [p - 1] * d, cols))
-    got = _reduce_fp(w, [pack(r, nb, p) for r in rows],
-                     [8 * nb * k for k in range(d - 1)], p, nb)
-    want = list(full.apply((p - 1,) * d))
-    for k, r in enumerate(rows):
-        want = [(x - want[k] * y) % p for x, y in zip(want, r)]
-    assert unpack([got], d, nb, p) == want
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 3), (2, 7), (3, 2), (3, 4),

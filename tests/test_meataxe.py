@@ -291,7 +291,7 @@ class TestPrimeFieldSpin:
         vectors = [tuple(int(i == 0) for i in range(d)),
                    tuple(int(i == d - 1) for i in range(d)),
                    tuple(rng.randrange(p) for _ in range(d)),
-                   (0,) * d]
+                   (p - 1,) * d, (0,) * d]
         for names in (("dense", "permutation"), ("block", "dense"),
                       ("full", "dense"),
                       ("block", "low_rank"), ("nilpotent",),
@@ -308,7 +308,9 @@ class TestPrimeFieldSpin:
                 assert subspace_is_invariant(Kf, mf, rows) == \
                     subspace_is_invariant(Kg, mg, rows), names
 
-    @pytest.mark.parametrize("p,d", [(3, 40), (3, 64), (101, 64)])
+    @pytest.mark.parametrize("p,d", [(3, 40), (3, 64), (101, 64), (2, 24),
+                                     (3, 31), (3, 32), (5, 7), (5, 8),
+                                     (7, 3), (7, 4)])
     def test_packed_slots_hold_the_spin_bound(self, p, d):
         # every entry p - 1: M w fills each slot to d (p - 1)^2, and the
         # reduction against d - 1 rows whose entries past the pivot are
