@@ -79,6 +79,70 @@ def test_poly_z_basic():
     assert ZT.parse("2*t - t") == (0, 1)
 
 
+def test_poly_z_add_mul_known_answers():
+    assert ZT.add((1, -2, 3), (-1, 2, -3)) == ()
+    assert ZT.add((), (5, -1)) == (5, -1)
+    assert ZT.add((-4,), ()) == (-4,)
+    assert ZT.add((1, 2), (0, -2, 4)) == (1, 0, 4)
+    assert ZT.add((0, 3, -1), (2, -3, 1)) == (2,)
+    assert ZT.mul((-1, 1), (1, 1)) == (-1, 0, 1)
+    assert ZT.mul((-1, 1), (1, 1, 1)) == (-1, 0, 0, 1)
+    assert ZT.mul((2,), (-3, 0, 1)) == (-6, 0, 2)
+    assert ZT.mul((0, -1), (0, 0, -7)) == (0, 0, 0, 7)
+    assert ZT.mul((), (1, 2)) == ()
+    assert ZT.mul((3, -5), ()) == ()
+    assert ZT.mul((-1,), (-1,)) == (1,)
+    for f in (ZT.add((1, 2), (3,)), ZT.mul((1, 2), (3,))):
+        assert type(f) is tuple and all(type(c) is int for c in f)
+
+
+def test_rational_function_normalize_known_answers():
+    F = Fraction
+    # 3 (t - 1)(t + 2) / (2 (t - 1)(t + 3)) = (3/2) (t + 2) / (t + 3)
+    num, den = QT._normalize([F(-6), F(3), F(3)], [F(-6), F(4), F(2)])
+    assert (num, den) == ((F(3), F(3, 2)), (F(3), F(1)))
+    assert all(type(c) is Fraction for c in num + den)
+    # (t^2 - 1) / (2 t - 2) = t/2 + 1/2, over the constant 1
+    assert QT._normalize([F(-1), F(0), F(1)], [F(-2), F(2)]) == \
+        ((F(1, 2), F(1, 2)), (F(1),))
+    # coprime, only the denominator's leading coefficient goes
+    assert QT._normalize([F(1)], [F(1), F(0), F(-2)]) == \
+        ((F(-1, 2),), (F(-1, 2), F(0), F(1)))
+    # a constant denominator divides the coefficients
+    assert QT._normalize([F(2), F(4)], [F(4)]) == ((F(1, 2), F(1)), (F(1),))
+    # trailing zeros are trimmed, and zero is ((), (1,))
+    assert QT._normalize([F(1), F(0)], [F(0), F(1), F(0)]) == \
+        ((F(1),), (F(0), F(1)))
+    assert QT._normalize([F(0)], [F(5), F(1)]) == QT.zero()
+    for den in ([F(0)], [], [F(0), F(0)]):
+        with pytest.raises(SingularError):
+            QT._normalize([F(1)], den)
+    assert QT.quotient((2, 2), (-4, 4)) == ((F(1, 2), F(1, 2)), (F(-1), F(1)))
+
+
+def test_clear_denominators_known_answers():
+    F = Fraction
+    values = [
+        QT.parse("(1)/(t^2+t)"),           # 1 / (t (t + 1))
+        QT.parse("(1/2)/(t^2+3*t+2)"),     # (1/2) / ((t + 1)(t + 2))
+        QT.parse("3/2"),
+        QT.zero(),
+        QT.parse("(t-5/3)/(t^2+2*t)"),     # (t - 5/3) / (t (t + 2))
+    ]
+    assert values[1] == ((F(1, 2),), (F(2), F(3), F(1)))
+    nums, D = QT.clear_denominators(values)
+    # D = 6 t (t + 1)(t + 2): the lcm of the monic denominators times the
+    # least integer that clears 1/2, 3/2 and 5/3
+    assert D == (0, 12, 18, 6)
+    assert nums == [(12, 6), (0, 3), (0, 18, 27, 9), (), (-10, -4, 6)]
+    for num, a in zip(nums, values):
+        assert QT.quotient(num, D) == a
+    assert all(type(c) is int for f in nums + [D] for c in f)
+    # with constant denominators no lcm is taken: only the integer scale
+    assert QT.clear_denominators([QT.parse("1/2*t"), QT.parse("1/3*t^2-1")]) == \
+        ([(0, 3), (-6, 0, 2)], (6,))
+
+
 def test_poly_z_roundtrip():
     rng = XorShift64(5)
     for _ in range(100):
