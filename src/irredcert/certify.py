@@ -32,12 +32,12 @@ Rules:
 
 import hashlib
 import json
+from functools import cache
 
 from .errors import (BadPrime, BudgetExceeded, IrredcertError, SizeBound,
                      VersionMismatch)
 from .lattices import PrimeSpec, reduce_rep, saturate
-from .meataxe import (INCONCLUSIVE, IRREDUCIBLE, REDUCIBLE, _echelon_rows,
-                      is_irreducible, subspace_is_invariant)
+from .meataxe import INCONCLUSIVE, IRREDUCIBLE, REDUCIBLE, is_irreducible
 from .oracle import count_invariant
 from .reps import over_fraction_field, rep_to_json
 from .rings import PolynomialRingZ, QQ, RationalFunctionField, ZZ, is_prime
@@ -85,8 +85,10 @@ def rep_digest(rep):
     return digest(rep_to_json(rep))
 
 
+@cache
 def _primes_ascending():
-    return (n for n in range(2, PRIME_BOUND) if is_prime(n))
+    """The primes below PRIME_BOUND, ascending, found on first use."""
+    return tuple(n for n in range(2, PRIME_BOUND) if is_prime(n))
 
 
 class Certificate:
@@ -462,53 +464,6 @@ def _linear_descent(int_rep, lat, prime, steps, seed, budget, oracle_check):
 
 # ---------------------------------------------------------------------------
 # verify and replay
-
-
-def family_condition_trivial_intersection(family, ring):
-    """Symbolic condition (i): the recorded primes are pairwise distinct
-    nonzero primes, so the (implicitly infinite) family they are drawn
-    from has trivial intersection.  For distinct rational primes this is
-    the classical statement that an integer divisible by arbitrarily
-    large primes is zero; the (t-c) entry contributes a height-one prime
-    meeting the lifted rational primes only at maximal ideals."""
-    if not family:
-        return False
-    specs = []
-    for text in family:
-        spec = None
-        for base in (ring, ZZ):
-            try:
-                spec = PrimeSpec.parse(text, base)
-                break
-            except (BadPrime, ValueError, TypeError):
-                continue
-        if spec is None or spec.kind == PrimeSpec.ZERO:
-            return False
-        specs.append(spec)
-    return len(set(str(s) for s in specs)) == len(specs)
-
-
-def _parse_rows(K, rows, dim):
-    out = []
-    for row in rows:
-        if len(row) != dim:
-            raise ValueError("row length %d, expected %d" % (len(row), dim))
-        out.append(tuple(K.parse(s) for s in row))
-    return out
-
-
-def _witness_checks(cert, field_rep):
-    K = field_rep.ring
-    try:
-        rows = _parse_rows(K, cert.witness, field_rep.dim)
-    except (ValueError, TypeError):
-        return False
-    if not (0 < len(rows) < field_rep.dim):
-        return False
-    rows = _echelon_rows(K, rows)
-    if len(rows) == 0 or len(rows) >= field_rep.dim:
-        return False
-    return subspace_is_invariant(K, field_rep.generators, rows)
 
 
 def verify(cert, rep):

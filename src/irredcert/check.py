@@ -40,11 +40,10 @@ from . import fpoly, meataxe, polys
 from .certify import (INCONCLUSIVE_RUN, IRREDUCIBLE_CERTIFIED,
                       REDUCIBLE_WITH_WITNESS, RULE_DIRECT_OVER_K,
                       RULE_HEIGHT_ONE_FAMILY, RULE_REGULAR_ONE_PRIME,
-                      TOOLKIT_VERSION, Certificate, _parse_rows,
-                      _witness_checks, compute_self_digest,
-                      family_condition_trivial_intersection, rep_digest)
-from .errors import (IntegralityError, IrredcertError, SingularError,
-                     VersionMismatch)
+                      TOOLKIT_VERSION, Certificate, compute_self_digest,
+                      rep_digest)
+from .errors import (BadPrime, IntegralityError, IrredcertError,
+                     SingularError, VersionMismatch)
 from .lattices import PrimeSpec, reduce_rep
 from .matrices import (Matrix, _constant_q_matrix, char_poly, integer_rows,
                        integral_conjugates, kernel_basis, poly_at_matrix,
@@ -120,6 +119,33 @@ def _check(cert, rep):
         _check_one_prime(cert.steps, int_rep)
     else:
         _check_family(cert, int_rep)
+
+
+# ---------------------------------------------------------------------------
+# the witness
+
+
+def _witness_checks(cert, field_rep):
+    K = field_rep.ring
+    try:
+        rows = _parse_rows(K, cert.witness, field_rep.dim)
+    except (ValueError, TypeError):
+        return False
+    if not (0 < len(rows) < field_rep.dim):
+        return False
+    rows = meataxe._echelon_rows(K, rows)
+    if len(rows) == 0 or len(rows) >= field_rep.dim:
+        return False
+    return meataxe.subspace_is_invariant(K, field_rep.generators, rows)
+
+
+def _parse_rows(K, rows, dim):
+    out = []
+    for row in rows:
+        if len(row) != dim:
+            raise ValueError("row length %d, expected %d" % (len(row), dim))
+        out.append(tuple(K.parse(s) for s in row))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +300,30 @@ def _parse_factor(K, text, d):
 
 # ---------------------------------------------------------------------------
 # the height-one family
+
+
+def family_condition_trivial_intersection(family, ring):
+    """Symbolic condition (i): the recorded primes are pairwise distinct
+    nonzero primes, so the (implicitly infinite) family they are drawn
+    from has trivial intersection.  For distinct rational primes this is
+    the classical statement that an integer divisible by arbitrarily
+    large primes is zero; the (t-c) entry contributes a height-one prime
+    meeting the lifted rational primes only at maximal ideals."""
+    if not family:
+        return False
+    specs = []
+    for text in family:
+        spec = None
+        for base in (ring, ZZ):
+            try:
+                spec = PrimeSpec.parse(text, base)
+                break
+            except (BadPrime, ValueError, TypeError):
+                continue
+        if spec is None or spec.kind == PrimeSpec.ZERO:
+            return False
+        specs.append(spec)
+    return len(set(str(s) for s in specs)) == len(specs)
 
 
 def _check_family(cert, int_rep):

@@ -26,11 +26,9 @@ each matrix is scaled once to an integer matrix over a common denominator
 (matrices.scaled_rows), and a round is one integer HNF; rounds and budget
 are counted as for the chain L -> L + sum_g gL itself.  The Q(t) case
 runs on Z[t] numerators over one denominator (matrices.poly_rows) and
-their products at t = 2^k.  Over Q the generators in the stable
-lattice's basis H / D come from forward substitution in H X = g H, H being
-lower triangular (_triangular_conjugates); over Q(t) and in reduce_rep
-from matrices.integral_conjugates, the conjugation the checker runs for
-any basis.
+their products at t = 2^k.  The generators in the stable lattice's
+basis, over Q and Q(t) and in reduce_rep, come from
+matrices.integral_conjugates, the conjugation the checker runs.
 """
 
 import math
@@ -42,9 +40,8 @@ from .errors import (BadPrime, BudgetExceeded, IntegralityError, ShapeError,
                      SingularError)
 from .matrices import (Matrix, _constant_q_matrix, _divexact, _pmul,
                        _row_hnf, conjugate_numerators, denominator_lcm,
-                       from_poly_rows, int_product, integer_rows,
-                       integral_conjugates, poly_rows, scaled_rows,
-                       zt_product)
+                       from_poly_rows, integer_rows, integral_conjugates,
+                       poly_rows, scaled_rows, zt_product)
 from .rings import (ZZ, QQ, PolynomialRingZ, PrimeField, RationalFunctionField,
                     is_prime)
 from .reps import Representation, over_fraction_field
@@ -345,35 +342,9 @@ def _saturate_q(rep, budget):
             "lattice chain did not stabilize in %d rounds; the generated "
             "group probably stabilizes no lattice (infinite image or non-unit "
             "determinants)" % (budget,))
-    return pair, _triangular_conjugates(pair[0], rep.generators)
-
-
-def _triangular_conjugates(h, gens):
-    """The matrices X = H^-1 g H over Z, one per matrix g over Q in gens,
-    for the lower triangular H with positive diagonal whose columns are h,
-    that of a full-rank canonical pair (H, D) (D cancels).  With g = G / e,
-    H X = G H / e is solved by forward substitution: row i of X is row i
-    of G H / e, minus the multiples H[i][j] of the rows j < i of X, over
-    H[i][i], and that division is exact exactly when the row is integral.
-    Raises IntegralityError otherwise."""
-    a = list(zip(*h))
-    out = []
-    for g in gens:
-        rows, e = integer_rows(g)
-        x = []
-        for row, acc in zip(a, int_product(rows, a)):
-            for f, xr in zip(row, x):
-                if f:
-                    f *= e
-                    acc = [u - f * v for u, v in zip(acc, xr)]
-            q = e * row[len(x)]
-            if any(u % q for u in acc):
-                raise IntegralityError("a conjugate is not integral in the "
-                                       "basis")
-            x.append([u // q for u in acc])
-        out.append(Matrix._raw(ZZ, len(a), len(a),
-                               [u for r in x for u in r]))
-    return out
+    # the columns of the pair are the basis; integral_conjugates takes rows
+    return pair, list(integral_conjugates(list(zip(*pair[0])),
+                                          rep.generators))
 
 
 def _qt_column_hnf(cols):

@@ -3,13 +3,13 @@
 A Matrix is an immutable row-major tuple of raw scalar values together with
 its RingDescriptor.
 
-Over a PrimeField the entries are ints in [0, p), and products, apply,
-rref (hence kernel_basis, inverse and rank), det and poly_at_matrix run on
+Over a PrimeField the entries are ints in [0, p), and products, rref
+(hence kernel_basis, inverse and rank), det and poly_at_matrix run on
 Kronecker-packed vectors (fpoly.pack): one Python int per row or column,
 one slot per entry, reduced mod p once, on unpacking or when a pivot row
-is made monic (fpoly.monic_slots).  A product or apply is a sum of packed
-columns scaled by ints, one column per entry of the other factor, and a
-row operation adds a multiple of the packed pivot row.
+is made monic (fpoly.monic_slots).  A product is a sum of packed columns
+scaled by ints, one column per entry of the other factor, and a row
+operation adds a multiple of the packed pivot row.
 The packed columns of a matrix are computed once and kept with it, so a
 generator packs once for all the products and spins it enters.
 
@@ -21,9 +21,10 @@ products, determinant, inverse and integral conjugates are integer linear
 algebra too (see the section on Z[t] below).  Entries in canonical form
 are built again only for the values that leave these kernels.
 
-The ring alone selects a path.  Every other ring, and the sums, rref and
-char_poly over Q and Q(t), take the generic descriptor code, which stays
-the reference the tests compare the packed paths against.
+The ring alone selects a path.  Every other ring, apply over every ring,
+and the sums, rref and char_poly over Q and Q(t), take the generic
+descriptor code, which stays the reference the tests compare the packed
+paths against.
 
 The module-level algorithms:
 
@@ -229,11 +230,6 @@ class Matrix:
         if len(vec) != self.ncols:
             raise ShapeError("vector length mismatch")
         R = self.ring
-        if isinstance(R, PrimeField):
-            p = R.p
-            nb, cols = packed_columns(self)
-            return tuple(unpack([sum(map(mul, [a % p for a in vec], cols))],
-                                self.nrows, nb, p))
         out = []
         for i in range(self.nrows):
             acc = R.zero()
@@ -394,8 +390,8 @@ def poly_at_matrix(K, coeffs, m):
 def packed_columns(m):
     """(nb, columns) for a matrix over F_p: its columns packed (fpoly.pack)
     into slots of nb bytes, computed on first use and kept with m.  The
-    slots hold 2 max(nrows, ncols) products, enough for a product or apply
-    (ncols) and the spin's reduction against at most nrows rows on top."""
+    slots hold 2 max(nrows, ncols) products, enough for a product (ncols)
+    and the spin's reduction against at most nrows rows on top."""
     pc = m._cols
     if pc is None:
         nb = slot_bytes(m.ring.p, 2 * max(m.nrows, m.ncols))

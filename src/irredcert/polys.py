@@ -1,12 +1,15 @@
-"""Polynomials over a field descriptor, as tuples of raw scalars.
+"""Polynomials over a ring descriptor, as tuples of raw scalars.
 
 Coefficients are ascending, trimmed (the zero polynomial is the empty tuple),
-and every function takes the coefficient field K (a RingDescriptor) as first
-argument.
+and every function takes the coefficient ring K (a RingDescriptor) as first
+argument.  add, sub and mul serve any ring; division, gcd and the rest
+need a field.  With fpoly, which serves F_p, these are the package's
+polynomial kernels: the scalars of Z[t] add and multiply here over ZZ,
+and those of Q(t) normalize, add and multiply here over QQ (see rings).
 
 Over a PrimeField the arithmetic runs on the kernels of fpoly: products
 are packed big-int products and pow_mod reduces by Barrett's method, while
-division and gcd run on int lists.  Every other field goes through its
+division and gcd run on int lists.  Every other ring goes through its
 descriptor.  On top of it sit:
 
   * distinct_irreducible_factors: the distinct monic irreducible factors of a
@@ -25,9 +28,8 @@ descriptor.  On top of it sit:
 import math
 from fractions import Fraction
 
-from . import fpoly
+from . import fpoly, rings
 from .errors import SingularError
-from .rings import QQ, PrimeField, is_prime
 
 
 def normalize(K, c):
@@ -42,16 +44,12 @@ def degree(f):
     return len(f) - 1
 
 
-def constant(K, c):
-    return (c,) if not K.is_zero(c) else ()
-
-
 def x_poly(K):
     return (K.zero(), K.one())
 
 
 def add(K, f, g):
-    if isinstance(K, PrimeField):
+    if isinstance(K, rings.PrimeField):
         return tuple(fpoly.add(f, g, K.p))
     n = max(len(f), len(g))
     out = [K.zero()] * n
@@ -67,7 +65,7 @@ def neg(K, f):
 
 
 def sub(K, f, g):
-    if isinstance(K, PrimeField):
+    if isinstance(K, rings.PrimeField):
         return tuple(fpoly.sub(f, g, K.p))
     return add(K, f, neg(K, g))
 
@@ -81,7 +79,7 @@ def scale(K, a, f):
 def mul(K, f, g):
     if not f or not g:
         return ()
-    if isinstance(K, PrimeField):
+    if isinstance(K, rings.PrimeField):
         return tuple(fpoly.mul(f, g, K.p))
     out = [K.zero()] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
@@ -96,7 +94,7 @@ def divmod_poly(K, f, g):
     """Quotient and remainder; g must be nonzero over a field."""
     if not g:
         raise SingularError("polynomial division by zero")
-    if isinstance(K, PrimeField):
+    if isinstance(K, rings.PrimeField):
         q, r = fpoly.quo_rem(f, g, K.p)
         return tuple(q), tuple(r)
     r = list(f)
@@ -128,7 +126,7 @@ def monic(K, f):
 
 
 def gcd_monic(K, f, g):
-    if isinstance(K, PrimeField):
+    if isinstance(K, rings.PrimeField):
         return tuple(fpoly.gcd_monic(f, g, K.p))
     while g:
         f, g = g, mod(K, f, g)
@@ -138,7 +136,7 @@ def gcd_monic(K, f, g):
 def derivative(K, f):
     """f', each coefficient i c one product: of ints over F_p, else of
     K.coerce(i) and c."""
-    if isinstance(K, PrimeField):
+    if isinstance(K, rings.PrimeField):
         p = K.p
         return normalize(K, [i * f[i] % p for i in range(1, len(f))])
     return normalize(K, [K.mul(K.coerce(i), f[i]) for i in range(1, len(f))])
@@ -153,7 +151,7 @@ def evaluate(K, f, a):
 
 def pow_mod(K, f, e, m):
     """f^e mod m for an arbitrary nonnegative integer e."""
-    if isinstance(K, PrimeField):
+    if isinstance(K, rings.PrimeField):
         return tuple(fpoly.pow_mod(f, e, m, K.p))
     result = (K.one(),)
     f = mod(K, f, m)
@@ -244,7 +242,7 @@ def distinct_degree_split(K, f):
 def _random_poly(K, deg_bound, rng):
     q = K.order
     elems = None
-    if not isinstance(K, PrimeField):
+    if not isinstance(K, rings.PrimeField):
         elems = list(K.iter_elements())
     coeffs = []
     for _ in range(deg_bound):
@@ -342,7 +340,8 @@ def _integer_roots(f):
     if len(f) < 2:
         return []
     s = tuple(Fraction(a) for a in f)
-    s = divmod_poly(QQ, s, gcd_monic(QQ, s, derivative(QQ, s)))[0]
+    K = rings.QQ
+    s = divmod_poly(K, s, gcd_monic(K, s, derivative(K, s)))[0]
     s = [int(a) for a in s]  # monic, so integral by Gauss's lemma
     ds = [i * a for i, a in enumerate(s)][1:]
     ell = 2
@@ -352,7 +351,7 @@ def _integer_roots(f):
         if dred and len(fpoly.gcd_monic(red, dred, ell)) == 1:
             break
         ell += 1
-        while not is_prime(ell):
+        while not rings.is_prime(ell):
             ell += 1
     bound = 2 * (1 + max(abs(a) for a in s[:-1]))
     out = []
@@ -403,7 +402,7 @@ def certify_irreducible_q(f, roots=None):
         return True
     ints, _ = integralize_monic(f)
     for ell in _CERT_PRIMES:
-        K = PrimeField(ell)
+        K = rings.PrimeField(ell)
         red = normalize(K, [c % ell for c in ints])
         if degree(red) != n:
             continue

@@ -16,6 +16,13 @@ Keeping elements as unboxed data makes matrices cheap (tuples of values) and
 gives structural equality and hashing for free.  No floating point is used
 anywhere: certified results must be bit-exact.
 
+This module holds no polynomial kernels of its own.  The sums and products
+of Z[t] run on polys over ZZ, and those of Q(t), with the gcd and division
+that normalize a value and the lcm of clear_denominators, on polys over
+QQ; F_{p^k} runs on fpoly.  Matrix products, determinants, inverses and
+conjugations over Z[t] and Q(t) do not go through these descriptors per
+scalar: they run on packed integers (see matrices).
+
 String formats for all of these ("3/4", "t^2+2*t+1/3", "x^2+x+1 mod 2") are
 documented in docs/formats.md; parse() and format() implement that grammar.
 """
@@ -23,7 +30,7 @@ documented in docs/formats.md; parse() and format() implement that grammar.
 from fractions import Fraction
 from math import lcm
 
-from . import fpoly
+from . import fpoly, polys
 from .errors import BadPrime, IntegralityError, SingularError
 from .fpoly import trim
 
@@ -193,66 +200,6 @@ def format_poly(coeffs, var):
 
 
 # ---------------------------------------------------------------------------
-# Fraction polynomial kernels used internally by Q(t)
-# (coefficient lists ascending, trimmed; the F_p ones live in fpoly).
-# Matrix products, determinants, inverses and conjugations over Q(t) run
-# on Z[t] numerators at t = 2^k (see matrices), so these serve the scalar
-# arithmetic of the descriptor (sums, rref and char_poly over Q(t), the
-# MeatAxe's sampling there), the gcd of _normalize for a value that leaves
-# the kernels with a non-constant denominator, and the lcm of the
-# denominators in clear_denominators.  These direct Fraction loops beat
-# the generic polys code over Q, whose every scalar step is a descriptor
-# call.
-
-
-def _fr_add(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    return trim(out)
-
-
-def _fr_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return trim(out)
-
-
-def _fr_divmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    while len(a) >= len(b) and a:
-        k = len(a) - len(b)
-        f = a[-1] * inv
-        q[k] = f
-        for i in range(len(b)):
-            a[k + i] -= f * b[i]
-        trim(a)
-    return trim(q), a
-
-
-def _fr_gcd_monic(a, b):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _fr_divmod(a, b)[1]
-    if a:
-        inv = 1 / a[-1]
-        a = [x * inv for x in a]
-    return a
-
-
-# ---------------------------------------------------------------------------
 # descriptors
 
 
@@ -287,8 +234,8 @@ class RingDescriptor:
 
     def div(self, a, b):
         if not self.is_field:
-            raise SingularError("division is only defined over fields; "
-                                "use divexact over %s" % (self,))
+            raise SingularError("division is only defined over fields, "
+                                "not over %s" % (self,))
         return self.mul(a, self.inv(b))
 
     def fraction_field(self):
@@ -342,11 +289,6 @@ class IntegerRing(RingDescriptor):
         if not self.is_unit(a):
             raise SingularError("%d is not a unit in Z" % (a,))
         return a
-
-    def divexact(self, a, b):
-        if b == 0 or a % b != 0:
-            raise IntegralityError("%d does not divide %d in Z" % (b, a))
-        return a // b
 
     def fraction_field(self):
         return QQ
@@ -490,26 +432,13 @@ class PolynomialRingZ(RingDescriptor):
         raise TypeError("cannot coerce %r into Z[%s]" % (a, self.var))
 
     def add(self, a, b):
-        n = max(len(a), len(b))
-        out = [0] * n
-        for i, x in enumerate(a):
-            out[i] = x
-        for i, x in enumerate(b):
-            out[i] += x
-        return tuple(trim(out))
+        return polys.add(ZZ, a, b)
 
     def neg(self, a):
         return tuple(-x for x in a)
 
     def mul(self, a, b):
-        if not a or not b:
-            return ()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return tuple(trim(out))
+        return polys.mul(ZZ, a, b)
 
     def is_unit(self, a):
         return a == (1,) or a == (-1,)
@@ -518,11 +447,6 @@ class PolynomialRingZ(RingDescriptor):
         if not self.is_unit(a):
             raise SingularError("%r is not a unit in Z[%s]" % (a, self.var))
         return a
-
-    def divexact(self, a, b):
-        K = self.fraction_field()
-        q = K.div(self.to_fraction_field(a), self.to_fraction_field(b))
-        return self.from_fraction_field(q)
 
     def degree(self, a):
         return len(a) - 1
@@ -601,16 +525,12 @@ class RationalFunctionField(RingDescriptor):
             # a constant denominator only divides the coefficients
             inv = 1 / den[0]
             return (tuple(x * inv for x in num), (_Q_ONE,))
-        g = _fr_gcd_monic(num, den)
+        g = polys.gcd_monic(QQ, num, den)
         if len(g) > 1:
-            num = _fr_divmod(num, g)[0]
-            den = _fr_divmod(den, g)[0]
-        lead = den[-1]
-        if lead != 1:
-            inv = 1 / lead
-            num = [x * inv for x in num]
-            den = [x * inv for x in den]
-        return (tuple(num), tuple(den))
+            num = polys.divmod_poly(QQ, num, g)[0]
+            den = polys.divmod_poly(QQ, den, g)[0]
+        inv = 1 / den[-1]
+        return polys.scale(QQ, inv, num), polys.scale(QQ, inv, den)
 
     def quotient(self, num, den):
         """The canonical element num / den for Z[t] values num and den != 0
@@ -625,14 +545,16 @@ class RationalFunctionField(RingDescriptor):
         it and every numerator integral.  When every denominator is
         constant, as in most inputs, no polynomial gcd is taken."""
         dens = set(a[1] for a in values)
-        common = [_Q_ONE]
+        common = (_Q_ONE,)
         for den in dens:
             if len(den) > 1:
-                g = _fr_gcd_monic(common, den)
-                common = _fr_mul(common, _fr_divmod(den, g)[0])
+                g = polys.gcd_monic(QQ, common, den)
+                common = polys.mul(QQ, common,
+                                   polys.divmod_poly(QQ, den, g)[0])
         if len(common) > 1:
-            cofactor = {den: _fr_divmod(common, den)[0] for den in dens}
-            nums = [_fr_mul(num, cofactor[den]) for num, den in values]
+            cofactor = {den: polys.divmod_poly(QQ, common, den)[0]
+                        for den in dens}
+            nums = [polys.mul(QQ, num, cofactor[den]) for num, den in values]
         else:
             nums = [num for num, _ in values]
         scale = lcm(*(c.denominator for f in nums for c in f),
@@ -667,17 +589,15 @@ class RationalFunctionField(RingDescriptor):
     def add(self, a, b):
         an, ad = a
         bn, bd = b
-        num = _fr_add(_fr_mul(an, bd), _fr_mul(bn, ad))
-        den = _fr_mul(ad, bd)
-        return self._normalize(num, den)
+        num = polys.add(QQ, polys.mul(QQ, an, bd), polys.mul(QQ, bn, ad))
+        return self._normalize(num, polys.mul(QQ, ad, bd))
 
     def neg(self, a):
         return (tuple(-x for x in a[0]), a[1])
 
     def mul(self, a, b):
-        num = _fr_mul(a[0], b[0])
-        den = _fr_mul(a[1], b[1])
-        return self._normalize(num, den)
+        return self._normalize(polys.mul(QQ, a[0], b[0]),
+                               polys.mul(QQ, a[1], b[1]))
 
     def is_unit(self, a):
         return bool(a[0])

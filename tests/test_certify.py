@@ -9,8 +9,8 @@ from irredcert.certify import (Certificate, IRREDUCIBLE_CERTIFIED,
                                INCONCLUSIVE_RUN, REDUCIBLE_WITH_WITNESS,
                                RULE_DIRECT_OVER_K, RULE_HEIGHT_ONE_FAMILY,
                                RULE_REGULAR_ONE_PRIME, canonical_json,
-                               certify, family_condition_trivial_intersection,
-                               rep_digest, verify)
+                               certify, rep_digest, verify)
+from irredcert.check import family_condition_trivial_intersection
 from irredcert.errors import VersionMismatch
 from irredcert.matrices import Matrix
 from irredcert.meataxe import REDUCIBLE, is_irreducible

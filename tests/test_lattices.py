@@ -9,9 +9,8 @@ import pytest
 from irredcert.certify import certify, verify
 from irredcert.errors import (BadPrime, BudgetExceeded, IntegralityError,
                               ShapeError)
-from irredcert.lattices import (LatticeBasis, PrimeSpec, _stable_lattice_z,
-                                _triangular_conjugates, reduce_rep, saturate)
-from irredcert.matrices import Matrix, integral_conjugates
+from irredcert.lattices import LatticeBasis, PrimeSpec, reduce_rep, saturate
+from irredcert.matrices import Matrix
 from irredcert.prng import XorShift64
 from irredcert.reps import Representation, conjugate, evaluate, load_rep
 from irredcert.rings import ZZ, QQ, PolynomialRingZ, PrimeField, \
@@ -187,36 +186,6 @@ class TestSaturate:
         lat2, int_rep2 = saturate(int_rep)
         assert lat2 == LatticeBasis.standard(ZZ, 2)
         assert int_rep2.generators == int_rep.generators
-
-    def test_triangular_conjugates_match_the_general_conjugation(self):
-        """Forward substitution in H X = g H gives the conjugates of the
-        general integral_conjugates on the stable lattices of the corpus
-        and of disguised reps, and raises IntegralityError where they
-        do."""
-        rng = XorShift64(23)
-        reps = [load_rep(os.path.join(DATA, name + ".json"))
-                for name in ("d4", "q8", "s3", "s3_scaled", "s4", "s6")]
-        for rep in reps[:]:
-            c = Matrix(QQ, [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                             + int(i == j) * 5 for j in range(rep.dim)]
-                            for i in range(rep.dim)])
-            reps.append(conjugate(rep, c))
-        for rep in reps:
-            gens = [m for g in rep.generators for m in (g, g.inverse())]
-            h, _ = _stable_lattice_z(gens, rep.dim, 64)
-            a = [list(r) for r in zip(*h)]
-            assert all(a[i][j] == 0 for i in range(rep.dim)
-                       for j in range(i + 1, rep.dim)), h
-            assert _triangular_conjugates(h, rep.generators) == \
-                list(integral_conjugates(a, rep.generators)), rep.label
-        # the standard lattice is not stable under (1/2) g
-        half = [g.scale(Fraction(1, 2)) for g in reps[0].generators]
-        ident = tuple(tuple(int(i == j) for i in range(reps[0].dim))
-                      for j in range(reps[0].dim))
-        for fn in (lambda: _triangular_conjugates(ident, half),
-                   lambda: list(integral_conjugates(ident, half))):
-            with pytest.raises(IntegralityError):
-                fn()
 
     def test_budget_exceeded_for_half(self):
         rep = Representation(QQ, [Matrix(QQ, [[Fraction(1, 2)]])], [])
