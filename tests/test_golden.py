@@ -30,13 +30,17 @@ GOLDEN = os.path.join(HERE, "golden")
 # s9 (standard rep, d = 8) certifies at (2) by enumerating both projective
 # kernels of nullity 7; s6 (d = 5) is split at (3) by a dual spin, whose
 # witness is the annihilator _perp_witness computes, and certifies at (5)
-CERTIFY = [("b3_qt", 0), ("d4", 0), ("q8", 2), ("s3", 0), ("s3_qt", 0),
+CERTIFY = [("b3", 0), ("b3_qt", 0), ("d4", 0), ("q8", 2), ("s3", 0), ("s3_qt", 0),
            ("s3_scaled", 0), ("s4", 0), ("s6", 0), ("s9", 0)]
 
+# q8 mod 3 has a 4-dimensional commutant, d0 = 4; b3 (order 48, three
+# generators) mod 3 has a relation module of dimension 97, which hom_dim
+# packs into two-byte slots
 REDUCE = ([(rep, prime) for rep in ("s3", "s3_scaled", "d4", "s4")
            for prime in ("(2)", "(3)", "(5)")]
           + [(rep, prime) for rep in ("s3_qt", "b3_qt")
-             for prime in ("(t-0)", "(2,t-1)")])
+             for prime in ("(t-0)", "(2,t-1)")]
+          + [("q8", "(3)"), ("b3", "(3)")])
 
 # the reductions over a finite field, whose groups close_group tabulates;
 # s4 mod 2 and b3_qt at (2,t-1) are the obstructed ones, d2 = 2 and 1
