@@ -40,8 +40,9 @@ proper spin only.  The ring alone selects these paths; Q(t), F_q and any
 other descriptor take the generic code, the reference in the tests.  One
 sampling loop, _decide, serves finite fields and Q; only where the
 factors of the characteristic polynomial come from differs.  hom_dim
-spins a module together with the images of its vectors, on the same three
-representations and reductions.
+spins a module together with the images of its vectors in two forms:
+packed pairs over F_p, reduced and scaled as in _grow, and rows of
+scalars over every other field, Q included.
 
 Each run is deterministic given (rep, seed, budget) and yields a transcript
 suitable for embedding in a certificate.  Reducible verdicts always carry a
@@ -150,15 +151,18 @@ def _reduce_against(K, rows, pivots, w):
     Over Q the rows and w are integer vectors, and the step
     w <- (a/g) w - (c/g) r, with a = r[pivot], c = w[pivot] and
     g = gcd(a, c), is fraction-free: the result is a nonzero multiple of
-    the reduction over Q.  Over any other field the rows have leading
-    entry 1 (over F_p, _reduce_fp takes packed rows)."""
+    the reduction over Q.  A row with a = 1 takes w - c r without the gcd,
+    so the monic Fraction rows of hom_dim reduce here too.  Over any other
+    field the rows have leading entry 1 (over F_p, _reduce_fp takes packed
+    rows)."""
     if K == QQ:
         for pi, r in zip(pivots, rows):
             c = w[pi]
             if c:
                 a = r[pi]
-                g = gcd(a, c)
-                a, c = a // g, c // g
+                if a != 1:
+                    g = gcd(a, c)
+                    a, c = a // g, c // g
                 w = [a * x - c * y for x, y in zip(w, r)]
         return w
     w = list(w)
@@ -710,27 +714,28 @@ def hom_dim(K, src_gens, dst_gens):
     seeds and m = dim M the unknowns are the m S entries of those images.
     Each vector b of the spin carries X b as an m x m S matrix in the
     unknowns, so a_j b carries rho_j X b, and the pair [vector | image] is
-    reduced as one against the kept pairs.  A vector that stays nonzero
-    is kept, and its image defines X on it; one that reduces to 0 leaves
-    an image that X must send to 0, m equations.  X is a homomorphism
-    exactly when all of them hold, so the answer is m S minus their rank,
-    the size of their span under _grow with no matrices.
+    reduced as one against the kept pairs and scaled to a leading 1.  A
+    vector that stays nonzero is kept, and its image defines X on it; one
+    that reduces to 0 leaves an image that X must send to 0, m equations.
+    X is a homomorphism exactly when all of them hold, so the answer is
+    m S minus their rank, the size of their span under _grow with no
+    matrices.
 
     The image is kept column by column, so a new seed appends its m
-    columns.  As in _grow, over F_p the pair is one packed int, and rho_j
-    acts on all columns at once: row k of the image, read off every m-th
-    slot, times the packed column k of rho_j.  Over Q the pair is an
-    integer row, a_j scaled by the denominator of rho_j and rho_j by that
-    of a_j so that both halves scale alike, reduced fraction-free.  Any
-    other field takes the generic code."""
+    columns.  As in _grow, over F_p the pair is one packed int, reduced by
+    _reduce_fp and pivoted and scaled by fpoly.monic_slots: the vector
+    fills the low a slots, so the pivot falls among them exactly when the
+    vector is nonzero mod p, and otherwise the m equations share one
+    nonzero factor, which leaves their rank alone.  rho_j acts on all
+    columns at once: row k of the image, read off every m-th slot, times
+    the packed column k of rho_j.  Every other field, Q included, takes
+    the descriptor form: rows of scalars, Matrix.apply and _reduce_against."""
     a, m = src_gens[0].nrows, dst_gens[0].nrows
     if not a or not m:
         return 0
     rows, pivots = [], []
-    n = 0                   # unknowns so far, m per seed
-    packed = isinstance(K, PrimeField)
-    if packed:
-        p, zero, one = K.p, 0, 1
+    if isinstance(K, PrimeField):
+        p, zero = K.p, 0
         # slots meet a products from a_j or m from rho_j, a from reduction
         nb = slot_bytes(p, a + max(a, m))
         sh = 8 * nb
@@ -741,8 +746,9 @@ def hom_dim(K, src_gens, dst_gens):
                  pack(r.transpose().entries, nb, p, m))
                 for x, r in zip(src_gens, dst_gens)]
 
-        def unit(t):
-            return 1 << sh * t
+        def seed(t, n):
+            return (1 << sh * t) + sum(1 << sh * (a + m * (n + i) + i)
+                                       for i in range(m))
 
         def step(b, gen):
             v, img = b
@@ -751,90 +757,73 @@ def hom_dim(K, src_gens, dst_gens):
                       for k, c in enumerate(rcols))
             return sum(map(mul, v, xcols)) + (img << sh * a)
 
-        def reduce(w):
-            return unpack([_reduce_fp(w, rows, pivots, p, nb)], a + m * n,
-                          nb, p)
-
-        def lead(u):
-            c = next(filter(None, u[:a]), 0)
-            return u.index(c) if c else None
-
-        def keep(u, idx):
-            if u[idx] != 1:
-                inv = pow(u[idx], -1, p)
-                u = [x * inv % p for x in u]
-            rows.append(pack(u, nb, p))
+        def reduce(w, n):
+            out = monic_slots(_reduce_fp(w, rows, pivots, p, nb), a + m * n,
+                              nb, p)
+            if out is None:
+                return None, None
+            idx, w, u = out
+            if idx >= a:
+                return u, None
+            rows.append(w)
             pivots.append(sh * idx)     # as in _grow, slot shifts
-            return u[:a], rows[-1] >> sh * a
+            return u, (u[:a], w >> sh * a)
     else:
-        if K == QQ:
-            zero, one = 0, 1
-            gens = []
-            for x, r in zip(src_gens, dst_gens):
-                (xr, dx), (rr, dr) = integer_rows(x), integer_rows(r)
-                gens.append(([[dr * c for c in row] for row in xr],
-                             [[dx * c for c in row] for row in rr],
-                             _apply_int))
-            normalize = _content_free
-        else:
-            zero, one = K.zero(), K.one()
-            gens = [(x, r, Matrix.apply) for x, r in zip(src_gens, dst_gens)]
+        zero, one = K.zero(), K.one()
+        gens = list(zip(src_gens, dst_gens))
 
-            def normalize(u):
-                inv = K.inv(next(c for c in u if c != zero))
-                return u if inv == one else [K.mul(inv, c) for c in u]
-
-        def unit(t):
-            w = [zero] * (a + m * n)
+        def seed(t, n):
+            w = [zero] * (a + m * (n + m))
+            for r in rows:
+                r.extend(w[len(r):])
             w[t] = one
+            for i in range(m):
+                w[a + m * (n + i) + i] = one
             return w
 
         def step(b, gen):
-            x, r, apply = gen
-            w = list(apply(x, b[:a]))
+            x, r = gen
+            w = list(x.apply(b[:a]))
             for i in range(a, len(b), m):
-                w.extend(apply(r, b[i:i + m]))
+                w.extend(r.apply(b[i:i + m]))
             return w
 
-        def reduce(w):
-            return _reduce_against(K, rows, pivots, w)
-
-        def lead(u):
-            return next((i for i in range(a) if u[i] != zero), None)
-
-        def keep(u, idx):
-            rows.append(normalize(u))
+        def reduce(w, n):
+            u = _reduce_against(K, rows, pivots, w)
+            idx = next((i for i, c in enumerate(u) if c != zero), None)
+            if idx is None:
+                return None, None
+            if u[idx] != one:
+                inv = K.inv(u[idx])
+                u = [K.mul(inv, c) for c in u]
+            if idx >= a:
+                return u, None
+            rows.append(u)
             pivots.append(idx)
-            return rows[-1]
+            return u, u
 
+    n = 0                   # unknowns so far, m per seed
     eqs = {}                # equations as tuples, each once
     for t in range(a):
         if len(rows) == a:
             break
-        u = reduce(unit(t))
-        idx = lead(u)
-        if idx is None:
+        # e_t with X e_t = y, m new unknowns y that the kept pairs do not
+        # involve (their rows are padded with zeros); a new seed when the
+        # spin so far misses e_t
+        b = reduce(seed(t, n), n + m)[1]
+        if b is None:
             continue
-        # a new seed, X e_t = y with m new unknowns y, which the rows kept
-        # so far do not involve (packed rows need no zeros appended)
-        if not packed:
-            for r in rows:
-                r.extend([zero] * (m * m))
-        u.extend([zero] * (m * m))
-        for i in range(m):
-            u[a + m * (n + i) + i] = one
         n += m
-        queue = [keep(u, idx)]
+        queue = [b]
         while queue:
             b = queue.pop()
             for gen in gens:
-                u = reduce(step(b, gen))
-                idx = lead(u)
-                if idx is None:
+                u, kept = reduce(step(b, gen), n)
+                if kept is not None:
+                    queue.append(kept)
+                elif u is not None:
                     for i in range(m):
                         eqs[tuple(u[a + i::m])] = None
-                else:
-                    queue.append(keep(u, idx))
     eqs = [list(e) + [zero] * (n - len(e)) for e in eqs]
     return n - len(_grow(K, [], eqs, 0)[0])
 
