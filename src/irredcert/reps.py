@@ -18,7 +18,7 @@ import json
 
 from .errors import IntegralityError, ShapeError, SingularError
 from .matrices import Matrix, kronecker
-from .rings import ring_from_json
+from .rings import json_int, ring_from_json
 
 
 def normalize_word(word):
@@ -26,10 +26,8 @@ def normalize_word(word):
     out = []
     for item in word:
         try:
-            idx, exp = item
-            idx = int(idx)
-            exp = int(exp)
-        except (TypeError, ValueError, OverflowError):
+            idx, exp = map(json_int, item)
+        except (TypeError, ValueError):
             raise ValueError("word letter %r is not a pair [index, +-1]"
                              % (item,)) from None
         if exp not in (1, -1):
@@ -223,8 +221,8 @@ def rep_from_json(obj):
             raise ValueError("representation document lacks %r" % (key,))
     R = ring_from_json(obj["ring"])
     try:
-        dim = int(obj["dim"])
-    except (TypeError, ValueError, OverflowError):
+        dim = json_int(obj["dim"])
+    except ValueError:
         raise ValueError("dim %r is not an integer" % (obj["dim"],)) from None
     if dim < 1:
         raise ValueError("dim must be positive, got %d" % (dim,))

@@ -84,6 +84,10 @@ def is_prime(n):
 #   number := nat ['/' nat]
 #
 # Whitespace is ignored.  Multiplication must be explicit ("2*t", not "2t").
+# A term's exponent is at most MAX_EXPONENT: the determinant that checks a
+# Z[t] generator is quadratic in the degree, so "t^1000000" would not finish.
+
+MAX_EXPONENT = 1000
 
 
 def _tokenize_poly(s):
@@ -160,6 +164,9 @@ def parse_poly_string(s, var):
             c2, e2 = parse_factor()
             coef *= c2
             exp += e2
+        if exp > MAX_EXPONENT:
+            raise ValueError("exponent %d above %d in %r"
+                             % (exp, MAX_EXPONENT, s))
         return coef, exp
 
     coeffs = {}
@@ -887,8 +894,8 @@ def ring_from_json(obj):
         return PrimeField(_int_field(obj, "p"))
     if tag == "Fq":
         try:
-            modulus = [int(c) for c in obj["modulus"]]
-        except (KeyError, TypeError, ValueError, OverflowError):
+            modulus = [json_int(c) for c in obj["modulus"]]
+        except (KeyError, TypeError, ValueError):
             raise ValueError("ring 'Fq' needs an integer list 'modulus'") \
                 from None
         return ExtensionField(_int_field(obj, "p"), modulus,
@@ -896,9 +903,17 @@ def ring_from_json(obj):
     raise ValueError("unknown ring tag %r" % (tag,))
 
 
+def json_int(x):
+    """An integer of a JSON document: an int, or a string that int() reads.
+    A float or a bool raises ValueError, where int() would truncate it."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise ValueError("%r is not an integer" % (x,))
+    return int(x)
+
+
 def _int_field(obj, key):
     try:
-        return int(obj[key])
-    except (KeyError, TypeError, ValueError, OverflowError):
+        return json_int(obj[key])
+    except (KeyError, ValueError):
         raise ValueError("ring %r needs an integer %r"
                          % (obj["ring"], key)) from None

@@ -26,6 +26,24 @@ MALFORMED_REPS = {
     "true_entry_f3": _f3_doc(True),
     "float_entry_f3": _f3_doc(1.5),
     "bare_fp_ring": {"ring": "Fp", "dim": 1, "generators": [[["1"]]]},
+    # exponents above rings.MAX_EXPONENT, which once hung the loader
+    "huge_exponent_zt": {"ring": "Z[t]", "dim": 1,
+                         "generators": [[["t^1000000"]]]},
+    "huge_exponent_qt": {"ring": "Q(t)", "dim": 1,
+                         "generators": [[["(1)/(t^1000000+1)"]]]},
+    "huge_exponent_fq": {"ring": {"ring": "Fq", "p": 2, "modulus": [1, 1, 1]},
+                         "dim": 1, "generators": [[["x^99999999"]]]},
+    # integers that int() would once truncate or read as 0 or 1
+    "fractional_dim": {"ring": "Q", "dim": 2.5,
+                       "generators": [[["1", "0"], ["0", "1"]]]},
+    "true_dim": {"ring": "Q", "dim": True, "generators": [[["1"]]]},
+    "fractional_p": {"ring": {"ring": "Fp", "p": 7.9}, "dim": 1,
+                     "generators": [[["1"]]]},
+    "fractional_modulus": {"ring": {"ring": "Fq", "p": 2,
+                                    "modulus": [1.9, 1, 1.2]},
+                           "dim": 1, "generators": [[["1"]]]},
+    "fractional_letter": {"ring": "Q", "dim": 1, "generators": [[["1"]]],
+                          "relations": [[[0.9, 1.5]]]},
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 from irredcert.errors import BadPrime, IntegralityError, SingularError
 from irredcert.prng import XorShift64
 from irredcert.rings import (
-    ZZ, QQ, ExtensionField, PolynomialRingZ, PrimeField,
+    MAX_EXPONENT, ZZ, QQ, ExtensionField, PolynomialRingZ, PrimeField,
     RationalFunctionField, is_prime, ring_from_json,
 )
 
@@ -76,6 +76,10 @@ def test_poly_z_basic():
     with pytest.raises(ValueError):
         ZT.parse("t/2")  # division only applies to numeric literals
     assert ZT.parse("2*t - t") == (0, 1)
+    # the bound is on the exponent of a term, summed over its factors
+    assert len(ZT.parse("t^%d" % MAX_EXPONENT)) == MAX_EXPONENT + 1
+    with pytest.raises(ValueError, match="exponent"):
+        ZT.parse("t^600*t^600")
 
 
 def test_poly_z_add_mul_known_answers():
