@@ -169,21 +169,6 @@ def save_certificate(cert, path):
 # prime candidate selection
 
 
-def _auto_primes_z(int_rep):
-    """Ascending rational primes skipping divisors of the generator
-    determinants (those reductions would be BadPrime)."""
-    bad = 1
-    for g in int_rep.generators:
-        bad *= abs(g.det())
-    out = []
-    for p in _primes_ascending():
-        if bad % p:
-            out.append(p)
-            if len(out) >= MAX_PRIMES:
-                break
-    return out
-
-
 def _normalize_prime_list(primes, R):
     """User-supplied candidates as PrimeSpec objects over the base ring R.
 
@@ -368,8 +353,10 @@ def certify(rep, primes=None, seed=0, budget=200, oracle_check=False):
     if explicit:
         candidates = _normalize_prime_list(primes, R)
     elif R == ZZ:
+        # a saturated generator and its inverse are integral, so its
+        # determinant is a unit and no prime is bad for all of them
         candidates = [PrimeSpec.integer(p)
-                      for p in _auto_primes_z(int_rep)]
+                      for p in _primes_ascending()[:MAX_PRIMES]]
     else:
         candidates = []
         for p in _primes_ascending():
