@@ -17,8 +17,9 @@ through a 256-entry table, and monic_slots reduces a vector, finds its
 first nonzero slot with lstrip and scales it to a leading 1 through a
 second table, in C.  Wider slots take the list path: unpack reads them
 through a memoryview (2, 4 and 8 bytes) or int.from_bytes and reduces
-each entry.  `matrices` and `meataxe` run their prime-field kernels on
-pack, unpack and monic_slots.
+each entry; for p < 256 monic_slots then pivots and scales the entries
+as bytes, as with one-byte slots.  `matrices` and `meataxe` run their
+prime-field kernels on pack, unpack and monic_slots.
 
 Polynomials are ascending coefficient lists of ints in [0, p), trimmed (the
 zero polynomial is the empty list).  These are the only F_p[x] kernels in
@@ -97,18 +98,19 @@ def monic_slots(w, n, nb, p):
     and scaled to a leading 1: (pivot, packed, entries), the pivot being
     its first nonzero slot, or None when w is zero mod p.
 
-    With one-byte slots the entries are the bytes of the packed result, so
-    that reducing, finding the pivot and scaling are a translate, an lstrip
-    and a translate; with wider slots they are a list."""
-    if nb == 1:
+    For p < 256 the entries are bytes, so that finding the pivot and
+    scaling are an lstrip and a translate, and with one-byte slots
+    reducing is a translate too; for larger p they are a list."""
+    if p < 256:
         tables = _divide_tables(p)
-        b = w.to_bytes(n, "little").translate(tables[1])
+        b = (w.to_bytes(n, "little").translate(tables[1]) if nb == 1
+             else bytes(unpack([w], n, nb, p)))
         rest = b.lstrip(b"\0")
         if not rest:
             return None
         if rest[0] != 1:
             b = b.translate(tables[rest[0]])
-        return n - len(rest), int.from_bytes(b, "little"), b
+        return n - len(rest), pack(b, nb, p), b
     u = unpack([w], n, nb, p)
     c = next(filter(None, u), 0)
     if not c:

@@ -186,11 +186,10 @@ def _grow(K, mats, vecs, cap):
     Over F_p the vectors are packed: M w is the sum of the packed columns
     of M (packed_columns) scaled by the entries of w, each vector is
     reduced against the packed rows (_reduce_fp) at their pivots' slot
-    shifts and made monic once (fpoly.monic_slots, in C when the slots are
-    one byte), and the queue holds the entries of the reduced vectors,
-    which span the same space as the images.  Slots hold d products from
-    M w and at most d - 1 from the reduction, within packed_columns'
-    bound.  A span does not change when its vectors or the matrices are
+    shifts and made monic once (fpoly.monic_slots, in C for p < 256), and
+    the queue holds the entries of the reduced vectors, which span the
+    same space as the images.  Slots hold d products from M w and at most
+    d - 1 from the reduction, within packed_columns' bound.  A span does not change when its vectors or the matrices are
     scaled (Holt-Rees), so over Q the loop runs on integer rows: each
     matrix is scaled once to D m over the least common denominator D of
     its entries, the vectors become primitive integer vectors, the
