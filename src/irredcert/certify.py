@@ -353,8 +353,8 @@ def certify(rep, primes=None, seed=0, budget=200, oracle_check=False):
     if explicit:
         candidates = _normalize_prime_list(primes, R)
     elif R == ZZ:
-        # a saturated generator and its inverse are integral, so its
-        # determinant is a unit and no prime is bad for all of them
+        # a saturated generator and its inverse are integral, so each
+        # determinant is +-1 and no prime divides one
         candidates = [PrimeSpec.integer(p)
                       for p in _primes_ascending()[:MAX_PRIMES]]
     else:

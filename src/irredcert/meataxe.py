@@ -733,6 +733,10 @@ def hom_dim(K, src_gens, dst_gens):
     if not a or not m:
         return 0
     rows, pivots = [], []
+    # each form gives seed(t, n), the pair of e_t after n unknowns;
+    # step(b, gen), the pair of a_j b; and reduce(w, n), the pair w over n
+    # unknowns reduced and scaled: (its entries or None when it is 0, the
+    # queue item when it is kept)
     if isinstance(K, PrimeField):
         p, zero = K.p, 0
         # slots meet a products from a_j or m from rho_j, a from reduction
