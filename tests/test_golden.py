@@ -35,16 +35,20 @@ CERTIFY = [("b3", 0), ("b3_qt", 0), ("d4", 0), ("q8", 2), ("s3", 0), ("s3_qt", 0
 
 # q8 mod 3 has a 4-dimensional commutant, d0 = 4; b3 (order 48, three
 # generators) mod 3 has a relation module of dimension 97, which hom_dim
-# packs into two-byte slots
+# packs into two-byte slots; the zero prime (0) returns the integral model
+# over the fraction field, of the lattice diag(1, 1/2) over Q for s3_scaled
+# and of a non-constant lattice over Q(t) for b3_qt
 REDUCE = ([(rep, prime) for rep in ("s3", "s3_scaled", "d4", "s4")
            for prime in ("(2)", "(3)", "(5)")]
           + [(rep, prime) for rep in ("s3_qt", "b3_qt")
              for prime in ("(t-0)", "(2,t-1)")]
-          + [("q8", "(3)"), ("b3", "(3)")])
+          + [("q8", "(3)"), ("b3", "(3)")]
+          + [("s3_scaled", "(0)"), ("b3_qt", "(0)")])
 
 # the reductions over a finite field, whose groups close_group tabulates;
 # s4 mod 2 and b3_qt at (2,t-1) are the obstructed ones, d2 = 2 and 1
-OBSTRUCTION = [(rep, prime) for rep, prime in REDUCE if prime != "(t-0)"]
+OBSTRUCTION = [(rep, prime) for rep, prime in REDUCE
+               if prime not in ("(t-0)", "(0)")]
 
 
 # the reps over F_p: S27 standard mod 3 and a block triangular rep mod
