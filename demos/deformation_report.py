@@ -39,10 +39,10 @@ def show(title, report):
 
 def main():
     rep = load_rep(DATA / "s3.json")
-    lat, int_rep = saturate(rep)
+    _, int_rep = saturate(rep)
 
     for p in (5, 3):
-        red = reduce_rep(int_rep, lat, PrimeSpec.integer(p))
+        red = reduce_rep(int_rep, PrimeSpec.integer(p))
         show("S3 mod %d" % (p,), obstruction_report(red))
 
     F3 = PrimeField(3)

@@ -33,6 +33,7 @@ Rules:
 import hashlib
 import json
 from functools import cache
+from itertools import count, islice
 
 from .errors import (BadPrime, BudgetExceeded, IrredcertError, SizeBound,
                      VersionMismatch)
@@ -68,9 +69,6 @@ ORACLE_POINTS = 2 ** 12
 # config of every certificate
 MAX_PRIMES = 50
 
-# the automatic prime search draws its primes from those below this bound
-PRIME_BOUND = 1000
-
 
 def canonical_json(obj):
     """Key-sorted, whitespace-free dump; the digest and equality baseline."""
@@ -87,8 +85,8 @@ def rep_digest(rep):
 
 @cache
 def _primes_ascending():
-    """The primes below PRIME_BOUND, ascending, found on first use."""
-    return tuple(n for n in range(2, PRIME_BOUND) if is_prime(n))
+    """The first MAX_PRIMES primes, ascending, found on first use."""
+    return tuple(islice(filter(is_prime, count(2)), MAX_PRIMES))
 
 
 class Certificate:
@@ -157,12 +155,6 @@ def load_certificate(path):
             raise ValueError("certificate document is nested too "
                              "deeply") from None
     return Certificate.from_json(doc)
-
-
-def save_certificate(cert, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cert.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +322,7 @@ def certify(rep, primes=None, seed=0, budget=200, oracle_check=False):
     field_rep = over_fraction_field(rep)
 
     try:
-        lat, int_rep = saturate(field_rep)
+        basis, int_rep = saturate(field_rep)
     except BudgetExceeded as exc:
         step, verdict = _run_step(field_rep, "(0)", seed, budget, False)
         if verdict.status == REDUCIBLE:
@@ -343,9 +335,8 @@ def certify(rep, primes=None, seed=0, budget=200, oracle_check=False):
                           reason="no-integral-model: %s" % (exc,))
 
     R = int_rep.ring
-    KL = lat.ring.fraction_field()
-    lattice_rows = [[KL.format(lat.basis.entry(i, j))
-                     for j in range(lat.dim)] for i in range(lat.dim)]
+    lattice_rows = [[basis.ring.format(a) for a in row]
+                    for row in basis.rows()]
     steps = []
     reducible = []
     explicit = primes is not None
@@ -355,15 +346,10 @@ def certify(rep, primes=None, seed=0, budget=200, oracle_check=False):
     elif R == ZZ:
         # a saturated generator and its inverse are integral, so each
         # determinant is +-1 and no prime divides one
-        candidates = [PrimeSpec.integer(p)
-                      for p in _primes_ascending()[:MAX_PRIMES]]
+        candidates = [PrimeSpec.integer(p) for p in _primes_ascending()]
     else:
-        candidates = []
-        for p in _primes_ascending():
-            for c in AUTO_SHIFTS:
-                candidates.append(PrimeSpec.maximal(p, c, R))
-            if len(candidates) >= 3 * MAX_PRIMES:
-                break
+        candidates = [PrimeSpec.maximal(p, c, R)
+                      for p in _primes_ascending() for c in AUTO_SHIFTS]
 
     def finish(**kw):
         return _make_cert(rep, config, base_ring=R.to_json(),
@@ -376,7 +362,7 @@ def certify(rep, primes=None, seed=0, budget=200, oracle_check=False):
                              or len(steps) >= MAX_PRIMES):
             break
         if prime.kind == PrimeSpec.LINEAR:
-            fam = _linear_descent(int_rep, lat, prime, steps, seed, budget,
+            fam = _linear_descent(int_rep, prime, steps, seed, budget,
                                   oracle_check)
             if fam is not None:
                 return finish(rule=RULE_HEIGHT_ONE_FAMILY,
@@ -385,7 +371,7 @@ def certify(rep, primes=None, seed=0, budget=200, oracle_check=False):
             fruitless += 1
             continue
         try:
-            red = reduce_rep(int_rep, lat, prime)
+            red = reduce_rep(int_rep, prime)
         except BadPrime as exc:
             if explicit:
                 steps.append(_skip_step(prime, exc))
@@ -403,7 +389,7 @@ def certify(rep, primes=None, seed=0, budget=200, oracle_check=False):
     if not explicit and isinstance(R, PolynomialRingZ):
         for c in AUTO_SHIFTS:
             prime = PrimeSpec.linear(c, R)
-            fam = _linear_descent(int_rep, lat, prime, steps, seed, budget,
+            fam = _linear_descent(int_rep, prime, steps, seed, budget,
                                   oracle_check)
             if fam is not None:
                 return finish(rule=RULE_HEIGHT_ONE_FAMILY,
@@ -419,13 +405,13 @@ def certify(rep, primes=None, seed=0, budget=200, oracle_check=False):
     return finish(reason=_inconclusive_reason(reducible, verdict.status))
 
 
-def _linear_descent(int_rep, lat, prime, steps, seed, budget, oracle_check):
+def _linear_descent(int_rep, prime, steps, seed, budget, oracle_check):
     """Height-one route: reduce at (t-c) to a representation over Q and
     certify that recursively.  On success appends the step (with the
     sub-certificate embedded) and returns the family list; otherwise
     records the failed step and returns None."""
     try:
-        red = reduce_rep(int_rep, lat, prime)
+        red = reduce_rep(int_rep, prime)
     except BadPrime as exc:
         steps.append(_skip_step(prime, exc))
         return None

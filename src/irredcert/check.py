@@ -201,8 +201,7 @@ def _check_one_prime(steps, int_rep):
     _require(prime.kind in (PrimeSpec.INTEGER, PrimeSpec.MAXIMAL),
              "the irreducible step is at %s, not an integer or maximal prime",
              prime)
-    # int_rep is over R already, so reduce_rep needs no lattice
-    red = reduce_rep(int_rep, None, prime)
+    red = reduce_rep(int_rep, prime)
     if red.dim == 1:
         return
     transcript = step.get("meataxe")
@@ -351,6 +350,6 @@ def _check_family(cert, int_rep):
     _require(sub.conclusion == IRREDUCIBLE_CERTIFIED, "the sub-certificate "
              "concludes %r", sub.conclusion)
     try:
-        _check(sub, reduce_rep(int_rep, None, prime))
+        _check(sub, reduce_rep(int_rep, prime))
     except _Rejected as exc:
         raise _Rejected("sub-certificate at %s: %s" % (prime, exc)) from None

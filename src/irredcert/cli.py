@@ -98,13 +98,11 @@ def _cmd_verify(args):
 
 def _cmd_reduce(args):
     rep = load_rep(args.rep)
-    lat, int_rep = saturate(rep)
+    basis, int_rep = saturate(rep)
     prime = PrimeSpec.parse(args.prime, int_rep.ring)
-    red = reduce_rep(int_rep, lat, prime)
-    doc = rep_to_json(red)
-    KL = lat.ring.fraction_field()
-    doc["lattice"] = [[KL.format(lat.basis.entry(i, j))
-                       for j in range(lat.dim)] for i in range(lat.dim)]
+    doc = rep_to_json(reduce_rep(int_rep, prime))
+    doc["lattice"] = [[basis.ring.format(a) for a in row]
+                      for row in basis.rows()]
     doc["prime"] = str(prime)
     _emit(doc)
     return EXIT_OK

@@ -1,11 +1,10 @@
 """G-stable free lattices, prime ideals of Z and Z[t], and reduction.
 
-A LatticeBasis is a full-rank free lattice L = B * R^d inside K^d, stored as
-the d x d basis matrix B over K = frac(R).  Over Z there is a unique canonical
-form: write B = H / D with D the least positive common denominator and H the
-column-style HNF of D*B, normalized so gcd(content(H), D) = 1; two bases span
-the same lattice iff their canonical forms coincide.  Over Z[t] only constant
-bases get a canonical form; general bases compare by mutual containment.
+A full-rank free lattice L = B * R^d inside K^d, K = frac(R), is given by
+its d x d basis matrix B over K.  Over Z it has a canonical basis: write
+B = H / D with D the least positive common denominator and H the
+column-style HNF of D*B, normalized so gcd(content(H), D) = 1; two bases
+span the same lattice iff their canonical forms coincide.
 
 A PrimeSpec names a prime of the base ring from the supported menu:
 
@@ -18,17 +17,18 @@ The principal primes (p) of Z[t] are deliberately not offered: reducing at
 (p, t-c) reaches a finite field in one step, with the localization still a
 regular local ring, so nothing is gained by stopping at F_p(t).
 
-saturate() finds a G-stable lattice for a representation over Q or Q(t) and
-rewrites the action integrally over Z or Z[t]; reduce_rep() applies the
-residue map of a PrimeSpec entrywise in a lattice basis.  Its Z-lattice
-chain runs on plain ints: the lattice is held as its canonical pair (H, D),
-each matrix is scaled once to an integer matrix over a common denominator
+saturate() finds a G-stable lattice for a representation over Q or Q(t)
+and returns its basis and the integral model, the action rewritten over Z
+or Z[t] in that basis; reduce_rep() applies the residue map of a PrimeSpec
+entrywise to an integral model.  The saturation's Z-lattice chain runs on
+plain ints: the lattice is held as its canonical pair (H, D), each matrix
+is scaled once to an integer matrix over a common denominator
 (matrices.scaled_rows), and a round is one integer HNF; rounds and budget
-are counted as for the chain L -> L + sum_g gL itself.  The Q(t) case
-runs on Z[t] numerators over one denominator (matrices.poly_rows) and
-their products at t = 2^k.  The generators in the stable lattice's
-basis, over Q and Q(t) and in reduce_rep, come from
-matrices.integral_conjugates, the conjugation the checker runs.
+are counted as for the chain L -> L + sum_g gL itself.  The Q(t) case runs
+on Z[t] numerators over one denominator (matrices.poly_rows) and their
+products at t = 2^k.  The generators in the stable lattice's basis, over Q
+and Q(t), come from matrices.integral_conjugates, the conjugation the
+checker runs.
 """
 
 import math
@@ -40,8 +40,8 @@ from .errors import (BadPrime, BudgetExceeded, IntegralityError, ShapeError,
                      SingularError)
 from .matrices import (Matrix, _constant_q_matrix, _divexact, _pmul,
                        _row_hnf, conjugate_numerators, denominator_lcm,
-                       from_poly_rows, integer_rows, integral_conjugates,
-                       poly_rows, scaled_rows, zt_product)
+                       from_poly_rows, integral_conjugates, poly_rows,
+                       scaled_rows, zt_product)
 from .rings import (ZZ, QQ, PolynomialRingZ, PrimeField, RationalFunctionField,
                     is_prime)
 from .reps import Representation, over_fraction_field
@@ -209,12 +209,6 @@ def _canonical_pair(columns, den):
     return tuple(tuple(a // g for a in col) for col in rows[:r]), den // g
 
 
-def _canonical_pair_z(m):
-    """The canonical pair (H, D) of the column span of a matrix over Q."""
-    den = denominator_lcm(m.entries)
-    return _canonical_pair(scaled_rows(m.columns(), den), den)
-
-
 def _pair_basis(pair, K):
     """The basis matrix H / D of a full-rank canonical pair, over K = Q or
     Q(t)."""
@@ -222,84 +216,6 @@ def _pair_basis(pair, K):
     d = len(h)
     return Matrix._raw(K, d, d, [K.coerce(Fraction(h[j][i], den))
                                  for i in range(d) for j in range(d)])
-
-
-class LatticeBasis:
-    """Free rank-d lattice in K^d given by an invertible basis matrix over K."""
-
-    __slots__ = ("ring", "basis", "canonical")
-
-    def __init__(self, ring, basis):
-        if ring != ZZ and not isinstance(ring, PolynomialRingZ):
-            raise ValueError("lattice base ring must be Z or Z[t]")
-        K = ring.fraction_field()
-        if not isinstance(basis, Matrix):
-            basis = Matrix(K, basis)
-        if basis.ring == ring:
-            basis = basis.to_fraction_field()
-        if basis.ring != K:
-            basis = basis.change_ring(K)
-        if basis.nrows != basis.ncols:
-            raise ShapeError("lattice basis must be square")
-        if K.is_zero(basis.det()):
-            raise ShapeError("lattice basis must be invertible over %r" % (K,))
-        const = _constant_q_matrix(basis)
-        canonical = const is not None
-        if canonical:
-            basis = _pair_basis(_canonical_pair_z(const), K)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "canonical", canonical)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LatticeBasis is immutable")
-
-    @classmethod
-    def _from_pair(cls, ring, pair):
-        """The canonical lattice H / D of a full-rank canonical pair, over Z
-        or (as a constant basis) over Z[t]; skips the checks of __init__."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "basis",
-                           _pair_basis(pair, ring.fraction_field()))
-        object.__setattr__(self, "canonical", True)
-        return self
-
-    @classmethod
-    def standard(cls, ring, d):
-        K = ring.fraction_field()
-        return cls(ring, Matrix.identity(K, d))
-
-    @property
-    def dim(self):
-        return self.basis.nrows
-
-    def coordinates(self, other_basis):
-        """Matrix C over K with self.basis * C = other_basis."""
-        return self.basis.inverse() * other_basis
-
-    def contains_lattice(self, other):
-        c = self.coordinates(other.basis)
-        try:
-            c.from_fraction_field(self.ring)
-        except IntegralityError:
-            return False
-        return True
-
-    def __eq__(self, other):
-        if not isinstance(other, LatticeBasis) or self.ring != other.ring:
-            return False
-        if self.canonical and other.canonical:
-            return self.basis == other.basis
-        return self.contains_lattice(other) and other.contains_lattice(self)
-
-    def __hash__(self):
-        if not self.canonical:
-            raise TypeError("only canonical lattice bases hash")
-        return hash((self.ring, self.basis))
-
-    def __repr__(self):
-        return "LatticeBasis(%r, %r)" % (self.ring, self.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +322,12 @@ def _saturate_qt(rep, budget):
     integral model and BudgetExceeded propagates.  Both conjugations are
     matrices.conjugate_numerators, whose quotients are decided on Z[t]
     values: in Q[t] by the primitive part and content of the divisor
-    (Gauss's lemma), in Z[t] by integral_conjugates."""
+    (Gauss's lemma), in Z[t] by integral_conjugates.
+
+    Returns the basis T H / D over Q(t), for the stable pair (H, D) of stage
+    2, and the integral model over Z[t].  T is invertible, as stage 1 keeps
+    full rank, and when T is constant it is the identity (a constant
+    full-rank HNF over Q[t]), so a constant basis is the canonical H / D."""
     K = rep.ring
     ZT = PolynomialRingZ(K.var)
     d = rep.dim
@@ -489,22 +410,22 @@ def _saturate_qt(rep, budget):
                        for i in range(d)])
     ints = list(integral_conjugates(a, rep.generators))
     int_rep = Representation(ZT, ints, rep.relations, label=rep.label)
-    B = from_poly_rows(K, a, tuple(den_h * c for c in den))
-    return LatticeBasis(ZT, B), int_rep
+    return from_poly_rows(K, a, tuple(den_h * c for c in den)), int_rep
 
 
 def saturate(rep, budget=64):
     """Find a G-stable free lattice for a representation over Q or Q(t).
 
-    Returns (lat, int_rep): int_rep acts integrally (over Z or Z[t]) in the
-    lattice basis and is conjugate to rep over the field.  The lattice chain
+    Returns (basis, int_rep): basis is the d x d matrix over the field whose
+    columns span the lattice, and int_rep acts integrally (over Z or Z[t])
+    in that basis and is conjugate to rep over the field.  The lattice chain
     L + sum_g g L grows from the standard lattice; for a finite matrix group
     it stabilizes within the orbit length, and the budget (default 64 rounds)
     converts divergence into BudgetExceeded."""
     K = rep.ring
     if K == QQ:
         pair, ints = _saturate_q(rep, budget)
-        return (LatticeBasis._from_pair(ZZ, pair),
+        return (_pair_basis(pair, K),
                 Representation(ZZ, ints, rep.relations, label=rep.label))
     if isinstance(K, RationalFunctionField):
         const_gens = [_constant_q_matrix(g) for g in rep.generators]
@@ -513,7 +434,7 @@ def saturate(rep, budget=64):
             pair, ints = _saturate_q(qrep, budget)
             ZT = PolynomialRingZ(K.var)
             ints = [g.change_ring(ZT) for g in ints]
-            return (LatticeBasis._from_pair(ZT, pair),
+            return (_pair_basis(pair, K),
                     Representation(ZT, ints, rep.relations, label=rep.label))
         return _saturate_qt(rep, budget)
     if K == ZZ or isinstance(K, PolynomialRingZ):
@@ -521,37 +442,21 @@ def saturate(rep, budget=64):
     raise ValueError("saturate expects a representation over Q or Q(t)")
 
 
-def reduce_rep(int_rep, lat, prime):
-    """Reduce a representation modulo a PrimeSpec, in the given lattice basis.
+def reduce_rep(int_rep, prime):
+    """Reduce an integral model modulo a PrimeSpec.
 
-    int_rep must act integrally: either its ring is already the prime's base
-    ring R (the generators are the matrices in lattice coordinates), or it is
-    over frac(R) and conjugating by the lattice basis makes it R-integral.
+    int_rep must be over the prime's base ring R, as saturate returns it.
     The zero prime returns the representation over frac(R).  BadPrime is
     raised when some generator determinant dies in the residue field."""
     R = prime.ring
-    K = R.fraction_field()
-    gens = int_rep.generators
-    if int_rep.ring == R:
-        mats = list(gens)
-    elif int_rep.ring == K:
-        b = lat.basis
-        try:
-            mats = list(integral_conjugates(
-                integer_rows(b)[0] if K == QQ else poly_rows(b)[0], gens))
-        except IntegralityError:
-            raise IntegralityError(
-                "representation is not integral in the lattice basis; "
-                "run saturate first") from None
-    else:
-        raise ValueError("reduce_rep needs a representation over %r or %r"
-                         % (R, K))
+    if int_rep.ring != R:
+        raise ValueError("reduce_rep needs a representation over %r" % (R,))
+    mats = int_rep.generators
     k = prime.residue_ring()
     if prime.kind == PrimeSpec.ZERO:
-        out = [m.to_fraction_field() if m.ring != k else m for m in mats]
-        return Representation(k, out, int_rep.relations, label=int_rep.label)
-    reduced = [(m if m.ring == R else m.change_ring(R))
-               .map_entries(prime.reduce_scalar, k) for m in mats]
+        return Representation(k, [m.to_fraction_field() for m in mats],
+                              int_rep.relations, label=int_rep.label)
+    reduced = [m.map_entries(prime.reduce_scalar, k) for m in mats]
     label = "%s mod %s" % (int_rep.label, prime) if int_rep.label else ""
     try:
         return Representation(k, reduced, int_rep.relations, label=label)

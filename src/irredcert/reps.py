@@ -265,9 +265,3 @@ def load_rep(path):
             raise ValueError("representation document is nested too "
                              "deeply") from None
     return rep_from_json(doc)
-
-
-def save_rep(rep, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(rep_to_json(rep), fh, indent=2, sort_keys=True)
-        fh.write("\n")

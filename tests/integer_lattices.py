@@ -1,12 +1,16 @@
 """Integer lattice arithmetic that only the tests use.
 
-The package needs no HNF transform, integer kernel, ideal product, lattice
-intersection, sublattice image, lattice of a column span, index or vector
-membership: saturation keeps only the canonical lattice pair.  These
-helpers check the lattice side of the criterion (acceptance criteria 4-6,
-tests/test_lattices.py) and the HNF itself (tests/test_matrices.py).  hnf
-runs the package's own row HNF (matrices._row_hnf) with an identity block
-alongside, which records the unimodular transform.
+The package holds a stable lattice only as its basis matrix and its
+integral model: saturation keeps the canonical pair (H, D) of its Z-lattice
+chain and returns the basis H / D.  Lattice equality and containment, the
+standard lattice, coordinates, the HNF transform, integer kernel, ideal
+product, lattice intersection, sublattice image, lattice of a column span,
+index and vector membership live here.  They check the lattice side of the
+criterion (acceptance criteria 4-6, tests/test_lattices.py) and the HNF
+itself (tests/test_matrices.py).  Lattice canonicalizes through the
+package's own lattices._canonical_pair and lattices._pair_basis, and hnf
+runs its row HNF (matrices._row_hnf) with an identity block alongside,
+which records the unimodular transform.
 """
 
 import math
@@ -15,10 +19,10 @@ from operator import mul
 
 from irredcert.errors import (BadPrime, IntegralityError, IrredcertError,
                               ShapeError)
-from irredcert.lattices import LatticeBasis, PrimeSpec, _canonical_pair
+from irredcert.lattices import PrimeSpec, _canonical_pair, _pair_basis
 from irredcert.matrices import (Matrix, _row_hnf, denominator_lcm, rank,
                                 scaled_rows)
-from irredcert.rings import ZZ, PrimeField, is_prime
+from irredcert.rings import ZZ, QQ, PrimeField, is_prime
 
 class NotSublattice(IrredcertError):
     """A claimed sublattice is not contained in the ambient lattice."""
@@ -30,18 +34,48 @@ IMAGE_PROPER = "proper_nonzero"
 IMAGE_FULL = "full"
 
 
-def lattice_from_columns(ring, columns):
-    """Canonical full-rank lattice spanned by the given K-vectors (Z only)."""
-    if ring != ZZ:
-        raise ValueError("column spans are canonicalized over Z only")
-    d = len(columns[0])
-    cols = [[Fraction(a) for a in col] for col in columns]
-    den = denominator_lcm(a for col in cols for a in col)
-    pair = _canonical_pair(scaled_rows(cols, den), den)
-    if len(pair[0]) != d:
-        raise ShapeError("columns span a rank-%d sublattice, need rank %d"
-                         % (len(pair[0]), d))
-    return LatticeBasis._from_pair(ZZ, pair)
+class Lattice:
+    """A full-rank Z-lattice in Q^d, the span of the columns of a matrix over
+    Q, held by its canonical basis H / D: two lattices are equal iff their
+    bases are."""
+
+    __slots__ = ("basis",)
+
+    def __init__(self, basis):
+        cols = basis.columns()
+        den = denominator_lcm(a for col in cols for a in col)
+        pair = _canonical_pair(scaled_rows(cols, den), den)
+        if len(pair[0]) != basis.nrows:
+            raise ShapeError("columns span a rank-%d sublattice, need rank %d"
+                             % (len(pair[0]), basis.nrows))
+        self.basis = _pair_basis(pair, QQ)
+
+    @classmethod
+    def standard(cls, d):
+        return cls(Matrix.identity(QQ, d))
+
+    @property
+    def dim(self):
+        return self.basis.nrows
+
+    def coordinates(self, other_basis):
+        """Matrix C over Q with self.basis * C = other_basis."""
+        return self.basis.inverse() * other_basis
+
+    def contains_lattice(self, other):
+        try:
+            self.coordinates(other.basis).from_fraction_field(ZZ)
+        except IntegralityError:
+            return False
+        return True
+
+    def __eq__(self, other):
+        return isinstance(other, Lattice) and self.basis == other.basis
+
+
+def lattice_from_columns(columns):
+    """Canonical full-rank lattice spanned by the given Q-vectors."""
+    return Lattice(Matrix(QQ, [list(row) for row in zip(*columns)]))
 
 
 def is_standard(lat):
@@ -52,20 +86,15 @@ def contains_vector(lat, v):
     y = lat.basis.inverse().apply(tuple(v))
     try:
         for a in y:
-            lat.ring.from_fraction_field(a)
+            ZZ.from_fraction_field(a)
     except IntegralityError:
         return False
     return True
 
 
 def index_of(lat, sub):
-    """[L : M] for a full-rank sublattice M of L, as a positive integer
-    over Z."""
-    c = lat.coordinates(sub.basis).from_fraction_field(lat.ring)
-    det = c.det()
-    if lat.ring == ZZ:
-        return abs(det)
-    return det
+    """[L : M] for a full-rank sublattice M of L, as a positive integer."""
+    return abs(lat.coordinates(sub.basis).from_fraction_field(ZZ).det())
 
 
 def check_integer_matrix(m):
@@ -104,27 +133,23 @@ def integer_kernel(m):
 
 def ideal_mult(lat, ideals):
     """The lattice (n_1) cap ... cap (n_k) * L = lcm(n_i) * L over Z."""
-    if lat.ring != ZZ:
-        raise ValueError("ideal_mult is defined over Z")
     ns = list(ideals)
     if not ns or any(n == 0 for n in ns):
         raise ValueError("ideals must be nonzero integers")
-    return LatticeBasis(ZZ, lat.basis.scale(Fraction(math.lcm(*ns))))
+    return Lattice(lat.basis.scale(Fraction(math.lcm(*ns))))
 
 
 def lattice_intersect(a, b):
     """Exact intersection of two full-rank lattices over Z, via the integer
     kernel of [A | -B] read off the HNF transform."""
-    if a.ring != ZZ or b.ring != ZZ:
-        raise ValueError("lattice_intersect is defined over Z")
     d = a.dim
     den = denominator_lcm(a.basis.entries + b.basis.entries)
     A = scaled_rows(a.basis.rows(), den)
     B = scaled_rows(b.basis.rows(), den)
     kernel = integer_kernel(Matrix(ZZ, [ra + [-x for x in rb]
                                         for ra, rb in zip(A, B)]))
-    return lattice_from_columns(ZZ, [[Fraction(sum(map(mul, r, v[:d])), den)
-                                      for r in A] for v in kernel])
+    return lattice_from_columns([[Fraction(sum(map(mul, r, v[:d])), den)
+                                  for r in A] for v in kernel])
 
 
 def proper_sublattice_image(sub, ambient, prime):

@@ -16,7 +16,7 @@ from irredcert.certify import (IRREDUCIBLE_CERTIFIED, Certificate, certify,
 from irredcert.cohomology import (close_group, cohomology_dims, module_action,
                                   obstruction_report)
 from irredcert.errors import VersionMismatch
-from irredcert.lattices import LatticeBasis, PrimeSpec, reduce_rep, saturate
+from irredcert.lattices import PrimeSpec, reduce_rep, saturate
 from irredcert.matrices import Matrix, kernel_basis
 from irredcert.meataxe import (INCONCLUSIVE, IRREDUCIBLE, REDUCIBLE,
                                _echelon_rows, endo_dim, is_irreducible,
@@ -30,8 +30,9 @@ from irredcert.rings import QQ, ZZ, PrimeField, RationalFunctionField
 import numpy as np
 
 from bar_complex import _numpy_differential, bar_differential
-from integer_lattices import (IMAGE_PROPER, hnf, ideal_mult, integer_kernel,
-                              lattice_intersect, proper_sublattice_image)
+from integer_lattices import (IMAGE_PROPER, Lattice, hnf, ideal_mult,
+                              integer_kernel, lattice_intersect,
+                              proper_sublattice_image)
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
 
@@ -68,8 +69,8 @@ def random_unimodular_z(rng, d, steps=8):
 
 def reduced(rep_path, p):
     rep = load_rep(str(rep_path))
-    lat, int_rep = saturate(rep)
-    return reduce_rep(int_rep, lat, PrimeSpec.integer(p))
+    _, int_rep = saturate(rep)
+    return reduce_rep(int_rep, PrimeSpec.integer(p))
 
 
 def _col_span_z(vecs):
@@ -216,12 +217,12 @@ class TestAcceptance:
         for _ in range(50):
             d = 2 + rng.randrange(2)
             basis = random_invertible(rng, QQ, d, span=9, shift=-4)
-            lat = LatticeBasis(ZZ, basis)
+            lat = Lattice(basis)
             ns = [1 + rng.randrange(12) for _ in range(4)]
             lhs = ideal_mult(lat, ns)
             rhs = None
             for n in ns:
-                scaled = LatticeBasis(ZZ, basis.scale(Fraction(n)))
+                scaled = Lattice(basis.scale(Fraction(n)))
                 rhs = scaled if rhs is None else lattice_intersect(rhs, scaled)
             if lhs == rhs:
                 good += 1
@@ -237,12 +238,12 @@ class TestAcceptance:
             d = 2 + (case % 2)
             p = (2, 3, 5)[case % 3]
             basis = random_invertible(rng, QQ, d, span=7, shift=-3)
-            lat = LatticeBasis(ZZ, basis)
+            lat = Lattice(basis)
             dmat = Matrix(QQ, [[Fraction(p if (i == j == 0) else
                                          int(i == j))
                                 for j in range(d)] for i in range(d)])
             c = random_unimodular_z(rng, d) * dmat * random_unimodular_z(rng, d)
-            sub = LatticeBasis(ZZ, basis * c)
+            sub = Lattice(basis * c)
             if proper_sublattice_image(sub, lat, p) == IMAGE_PROPER:
                 good += 1
         ok = good == 20

@@ -7,16 +7,15 @@ from fractions import Fraction
 import pytest
 
 from irredcert.certify import certify, verify
-from irredcert.errors import (BadPrime, BudgetExceeded, IntegralityError,
-                              ShapeError)
-from irredcert.lattices import LatticeBasis, PrimeSpec, reduce_rep, saturate
+from irredcert.errors import BadPrime, BudgetExceeded, ShapeError
+from irredcert.lattices import PrimeSpec, reduce_rep, saturate
 from irredcert.matrices import Matrix
 from irredcert.prng import XorShift64
 from irredcert.reps import Representation, conjugate, evaluate, load_rep
 from irredcert.rings import ZZ, QQ, PolynomialRingZ, PrimeField, \
     RationalFunctionField
 
-from integer_lattices import (IMAGE_FULL, IMAGE_PROPER, IMAGE_ZERO,
+from integer_lattices import (IMAGE_FULL, IMAGE_PROPER, IMAGE_ZERO, Lattice,
                               NotSublattice, contains_vector, ideal_mult,
                               index_of, is_standard, lattice_from_columns,
                               lattice_intersect, proper_sublattice_image)
@@ -27,10 +26,10 @@ DATA = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "data")
 
 
-def reduction_functorial(int_rep, lat, prime, words, reduced=None):
+def reduction_functorial(int_rep, prime, words, reduced=None):
     """Check evaluate(reduce(w)) = reduce(evaluate(w)) for the given words;
     returns True when every word commutes with reduction."""
-    red = reduced if reduced is not None else reduce_rep(int_rep, lat, prime)
+    red = reduced if reduced is not None else reduce_rep(int_rep, prime)
     for w in words:
         lhs = evaluate(red, w)
         mid = evaluate(int_rep, w)
@@ -108,9 +107,9 @@ class TestPrimeSpec:
 class TestLatticeBasis:
 
     def test_standard_and_scalar(self):
-        std = LatticeBasis.standard(ZZ, 2)
-        assert is_standard(std) and std.canonical
-        tripled = LatticeBasis(ZZ, Matrix(QQ, [[3, 0], [0, 3]]))
+        std = Lattice.standard(2)
+        assert is_standard(std)
+        tripled = Lattice(Matrix(QQ, [[3, 0], [0, 3]]))
         assert tripled == ideal_mult(std, [3])
         assert index_of(std, tripled) == 9
 
@@ -118,7 +117,7 @@ class TestLatticeBasis:
         # same lattice, many bases: canonical form must agree
         rng = XorShift64(11)
         base = Matrix(QQ, [[Fraction(1), Fraction(1, 2)], [0, Fraction(3, 2)]])
-        lat = LatticeBasis(ZZ, base)
+        lat = Lattice(base)
         for _ in range(60):
             # random unimodular: product of elementary column ops
             u = Matrix.identity(ZZ, 2)
@@ -129,43 +128,31 @@ class TestLatticeBasis:
                 elem = [[1, 0], [0, 1]]
                 elem[i][j] = c
                 u = u * Matrix(ZZ, elem)
-            other = LatticeBasis(ZZ, base * u.to_fraction_field())
+            other = Lattice(base * u.to_fraction_field())
             assert other == lat
             assert other.basis == lat.basis
 
     def test_containment_and_vectors(self):
-        lat = lattice_from_columns(ZZ, [(1, 2), (0, 3)])
+        lat = lattice_from_columns([(1, 2), (0, 3)])
         assert contains_vector(lat, (1, 2))
         assert contains_vector(lat, (1, 5))
         assert not contains_vector(lat, (0, 1))
-        std = LatticeBasis.standard(ZZ, 2)
+        std = Lattice.standard(2)
         assert std.contains_lattice(lat)
         assert not lat.contains_lattice(std)
         assert index_of(std, lat) == 3
 
     def test_rank_deficient_span_rejected(self):
         with pytest.raises(ShapeError):
-            lattice_from_columns(ZZ, [(1, 2), (2, 4)])
-
-    def test_qt_constant_basis_is_canonical(self):
-        b = Matrix(QT, [[1, 0], [0, Fraction(1, 2)]])
-        lat = LatticeBasis(ZT, b)
-        assert lat.canonical
-        # non-constant basis: compare by containment
-        t = QT.coerce(((0, 1), (1,)))
-        b2 = Matrix(QT, [(QT.one(), QT.zero()), (QT.zero(), t)])
-        lat2 = LatticeBasis(ZT, b2)
-        assert not lat2.canonical
-        assert lat2 == LatticeBasis(ZT, b2 * Matrix(QT, [[1, 1], [0, 1]]))
-        assert lat2 != lat
+            lattice_from_columns([(1, 2), (2, 4)])
 
 
 class TestSaturate:
 
     def test_integral_rep_is_already_saturated(self):
         rep = s3_over(QQ)
-        lat, int_rep = saturate(rep)
-        assert lat == LatticeBasis.standard(ZZ, 2)
+        basis, int_rep = saturate(rep)
+        assert basis == Matrix.identity(QQ, 2)
         assert int_rep.ring == ZZ
         assert int_rep.generators == s3_over(ZZ).generators
 
@@ -175,16 +162,16 @@ class TestSaturate:
         rep = s3_over(QQ)
         c = Matrix(QQ, [[1, 0], [0, Fraction(1, 2)]])
         hidden = conjugate(rep, c)
-        lat, int_rep = saturate(hidden)
-        assert lat.basis == Matrix(QQ, [[1, 0], [0, Fraction(1, 2)]])
+        basis, int_rep = saturate(hidden)
+        assert basis == Matrix(QQ, [[1, 0], [0, Fraction(1, 2)]])
         assert int_rep.generators == s3_over(ZZ).generators
 
     def test_saturation_idempotent(self):
         rep = s3_over(QQ)
         c = Matrix(QQ, [[Fraction(1, 3), 1], [Fraction(2, 3), Fraction(5)]])
-        lat, int_rep = saturate(conjugate(rep, c))
-        lat2, int_rep2 = saturate(int_rep)
-        assert lat2 == LatticeBasis.standard(ZZ, 2)
+        _, int_rep = saturate(conjugate(rep, c))
+        basis2, int_rep2 = saturate(int_rep)
+        assert basis2 == Matrix.identity(QQ, 2)
         assert int_rep2.generators == int_rep.generators
 
     def test_budget_exceeded_for_half(self):
@@ -198,9 +185,9 @@ class TestSaturate:
 
     def test_qt_constant_delegates(self):
         rep = s3_over(QT)
-        lat, int_rep = saturate(rep)
+        basis, int_rep = saturate(rep)
         assert int_rep.ring == ZT
-        assert lat.basis.is_identity()
+        assert basis.ring == QT and basis.is_identity()
         assert evaluate(int_rep, [(0, 1), (0, 1), (0, 1)]).is_identity()
 
     def test_qt_nonconstant_two_stage(self):
@@ -209,13 +196,27 @@ class TestSaturate:
         t = QT.coerce(((0, 1), (1,)))
         c = Matrix(QT, [(QT.one(), QT.zero()), (QT.zero(), t)])
         hidden = conjugate(rep, c.inverse())  # generators pick up t and 1/t
-        lat, int_rep = saturate(hidden)
+        basis, int_rep = saturate(hidden)
         assert int_rep.ring == ZT
         expected = tuple(g.change_ring(ZT) for g in s3_over(ZZ).generators)
         assert int_rep.generators == expected
         inv_t = QT.div(QT.one(), t)
-        assert lat.basis == Matrix(QT, [(QT.one(), QT.zero()),
-                                        (QT.zero(), inv_t)])
+        assert basis == Matrix(QT, [(QT.one(), QT.zero()), (QT.zero(), inv_t)])
+
+    def test_qt_nonconstant_generators_constant_lattice(self):
+        # non-constant generators take _saturate_qt, whose stage 1 finds
+        # the standard Q[t]-lattice; the constant basis it returns is the
+        # canonical H / D of stage 2, with no canonicalization after it
+        t = QT.coerce(((0, 1), (1,)))
+        one, zero = QT.one(), QT.zero()
+        rep = Representation(QT, [Matrix(QT, [(one, t), (zero, one)]),
+                                  Matrix(QT, [[0, -1], [1, -1]])], [])
+        c = Matrix(QT, [[1, 0], [0, Fraction(1, 2)]])
+        hidden = conjugate(rep, c.inverse())
+        assert any(not QT.is_constant(a) for a in hidden.generators[0].entries)
+        basis, int_rep = saturate(hidden)
+        assert basis == Matrix(QT, [[Fraction(1, 2), 0], [0, 1]])
+        _assert_integral_model(hidden, basis, int_rep, ZT)
 
     def test_b3_qt_saturates_to_a_nonconstant_lattice(self):
         # the golden b3_qt takes _saturate_qt, not the constant shortcut,
@@ -223,10 +224,9 @@ class TestSaturate:
         rep = load_rep(os.path.join(DATA, "b3_qt.json"))
         assert any(not QT.is_constant(a)
                    for g in rep.generators for a in g.entries)
-        lat, int_rep = saturate(rep)
-        assert not lat.canonical
-        assert any(not QT.is_constant(a) for a in lat.basis.entries)
-        _assert_integral_model(rep, lat, int_rep, ZT)
+        basis, int_rep = saturate(rep)
+        assert any(not QT.is_constant(a) for a in basis.entries)
+        _assert_integral_model(rep, basis, int_rep, ZT)
         cert = certify(rep)
         assert cert.conclusion == "IrreducibleCertified"
         assert verify(cert, rep)
@@ -287,11 +287,10 @@ def _assert_canonical_z(basis):
     assert math.gcd(content, den) == 1
 
 
-def _assert_integral_model(rep, lat, int_rep, ring):
+def _assert_integral_model(rep, b, int_rep, ring):
     """B^-1 g B and B^-1 g^-1 B are integral for every generator g, and
     int_rep's generators are the former, computed by generic Matrix
     arithmetic over the field."""
-    b = lat.basis
     binv = b.inverse()
     assert int_rep.ring == ring
     for i, g in enumerate(rep.generators):
@@ -310,11 +309,10 @@ class TestSaturationInvariants:
         d = len(gens[0])
         rep = Representation(QQ, [Matrix(QQ, g) for g in gens], [])
         rep = conjugate(rep, _rational_change(XorShift64(seed), d))
-        lat, int_rep = saturate(rep)
-        assert lat.canonical
-        _assert_canonical_z(lat.basis)
-        assert lat.contains_lattice(LatticeBasis.standard(ZZ, d))
-        _assert_integral_model(rep, lat, int_rep, ZZ)
+        basis, int_rep = saturate(rep)
+        _assert_canonical_z(basis)
+        assert Lattice(basis).contains_lattice(Lattice.standard(d))
+        _assert_integral_model(rep, basis, int_rep, ZZ)
 
     @pytest.mark.parametrize("gens", [sym_gens(3), signed_gens(3)])
     def test_conjugated_over_qt(self, gens):
@@ -333,15 +331,15 @@ class TestSaturationInvariants:
         # some entry has a denominator in t
         assert any(len(den) > 1
                    for g in rep.generators for num, den in g.entries)
-        lat, int_rep = saturate(rep)
-        _assert_integral_model(rep, lat, int_rep, ZT)
+        basis, int_rep = saturate(rep)
+        _assert_integral_model(rep, basis, int_rep, ZT)
 
     def test_s3_scaled_budget_boundary(self):
         rep = load_rep(os.path.join(DATA, "s3_scaled.json"))
         with pytest.raises(BudgetExceeded):
             saturate(rep, budget=1)
-        lat, _ = saturate(rep, budget=2)
-        assert lat.basis == Matrix(QQ, [[1, 0], [0, Fraction(1, 2)]])
+        basis, _ = saturate(rep, budget=2)
+        assert basis == Matrix(QQ, [[1, 0], [0, Fraction(1, 2)]])
 
     def test_budget_exceeded_message(self):
         # certificates quote this text as "no-integral-model: ..."
@@ -358,8 +356,7 @@ class TestReduce:
 
     def test_s3_mod_3_pinned(self):
         rep = s3_over(ZZ)
-        lat = LatticeBasis.standard(ZZ, 2)
-        red = reduce_rep(rep, lat, PrimeSpec.integer(3))
+        red = reduce_rep(rep, PrimeSpec.integer(3))
         F3 = PrimeField(3)
         assert red.ring == F3
         assert red.generators[0] == Matrix(F3, [[0, 2], [1, 2]])
@@ -367,8 +364,7 @@ class TestReduce:
 
     def test_zero_prime_is_identity_on_matrices(self):
         rep = s3_over(ZZ)
-        lat = LatticeBasis.standard(ZZ, 2)
-        red = reduce_rep(rep, lat, PrimeSpec.zero(ZZ))
+        red = reduce_rep(rep, PrimeSpec.zero(ZZ))
         assert red.ring == QQ
         words = [[(0, 1)], [(1, 1)], [(0, 1), (1, 1)],
                  [(0, 1), (0, 1), (1, 1)], [(0, -1), (1, 1), (0, 1)]]
@@ -381,12 +377,11 @@ class TestReduce:
         rep_zt = Representation(
             ZT, [g.change_ring(ZT) for g in s3_over(ZZ).generators],
             s3_over(ZZ).relations, label="s3t")
-        lat = LatticeBasis.standard(ZT, 2)
-        red = reduce_rep(rep_zt, lat, PrimeSpec.maximal(2, 0))
+        red = reduce_rep(rep_zt, PrimeSpec.maximal(2, 0))
         F2 = PrimeField(2)
         assert red.ring == F2
         assert red.generators[0] == Matrix(F2, [[0, 1], [1, 1]])
-        mid = reduce_rep(rep_zt, lat, PrimeSpec.linear(0))
+        mid = reduce_rep(rep_zt, PrimeSpec.linear(0))
         assert mid.ring == QQ
         assert mid.generators[0] == Matrix(QQ, [[0, -1], [1, -1]])
 
@@ -394,39 +389,38 @@ class TestReduce:
         t = ZT.coerce((0, 1))
         g = Matrix(ZT, [[ZT.one(), t], [ZT.zero(), ZT.one()]])
         rep = Representation(ZT, [g], [])
-        lat = LatticeBasis.standard(ZT, 2)
-        at2 = reduce_rep(rep, lat, PrimeSpec.linear(2))
+        at2 = reduce_rep(rep, PrimeSpec.linear(2))
         assert at2.generators[0] == Matrix(QQ, [[1, 2], [0, 1]])
-        at31 = reduce_rep(rep, lat, PrimeSpec.maximal(3, 1))
+        at31 = reduce_rep(rep, PrimeSpec.maximal(3, 1))
         assert at31.generators[0] == Matrix(PrimeField(3), [[1, 1], [0, 1]])
 
     def test_bad_prime_detected(self):
         rep = Representation(ZZ, [Matrix(ZZ, [[5]])], [])
-        lat = LatticeBasis.standard(ZZ, 1)
         with pytest.raises(BadPrime):
-            reduce_rep(rep, lat, PrimeSpec.integer(5))
+            reduce_rep(rep, PrimeSpec.integer(5))
 
     def test_reduce_from_field_conjugates_first(self):
         rep = s3_over(QQ)
         c = Matrix(QQ, [[1, 0], [0, Fraction(1, 2)]])
         hidden = conjugate(rep, c)
-        lat, _ = saturate(hidden)
-        red = reduce_rep(hidden, lat, PrimeSpec.integer(3))
+        # reduce_rep takes only the integral model that saturate returns
+        _, int_rep = saturate(hidden)
+        red = reduce_rep(int_rep, PrimeSpec.integer(3))
         assert red.generators[0] == Matrix(PrimeField(3), [[0, 2], [1, 2]])
-        bad_lat = LatticeBasis.standard(ZZ, 2)
-        with pytest.raises(IntegralityError):
-            reduce_rep(hidden, bad_lat, PrimeSpec.integer(3))
+        with pytest.raises(ValueError):
+            reduce_rep(hidden, PrimeSpec.integer(3))
+        with pytest.raises(ValueError):
+            reduce_rep(int_rep, PrimeSpec.maximal(3, 0))
 
     def test_functoriality_random_words(self):
         rep = s3_over(ZZ)
-        lat = LatticeBasis.standard(ZZ, 2)
         rng = XorShift64(7)
         words = []
         for _ in range(50):
             words.append([(rng.randrange(2), rng.choice((1, -1)))
                           for _ in range(1 + rng.randrange(5))])
         for p in (2, 3, 5, 7):
-            assert reduction_functorial(rep, lat, PrimeSpec.integer(p), words)
+            assert reduction_functorial(rep, PrimeSpec.integer(p), words)
 
 
 def evaluate_trace_z(rep, word):
@@ -437,16 +431,16 @@ def evaluate_trace_z(rep, word):
 class TestIdealMult:
 
     def test_pinned_examples(self):
-        std = LatticeBasis.standard(ZZ, 2)
+        std = Lattice.standard(2)
         assert ideal_mult(std, [2, 3]) == \
-            LatticeBasis(ZZ, Matrix(QQ, [[6, 0], [0, 6]]))
+            Lattice(Matrix(QQ, [[6, 0], [0, 6]]))
         assert ideal_mult(std, [1]) == std
-        lat = lattice_from_columns(ZZ, [(1, 1), (0, 2)])
+        lat = lattice_from_columns([(1, 1), (0, 2)])
         twelve = ideal_mult(lat, [4, 6])
-        assert twelve == LatticeBasis(ZZ, lat.basis.scale(Fraction(12)))
+        assert twelve == Lattice(lat.basis.scale(Fraction(12)))
 
     def test_rejects_zero(self):
-        std = LatticeBasis.standard(ZZ, 2)
+        std = Lattice.standard(2)
         with pytest.raises(ValueError):
             ideal_mult(std, [4, 0])
         with pytest.raises(ValueError):
@@ -461,12 +455,12 @@ class TestIdealMult:
                 cand = [(rng.randrange(9) - 4, rng.randrange(9) - 4)
                         for _ in range(2)]
                 try:
-                    cols = lattice_from_columns(ZZ, cand).basis
+                    cols = lattice_from_columns(cand).basis
                 except ShapeError:
                     cols = None
-            lat = LatticeBasis(ZZ, cols)
+            lat = Lattice(cols)
             ns = [1 + rng.randrange(12) for _ in range(3)]
-            scaled = [LatticeBasis(ZZ, lat.basis.scale(Fraction(n)))
+            scaled = [Lattice(lat.basis.scale(Fraction(n)))
                       for n in ns]
             meet = scaled[0]
             for other in scaled[1:]:
@@ -478,30 +472,30 @@ class TestIdealMult:
 class TestSublatticeImage:
 
     def test_enum_cases(self):
-        std = LatticeBasis.standard(ZZ, 2)
+        std = Lattice.standard(2)
         assert proper_sublattice_image(std, std, 5) == IMAGE_FULL
         five = ideal_mult(std, [5])
         assert proper_sublattice_image(five, std, 5) == IMAGE_ZERO
-        m = lattice_from_columns(ZZ, [(1, 2), (0, 3)])
+        m = lattice_from_columns([(1, 2), (0, 3)])
         assert proper_sublattice_image(m, std, 3) == IMAGE_PROPER
 
     def test_image_is_line_span(self):
         # the proper image above is the line through (1, 2) in F_3^2
-        m = lattice_from_columns(ZZ, [(1, 2), (0, 3)])
+        m = lattice_from_columns([(1, 2), (0, 3)])
         red = [(int(x) % 3, int(y) % 3)
                for x, y in zip(m.basis.row(0), m.basis.row(1))]
         nonzero = [v for v in red if v != (0, 0)]
         assert nonzero and all(v in ((1, 2), (2, 4 % 3)) for v in nonzero)
 
     def test_not_sublattice(self):
-        std = LatticeBasis.standard(ZZ, 2)
-        half = LatticeBasis(ZZ, Matrix(QQ, [[Fraction(1, 2), 0], [0, 1]]))
+        std = Lattice.standard(2)
+        half = Lattice(Matrix(QQ, [[Fraction(1, 2), 0], [0, 1]]))
         with pytest.raises(NotSublattice):
             proper_sublattice_image(half, std, 3)
 
     def test_prime_spec_argument(self):
-        std = LatticeBasis.standard(ZZ, 2)
-        m = lattice_from_columns(ZZ, [(1, 2), (0, 3)])
+        std = Lattice.standard(2)
+        m = lattice_from_columns([(1, 2), (0, 3)])
         assert proper_sublattice_image(m, std, PrimeSpec.integer(3)) \
             == IMAGE_PROPER
         with pytest.raises(BadPrime):
