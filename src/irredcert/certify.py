@@ -335,8 +335,7 @@ def certify(rep, primes=None, seed=0, budget=200, oracle_check=False):
                           reason="no-integral-model: %s" % (exc,))
 
     R = int_rep.ring
-    lattice_rows = [[basis.ring.format(a) for a in row]
-                    for row in basis.rows()]
+    lattice_rows = _format_rows(basis.ring, basis.rows())
     steps = []
     reducible = []
     explicit = primes is not None
