@@ -9,8 +9,10 @@ offer is a regular local ring and the criterion is valid there.  Reduction
 is one-sided: a reducible reduction proves nothing about the input, so the
 engine keeps a separate direct search over the base field whose only
 certifying outcome is a reducibility witness (an invariant subspace over K,
-re-verified exactly).  When neither side lands, the conclusion is
-Inconclusive and says why.
+re-verified exactly).  Over Z a reducible reduction's witness is also
+lifted p-adically before the next prime is tried: a lift that holds over K
+ends the run with that witness, and one that fails changes nothing.  When
+neither side lands, the conclusion is Inconclusive and says why.
 
 Certificates carry everything needed for an independent replay: the input
 digest, the run configuration (candidate primes, seed, budgets), the
@@ -26,8 +28,10 @@ Rules:
   HeightOneFamily height-one prime (t-c) of Z[t] with a recursive
                   certificate over its residue field Q; the recorded family
                   is the tower's prime list.
-  DirectOverK     reducibility witness from the MeatAxe over the base
-                  field itself (the zero ideal).
+  DirectOverK     reducibility witness over the base field, re-verified
+                  exactly: found by the MeatAxe over K itself (the zero
+                  ideal), or lifted from a reducible reduction over Z
+                  (lattices.lift_witness), whose step records the digits.
 """
 
 import hashlib
@@ -37,13 +41,13 @@ from itertools import count, islice
 
 from .errors import (BadPrime, BudgetExceeded, IrredcertError, SizeBound,
                      VersionMismatch)
-from .lattices import PrimeSpec, reduce_rep, saturate
+from .lattices import PrimeSpec, lift_witness, reduce_rep, saturate
 from .meataxe import INCONCLUSIVE, IRREDUCIBLE, REDUCIBLE, is_irreducible
 from .oracle import count_invariant
 from .reps import over_fraction_field, rep_to_json
 from .rings import PolynomialRingZ, QQ, RationalFunctionField, ZZ, is_prime
 
-TOOLKIT_VERSION = "0.1.0"
+TOOLKIT_VERSION = "0.2.0"
 
 RULE_REGULAR_ONE_PRIME = "RegularOnePrime"
 RULE_HEIGHT_ONE_FAMILY = "HeightOneFamily"
@@ -61,6 +65,11 @@ AUTO_SHIFTS = (0, 1, -1)
 # reductions and fall through to the direct search; explicit prime lists
 # are always honored in full
 AUTO_PATIENCE = 8
+
+# a reducible reduction's witness over Z is lifted p-adically while p^N
+# stays within this many bits; a lift with no candidate holding by then
+# gives up, and the run goes on to the next prime
+LIFT_BITS = 256
 
 # largest subspace-lattice size the --oracle cross-check will enumerate
 ORACLE_POINTS = 2 ** 12
@@ -298,6 +307,9 @@ def certify(rep, primes=None, seed=0, budget=200, oracle_check=False):
     PrimeSpec objects); auto-selected ascending when omitted.  Explicit
     lists are tried in full; the automatic search gives up on the prime
     route after AUTO_PATIENCE fruitless reductions or MAX_PRIMES in all.
+    Either way the run stops at the first step that concludes: an
+    irreducible reduction, or a reducible one over Z whose witness lifts
+    to an invariant subspace over K (lattices.lift_witness).
     seed and budget feed every MeatAxe call.  oracle_check additionally
     enumerates invariant subspaces of each finite reduction when small
     enough and insists the verdict matches.
@@ -344,11 +356,13 @@ def certify(rep, primes=None, seed=0, budget=200, oracle_check=False):
         candidates = _normalize_prime_list(primes, R)
     elif R == ZZ:
         # a saturated generator and its inverse are integral, so each
-        # determinant is +-1 and no prime divides one
-        candidates = [PrimeSpec.integer(p) for p in _primes_ascending()]
+        # determinant is +-1 and no prime divides one; the specs are built
+        # as the loop reaches them, and it stops after AUTO_PATIENCE
+        # fruitless ones
+        candidates = (PrimeSpec.integer(p) for p in _primes_ascending())
     else:
-        candidates = [PrimeSpec.maximal(p, c, R)
-                      for p in _primes_ascending() for c in AUTO_SHIFTS]
+        candidates = (PrimeSpec.maximal(p, c, R)
+                      for p in _primes_ascending() for c in AUTO_SHIFTS)
 
     def finish(**kw):
         return _make_cert(rep, config, base_ring=R.to_json(),
@@ -382,6 +396,15 @@ def certify(rep, primes=None, seed=0, budget=200, oracle_check=False):
                           conclusion=IRREDUCIBLE_CERTIFIED)
         if verdict.status == REDUCIBLE:
             reducible.append(str(prime))
+            if R == ZZ:
+                lifted = lift_witness(field_rep, basis, int_rep, prime.p,
+                                      verdict.witness, LIFT_BITS)
+                if lifted is not None:
+                    step["lift"] = {"digits": lifted[0]}
+                    return finish(rule=RULE_DIRECT_OVER_K,
+                                  conclusion=REDUCIBLE_WITH_WITNESS,
+                                  witness=_format_rows(field_rep.ring,
+                                                       lifted[1]))
         fruitless += 1
 
     # Z[t] auto mode: try the height-one descent before giving up

@@ -20,15 +20,18 @@ regular local ring, so nothing is gained by stopping at F_p(t).
 saturate() finds a G-stable lattice for a representation over Q or Q(t)
 and returns its basis and the integral model, the action rewritten over Z
 or Z[t] in that basis; reduce_rep() applies the residue map of a PrimeSpec
-entrywise to an integral model.  The saturation's Z-lattice chain runs on
-plain ints: the lattice is held as its canonical pair (H, D), each matrix
-is scaled once to an integer matrix over a common denominator
-(matrices.scaled_rows), and a round is one integer HNF; rounds and budget
-are counted as for the chain L -> L + sum_g gL itself.  The Q(t) case runs
-on Z[t] numerators over one denominator (matrices.poly_rows) and their
-products at t = 2^k.  The generators in the stable lattice's basis, over Q
-and Q(t), come from matrices.integral_conjugates, the conjugation the
-checker runs.
+entrywise to an integral model; lift_witness() lifts an invariant subspace
+of a reduction mod p back to one over Q, p-adically and by rational
+reconstruction, when that subspace has a unique lift.
+
+The saturation's Z-lattice chain runs on plain ints: the lattice is held
+as its canonical pair (H, D), each matrix is scaled once to an integer
+matrix over a common denominator (matrices.scaled_rows), and a round is
+one integer HNF; rounds and budget are counted as for the chain
+L -> L + sum_g gL itself.  The Q(t) case runs on Z[t] numerators over one
+denominator (matrices.poly_rows) and their products at t = 2^k.  The
+generators in the stable lattice's basis, over Q and Q(t), come from
+matrices.integral_conjugates, the conjugation the checker runs.
 """
 
 import math
@@ -40,8 +43,11 @@ from .errors import (BadPrime, BudgetExceeded, IntegralityError, ShapeError,
                      SingularError)
 from .matrices import (Matrix, _constant_q_matrix, _divexact, _pmul,
                        _row_hnf, conjugate_numerators, denominator_lcm,
-                       from_poly_rows, integral_conjugates, poly_rows,
-                       scaled_rows, zt_product)
+                       eliminate_fp, from_poly_rows, int_product,
+                       integral_conjugates, poly_rows, scaled_rows,
+                       zt_product)
+from .meataxe import _echelon_rows, subspace_is_invariant
+from .fpoly import pack, slot_bytes, unpack
 from .rings import (ZZ, QQ, PolynomialRingZ, PrimeField, RationalFunctionField,
                     is_prime)
 from .reps import Representation, over_fraction_field
@@ -465,3 +471,159 @@ def reduce_rep(int_rep, prime):
         # generator determinants, made before the relations are evaluated
         raise BadPrime("generator determinant vanishes at %s"
                        % (prime,)) from None
+
+
+# ---------------------------------------------------------------------------
+# lifting a reduction's witness to Q
+
+
+def _rational(x, m, bound):
+    """The fraction a/b with |a| <= bound, 0 < b <= bound and a = b x mod m,
+    or None: Wang's rational reconstruction, by the extended Euclidean
+    algorithm on (m, x) stopped at the first remainder within the bound."""
+    r0, r1, s0, s1 = m, x, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound or math.gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _sylvester_solver(actions, p):
+    """The solver mod p of the stacked Sylvester system L_g(H) = -C_g, for
+    L_g(H) = Q_g H - H Z_g over the pairs (Q_g, Z_g) of integer matrices,
+    m x m and k x k, or None when some H != 0 has L_g(H) = 0 for every g.
+
+    The n = m k unknowns are the entries of H (m x k), the equations the
+    entries of every C_g.  One packed elimination of the transposed system
+    next to the identity, [M^T | I], gives n rows [R | S]: R is the reduced
+    echelon basis of the image of M, with pivots at n equations P, and
+    S M_P^T = I.  For c = -vec(C), the sum of c_P times the rows is
+    [c_P R | S^T c_P]: c lies in the image exactly when c_P R = c, and then
+    H = S^T c_P.  So one packed sum both checks a digit and solves it; the
+    solver returns H, or None when C is outside the image."""
+    m, k = len(actions[0][0]), len(actions[0][1])
+    n = m * k
+    neq = len(actions) * n
+    flat = []
+    for j in range(m):
+        for i in range(k):
+            # the column of unknown (j, i): L_g(e_j e_i^T) for every g
+            row = [0] * (neq + n)
+            for base, (q, z) in zip(range(0, neq, n), actions):
+                for a in range(m):
+                    row[base + a * k + i] = q[a][j]
+                for b, c in enumerate(z[i]):
+                    row[base + j * k + b] -= c
+            row[neq + j * k + i] = 1
+            flat += [a % p for a in row]
+    nb = slot_bytes(p, n)
+    rows = pack(flat, nb, p, neq + n)
+    pivots, _ = eliminate_fp(rows, neq + n, nb, p)
+    if pivots[-1] >= neq:
+        return None
+    rows = pack(unpack(rows, neq + n, nb, p), nb, p, neq + n)
+
+    def solve(cs):
+        c = [a % p for cg in cs for row in cg for a in row]
+        w = unpack([sum((p - c[e]) % p * r for e, r in zip(pivots, rows))
+                    + pack(c, nb, p)], neq + n, nb, p)
+        if any(w[:neq]):
+            return None
+        return [w[neq + j * k:neq + (j + 1) * k] for j in range(m)]
+    return solve
+
+
+def _combine(*terms):
+    """sum c x over pairs (c, x) of an int and an integer matrix as rows."""
+    cs = [c for c, _ in terms]
+    return [[sum(map(mul, cs, xs)) for xs in zip(*rows)]
+            for rows in zip(*(x for _, x in terms))]
+
+
+def lift_witness(field_rep, basis, int_rep, p, witness, max_bits):
+    """Lift an invariant subspace of the reduction mod p of an integral
+    model over Z to one over Q, or None.
+
+    witness holds the reduced echelon rows over F_p of W, an invariant
+    subspace of int_rep mod p.  With the pivot coordinates first, W is the
+    span of the columns of [I; Y0], and [I; Y] spans a g-invariant subspace
+    exactly when Y solves the Riccati equation
+        F_g(Y) = g21 + g22 Y - Y g11 - Y g12 Y = 0
+    for g = [[g11, g12], [g21, g22]] in those blocks.  In the basis [I; Y]
+    and the complement, g has the blocks [[Z_g, g12], [F_g(Y), Q_g]], with
+    Z_g = g11 + g12 Y its action on W and Q_g = g22 - Y g12 that on V/W.
+    The linearization of F_g at Y is the Sylvester map L_g(H) = Q_g H -
+    H Z_g, injective on all g together mod p exactly when Hom_G(W, V/W) = 0
+    mod p; then W has one p-adic lift, found digit by digit (Dixon, Numer.
+    Math. 40, 1982): Y_(N+1) = Y_N + p^N H with L_g(H) = -F_g(Y_N) / p^N
+    mod p, from the one elimination of _sylvester_solver at Y0.  Z_g and
+    F_g(Y_N) / p^N are carried exactly from digit to digit, so that a digit
+    costs four products with H per generator.  At N = 2, 4, 8, ... the
+    entries of Y are reconstructed over Q (_rational), and the candidate is
+    moved to field coordinates by the lattice basis and checked by
+    meataxe.subspace_is_invariant, as the checker does.
+
+    Returns (N, rows): the digits lifted and the canonical echelon rows over
+    Q of the first candidate that holds.  None when Hom_G(W, V/W) != 0, when
+    a digit has no solution (W has no lift to Z/p^(N+1)), or when p^N would
+    pass 2^max_bits: a refused lift proves nothing either way."""
+    d, k = int_rep.dim, len(witness)
+    piv = [next(i for i, a in enumerate(row) if a) for row in witness]
+    perm = piv + [i for i in range(d) if i not in piv]
+    y = [[row[j] for row in witness] for j in perm[k:]]
+    carried = []        # per generator [g12, g22, Z_g, F_g(Y) / p^N]
+    actions = []        # per generator (Q_g, Z_g) at Y0
+    ycols = list(zip(*y))
+    for g in int_rep.generators:
+        e = g.entries
+        top, bottom = ([e[r * d:r * d + d] for r in rows]
+                       for rows in (perm[:k], perm[k:]))
+        g11, g12, g21, g22 = ([[r[c] for c in cols] for r in rows]
+                              for rows in (top, bottom)
+                              for cols in (perm[:k], perm[k:]))
+        z = [[a + sum(map(mul, r12, c)) for a, c in zip(r11, ycols)]
+             for r11, r12 in zip(g11, g12)]
+        zcols = list(zip(*z))
+        f = [[a + sum(map(mul, r22, c)) - sum(map(mul, ry, cz))
+              for a, c, cz in zip(r21, ycols, zcols)]
+             for r21, r22, ry in zip(g21, g22, y)]
+        if any(a % p for row in f for a in row):
+            return None
+        q = [[a - sum(map(mul, ry, c)) for a, c in zip(r22, zip(*g12))]
+             for r22, ry in zip(g22, y)]
+        actions.append((q, z))
+        carried.append([g12, g22, z, [[a // p for a in row] for row in f]])
+    solve = _sylvester_solver(actions, p)
+    if solve is None:
+        return None
+    K, gens, b = field_rep.ring, field_rep.generators, basis.rows()
+    digits, pn = 1, p
+    while True:
+        h = solve([c[3] for c in carried])
+        if h is None:
+            return None
+        y = _combine((1, y), (pn, h))
+        # F(Y + p^N H) / p^N = F(Y) / p^N + g22 H - (Y + p^N H) g12 H - H Z
+        for c in carried:
+            g12, g22, z, f = c
+            g12h = int_product(g12, h)
+            f = _combine((1, f), (1, int_product(g22, h)),
+                         (-1, int_product(y, g12h)), (-1, int_product(h, z)))
+            c[2:] = (_combine((1, z), (pn, g12h)),
+                     [[a // p for a in row] for row in f])
+        digits, pn = digits + 1, pn * p
+        if digits & (digits - 1):
+            continue
+        bound = math.isqrt(pn // 2)
+        cand = [[_rational(a, pn, bound) for a in row] for row in y]
+        if all(a is not None for row in cand for a in row):
+            vecs = [[r[perm[i]] + sum(c[i] * r[j] for c, j
+                                      in zip(cand, perm[k:]))
+                     for r in b] for i in range(k)]
+            rows = _echelon_rows(K, vecs)
+            if subspace_is_invariant(K, gens, rows):
+                return digits, rows
+        if (pn * pn).bit_length() > max_bits:
+            return None

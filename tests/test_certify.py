@@ -5,18 +5,26 @@ from fractions import Fraction
 
 import pytest
 
-from irredcert.certify import (Certificate, IRREDUCIBLE_CERTIFIED,
+import importlib
+import time
+
+from irredcert import lattices
+from irredcert.certify import (LIFT_BITS, Certificate, IRREDUCIBLE_CERTIFIED,
                                INCONCLUSIVE_RUN, REDUCIBLE_WITH_WITNESS,
                                RULE_DIRECT_OVER_K, RULE_HEIGHT_ONE_FAMILY,
                                RULE_REGULAR_ONE_PRIME, canonical_json,
-                               certify, rep_digest, verify)
+                               certify, compute_self_digest, rep_digest,
+                               replay, verify)
 from irredcert.check import family_condition_trivial_intersection
 from irredcert.errors import VersionMismatch
 from irredcert.matrices import Matrix
 from irredcert.meataxe import REDUCIBLE, is_irreducible
 from irredcert.prng import XorShift64
-from irredcert.reps import Representation, conjugate
+from irredcert.reps import Representation, conjugate, direct_sum
 from irredcert.rings import QQ, PolynomialRingZ, RationalFunctionField, ZZ
+
+# the module, which the package's certify function shadows as an attribute
+certify_module = importlib.import_module("irredcert.certify")
 
 S3_RELS = [[(0, 1)] * 3, [(1, 1)] * 2, [(0, 1), (1, 1)] * 2]
 
@@ -34,6 +42,83 @@ def q8_rep():
     rels = [[(0, 1)] * 4, [(0, 1), (0, 1), (1, -1), (1, -1)],
             [(1, 1), (0, 1), (1, -1), (0, 1)]]
     return Representation(QQ, [li, lj], rels, label="q8")
+
+
+def perm_matrix(images):
+    """The permutation matrix sending e_j to e_images[j]."""
+    n = len(images)
+    return [[int(images[j] == i) for j in range(n)] for i in range(n)]
+
+
+def sn_perms(n):
+    """The n-cycle and the transposition (0 1), which generate S_n."""
+    return [[(i + 1) % n for i in range(n)], [1, 0] + list(range(2, n))]
+
+
+def std_sn(n):
+    """S_n on the sum-zero vectors, in the basis e_i - e_(n-1), i < n - 1."""
+    gens = []
+    for s in sn_perms(n):
+        # s(e_i - e_(n-1)) = b_s(i) - b_s(n-1), where b_(n-1) = 0
+        cols = [[int(s[i] == r) - int(s[n - 1] == r) for r in range(n - 1)]
+                for i in range(n - 1)]
+        gens.append([list(row) for row in zip(*cols)])
+    return Representation(QQ, gens, [], label="S%d standard" % n)
+
+
+def sign_sn(n):
+    return Representation(QQ, [[[(-1) ** (n - 1)]], [[-1]]], [],
+                          label="S%d sign" % n)
+
+
+def signed_perm_bn(n):
+    """B_n: the signed permutation matrices, by the S_n generators and one
+    sign change; a third generator for S_n's two."""
+    flip = [[-1 if i == j == 0 else int(i == j) for j in range(n)]
+            for i in range(n)]
+    return Representation(QQ, [perm_matrix(s) for s in sn_perms(n)]
+                           + [flip], [], label="B%d" % n)
+
+
+def rational_basis(d):
+    """A fixed rational basis change of determinant 2, not unimodular."""
+    rows = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(d):
+        rows[i][i] = Fraction(2 if i == 0 else 1)
+        if i + 1 < d:
+            rows[i][i + 1] = Fraction(1, 2)
+    rows[d - 1][0] += Fraction(1, 3)
+    return Matrix(QQ, rows)
+
+
+# reducible by construction; the summands of each sum are not isomorphic,
+# so some reduction has Hom_G(W, V/W) = 0 and its witness lifts to Q
+LIFTABLE_SUMS = ([("S%d+sgn" % n, n, None) for n in range(3, 7)]
+                 + [("B%d+B%d" % (n, m), n, m)
+                    for n, m in ((2, 3), (2, 4), (3, 4))])
+
+
+def liftable_sum(n, m):
+    if m is None:
+        return direct_sum(std_sn(n), sign_sn(n))
+    return direct_sum(signed_perm_bn(n), signed_perm_bn(m))
+
+
+def ends_lifted(cert):
+    """The run ends at a reduction step whose witness lifted to Q."""
+    *rest, last = cert.steps
+    return (cert.conclusion == REDUCIBLE_WITH_WITNESS
+            and cert.rule == RULE_DIRECT_OVER_K
+            and last["prime"] != "(0)" and last["verdict"] == REDUCIBLE
+            and last["lift"]["digits"] >= 2
+            and not any("lift" in s for s in rest))
+
+
+def no_lift_certificate(rep, monkeypatch, **kw):
+    """The certificate of the run with every lift refused."""
+    with monkeypatch.context() as m:
+        m.setattr(certify_module, "lift_witness", lambda *a: None)
+        return certify(rep, **kw)
 
 
 class TestCertifyOverQ:
@@ -108,6 +193,108 @@ class TestCertifyOverQ:
         cert = certify(rep)
         assert cert.conclusion == REDUCIBLE_WITH_WITNESS
         assert verify(cert, rep)
+
+
+class TestLiftedWitness:
+
+    @pytest.mark.parametrize("disguised", [False, True],
+                             ids=["standard", "conjugated"])
+    @pytest.mark.parametrize("name,n,m", LIFTABLE_SUMS,
+                             ids=[c[0] for c in LIFTABLE_SUMS])
+    def test_direct_sum_ends_at_a_reduction(self, name, n, m, disguised):
+        rep = liftable_sum(n, m)
+        if disguised:
+            rep = conjugate(rep, rational_basis(rep.dim))
+        cert = certify(rep)
+        assert ends_lifted(cert), [(s["prime"], s.get("lift"))
+                                   for s in cert.steps]
+        assert cert.reducible_primes == [s["prime"] for s in cert.steps]
+        assert verify(cert, rep) and replay(cert, rep)
+
+    def test_explicit_primes_lift_too(self):
+        rep = conjugate(liftable_sum(4, None), rational_basis(4))
+        cert = certify(rep, primes=[3, 5])
+        assert ends_lifted(cert) and cert.steps[-1]["prime"] == "(3)"
+        assert verify(cert, rep) and replay(cert, rep)
+
+    @pytest.mark.parametrize("rep", [
+        direct_sum(signed_perm_bn(3), signed_perm_bn(3)),
+        Representation(QQ, [[[1, 1], [0, 1]], [[1, 0], [0, 1]]], [],
+                       label="ut")], ids=["B3+B3", "unipotent"])
+    def test_isomorphic_pieces_refuse_the_lift(self, rep, monkeypatch):
+        # Hom_G(W, V/W) != 0 at every prime: the Sylvester system of each
+        # of the eight reductions is singular, and the run is the one
+        # without lifting, ending with the search over Q
+        solvers = []
+        build = lattices._sylvester_solver
+
+        def spy(actions, p):
+            solvers.append(build(actions, p))
+            return solvers[-1]
+        monkeypatch.setattr(lattices, "_sylvester_solver", spy)
+        cert = certify(rep)
+        assert solvers == [None] * 8
+        assert cert.conclusion == REDUCIBLE_WITH_WITNESS
+        assert cert.steps[-1]["prime"] == "(0)"
+        assert not any("lift" in s for s in cert.steps)
+        assert canonical_json(cert.to_json()) == canonical_json(
+            no_lift_certificate(rep, monkeypatch).to_json())
+        assert verify(cert, rep)
+
+    def test_split_over_q7_only_reaches_the_cap(self, monkeypatch):
+        # x^2 + x + 1 has its roots in Q_7 but not in Q: the eigenline mod 7
+        # lifts to every precision, and no candidate holds over Q
+        rep = Representation(QQ, [[[0, -1], [1, -1]]], [], label="C3")
+        moduli = []
+        rational = lattices._rational
+
+        def spy(x, m, bound):
+            moduli.append(m)
+            return rational(x, m, bound)
+        monkeypatch.setattr(lattices, "_rational", spy)
+        start = time.perf_counter()
+        cert = certify(rep, primes=[7])
+        assert time.perf_counter() - start < 1.0
+        assert (max(moduli) ** 2).bit_length() > LIFT_BITS
+        assert max(moduli).bit_length() <= LIFT_BITS
+        assert cert.conclusion == INCONCLUSIVE_RUN
+        assert cert.reducible_primes == ["(7)"]
+        assert "lift" not in cert.steps[0]
+        assert canonical_json(cert.to_json()) == canonical_json(
+            no_lift_certificate(rep, monkeypatch, primes=[7]).to_json())
+
+    def test_wrong_reconstruction_falls_back(self, monkeypatch):
+        # every reconstruction is off by one, and the exact check in field
+        # coordinates must turn each candidate down
+        rep = conjugate(liftable_sum(4, None), rational_basis(4))
+        checked = []
+        invariant = lattices.subspace_is_invariant
+
+        def check(K, gens, rows):
+            out = invariant(K, gens, rows)
+            checked.append(out)
+            return out
+        monkeypatch.setattr(lattices, "_rational",
+                            lambda x, m, bound: Fraction(x + 1))
+        monkeypatch.setattr(lattices, "subspace_is_invariant", check)
+        cert = certify(rep)
+        assert checked and not any(checked)
+        assert canonical_json(cert.to_json()) == canonical_json(
+            no_lift_certificate(rep, monkeypatch).to_json())
+        assert cert.steps[-1]["prime"] == "(0)"
+        assert verify(cert, rep)
+
+    def test_tampered_lifted_witness_fails(self):
+        rep = conjugate(liftable_sum(3, None), rational_basis(3))
+        blob = certify(rep).to_json()
+        assert blob["steps"][-1].get("lift")
+        for i, row in enumerate(blob["witness"]):
+            for j, a in enumerate(row):
+                edited = json.loads(json.dumps(blob))
+                edited["witness"][i][j] = str(Fraction(a) + 1)
+                cert = Certificate.from_json(edited)
+                cert.self_digest = compute_self_digest(cert)
+                assert not verify(cert, rep), (i, j)
 
 
 class TestCertifyOverQt:

@@ -470,7 +470,7 @@ class TestMalformed:
         assert main(["verify", str(path), rep]) == 0
         assert json.loads(capsys.readouterr().out) == {
             "verified": True, "conclusion": "IrreducibleCertified",
-            "toolkit_version": "0.1.0"}
+            "toolkit_version": "0.2.0"}
         blob["lattice"] = [["2", "0"], ["0", "1"]]
         path.write_text(json.dumps(redigested(blob).to_json()))
         for argv in ([], ["--replay"]):
