@@ -537,7 +537,7 @@ def _certified_factors_q(f, roots):
             seen.add(g)
             out.append(g)
     for s in polys.squarefree_parts(QQ, f):
-        # the parts may repeat, as for (x-1)^5 (x+1)^2; each is tried once
+        # a part already listed as a root's linear factor is not tried again
         if polys.degree(s) in (0, polys.degree(f)) or s in seen:
             continue
         seen.add(s)

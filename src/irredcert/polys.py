@@ -196,8 +196,10 @@ def _pth_root(K, f):
 
 
 def squarefree_parts(K, f):
-    """Split monic f into a list of squarefree monic polynomials whose product
-    has the same irreducible factors as f (multiplicities dropped)."""
+    """Split monic f into a list of distinct squarefree monic polynomials
+    whose product has the same irreducible factors as f (multiplicities
+    dropped).  A part the splitting reaches twice, as x^2 - 1 for
+    (x - 1)^5 (x + 1)^2, is listed once."""
     stack = [monic(K, f)]
     out = []
     while stack:
@@ -210,7 +212,8 @@ def squarefree_parts(K, f):
             continue
         h = gcd_monic(K, g, dg)
         if degree(h) == 0:
-            out.append(g)
+            if g not in out:
+                out.append(g)
             continue
         stack.append(h)
         stack.append(divmod_poly(K, g, h)[0])
@@ -240,14 +243,12 @@ def distinct_degree_split(K, f):
 
 
 def _random_poly(K, deg_bound, rng):
-    q = K.order
-    elems = None
-    if not isinstance(K, rings.PrimeField):
-        elems = list(K.iter_elements())
-    coeffs = []
-    for _ in range(deg_bound):
-        idx = rng.randrange(q)
-        coeffs.append(idx if elems is None else elems[idx])
+    """deg_bound coefficients, each the element of K at an index drawn
+    uniformly below its order, in the order of K.iter_elements: over a
+    prime field the index itself."""
+    coeffs = [rng.randrange(K.order) for _ in range(deg_bound)]
+    if isinstance(K, rings.ExtensionField):
+        coeffs = [K.element(i) for i in coeffs]
     return normalize(K, coeffs)
 
 

@@ -825,15 +825,17 @@ class ExtensionField(RingDescriptor):
         inv_g = pow(g[0], self.p - 2, self.p)
         return tuple(trim([x * inv_g % self.p for x in u]))
 
+    def element(self, n):
+        """The element of index n in [0, q): the coefficients are the
+        base-p digits of n, lowest first, trimmed."""
+        p, digits = self.p, []
+        for _ in range(self.k):
+            n, r = divmod(n, p)
+            digits.append(r)
+        return tuple(trim(digits))
+
     def iter_elements(self):
-        p, k = self.p, self.k
-        for n in range(self.order):
-            digits = []
-            m = n
-            for _ in range(k):
-                digits.append(m % p)
-                m //= p
-            yield tuple(trim(digits))
+        return map(self.element, range(self.order))
 
     def format(self, a):
         return format_poly(a, self.var)

@@ -78,6 +78,49 @@ def test_squarefree_parts_char_p():
     assert polys.mod(F3, prod, (1, 1)) == ()
 
 
+@pytest.mark.parametrize("K", [QQ, F5], ids=["Q", "F5"])
+def test_squarefree_parts_lists_each_part_once(K):
+    # (x - 1)^5 (x + 1)^2: over Q the splitting reaches x^2 - 1 twice and
+    # x - 1 three times, over F_5 x + 1 twice
+    f = (K.one(),)
+    for root, mult in ((1, 5), (-1, 2)):
+        for _ in range(mult):
+            f = polys.mul(K, f, (K.neg(K.coerce(root)), K.one()))
+    parts = polys.squarefree_parts(K, f)
+    assert len(parts) == len(set(parts)) == 2
+    prod = (K.one(),)
+    for g in parts:
+        prod = polys.mul(K, prod, g)
+    for root in (1, -1):
+        assert not polys.mod(K, prod, (K.neg(K.coerce(root)), K.one()))
+
+
+class _Scripted:
+    """A stand-in for the rng that draws the given indices in turn."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def randrange(self, n):
+        i = next(self.draws)
+        assert 0 <= i < n
+        return i
+
+
+@pytest.mark.parametrize("K", [ExtensionField(3, (2, 2, 1)),
+                               ExtensionField(2, (1, 1, 0, 1))],
+                         ids=["F9", "F8"])
+def test_random_poly_coefficients_in_element_order(K):
+    # the coefficient drawn at index idx is element idx of iter_elements
+    elems = list(K.iter_elements())
+    for idx in range(K.order):
+        got = polys._random_poly(K, 1, _Scripted([idx]))
+        assert got == polys.normalize(K, [elems[idx]]), idx
+        assert K.element(idx) == elems[idx]
+    got = polys._random_poly(K, K.order, _Scripted(range(K.order)))
+    assert got == tuple(elems)
+
+
 def test_distinct_irreducible_factors():
     rng = XorShift64(7)
     # x^2 + x + 1 is irreducible over F_2 (no roots)
