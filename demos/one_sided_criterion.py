@@ -7,7 +7,8 @@ lattice reduction is reducible, with an explicit invariant line, yet the
 representation is irreducible over Q.  The exhaustive oracle counts
 invariant subspaces on both sides so nothing rests on the MeatAxe alone.
 A rescaled copy of the representation is certified through its own stable
-lattice, and a genuinely reducible sum ends with a witness over Q.
+lattice, and a genuinely reducible sum ends with a witness over Q, lifted
+from its reduction mod 2.
 """
 
 import json
@@ -62,15 +63,21 @@ def main():
     print("  conclusion:", cert2.conclusion)
     assert cert2.conclusion == "IrreducibleCertified" and verify(cert2, scaled)
 
-    # A genuinely reducible input: every reduction is reducible, which
-    # proves nothing, so the run ends with an invariant subspace over Q.
+    # A genuinely reducible input.  The reduction mod 2 is reducible, which
+    # alone proves nothing; but its invariant subspace lifts 2-adically to
+    # one over Q, which is checked exactly, so the run ends there with a
+    # witness over Q instead of searching over Q.
     summed = direct_sum(rep, trivial_rep(QQ, 1, ngens=2))
     cert3 = certify(summed)
+    last = cert3.steps[-1]
     print("\nS3 standard + trivial:")
     print("  reducible primes:", cert3.reducible_primes)
+    print("  witness lifted at %s, %d digits"
+          % (last["prime"], last["lift"]["digits"]))
     print("  conclusion:", cert3.conclusion, "via rule", cert3.rule)
     print("  witness:", json.dumps(cert3.witness))
     assert cert3.conclusion == "ReducibleWithWitness" and verify(cert3, summed)
+    assert last["prime"] == "(2)" and "lift" in last
 
 
 if __name__ == "__main__":

@@ -1,12 +1,11 @@
 """Certification engine: criterion runs, certificates, replay, tampering."""
 
+import importlib
 import json
+import time
 from fractions import Fraction
 
 import pytest
-
-import importlib
-import time
 
 from irredcert import lattices
 from irredcert.certify import (LIFT_BITS, Certificate, IRREDUCIBLE_CERTIFIED,
@@ -72,8 +71,8 @@ def sign_sn(n):
 
 
 def signed_perm_bn(n):
-    """B_n: the signed permutation matrices, by the S_n generators and one
-    sign change; a third generator for S_n's two."""
+    """B_n, the signed permutation matrices: the two S_n generators and the
+    sign change of the first coordinate."""
     flip = [[-1 if i == j == 0 else int(i == j) for j in range(n)]
             for i in range(n)]
     return Representation(QQ, [perm_matrix(s) for s in sn_perms(n)]

@@ -30,8 +30,9 @@ GOLDEN = os.path.join(HERE, "golden")
 # s9 (standard rep, d = 8) certifies at (2) by enumerating both projective
 # kernels of nullity 7; s6 (d = 5) is split at (3) by a dual spin, whose
 # witness is the annihilator _perp_witness computes, and certifies at (5);
-# s4_sgn (S4 standard + sign in a non-unimodular basis) is reducible and
-# ends ReducibleWithWitness by DirectOverK
+# s4_sgn (S4 standard + sign in a non-unimodular basis) is reducible, and
+# its witness mod 3 lifts to Q: it ends ReducibleWithWitness by DirectOverK
+# at (3)
 CERTIFY = [("b3", 0), ("b3_qt", 0), ("d4", 0), ("q8", 2), ("s3", 0), ("s3_qt", 0),
            ("s3_scaled", 0), ("s4", 0), ("s4_sgn", 0), ("s6", 0), ("s9", 0)]
 
