@@ -9,9 +9,10 @@ offer is a regular local ring and the criterion is valid there.  Reduction
 is one-sided: a reducible reduction proves nothing about the input, so the
 engine keeps a separate direct search over the base field whose only
 certifying outcome is a reducibility witness (an invariant subspace over K,
-re-verified exactly).  Over Z a reducible reduction's witness is also
-lifted p-adically before the next prime is tried: a lift that holds over K
-ends the run with that witness, and one that fails changes nothing.  When
+re-verified exactly).  At an integer prime (p) a reducible reduction's
+witness is also lifted p-adically before the next prime is tried: a lift
+that holds over K ends the run with that witness, and one that fails
+changes nothing.  When
 neither side lands, the conclusion is Inconclusive and says why.
 
 Certificates carry everything needed for an independent replay: the input
@@ -30,8 +31,9 @@ Rules:
                   is the tower's prime list.
   DirectOverK     reducibility witness over the base field, re-verified
                   exactly: found by the MeatAxe over K itself (the zero
-                  ideal), or lifted from a reducible reduction over Z
-                  (lattices.lift_witness), whose step records the digits.
+                  ideal), or lifted from a reducible reduction at a prime
+                  (p) of Z (lattices.lift_witness), whose step records the
+                  digits.
 """
 
 import hashlib
@@ -65,11 +67,6 @@ AUTO_SHIFTS = (0, 1, -1)
 # reductions and fall through to the direct search; explicit prime lists
 # are always honored in full
 AUTO_PATIENCE = 8
-
-# a reducible reduction's witness over Z is lifted p-adically while p^N
-# stays within this many bits; a lift with no candidate holding by then
-# gives up, and the run goes on to the next prime
-LIFT_BITS = 256
 
 # largest subspace-lattice size the --oracle cross-check will enumerate
 ORACLE_POINTS = 2 ** 12
@@ -308,8 +305,8 @@ def certify(rep, primes=None, seed=0, budget=200, oracle_check=False):
     lists are tried in full; the automatic search gives up on the prime
     route after AUTO_PATIENCE fruitless reductions or MAX_PRIMES in all.
     Either way the run stops at the first step that concludes: an
-    irreducible reduction, or a reducible one over Z whose witness lifts
-    to an invariant subspace over K (lattices.lift_witness).
+    irreducible reduction, or a reducible one at a prime (p) of Z whose
+    witness lifts to an invariant subspace over K (lattices.lift_witness).
     seed and budget feed every MeatAxe call.  oracle_check additionally
     enumerates invariant subspaces of each finite reduction when small
     enough and insists the verdict matches.
@@ -396,9 +393,9 @@ def certify(rep, primes=None, seed=0, budget=200, oracle_check=False):
                           conclusion=IRREDUCIBLE_CERTIFIED)
         if verdict.status == REDUCIBLE:
             reducible.append(str(prime))
-            if R == ZZ:
+            if prime.kind == PrimeSpec.INTEGER:
                 lifted = lift_witness(field_rep, basis, int_rep, prime.p,
-                                      verdict.witness, LIFT_BITS)
+                                      verdict.witness)
                 if lifted is not None:
                     step["lift"] = {"digits": lifted[0]}
                     return finish(rule=RULE_DIRECT_OVER_K,

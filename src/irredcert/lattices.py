@@ -476,6 +476,11 @@ def reduce_rep(int_rep, prime):
 # ---------------------------------------------------------------------------
 # lifting a reduction's witness to Q
 
+# a witness is lifted p-adically while p^N stays within this many bits; a
+# lift with no candidate holding by then gives up, and the run goes on to
+# the next prime
+LIFT_BITS = 256
+
 
 def _rational(x, m, bound):
     """The fraction a/b with |a| <= bound, 0 < b <= bound and a = b x mod m,
@@ -542,7 +547,7 @@ def _combine(*terms):
             for rows in zip(*(x for _, x in terms))]
 
 
-def lift_witness(field_rep, basis, int_rep, p, witness, max_bits):
+def lift_witness(field_rep, basis, int_rep, p, witness):
     """Lift an invariant subspace of the reduction mod p of an integral
     model over Z to one over Q, or None.
 
@@ -568,7 +573,7 @@ def lift_witness(field_rep, basis, int_rep, p, witness, max_bits):
     Returns (N, rows): the digits lifted and the canonical echelon rows over
     Q of the first candidate that holds.  None when Hom_G(W, V/W) != 0, when
     a digit has no solution (W has no lift to Z/p^(N+1)), or when p^N would
-    pass 2^max_bits: a refused lift proves nothing either way."""
+    pass 2^LIFT_BITS: a refused lift proves nothing either way."""
     d, k = int_rep.dim, len(witness)
     piv = [next(i for i, a in enumerate(row) if a) for row in witness]
     perm = piv + [i for i in range(d) if i not in piv]
@@ -625,5 +630,5 @@ def lift_witness(field_rep, basis, int_rep, p, witness, max_bits):
             rows = _echelon_rows(K, vecs)
             if subspace_is_invariant(K, gens, rows):
                 return digits, rows
-        if (pn * pn).bit_length() > max_bits:
+        if (pn * pn).bit_length() > LIFT_BITS:
             return None

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from irredcert import lattices
-from irredcert.certify import (LIFT_BITS, Certificate, IRREDUCIBLE_CERTIFIED,
+from irredcert.certify import (Certificate, IRREDUCIBLE_CERTIFIED,
                                INCONCLUSIVE_RUN, REDUCIBLE_WITH_WITNESS,
                                RULE_DIRECT_OVER_K, RULE_HEIGHT_ONE_FAMILY,
                                RULE_REGULAR_ONE_PRIME, canonical_json,
@@ -16,6 +16,7 @@ from irredcert.certify import (LIFT_BITS, Certificate, IRREDUCIBLE_CERTIFIED,
                                replay, verify)
 from irredcert.check import family_condition_trivial_intersection
 from irredcert.errors import VersionMismatch
+from irredcert.lattices import LIFT_BITS
 from irredcert.matrices import Matrix
 from irredcert.meataxe import REDUCIBLE, is_irreducible
 from irredcert.prng import XorShift64
@@ -240,6 +241,20 @@ class TestLiftedWitness:
             no_lift_certificate(rep, monkeypatch).to_json())
         assert verify(cert, rep)
 
+    def test_zero_prime_over_z_does_not_lift(self, monkeypatch):
+        # "(0)" on an explicit list is a reduction over Z with no p to lift
+        # by: the run is the one without lifting, as before lifts existed
+        for rep in (liftable_sum(3, None),
+                    conjugate(liftable_sum(2, 3), rational_basis(5))):
+            cert = certify(rep, primes=["(0)"])
+            assert cert.conclusion == REDUCIBLE_WITH_WITNESS
+            assert [s["prime"] for s in cert.steps] == ["(0)", "(0)"]
+            assert not any("lift" in s for s in cert.steps)
+            assert canonical_json(cert.to_json()) == canonical_json(
+                no_lift_certificate(rep, monkeypatch,
+                                    primes=["(0)"]).to_json())
+            assert verify(cert, rep) and replay(cert, rep)
+
     def test_split_over_q7_only_reaches_the_cap(self, monkeypatch):
         # x^2 + x + 1 has its roots in Q_7 but not in Q: the eigenline mod 7
         # lifts to every precision, and no candidate holds over Q
@@ -335,6 +350,33 @@ class TestCertifyOverQt:
         cert = certify(rep)
         assert cert.conclusion == IRREDUCIBLE_CERTIFIED
         assert verify(cert, rep)
+
+    def test_reducible_fibre_lifts_in_its_sub_certificate(self):
+        # the fibre at (t-c) is certified over Q, where a reducible
+        # reduction's witness lifts: each sub-certificate ends at (2) with
+        # a lift, while the Z[t] run itself ends with the search over Q(t)
+        K = self.qt()
+        t = K.coerce(((0, 1), (1,)))
+        o, z = K.one(), K.zero()
+        s3_sgn = direct_sum(s3_over(K), Representation(K, [[[1]], [[-1]]],
+                                                       [], label="sgn"))
+        rep = conjugate(s3_sgn, Matrix(K, [[o, z, z], [z, t, z],
+                                           [z, z, o]]))
+        for kw, fibres in (({"primes": ["(t-0)"]}, ["(t-0)"]),
+                           ({}, ["(t-0)", "(t-1)", "(t+1)"])):
+            cert = certify(rep, **kw)
+            assert cert.conclusion == REDUCIBLE_WITH_WITNESS
+            assert cert.steps[-1]["prime"] == "(0)"
+            assert not any("lift" in s for s in cert.steps)
+            subs = [(s["prime"], s["sub_certificate"]) for s in cert.steps
+                    if s.get("sub_certificate")]
+            assert [prime for prime, _ in subs] == fibres
+            for _, sub in subs:
+                assert sub["conclusion"] == REDUCIBLE_WITH_WITNESS
+                assert sub["rule"] == RULE_DIRECT_OVER_K
+                assert [(s["prime"], s.get("lift")) for s in sub["steps"]] \
+                    == [("(2)", {"digits": 2})]
+            assert verify(cert, rep) and replay(cert, rep)
 
     def test_reducible_function_field(self):
         K = self.qt()

@@ -107,12 +107,20 @@ class _Scripted:
         return i
 
 
-@pytest.mark.parametrize("K", [ExtensionField(3, (2, 2, 1)),
-                               ExtensionField(2, (1, 1, 0, 1))],
-                         ids=["F9", "F8"])
-def test_random_poly_coefficients_in_element_order(K):
-    # the coefficient drawn at index idx is element idx of iter_elements
-    elems = list(K.iter_elements())
+# the elements of F_9 and F_8 in index order: the coefficients are the
+# base-p digits of the index, lowest first, trimmed
+ELEMENTS_F9 = [(), (1,), (2,), (0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (2, 2)]
+ELEMENTS_F8 = [(), (1,), (0, 1), (1, 1), (0, 0, 1), (1, 0, 1), (0, 1, 1),
+               (1, 1, 1)]
+
+
+@pytest.mark.parametrize("K,elems", [
+    (ExtensionField(3, (2, 2, 1)), ELEMENTS_F9),
+    (ExtensionField(2, (1, 1, 0, 1)), ELEMENTS_F8)], ids=["F9", "F8"])
+def test_random_poly_coefficients_in_element_order(K, elems):
+    # the coefficient drawn at index idx is element idx, and iter_elements
+    # lists the elements in the same order
+    assert list(K.iter_elements()) == elems
     for idx in range(K.order):
         got = polys._random_poly(K, 1, _Scripted([idx]))
         assert got == polys.normalize(K, [elems[idx]]), idx
