@@ -5,8 +5,8 @@ corpus rep in data/, tests/golden/<rep>.reduce.<prime>.json the stdout of
 `irredcert reduce` at one prime, tests/golden/<rep>.obstruction.<prime>.json
 the stdout of `irredcert obstruction` on each of those reductions that
 lands in a finite field, and tests/golden/<rep>.meataxe.json the stdout of
-`irredcert meataxe` on each prime-field rep in data/fp/ (d from 24 to 48
-over F_3, F_101 and F_65521, made once with perfbench/gen.py).  A change
+`irredcert meataxe` on each prime-field rep in data/fp/ (d from 16 to 48
+over F_2, F_3, F_101 and F_65521, made once with perfbench/gen.py).  A change
 that alters a certificate or a transcript must bump TOOLKIT_VERSION; after
 such a deliberate change, regenerate the files:
 
@@ -56,8 +56,16 @@ OBSTRUCTION = [(rep, prime) for rep, prime in REDUCE
 
 # the reps over F_p: S27 standard mod 3 and a block triangular rep mod
 # 65521 are reducible (witnesses of dim 1 and 10), B32 mod 101 and a random
-# rep of dim 48 over F_101 irreducible
-MEATAXE = ["b32_mod101", "block24_mod65521", "rand48_mod101", "s27_mod3"]
+# rep of dim 48 over F_101 irreducible.  Two pin the random draws that
+# follow a factorization.  S25 standard mod 2 probes a kernel of nullity 23
+# at its first sample, drawing random combinations, and decides at its
+# second.  B8 + B8 twisted by the character that is -1 on the flip, mod
+# 101, is reducible: its first characteristic polynomial (x + 1)^8 (x - 1)^8
+# takes an equal-degree split that draws, and the factors of its first
+# three samples all have nullity 2 or more, so their probes draw too; the
+# witness comes from a random combination of the third sample's probe
+MEATAXE = ["b32_mod101", "b8_twisted_sum_mod101", "block24_mod65521",
+           "rand48_mod101", "s25_mod2", "s27_mod3"]
 
 
 def _prime_tag(prime):
