@@ -15,11 +15,13 @@ products, for F_2 up to d = 127 and F_3 up to d = 31.  A packed vector is
 then just its bytes: unpack reduces them all with one bytes.translate
 through a 256-entry table, and monic_slots reduces a vector, finds its
 first nonzero slot with lstrip and scales it to a leading 1 through a
-second table, in C.  Wider slots take the list path: unpack reads them
-through a memoryview (2, 4 and 8 bytes) or int.from_bytes and reduces
-each entry; for p < 256 monic_slots then pivots and scales the entries
-as bytes, as with one-byte slots.  `matrices` and `meataxe` run their
-prime-field kernels on pack, unpack and monic_slots.
+second table, in C.  For p < 128 monic_slots reduces two-byte slots by
+translates too, the low and the high bytes apart (_reduce_bytes).  Other
+wider slots take the list path: unpack reads them through a memoryview
+(2, 4 and 8 bytes) or int.from_bytes and reduces each entry; for p < 256
+monic_slots then pivots and scales the entries as bytes, as with
+one-byte slots.  `matrices` and `meataxe` run their prime-field kernels
+on pack, unpack and monic_slots.
 
 Polynomials are ascending coefficient lists of ints in [0, p), trimmed (the
 zero polynomial is the empty list).  These are the only F_p[x] kernels in
@@ -41,17 +43,34 @@ _FORMATS = {2: "H", 4: "I", 8: "Q"}
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
 # per p < 256, the tables that divide a byte by c mod p, for c in [1, p):
-# table c maps byte i to i c^-1 mod p, so table 1 reduces mod p
+# table c maps byte i to i c^-1 mod p, so table 1 reduces mod p; table 0
+# maps byte i to 256 i mod p, the value of a high byte
 _DIVIDE = {}
 
 
 def _divide_tables(p):
     tables = _DIVIDE.get(p)
     if tables is None:
-        tables = [None] + [bytes(i * pow(c, -1, p) % p for i in range(256))
-                           for c in range(1, p)]
+        tables = [bytes(256 * i % p for i in range(256))] + \
+            [bytes(i * pow(c, -1, p) % p for i in range(256))
+             for c in range(1, p)]
         _DIVIDE[p] = tables
     return tables
+
+
+def _reduce_bytes(b, nb, p):
+    """The slots of nb bytes in b reduced mod p, as one byte each, by
+    translates alone, for nb = 1 and p < 256 or nb = 2 and p < 128.  A
+    two-byte slot is lo + 256 hi, and lo mod p plus 256 hi mod p (table 0)
+    is below 2p < 256: the low and the high bytes are reduced by one
+    translate each, added as one-byte slots, which carry nothing, and
+    reduced once more."""
+    tables = _divide_tables(p)
+    if nb == 1:
+        return b.translate(tables[1])
+    s = int.from_bytes(b[::2].translate(tables[1]), "little") + \
+        int.from_bytes(b[1::2].translate(tables[0]), "little")
+    return s.to_bytes(len(b) // 2, "little").translate(tables[1])
 
 
 def slot_bytes(p, terms):
@@ -67,10 +86,13 @@ def slot_bytes(p, terms):
 def pack(vals, nb, p, n=None):
     """The entries vals, ints in [0, p), packed into slots of nb bytes: one
     int, or with n one int per n consecutive entries."""
-    buf = bytearray(len(vals) * nb)
-    if p <= 256:
+    if nb == 1:
+        buf = bytes(vals)
+    elif p <= 256:
+        buf = bytearray(len(vals) * nb)
         buf[::nb] = bytes(vals)
     else:
+        buf = bytearray(len(vals) * nb)
         for k in range(((p - 1).bit_length() + 7) // 8):
             buf[k::nb] = bytes([a >> 8 * k & 255 for a in vals])
     if n is None:
@@ -99,11 +121,13 @@ def monic_slots(w, n, nb, p):
     its first nonzero slot, or None when w is zero mod p.
 
     For p < 256 the entries are bytes, so that finding the pivot and
-    scaling are an lstrip and a translate, and with one-byte slots
-    reducing is a translate too; for larger p they are a list."""
+    scaling are an lstrip and a translate, and with one-byte slots, or
+    two-byte slots for p < 128, reducing is translates too; for larger p
+    they are a list."""
     if p < 256:
         tables = _divide_tables(p)
-        b = (w.to_bytes(n, "little").translate(tables[1]) if nb == 1
+        b = (_reduce_bytes(w.to_bytes(n * nb, "little"), nb, p)
+             if nb == 1 or nb == 2 and p < 128
              else bytes(unpack([w], n, nb, p)))
         rest = b.lstrip(b"\0")
         if not rest:

@@ -4,10 +4,10 @@ A Matrix is an immutable row-major tuple of raw scalar values together with
 its RingDescriptor.
 
 Over a PrimeField the entries are ints in [0, p), and products, rref
-(hence kernel_basis, inverse and rank), det and poly_at_matrix run on
-Kronecker-packed vectors (fpoly.pack): one Python int per row or column,
-one slot per entry, reduced mod p once, on unpacking or when a pivot row
-is made monic (fpoly.monic_slots).  A product is a sum of packed columns
+(hence kernel_basis, inverse and rank), det, char_poly and poly_at_matrix
+run on Kronecker-packed vectors (fpoly.pack): one Python int per row or
+column, one slot per entry, reduced mod p once, on unpacking or when a
+pivot row is made monic (fpoly.monic_slots).  A product is a sum of packed columns
 scaled by ints, one column per entry of the other factor, and a row
 operation adds a multiple of the packed pivot row.
 The packed columns of a matrix are computed once and kept with it, so a
@@ -41,7 +41,9 @@ The module-level algorithms:
                     Q, Z[t] and Q(t) runs on it
     integral_conjugates(a, gens)  B^-1 g B over Z or Z[t], on integer or
                     Z[t] rows, for saturation, reduction and the checker
-    char_poly(m)    monic characteristic polynomial over a field, computed by
+    char_poly(m)    monic characteristic polynomial over a field: over F_p
+                    by one spin of packed [vector | polynomial] pairs
+                    (_spin_char_poly, Keller-Gehrig), elsewhere by
                     Hessenberg reduction plus the standard determinant
                     recurrence (no division by integers, so it is safe in
                     small characteristic, unlike Faddeev-LeVerrier)
@@ -391,11 +393,20 @@ def packed_columns(m):
     """(nb, columns) for a matrix over F_p: its columns packed (fpoly.pack)
     into slots of nb bytes, computed on first use and kept with m.  The
     slots hold 2 max(nrows, ncols) products, enough for a product (ncols)
-    and the spin's reduction against at most nrows rows on top."""
+    and, on top, the reduction against at most nrows rows of a spin or of
+    char_poly's pairs."""
     pc = m._cols
     if pc is None:
-        nb = slot_bytes(m.ring.p, 2 * max(m.nrows, m.ncols))
-        pc = (nb, _packed_rows(m.transpose(), nb))
+        p, nr, nc, e = m.ring.p, m.nrows, m.ncols, m.entries
+        nb = slot_bytes(p, 2 * max(nr, nc))
+        if nb == 1:
+            # one byte per entry: column j is every nc-th byte from byte j
+            b = bytes(e)
+            cols = [int.from_bytes(b[j::nc], "little") for j in range(nc)]
+        else:
+            cols = pack([a for j in range(nc) for a in e[j::nc]], nb, p,
+                        nr) if nr else [0] * nc
+        pc = (nb, cols)
         object.__setattr__(m, "_cols", pc)
     return pc
 
@@ -404,6 +415,19 @@ def _packed_rows(m, nb):
     if not m.ncols:
         return [0] * m.nrows
     return pack(m.entries, nb, m.ring.p, m.ncols)
+
+
+def _reduce_fp(w, rows, shifts, p, nb):
+    """A packed vector w minus the multiples of the packed semi-echelon
+    rows (leading entry 1) that clear it at each pivot in turn, as
+    w + (p - c) r, with c read from the row's pivot slot, given by its bit
+    shift 8 nb pivot; the slots are not reduced."""
+    mask = (1 << 8 * nb) - 1
+    for s, r in zip(shifts, rows):
+        c = (w >> s & mask) % p
+        if c:
+            w += (p - c) * r
+    return w
 
 
 def eliminate_fp(rows, ncols, nb, p, jordan=True):
@@ -558,8 +582,9 @@ def _det_field(m):
 
 def char_poly(m):
     """Monic characteristic polynomial det(xI - m) over a field, as an
-    ascending coefficient tuple.  Hessenberg reduction keeps every division
-    a genuine field division, so this works in any characteristic."""
+    ascending coefficient tuple: over F_p by _spin_char_poly, elsewhere by
+    Hessenberg reduction, which keeps every division a genuine field
+    division, so that it works in any characteristic."""
     K = m.ring
     if not K.is_field:
         raise IntegralityError("char_poly requires field entries; "
@@ -567,7 +592,7 @@ def char_poly(m):
     if m.nrows != m.ncols:
         raise ShapeError("char_poly of a non-square matrix")
     if isinstance(K, PrimeField):
-        return _char_poly_fp(m.rows(), K.p)
+        return _spin_char_poly(m)
     n = m.nrows
     h = m.rows()
     for j in range(n - 2):
@@ -616,45 +641,63 @@ def char_poly(m):
     return polys[n]
 
 
-def _char_poly_fp(h, p):
-    """char_poly on int rows over F_p, by the same reduction and recurrence."""
-    n = len(h)
-    for j in range(n - 2):
-        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
-        if piv is None:
+def _spin_char_poly(m):
+    """char_poly over F_p by one spin of packed [vector | polynomial] pairs
+    (Keller-Gehrig, Theor. Comput. Sci. 36, 1985).
+
+    A pair holds a vector in its low d slots and a polynomial in the d + 1
+    slots above, coefficient i in slot d + i.  The spin runs in blocks,
+    each pair of a block being a(m) e_t modulo the span U of the earlier
+    blocks beside a P, for one polynomial a and the product P of the
+    earlier blocks' characteristic polynomials.  A block starts at the
+    first unit vector e_t whose t is no pivot of the kept pairs: e_t is 0
+    at every pivot, so the kept pairs do not reduce it, U misses it, and
+    [e_t | P] is kept as it is.  The next pair is m times the last kept
+    vector beside x times its polynomial, reduced against the kept pairs
+    (_reduce_fp) and made monic (fpoly.monic_slots), as in meataxe._grow.
+    While its vector part is nonzero it is kept.  Once that reduces to 0,
+    b(m) e_t lies in U, and b, of degree the block's length, is the
+    minimal polynomial of e_t modulo U: the characteristic polynomial of m
+    on the block.  The polynomial slots then hold b P, the product for the
+    next block, and the block's pairs drop their polynomials, so that
+    they reduce vectors only.  The pairs are scaled as they are made
+    monic, so the last product is made monic once, at the end.
+
+    The vector slots take d products from m w and at most d from the
+    reduction, and the polynomial slots an entry and at most d products,
+    within the 2d of packed_columns."""
+    p, d = m.ring.p, m.nrows
+    nb, cols = packed_columns(m)
+    sh = 8 * nb
+    n, low, top = 2 * d + 1, (1 << sh * d) - 1, sh * (d + 1)
+    rows, pivots = [], []
+    taken = set()
+    poly = 1 << sh * d                  # [0 | P], P = 1 for the first block
+    for t in range(d):
+        if t in taken:
             continue
-        if piv != j + 1:
-            h[j + 1], h[piv] = h[piv], h[j + 1]
-            for row in h:
-                row[j + 1], row[piv] = row[piv], row[j + 1]
-        prow = h[j + 1]
-        inv = pow(prow[j], -1, p)
-        fs = [h[i][j] * inv % p for i in range(j + 2, n)]
-        # conjugation by E = I - sum_i f_i e_i e_{j+1}^T, whose factors
-        # commute: all row operations (row j+1 has zeros left of column j),
-        # then column j+1 gains sum_i f_i * column i
-        tail = prow[j:]
-        for row, f in zip(h[j + 2:], fs):
-            if f:
-                row[j:] = [(a - f * b) % p for a, b in zip(row[j:], tail)]
-        for row in h:
-            row[j + 1] = (row[j + 1] + sum(map(mul, fs, row[j + 2:]))) % p
-    polys = [[1]]
-    for k in range(1, n + 1):
-        prev = polys[k - 1]
-        diag = h[k - 1][k - 1]
-        cur = [(a - diag * b) % p for a, b in zip([0] + prev, prev + [0])]
-        run = 1
-        for i in range(k - 2, -1, -1):
-            run = run * h[i + 1][i] % p
-            if not run:
+        start = len(rows)
+        rows.append((1 << sh * t) + poly)
+        pivots.append(sh * t)
+        taken.add(t)
+        # m e_t is column t of m
+        w = cols[t] + (poly << sh)
+        while True:
+            # the polynomial part is never 0, so there is a pivot
+            idx, w, u = monic_slots(_reduce_fp(w, rows, pivots, p, nb), n,
+                                    nb, p)
+            if idx >= d:
                 break
-            coeff = h[i][k - 1] * run % p
-            if coeff:
-                pi = polys[i]
-                cur[:len(pi)] = [(a - coeff * b) % p for a, b in zip(cur, pi)]
-        polys.append(cur)
-    return tuple(polys[n])
+            rows.append(w)
+            pivots.append(sh * idx)
+            taken.add(idx)
+            # map stops at the last column, so u's polynomial is not read
+            w = sum(map(mul, u, cols)) + (w >> sh * d << top)
+        poly = w
+        rows[start:] = [r & low for r in rows[start:]]
+    f = u[d:] if d else [1]
+    inv = pow(f[-1], -1, p)
+    return tuple(f) if inv == 1 else tuple([c * inv % p for c in f])
 
 
 # ---------------------------------------------------------------------------

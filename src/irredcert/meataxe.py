@@ -2,9 +2,13 @@
 
 The engine is the Holt-Rees variant with Norton's criterion.  A random
 element theta of the enveloping algebra is drawn as a small sum of words in
-the generators, its characteristic polynomial is factored (fully over finite
-fields; partially over Q and Q(t)), and for an irreducible factor g the
-kernel of g(theta) is spun under the generators.
+the generators, the irreducible factors of its characteristic polynomial
+are tried smallest degree first, and for an irreducible factor g the
+kernel of g(theta) is spun under the generators.  Over a finite field the
+factors come one at a time from a polys.FactorStream, which splits off no
+factor before the test reads it, so a sample that decides at its first
+factor never finds the others; over Q and Q(t) they are the factors that
+can be certified cheaply.
 
 When the nullity of g(theta) equals deg g, one primal spin and one dual spin
 decide: ker g(theta) is one-dimensional over F[x]/(g), so a proper invariant
@@ -57,7 +61,7 @@ from operator import mul
 from . import polys
 from .errors import AbsIrredUndecided, SingularError
 from .fpoly import monic_slots, pack, slot_bytes, unpack
-from .matrices import (Matrix, _constant_q_matrix, char_poly,
+from .matrices import (Matrix, _constant_q_matrix, _reduce_fp, char_poly,
                        denominator_lcm, eliminate_fp, int_product,
                        integer_rows, kernel_basis, packed_columns,
                        poly_at_matrix, rref, scaled_rows)
@@ -114,19 +118,6 @@ def _packed_echelon(p, d, nb, rows):
     k = len(eliminate_fp(rows, d, nb, p)[0])
     flat = unpack(rows[:k], d, nb, p)
     return tuple(tuple(flat[i:i + d]) for i in range(0, k * d, d))
-
-
-def _reduce_fp(w, rows, shifts, p, nb):
-    """A packed vector w minus the multiples of the packed semi-echelon
-    rows (leading entry 1) that clear it at each pivot in turn, as
-    w + (p - c) r, with c read from the row's pivot slot, given by its bit
-    shift 8 nb pivot; the slots are not reduced."""
-    mask = (1 << 8 * nb) - 1
-    for s, r in zip(shifts, rows):
-        c = (w >> s & mask) % p
-        if c:
-            w += (p - c) * r
-    return w
 
 
 def _apply_int(rows, v):
@@ -331,9 +322,14 @@ def _sample_theta(rep, rng, index):
     if K == QQ:
         theta = _theta_q(rep, words, coeffs)
     else:
-        theta = Matrix.zeros(K, rep.dim, rep.dim)
+        # a generator sample is the generator itself, whose packed columns
+        # char_poly and the spins share
+        theta = None
         for w, c in zip(words, coeffs):
-            theta = theta + evaluate(rep, [(l, 1) for l in w]).scale(c)
+            term = evaluate(rep, [(l, 1) for l in w])
+            if not K.is_one(c):
+                term = term.scale(c)
+            theta = term if theta is None else theta + term
     record = {"words": words, "coeffs": [K.format(c) for c in coeffs]}
     return theta, record
 
@@ -443,11 +439,13 @@ def _kernel_vectors(K, kind, ker):
     return ker
 
 
-def _norton_attempt(rep, theta, g, rec, rng):
+def _norton_attempt(rep, theta, g, rec, rng, settle=None):
     """Run Norton's test for one irreducible factor g of char_poly(theta):
     one spin on each side when the nullity of g(theta) is deg g, a
     two-sided enumeration of both projective kernels when affordable, and
-    else a probe for reducibility only.
+    else a probe for reducibility only.  The probe draws from rng, after
+    settle() (FactorStream.settle, when given) has let the factoring draw
+    first.
 
     Returns (status, witness_rows) on a decision, None when this factor
     cannot decide (higher multiplicity, enumeration too large or field
@@ -475,6 +473,8 @@ def _norton_attempt(rep, theta, g, rec, rng):
         kind = "probe"
     vectors = _kernel_vectors(K, kind, ker)
     if kind == "probe" and len(ker) > 1:
+        if settle is not None:
+            settle()
         combos = [_combination(K, [_random_scalar(K, rng) for _ in ker], ker)
                   for _ in range(4)]
         vectors = ker + [v for v in combos if any(not K.is_zero(a) for a in v)]
@@ -550,7 +550,10 @@ def _decide(rep, seed, budget):
     """The sampling loop over a finite field or Q: draw theta, factor its
     characteristic polynomial and run Norton's test on each factor until
     one decides or the budget runs out.  Over a finite field the factors
-    are all the distinct irreducible ones; over Q they are those
+    are the distinct irreducible ones, smallest degree first, from a
+    polys.FactorStream: it splits off only the factors that are read, and
+    is settled before the probe or the next sample draws, so that every
+    draw sees the state of a full factorization.  Over Q they are those
     _certified_factors_q finds, after the check that the characteristic
     polynomial itself is irreducible."""
     K = rep.ring
@@ -562,8 +565,10 @@ def _decide(rep, seed, budget):
         srec["charpoly"] = polys.format_poly_generic(K, f, "x")
         srec["factors"] = []
         transcript["samples"].append(srec)
+        settle = None
         if K.characteristic > 0:
-            factors = polys.distinct_irreducible_factors(K, f, rng)
+            factors = polys.FactorStream(K, f, rng)
+            settle = factors.settle
         else:
             # an irreducible characteristic polynomial leaves theta no
             # invariant subspace at all, let alone a G-invariant one
@@ -577,9 +582,11 @@ def _decide(rep, seed, budget):
         for g in factors:
             rec = {"poly": polys.format_poly_generic(K, g, "x")}
             srec["factors"].append(rec)
-            out = _norton_attempt(rep, theta, g, rec, rng)
+            out = _norton_attempt(rep, theta, g, rec, rng, settle)
             if out is not None:
                 return _finish(rep, transcript, out[0], out[1], i, rec["poly"])
+        if settle is not None:
+            settle()
     transcript["decision"] = {"status": INCONCLUSIVE,
                               "reason": "budget exhausted"}
     return MeataxeVerdict(INCONCLUSIVE, None, transcript)

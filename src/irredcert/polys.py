@@ -15,9 +15,18 @@ descriptor.  On top of it sit:
   * distinct_irreducible_factors: the distinct monic irreducible factors of a
     polynomial over a finite field, by squarefree split, distinct-degree
     factorization, and Cantor-Zassenhaus equal-degree splitting (with the
-    trace-map variant in characteristic 2).  The distinct-degree loop stops
-    once 2d passes the degree left, which is then irreducible, so an
-    irreducible polynomial of degree n costs n // 2 powers of x;
+    trace-map variant in characteristic 2), sorted by degree and then
+    coefficients.  The distinct-degree loop (distinct_degree_split, a
+    generator) stops once 2d passes the degree left, which is then
+    irreducible, so an irreducible polynomial of degree n costs n // 2
+    powers of x;
+  * FactorStream: the same factors in the same order, found as they are
+    read, for the MeatAxe, which mostly decides at the first factor.  It
+    runs the distinct-degree loops of the squarefree parts only up to the
+    degree it yields, and splits only that degree.  Equal-degree splitting
+    draws from a random generator that the MeatAxe draws from again, so
+    the stream's settle() advances it exactly as the whole factorization
+    would before the MeatAxe's next draw;
   * rational helpers: rational roots, found by Hensel lifting of roots
     modulo a small prime, and a certificate of irreducibility over Q by
     reduction modulo a small prime (irreducible mod ell implies irreducible
@@ -26,6 +35,7 @@ descriptor.  On top of it sit:
 """
 
 import math
+from copy import copy
 from fractions import Fraction
 
 from . import fpoly, rings
@@ -189,10 +199,12 @@ def format_poly_generic(K, f, var="x"):
 def _pth_root(K, f):
     """For f = u(x^p) over a finite field of characteristic p, return u.
 
-    The coefficient map is c -> c^(q/p) (the inverse of Frobenius on F_q)."""
+    The coefficient map is c -> c^(q/p) (the inverse of Frobenius on F_q),
+    the identity on F_p."""
     p = K.characteristic
     e = K.order // p
-    return normalize(K, [K.pow(f[i], e) for i in range(0, len(f), p)])
+    u = f[::p]
+    return normalize(K, u if e == 1 else [K.pow(c, e) for c in u])
 
 
 def squarefree_parts(K, f):
@@ -221,11 +233,11 @@ def squarefree_parts(K, f):
 
 
 def distinct_degree_split(K, f):
-    """For squarefree monic f, return [(d, product of degree-d factors)].
-    Once 2 (d + 1) > deg g the g left over is irreducible, since every
-    factor of degree at most d is split off: the loop stops there."""
+    """For squarefree monic f, yield (d, product of the degree-d factors)
+    as each is found, d increasing.  Once 2 (d + 1) > deg g the g left
+    over is irreducible, since every factor of degree at most d is split
+    off: the loop stops there."""
     q = K.order
-    out = []
     h = x_poly(K)
     g = f
     d = 0
@@ -234,12 +246,11 @@ def distinct_degree_split(K, f):
         h = pow_mod(K, h, q, g)
         factor = gcd_monic(K, sub(K, h, x_poly(K)), g)
         if degree(factor) >= 1:
-            out.append((d, factor))
+            yield d, factor
             g = divmod_poly(K, g, factor)[0]
             h = mod(K, h, g)
     if degree(g) >= 1:
-        out.append((degree(g), g))
-    return out
+        yield degree(g), g
 
 
 def _random_poly(K, deg_bound, rng):
@@ -288,13 +299,94 @@ def equal_degree_split(K, f, d, rng):
 
 
 def distinct_irreducible_factors(K, f, rng):
-    """Sorted distinct monic irreducible factors of f over a finite field."""
+    """Sorted distinct monic irreducible factors of f over a finite field,
+    split part by part and, within a part, degree by degree."""
     found = set()
     for g in squarefree_parts(K, f):
         for d, part in distinct_degree_split(K, g):
             for irr in equal_degree_split(K, part, d, rng):
                 found.add(irr)
     return sorted(found, key=lambda h: (len(h), h))
+
+
+class FactorStream:
+    """The factors of distinct_irreducible_factors(K, f, rng), in its
+    order, each found only when it is read.
+
+    Iterating takes the squarefree parts of f degree by degree: at the
+    least degree d that some part's distinct-degree loop reaches next, the
+    degree-d product of each part is split, and their factors, merged and
+    sorted, are yielded before the next degree is looked at.
+
+    Equal-degree splitting draws from rng.  The factors a split returns do
+    not depend on the draws, but the state it leaves does, and the caller
+    draws from rng again after the factors.  So rng only ever advances as
+    distinct_irreducible_factors advances it: part by part, and within a
+    part degree by degree.  The first part's splits come first in that
+    order, and the stream reaches them in it, so they draw from rng
+    itself; the other parts' splits draw from a copy.  settle() runs on
+    rng the splits of that order not yet run on it, the first part's that
+    are left and then every split of the other parts, so that rng is in
+    the state that distinct_irreducible_factors leaves.  The caller
+    settles before any draw of its own; a second settle() does nothing."""
+
+    def __init__(self, K, f, rng):
+        self.K, self.rng = K, rng
+        # per part its distinct-degree loop, and the (d, product) pairs it
+        # has yielded, None after the last
+        self.loops = [distinct_degree_split(K, g)
+                      for g in squarefree_parts(K, f)]
+        self.pairs = [[] for _ in self.loops]
+        self.splits = {}        # (part, pair index) -> factors
+        self.on_rng = 0         # the first part's splits run on rng
+        self.settled = False
+
+    def _pair(self, j, k):
+        """Pair k of part j, k at most one past the pairs read so far."""
+        pairs = self.pairs[j]
+        if k == len(pairs):
+            pairs.append(next(self.loops[j], None))
+        return pairs[k]
+
+    def _factors(self, j, k):
+        split = self.splits.get((j, k))
+        if split is None:
+            d, part = self.pairs[j][k]
+            if j == 0 and not self.settled:
+                split = equal_degree_split(self.K, part, d, self.rng)
+                self.on_rng += 1
+            else:
+                split = equal_degree_split(self.K, part, d, copy(self.rng))
+            self.splits[(j, k)] = split
+        return split
+
+    def __iter__(self):
+        heads = [0] * len(self.loops)   # per part, the index of its next pair
+        while True:
+            pairs = [self._pair(j, k) for j, k in enumerate(heads)]
+            d = min((pair[0] for pair in pairs if pair is not None),
+                    default=None)
+            if d is None:
+                return
+            found = set()
+            for j, pair in enumerate(pairs):
+                if pair is not None and pair[0] == d:
+                    found.update(self._factors(j, heads[j]))
+                    heads[j] += 1
+            yield from sorted(found)
+
+    def settle(self):
+        """Run on rng the splits of the eager order not yet run on it."""
+        if self.settled:
+            return
+        self.settled = True
+        K, rng = self.K, self.rng
+        for j in range(len(self.loops)):
+            k = self.on_rng if j == 0 else 0
+            while (pair := self._pair(j, k)) is not None:
+                self.splits.setdefault((j, k), equal_degree_split(
+                    K, pair[1], pair[0], rng))
+                k += 1
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import json
 
 from .errors import IntegralityError, ShapeError, SingularError
 from .matrices import Matrix, kronecker
-from .rings import json_int, ring_from_json
+from .rings import PrimeField, json_int, ring_from_json
 
 
 def normalize_word(word):
@@ -235,14 +235,38 @@ def rep_from_json(obj):
             raise ShapeError("generator is not a %d x %d matrix" % (dim, dim))
         # parse and coerce both return canonical scalars, so the entries
         # need no second coercion
-        gens.append(Matrix._raw(R, dim, dim, [_scalar_from_json(R, s)
-                                              for row in g for s in row]))
+        gens.append(Matrix._raw(R, dim, dim, _entries_from_json(
+            R, [s for row in g for s in row])))
     relations = obj.get("relations", [])
     if not isinstance(relations, list) or \
             not all(isinstance(w, list) for w in relations):
         raise ValueError("relations must be a list of words")
     relations = [normalize_word(w) for w in relations]
     return Representation(R, gens, relations, label=obj.get("label", ""))
+
+
+def _entries_from_json(R, flat):
+    """The entries of one generator.  Over F_p, string entries are read at
+    once: joined by commas, split and read by int.  int reads what
+    PrimeField.parse reads (it calls int) and more only by an underscore
+    between digits, so text without one that splits into as many entries
+    as there are is read as parse would read it.  A generator with an
+    entry that is no string, holds an underscore or a comma, or fails int
+    (which strips \x1c to \x1f where str.strip does) takes the
+    entry-by-entry path of _scalar_from_json, which reads it as before or
+    names the entry that fails."""
+    if isinstance(R, PrimeField):
+        try:
+            text = ",".join(flat)
+        except TypeError:
+            text = "_"
+        if "_" not in text and text.count(",") == len(flat) - 1:
+            p = R.p
+            try:
+                return [a % p for a in map(int, text.split(","))]
+            except ValueError:
+                pass
+    return [_scalar_from_json(R, s) for s in flat]
 
 
 def _scalar_from_json(R, s):

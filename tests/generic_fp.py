@@ -79,8 +79,11 @@ def _product(a, b, p):
 
 def matrix_cases(rng, p, d):
     """Named d x d int matrices over F_p: dense, all entries p - 1, rank
-    deficient, nilpotent, singular with a repeated row, zero, identity and
-    a permutation."""
+    deficient, nilpotent, singular with a repeated row, zero, identity, a
+    permutation, a scalar c I with c not 0 or 1 (for p > 2), and a
+    derogatory one: the companion matrix of one random polynomial repeated
+    down the diagonal, so that its minimal polynomial is a proper factor
+    of its characteristic polynomial."""
     r = max(d // 3, 1)
     upper = [[rng.randrange(p) if j > i else 0 for j in range(d)]
              for i in range(d)]
@@ -94,7 +97,7 @@ def matrix_cases(rng, p, d):
                         for x, y in zip(singular[0], singular[1])]
     else:
         singular = [[0]]
-    return {
+    cases = {
         "dense": random_rows(rng, p, d, d),
         # every entry p - 1: each packed slot reaches its bound
         "full": [[p - 1] * d for _ in range(d)],
@@ -109,3 +112,20 @@ def matrix_cases(rng, p, d):
         "permutation": [[int(j == perm[i]) for j in range(d)]
                         for i in range(d)],
     }
+    if p > 2:
+        c = 2 + rng.randrange(p - 2)
+        cases["scalar"] = [[c * (i == j) for j in range(d)] for i in range(d)]
+    # blocks of k rows, each the companion matrix of x^k - sum t_i x^i (the
+    # last one cut short)
+    k = max(d // 3, 1)
+    tail = [rng.randrange(p) for _ in range(k)]
+    derogatory = [[0] * d for _ in range(d)]
+    for i in range(d):
+        b, r = divmod(i, k)
+        size = min(k, d - b * k)
+        if r + 1 < size:
+            derogatory[i][b * k + r + 1] = 1
+        else:
+            derogatory[i][b * k:b * k + size] = tail[:size]
+    cases["derogatory"] = derogatory
+    return cases

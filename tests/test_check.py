@@ -364,8 +364,9 @@ class TestNoSearch:
         monkeypatch.setattr(engine, "is_irreducible", searching)
         monkeypatch.setattr(importlib.import_module("irredcert.meataxe"),
                             "_sample_theta", searching)
-        monkeypatch.setattr(importlib.import_module("irredcert.polys"),
-                            "distinct_irreducible_factors", searching)
+        polys = importlib.import_module("irredcert.polys")
+        monkeypatch.setattr(polys, "distinct_irreducible_factors", searching)
+        monkeypatch.setattr(polys, "FactorStream", searching)
         for cert, rep in pairs:
             assert verify(cert, rep), cert
 

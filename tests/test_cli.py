@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from irredcert.cli import main
+from irredcert.reps import load_rep
 
 DATA = str(pathlib.Path(__file__).resolve().parents[1] / "data")
 
@@ -45,6 +46,24 @@ MALFORMED_REPS = {
     "fractional_letter": {"ring": "Q", "dim": 1, "generators": [[["1"]]],
                           "relations": [[[0.9, 1.5]]]},
 }
+
+
+def _f7_doc(entry):
+    """Unitriangular generators over F_7 with the entry above the
+    diagonal, beside strings the loader reads in one match."""
+    return {"ring": {"ring": "Fp", "p": 7}, "dim": 3,
+            "generators": [[["1", entry, "+2"], ["0", "1", " 3"],
+                            ["0", "0", "1"]],
+                           [["1", "0", "0"], ["1", "1", "0"], ["0", "0", "1"]]]}
+
+
+# F_p entries as PrimeField.parse reads them: a sign, blanks that strip
+# drops (\x1c among them, which int alone does not), any Unicode decimal
+# digits; and values mod 7
+FP_ACCEPTED = [("+5", 5), ("-0", 0), (" 7 ", 0), ("-1", 6),
+               ("\u0663", 3), ("\uff15", 5), ("\x1c4\x1c", 4)]
+FP_REJECTED = ["1_0", "", "1.0", "1/2", "0x1", "\u00b2", "1,2", "+-1",
+               1.5, True, False, None, [1]]
 
 
 def run(capsys, *argv):
@@ -279,6 +298,24 @@ class TestErrorsAndPlumbing:
         code, out, err = run(capsys, command, str(path))
         assert code == 1
         assert set(json.loads(err)) == {"error", "detail"}
+        assert "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize("entry,value", FP_ACCEPTED)
+    def test_fp_entries_read_as_before(self, capsys, tmp_path, entry, value):
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(_f7_doc(entry)))
+        gen = load_rep(str(path)).generators[0]
+        assert gen.entries == (1, value, 2, 0, 1, 3, 0, 0, 1)
+        code, out, err = run(capsys, "meataxe", str(path))
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("entry", FP_REJECTED)
+    def test_fp_entries_rejected_exit_1(self, capsys, tmp_path, entry):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_f7_doc(entry)))
+        code, out, err = run(capsys, "meataxe", str(path))
+        assert code == 1
+        assert json.loads(err)["error"] == "ValueError"
         assert "Traceback" not in err and out == ""
 
     @pytest.mark.parametrize("argv,kind", [

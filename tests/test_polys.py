@@ -198,7 +198,7 @@ def test_distinct_degree_split_stops_at_half_the_degree(monkeypatch):
     for K, f in cases:
         calls.clear()
         n = polys.degree(f)
-        assert polys.distinct_degree_split(K, f) == [(n, f)]
+        assert list(polys.distinct_degree_split(K, f)) == [(n, f)]
         assert len(calls) <= n // 2, (K, f, len(calls))
 
 
@@ -212,7 +212,72 @@ def test_distinct_degree_split_matches_the_full_loop():
             f = (K.one(),)
             for g in factors:
                 f = polys.mul(K, f, g)
-            assert polys.distinct_degree_split(K, f) == _ddf_to_the_top(K, f)
+            assert list(polys.distinct_degree_split(K, f)) == \
+                _ddf_to_the_top(K, f)
+
+
+F9 = ExtensionField(3, (2, 2, 1))
+STREAM_FIELDS = [F2, F3, PrimeField(101), F4, F9]
+
+
+def _stream_cases(K, rng, count):
+    """Products of random monic irreducibles of degree 1 to 3, each to a
+    power up to 3: several squarefree parts, several factors of one
+    degree, or both."""
+    for _ in range(count):
+        f = (K.one(),)
+        for _ in range(rng.randint(1, 5)):
+            g = _random_irreducible(K, rng.randint(1, 3), rng)
+            for _ in range(rng.randint(1, 3)):
+                f = polys.mul(K, f, g)
+        yield f, rng.randrange(2 ** 32)
+
+
+@pytest.mark.parametrize("K", STREAM_FIELDS, ids=["F2", "F3", "F101", "F4",
+                                                  "F9"])
+def test_factor_stream_settled_is_the_eager_factorization(K):
+    """Read to the end and settled, the stream gives the factors of
+    distinct_irreducible_factors in its order, and leaves the rng in the
+    state it leaves.  The cases include polynomials with several
+    squarefree parts whose splits draw out of the eager order."""
+    rng = XorShift64(K.order)
+    shapes = set()
+    for f, seed in _stream_cases(K, rng, 30):
+        eager, lazy = XorShift64(seed), XorShift64(seed)
+        want = polys.distinct_irreducible_factors(K, f, eager)
+        stream = polys.FactorStream(K, f, lazy)
+        assert list(stream) == want, f
+        stream.settle()
+        assert lazy.state == eager.state, f
+        degrees = [polys.degree(g) for g in want]
+        shapes.add((len(stream.pairs) > 1,
+                    len(set(degrees)) < len(degrees)))
+    assert (True, True) in shapes
+
+
+@pytest.mark.parametrize("K", STREAM_FIELDS, ids=["F2", "F3", "F101", "F4",
+                                                  "F9"])
+def test_factor_stream_draw_midway_sees_the_eager_state(K):
+    """Settled after any number of factors, the rng draws what it would
+    after the eager factorization, and the stream goes on to the same
+    factors without drawing again."""
+    rng = XorShift64(K.order + 1)
+    for f, seed in _stream_cases(K, rng, 12):
+        eager = XorShift64(seed)
+        want = polys.distinct_irreducible_factors(K, f, eager)
+        drawn = eager.randrange(10 ** 6)
+        for stop in range(len(want) + 1):
+            lazy = XorShift64(seed)
+            stream = polys.FactorStream(K, f, lazy)
+            it = iter(stream)
+            got = [next(it) for _ in range(stop)]
+            stream.settle()
+            assert lazy.randrange(10 ** 6) == drawn, (f, stop)
+            state = lazy.state
+            got += list(it)
+            stream.settle()
+            assert got == want, (f, stop)
+            assert lazy.state == state == eager.state, (f, stop)
 
 
 def _monic_polys(p, n):
