@@ -7,9 +7,9 @@ Over a PrimeField the entries are ints in [0, p), and products, rref
 (hence kernel_basis, inverse and rank), det, char_poly and poly_at_matrix
 run on Kronecker-packed vectors (fpoly.pack): one Python int per row or
 column, one slot per entry, reduced mod p once, on unpacking or when a
-pivot row is made monic (fpoly.monic_slots).  A product is a sum of packed columns
-scaled by ints, one column per entry of the other factor, and a row
-operation adds a multiple of the packed pivot row.
+pivot row is made monic (fpoly.monic_slots).  A product is a sum of
+packed columns scaled by ints, one column per entry of the other factor,
+and a row operation adds a multiple of the packed pivot row.
 The packed columns of a matrix are computed once and kept with it, so a
 generator packs once for all the products and spins it enters.
 

@@ -349,10 +349,11 @@ class FactorStream:
         return pairs[k]
 
     def _factors(self, j, k):
+        """The factors of pair k of part j; after settle(), all are kept."""
         split = self.splits.get((j, k))
         if split is None:
             d, part = self.pairs[j][k]
-            if j == 0 and not self.settled:
+            if j == 0:
                 split = equal_degree_split(self.K, part, d, self.rng)
                 self.on_rng += 1
             else:

@@ -248,24 +248,21 @@ def rep_from_json(obj):
 def _entries_from_json(R, flat):
     """The entries of one generator.  Over F_p, string entries are read at
     once: joined by commas, split and read by int.  int reads what
-    PrimeField.parse reads (it calls int) and more only by an underscore
+    PrimeField.parse reads (parse calls it) and more only by an underscore
     between digits, so text without one that splits into as many entries
     as there are is read as parse would read it.  A generator with an
-    entry that is no string, holds an underscore or a comma, or fails int
-    (which strips \x1c to \x1f where str.strip does) takes the
-    entry-by-entry path of _scalar_from_json, which reads it as before or
-    names the entry that fails."""
+    entry that is no string (join raises TypeError), holds an underscore
+    or a comma, or fails int (which, unlike str.strip, keeps the ASCII
+    separators 28 to 31) takes the entry-by-entry path of
+    _scalar_from_json, which reads it as before or names the entry that
+    fails."""
     if isinstance(R, PrimeField):
         try:
             text = ",".join(flat)
-        except TypeError:
-            text = "_"
-        if "_" not in text and text.count(",") == len(flat) - 1:
-            p = R.p
-            try:
-                return [a % p for a in map(int, text.split(","))]
-            except ValueError:
-                pass
+            if "_" not in text and text.count(",") == len(flat) - 1:
+                return [a % R.p for a in map(int, text.split(","))]
+        except (TypeError, ValueError):
+            pass
     return [_scalar_from_json(R, s) for s in flat]
 
 

@@ -54,7 +54,8 @@ def _f7_doc(entry):
     return {"ring": {"ring": "Fp", "p": 7}, "dim": 3,
             "generators": [[["1", entry, "+2"], ["0", "1", " 3"],
                             ["0", "0", "1"]],
-                           [["1", "0", "0"], ["1", "1", "0"], ["0", "0", "1"]]]}
+                           [["1", "0", "0"], ["1", "1", "0"],
+                            ["0", "0", "1"]]]}
 
 
 # F_p entries as PrimeField.parse reads them: a sign, blanks that strip
