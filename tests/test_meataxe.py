@@ -1,6 +1,7 @@
 """Irreducibility engine: Norton spins, witnesses, commutant dimensions."""
 
 import json
+import pathlib
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -18,7 +19,7 @@ from irredcert.meataxe import (INCONCLUSIVE, IRREDUCIBLE, REDUCIBLE,
                                is_irreducible, spin, subspace_is_invariant)
 from irredcert.oracle import count_invariant
 from irredcert.prng import XorShift64
-from irredcert.reps import Representation, conjugate, direct_sum
+from irredcert.reps import Representation, conjugate, direct_sum, load_rep
 from irredcert.rings import QQ, ExtensionField, PrimeField, \
     RationalFunctionField
 
@@ -26,6 +27,7 @@ from generic_fp import FIELD_SIZES, GenericFp, matrix_cases, random_rows
 from generic_q import GenericQ, rational_cases
 
 QT = RationalFunctionField("t")
+DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
 
 
 def s3_over(ring):
@@ -201,6 +203,25 @@ class TestDeterminism:
         assert dumps(a.transcript) == dumps(b.transcript)
         c = is_irreducible(rep, seed=43, budget=50)
         assert c.status == a.status  # verdict stable across seeds
+
+    def test_fp_transcript_ignores_the_factoring_draws(self, monkeypatch):
+        # B8 + twisted B8 mod 101 splits (x + 1)^8 (x - 1)^8 by a split
+        # that draws, then probes kernels by random combinations: the
+        # factors do not depend on the split's draws, so neither may the
+        # transcript
+        rep = load_rep(str(DATA / "fp" / "b8_twisted_sum_mod101.json"))
+        plain = is_irreducible(rep)
+        split = polys.equal_degree_split
+
+        def drawing_more(K, f, d, rng):
+            for _ in range(3):
+                rng.randrange(K.order)
+            return split(K, f, d, rng)
+
+        monkeypatch.setattr(polys, "equal_degree_split", drawing_more)
+        extra = is_irreducible(rep)
+        assert plain.status == REDUCIBLE
+        assert extra.transcript == plain.transcript
 
 
 class TestEndoDim:
