@@ -5,10 +5,11 @@ element theta of the enveloping algebra is drawn as a small sum of words in
 the generators, the irreducible factors of its characteristic polynomial
 are tried smallest degree first, and for an irreducible factor g the
 kernel of g(theta) is spun under the generators.  Over a finite field the
-factors come one at a time from a polys.FactorStream, which splits off no
+factors come one at a time from polys.factor_stream, which splits off no
 factor before the test reads it, so a sample that decides at its first
-factor never finds the others; over Q and Q(t) they are the factors that
-can be certified cheaply.
+factor never finds the others, and which draws from a generator of its
+own, so the sampler's generator draws only theta and the probes; over Q
+and Q(t) they are the factors that can be certified cheaply.
 
 When the nullity of g(theta) equals deg g, one primal spin and one dual spin
 decide: ker g(theta) is one-dimensional over F[x]/(g), so a proper invariant
@@ -439,13 +440,12 @@ def _kernel_vectors(K, kind, ker):
     return ker
 
 
-def _norton_attempt(rep, theta, g, rec, rng, settle=None):
+def _norton_attempt(rep, theta, g, rec, rng):
     """Run Norton's test for one irreducible factor g of char_poly(theta):
     one spin on each side when the nullity of g(theta) is deg g, a
     two-sided enumeration of both projective kernels when affordable, and
-    else a probe for reducibility only.  The probe draws from rng, after
-    settle() (FactorStream.settle, when given) has let the factoring draw
-    first.
+    else a probe for reducibility only, which draws its random
+    combinations of the kernel from rng.
 
     Returns (status, witness_rows) on a decision, None when this factor
     cannot decide (higher multiplicity, enumeration too large or field
@@ -473,8 +473,6 @@ def _norton_attempt(rep, theta, g, rec, rng, settle=None):
         kind = "probe"
     vectors = _kernel_vectors(K, kind, ker)
     if kind == "probe" and len(ker) > 1:
-        if settle is not None:
-            settle()
         combos = [_combination(K, [_random_scalar(K, rng) for _ in ker], ker)
                   for _ in range(4)]
         vectors = ker + [v for v in combos if any(not K.is_zero(a) for a in v)]
@@ -550,10 +548,10 @@ def _decide(rep, seed, budget):
     """The sampling loop over a finite field or Q: draw theta, factor its
     characteristic polynomial and run Norton's test on each factor until
     one decides or the budget runs out.  Over a finite field the factors
-    are the distinct irreducible ones, smallest degree first, from a
-    polys.FactorStream: it splits off only the factors that are read, and
-    is settled before the probe or the next sample draws, so that every
-    draw sees the state of a full factorization.  Over Q they are those
+    are the distinct irreducible ones, smallest degree first, from
+    polys.factor_stream: it splits off only the factors that are read, and
+    draws from no generator but its own, so rng draws only theta and the
+    probes' combinations.  Over Q they are those
     _certified_factors_q finds, after the check that the characteristic
     polynomial itself is irreducible."""
     K = rep.ring
@@ -565,10 +563,8 @@ def _decide(rep, seed, budget):
         srec["charpoly"] = polys.format_poly_generic(K, f, "x")
         srec["factors"] = []
         transcript["samples"].append(srec)
-        settle = None
         if K.characteristic > 0:
-            factors = polys.FactorStream(K, f, rng)
-            settle = factors.settle
+            factors = polys.factor_stream(K, f)
         else:
             # an irreducible characteristic polynomial leaves theta no
             # invariant subspace at all, let alone a G-invariant one
@@ -582,11 +578,9 @@ def _decide(rep, seed, budget):
         for g in factors:
             rec = {"poly": polys.format_poly_generic(K, g, "x")}
             srec["factors"].append(rec)
-            out = _norton_attempt(rep, theta, g, rec, rng, settle)
+            out = _norton_attempt(rep, theta, g, rec, rng)
             if out is not None:
                 return _finish(rep, transcript, out[0], out[1], i, rec["poly"])
-        if settle is not None:
-            settle()
     transcript["decision"] = {"status": INCONCLUSIVE,
                               "reason": "budget exhausted"}
     return MeataxeVerdict(INCONCLUSIVE, None, transcript)

@@ -19,14 +19,14 @@ descriptor.  On top of it sit:
     coefficients.  The distinct-degree loop (distinct_degree_split, a
     generator) stops once 2d passes the degree left, which is then
     irreducible, so an irreducible polynomial of degree n costs n // 2
-    powers of x;
-  * FactorStream: the same factors in the same order, found as they are
+    powers of x.  The splitting draws from a generator of its own, seeded
+    0 for each polynomial: its factors do not depend on the draws, so the
+    factors, and the work, are a function of (K, f) alone, and no caller's
+    generator moves;
+  * factor_stream: the same factors in the same order, found as they are
     read, for the MeatAxe, which mostly decides at the first factor.  It
     runs the distinct-degree loops of the squarefree parts only up to the
-    degree it yields, and splits only that degree.  Equal-degree splitting
-    draws from a random generator that the MeatAxe draws from again, so
-    the stream's settle() advances it exactly as the whole factorization
-    would before the MeatAxe's next draw;
+    degree it yields, and splits only that degree;
   * rational helpers: rational roots, found by Hensel lifting of roots
     modulo a small prime, and a certificate of irreducibility over Q by
     reduction modulo a small prime (irreducible mod ell implies irreducible
@@ -35,11 +35,11 @@ descriptor.  On top of it sit:
 """
 
 import math
-from copy import copy
 from fractions import Fraction
 
 from . import fpoly, rings
 from .errors import SingularError
+from .prng import XorShift64
 
 
 def normalize(K, c):
@@ -298,96 +298,35 @@ def equal_degree_split(K, f, d, rng):
             equal_degree_split(K, rest, d, rng)
 
 
-def distinct_irreducible_factors(K, f, rng):
+def distinct_irreducible_factors(K, f):
     """Sorted distinct monic irreducible factors of f over a finite field,
     split part by part and, within a part, degree by degree."""
+    rng = XorShift64(0)
     found = set()
     for g in squarefree_parts(K, f):
         for d, part in distinct_degree_split(K, g):
-            for irr in equal_degree_split(K, part, d, rng):
-                found.add(irr)
+            found.update(equal_degree_split(K, part, d, rng))
     return sorted(found, key=lambda h: (len(h), h))
 
 
-class FactorStream:
-    """The factors of distinct_irreducible_factors(K, f, rng), in its
+def factor_stream(K, f):
+    """Yield the factors of distinct_irreducible_factors(K, f), in its
     order, each found only when it is read.
 
-    Iterating takes the squarefree parts of f degree by degree: at the
-    least degree d that some part's distinct-degree loop reaches next, the
-    degree-d product of each part is split, and their factors, merged and
-    sorted, are yielded before the next degree is looked at.
-
-    Equal-degree splitting draws from rng.  The factors a split returns do
-    not depend on the draws, but the state it leaves does, and the caller
-    draws from rng again after the factors.  So rng only ever advances as
-    distinct_irreducible_factors advances it: part by part, and within a
-    part degree by degree.  The first part's splits come first in that
-    order, and the stream reaches them in it, so they draw from rng
-    itself; the other parts' splits draw from a copy.  settle() runs on
-    rng the splits of that order not yet run on it, the first part's that
-    are left and then every split of the other parts, so that rng is in
-    the state that distinct_irreducible_factors leaves.  The caller
-    settles before any draw of its own; a second settle() does nothing."""
-
-    def __init__(self, K, f, rng):
-        self.K, self.rng = K, rng
-        # per part its distinct-degree loop, and the (d, product) pairs it
-        # has yielded, None after the last
-        self.loops = [distinct_degree_split(K, g)
-                      for g in squarefree_parts(K, f)]
-        self.pairs = [[] for _ in self.loops]
-        self.splits = {}        # (part, pair index) -> factors
-        self.on_rng = 0         # the first part's splits run on rng
-        self.settled = False
-
-    def _pair(self, j, k):
-        """Pair k of part j, k at most one past the pairs read so far."""
-        pairs = self.pairs[j]
-        if k == len(pairs):
-            pairs.append(next(self.loops[j], None))
-        return pairs[k]
-
-    def _factors(self, j, k):
-        """The factors of pair k of part j; after settle(), all are kept."""
-        split = self.splits.get((j, k))
-        if split is None:
-            d, part = self.pairs[j][k]
-            if j == 0:
-                split = equal_degree_split(self.K, part, d, self.rng)
-                self.on_rng += 1
-            else:
-                split = equal_degree_split(self.K, part, d, copy(self.rng))
-            self.splits[(j, k)] = split
-        return split
-
-    def __iter__(self):
-        heads = [0] * len(self.loops)   # per part, the index of its next pair
-        while True:
-            pairs = [self._pair(j, k) for j, k in enumerate(heads)]
-            d = min((pair[0] for pair in pairs if pair is not None),
-                    default=None)
-            if d is None:
-                return
-            found = set()
-            for j, pair in enumerate(pairs):
-                if pair is not None and pair[0] == d:
-                    found.update(self._factors(j, heads[j]))
-                    heads[j] += 1
-            yield from sorted(found)
-
-    def settle(self):
-        """Run on rng the splits of the eager order not yet run on it."""
-        if self.settled:
-            return
-        self.settled = True
-        K, rng = self.K, self.rng
-        for j in range(len(self.loops)):
-            k = self.on_rng if j == 0 else 0
-            while (pair := self._pair(j, k)) is not None:
-                self.splits.setdefault((j, k), equal_degree_split(
-                    K, pair[1], pair[0], rng))
-                k += 1
+    At the least degree d that some squarefree part's distinct-degree loop
+    has reached, the degree-d products of the parts are split, and their
+    factors, merged and sorted, are yielded before any of those loops goes
+    on past d."""
+    rng = XorShift64(0)
+    loops = [distinct_degree_split(K, g) for g in squarefree_parts(K, f)]
+    heads = [next(loop, None) for loop in loops]
+    while any(heads):
+        d = min(pair[0] for pair in heads if pair)
+        at_d = [j for j, pair in enumerate(heads) if pair and pair[0] == d]
+        yield from sorted({irr for j in at_d for irr in
+                           equal_degree_split(K, heads[j][1], d, rng)})
+        for j in at_d:
+            heads[j] = next(loops[j], None)
 
 
 # ---------------------------------------------------------------------------

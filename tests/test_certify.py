@@ -2,6 +2,8 @@
 
 import importlib
 import json
+import pathlib
+import re
 import time
 from fractions import Fraction
 
@@ -11,9 +13,9 @@ from irredcert import lattices
 from irredcert.certify import (Certificate, IRREDUCIBLE_CERTIFIED,
                                INCONCLUSIVE_RUN, REDUCIBLE_WITH_WITNESS,
                                RULE_DIRECT_OVER_K, RULE_HEIGHT_ONE_FAMILY,
-                               RULE_REGULAR_ONE_PRIME, canonical_json,
-                               certify, compute_self_digest, rep_digest,
-                               replay, verify)
+                               RULE_REGULAR_ONE_PRIME, TOOLKIT_VERSION,
+                               canonical_json, certify, compute_self_digest,
+                               rep_digest, replay, verify)
 from irredcert.check import family_condition_trivial_intersection
 from irredcert.errors import VersionMismatch
 from irredcert.lattices import LIFT_BITS
@@ -389,6 +391,13 @@ class TestCertifyOverQt:
 
 
 class TestCertificateDocument:
+
+    def test_package_version_is_the_toolkit_version(self):
+        # read by regex, as tomllib is new in Python 3.11
+        text = (pathlib.Path(__file__).resolve().parents[1]
+                / "pyproject.toml").read_text(encoding="utf-8")
+        found = re.findall(r'^version = "([^"]+)"$', text, re.MULTILINE)
+        assert found == [TOOLKIT_VERSION]
 
     def test_round_trip(self):
         cert = certify(s3_over(QQ))

@@ -10,9 +10,10 @@ import random
 import pytest
 
 from irredcert.certify import (Certificate, IRREDUCIBLE_CERTIFIED,
-                               RULE_REGULAR_ONE_PRIME, _make_cert,
-                               canonical_json, certify, compute_self_digest,
-                               load_certificate, rep_digest, replay, verify)
+                               RULE_REGULAR_ONE_PRIME, TOOLKIT_VERSION,
+                               _make_cert, canonical_json, certify,
+                               compute_self_digest, load_certificate,
+                               rep_digest, replay, verify)
 from irredcert.check import rejection
 from irredcert.cli import main
 from irredcert.errors import IrredcertError
@@ -366,7 +367,7 @@ class TestNoSearch:
                             "_sample_theta", searching)
         polys = importlib.import_module("irredcert.polys")
         monkeypatch.setattr(polys, "distinct_irreducible_factors", searching)
-        monkeypatch.setattr(polys, "FactorStream", searching)
+        monkeypatch.setattr(polys, "factor_stream", searching)
         for cert, rep in pairs:
             assert verify(cert, rep), cert
 
@@ -471,7 +472,7 @@ class TestMalformed:
         assert main(["verify", str(path), rep]) == 0
         assert json.loads(capsys.readouterr().out) == {
             "verified": True, "conclusion": "IrreducibleCertified",
-            "toolkit_version": "0.2.0"}
+            "toolkit_version": TOOLKIT_VERSION}
         blob["lattice"] = [["2", "0"], ["0", "1"]]
         path.write_text(json.dumps(redigested(blob).to_json()))
         for argv in ([], ["--replay"]):

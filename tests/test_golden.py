@@ -61,9 +61,10 @@ OBSTRUCTION = [(rep, prime) for rep, prime in REDUCE
 # at its first sample, drawing random combinations, and decides at its
 # second.  B8 + B8 twisted by the character that is -1 on the flip, mod
 # 101, is reducible: its first characteristic polynomial (x + 1)^8 (x - 1)^8
-# takes an equal-degree split that draws, and the factors of its first
-# three samples all have nullity 2 or more, so their probes draw too; the
-# witness comes from a random combination of the third sample's probe
+# takes an equal-degree split that draws from the factoring's own
+# generator, and the factors of its first three samples all have nullity 2
+# or more, so their probes draw from the sampler's; the witness comes from
+# a random combination of the third sample's probe, at x + 10
 MEATAXE = ["b32_mod101", "b8_twisted_sum_mod101", "block24_mod65521",
            "rand48_mod101", "s25_mod2", "s27_mod3"]
 

@@ -130,14 +130,13 @@ def test_random_poly_coefficients_in_element_order(K, elems):
 
 
 def test_distinct_irreducible_factors():
-    rng = XorShift64(7)
     # x^2 + x + 1 is irreducible over F_2 (no roots)
-    assert polys.distinct_irreducible_factors(F2, (1, 1, 1), rng) == [(1, 1, 1)]
+    assert polys.distinct_irreducible_factors(F2, (1, 1, 1)) == [(1, 1, 1)]
     # x^2 + 1 = (x+2)(x+3) over F_5
-    fs = polys.distinct_irreducible_factors(F5, (1, 0, 1), rng)
+    fs = polys.distinct_irreducible_factors(F5, (1, 0, 1))
     assert fs == [(2, 1), (3, 1)]
     # x^4 + x^2 = x^2 (x^2+1) = x^2 (x+1)^2 over F_2
-    fs = polys.distinct_irreducible_factors(F2, (0, 0, 1, 0, 1), rng)
+    fs = polys.distinct_irreducible_factors(F2, (0, 0, 1, 0, 1))
     assert fs == [(0, 1), (1, 1)]
 
 
@@ -152,10 +151,10 @@ def test_factor_random_products():
             for _ in range(rng.randint(1, 3)):
                 deg = rng.randint(1, 2)
                 g = tuple(rng.choice(elems) for _ in range(deg)) + (K.one(),)
-                for irr in polys.distinct_irreducible_factors(K, g, rng):
+                for irr in polys.distinct_irreducible_factors(K, g):
                     expected.add(irr)
                 f = polys.mul(K, f, g)
-            got = set(polys.distinct_irreducible_factors(K, f, rng))
+            got = set(polys.distinct_irreducible_factors(K, f))
             assert got == expected
 
 
@@ -163,7 +162,7 @@ def _random_irreducible(K, n, rng):
     elems = list(K.iter_elements())
     while True:
         f = tuple(rng.choice(elems) for _ in range(n)) + (K.one(),)
-        if polys.distinct_irreducible_factors(K, f, rng) == [f]:
+        if polys.distinct_irreducible_factors(K, f) == [f]:
             return f
 
 
@@ -230,54 +229,53 @@ def _stream_cases(K, rng, count):
             g = _random_irreducible(K, rng.randint(1, 3), rng)
             for _ in range(rng.randint(1, 3)):
                 f = polys.mul(K, f, g)
-        yield f, rng.randrange(2 ** 32)
+        yield f
 
 
 @pytest.mark.parametrize("K", STREAM_FIELDS, ids=["F2", "F3", "F101", "F4",
                                                   "F9"])
 def test_factor_stream_settled_is_the_eager_factorization(K):
-    """Read to the end and settled, the stream gives the factors of
-    distinct_irreducible_factors in its order, and leaves the rng in the
-    state it leaves.  The cases include polynomials with several
-    squarefree parts whose splits draw out of the eager order."""
+    """Read to the end, the stream settles on the factors of
+    distinct_irreducible_factors, in its order.  The cases include
+    polynomials with several squarefree parts and several factors of one
+    degree."""
     rng = XorShift64(K.order)
     shapes = set()
-    for f, seed in _stream_cases(K, rng, 30):
-        eager, lazy = XorShift64(seed), XorShift64(seed)
-        want = polys.distinct_irreducible_factors(K, f, eager)
-        stream = polys.FactorStream(K, f, lazy)
-        assert list(stream) == want, f
-        stream.settle()
-        assert lazy.state == eager.state, f
+    for f in _stream_cases(K, rng, 30):
+        want = polys.distinct_irreducible_factors(K, f)
+        assert list(polys.factor_stream(K, f)) == want, f
         degrees = [polys.degree(g) for g in want]
-        shapes.add((len(stream.pairs) > 1,
+        shapes.add((len(polys.squarefree_parts(K, f)) > 1,
                     len(set(degrees)) < len(degrees)))
     assert (True, True) in shapes
 
 
 @pytest.mark.parametrize("K", STREAM_FIELDS, ids=["F2", "F3", "F101", "F4",
                                                   "F9"])
-def test_factor_stream_draw_midway_sees_the_eager_state(K):
-    """Settled after any number of factors, the rng draws what it would
-    after the eager factorization, and the stream goes on to the same
-    factors without drawing again."""
+def test_factor_stream_reads_lazily(K, monkeypatch):
+    """Read only to its first factor, the stream has taken at most one
+    (degree, product) pair from each squarefree part's distinct-degree
+    loop; read only to any factor, it has given the eager list's prefix."""
+    taken = []
+    loop = polys.distinct_degree_split
+
+    def counted(K, g):
+        taken.append(0)
+        part = len(taken) - 1
+        for pair in loop(K, g):
+            taken[part] += 1
+            yield pair
+
+    monkeypatch.setattr(polys, "distinct_degree_split", counted)
     rng = XorShift64(K.order + 1)
-    for f, seed in _stream_cases(K, rng, 12):
-        eager = XorShift64(seed)
-        want = polys.distinct_irreducible_factors(K, f, eager)
-        drawn = eager.randrange(10 ** 6)
-        for stop in range(len(want) + 1):
-            lazy = XorShift64(seed)
-            stream = polys.FactorStream(K, f, lazy)
-            it = iter(stream)
-            got = [next(it) for _ in range(stop)]
-            stream.settle()
-            assert lazy.randrange(10 ** 6) == drawn, (f, stop)
-            state = lazy.state
-            got += list(it)
-            stream.settle()
-            assert got == want, (f, stop)
-            assert lazy.state == state == eager.state, (f, stop)
+    for f in _stream_cases(K, rng, 12):
+        want = polys.distinct_irreducible_factors(K, f)
+        for stop in range(1, len(want) + 1):
+            taken.clear()
+            stream = polys.factor_stream(K, f)
+            assert [next(stream) for _ in range(stop)] == want[:stop], f
+            if stop == 1:
+                assert taken and max(taken) <= 1, (f, taken)
 
 
 def _monic_polys(p, n):
@@ -464,6 +462,5 @@ def test_prime_field_kernels_match_generic(p):
     for _ in range(10):
         f = polys.monic(Kf, rand(2 + rng.randrange(20)))
         if f:
-            seed = rng.randrange(2 ** 32)
-            assert polys.distinct_irreducible_factors(Kf, f, XorShift64(seed)) \
-                == polys.distinct_irreducible_factors(Kg, f, XorShift64(seed))
+            assert polys.distinct_irreducible_factors(Kf, f) \
+                == polys.distinct_irreducible_factors(Kg, f)
