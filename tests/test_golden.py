@@ -32,9 +32,15 @@ GOLDEN = os.path.join(HERE, "golden")
 # witness is the annihilator _perp_witness computes, and certifies at (5);
 # s4_sgn (S4 standard + sign in a non-unimodular basis) is reducible, and
 # its witness mod 3 lifts to Q: it ends ReducibleWithWitness by DirectOverK
-# at (3)
+# at (3).  s3_sgn_qt (S3 standard + sign over Q(t), conjugated by
+# diag(1, t, 1)) runs the whole Z[t] search: eight maximal primes, the
+# three height-one descents, whose fibres lift in their sub-certificates,
+# and the search over Q(t), which splits it.  scaled_shear and sqrt2 have no
+# integral model, so base_ring and lattice are null and the search over Q is
+# their one step: it splits the shear, and sqrt2 (x^2 - 2) exits 2
 CERTIFY = [("b3", 0), ("b3_qt", 0), ("d4", 0), ("q8", 2), ("s3", 0), ("s3_qt", 0),
-           ("s3_scaled", 0), ("s4", 0), ("s4_sgn", 0), ("s6", 0), ("s9", 0)]
+           ("s3_scaled", 0), ("s3_sgn_qt", 0), ("s4", 0), ("s4_sgn", 0),
+           ("s6", 0), ("s9", 0), ("scaled_shear", 0), ("sqrt2", 2)]
 
 # q8 mod 3 has a 4-dimensional commutant, d0 = 4; b3 (order 48, three
 # generators) mod 3 has a relation module of dimension 97, which hom_dim
