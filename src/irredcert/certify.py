@@ -38,7 +38,6 @@ Rules:
 
 import hashlib
 import json
-from functools import cache
 from itertools import count, islice
 
 from .errors import (BadPrime, BudgetExceeded, IrredcertError, SizeBound,
@@ -63,9 +62,9 @@ INCONCLUSIVE_RUN = "Inconclusive"
 # maximal pairs (p, t-c), and when choosing height-one primes (t-c)
 AUTO_SHIFTS = (0, 1, -1)
 
-# auto prime search: stop after this many consecutive non-certifying
-# reductions and fall through to the direct search; explicit prime lists
-# are always honored in full
+# the automatic prime search tries this many reductions: the first primes
+# of Z, or the first maximal pairs (p, t-c) of Z[t], which the height-one
+# primes (t-c) follow; explicit prime lists are always honored in full
 AUTO_PATIENCE = 8
 
 # largest subspace-lattice size the --oracle cross-check will enumerate
@@ -87,12 +86,6 @@ def digest(obj):
 
 def rep_digest(rep):
     return digest(rep_to_json(rep))
-
-
-@cache
-def _primes_ascending():
-    """The first MAX_PRIMES primes, ascending, found on first use."""
-    return tuple(islice(filter(is_prime, count(2)), MAX_PRIMES))
 
 
 class Certificate:
@@ -193,6 +186,22 @@ def _normalize_prime_list(primes, R):
     return out
 
 
+def _candidates(primes, R):
+    """The primes the run tries before the search over K: an explicit list
+    as given; else the first AUTO_PATIENCE primes of Z, (2) to (19), or
+    maximal pairs (p, t-c) of Z[t], (2,t-0) to (5,t-1), then the height-one
+    primes (t-c).  A saturated generator and its inverse are integral, so
+    each determinant is a unit and every reduction is defined."""
+    if primes is not None:
+        return _normalize_prime_list(primes, R)
+    small = filter(is_prime, count(2))
+    if R == ZZ:
+        return [PrimeSpec.integer(p) for p in islice(small, AUTO_PATIENCE)]
+    pairs = (PrimeSpec.maximal(p, c, R) for p in small for c in AUTO_SHIFTS)
+    return (list(islice(pairs, AUTO_PATIENCE))
+            + [PrimeSpec.linear(c, R) for c in AUTO_SHIFTS])
+
+
 # ---------------------------------------------------------------------------
 # single reduction step
 
@@ -233,12 +242,6 @@ def _run_step(red, prime, seed, budget, oracle_check):
                 raise AssertionError("oracle found no proper invariant "
                                      "subspace against a reducible verdict")
     return step, verdict
-
-
-def _skip_step(prime, exc):
-    return {"prime": str(prime), "residue_field": None,
-            "verdict": "skipped_bad_prime", "meataxe": None,
-            "detail": str(exc)}
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +304,14 @@ def certify(rep, primes=None, seed=0, budget=200, oracle_check=False):
     """Run the criterion on a representation over Q or Q(t).
 
     primes: optional explicit candidate list (ints, PrimeSpec strings, or
-    PrimeSpec objects); auto-selected ascending when omitted.  Explicit
-    lists are tried in full; the automatic search gives up on the prime
-    route after AUTO_PATIENCE fruitless reductions or MAX_PRIMES in all.
-    Either way the run stops at the first step that concludes: an
-    irreducible reduction, or a reducible one at a prime (p) of Z whose
-    witness lifts to an invariant subspace over K (lattices.lift_witness).
+    PrimeSpec objects); the automatic candidates of _candidates when
+    omitted.  The run tries each candidate in order and stops at the first
+    step that concludes: an irreducible reduction, a height-one descent
+    whose fibre certifies, or a reducible reduction at a prime (p) of Z
+    whose witness lifts to an invariant subspace over K
+    (lattices.lift_witness).  Otherwise it ends with the direct search over
+    K, the (0) step, whose only certifying outcome is a witness.  Without
+    an integral model there is no candidate, and the (0) step is the run.
     seed and budget feed every MeatAxe call.  oracle_check additionally
     enumerates invariant subspaces of each finite reduction when small
     enough and insists the verdict matches.
@@ -329,48 +334,26 @@ def certify(rep, primes=None, seed=0, budget=200, oracle_check=False):
         "oracle": bool(oracle_check),
     }
     field_rep = over_fraction_field(rep)
+    steps = []
+    reducible = []
 
     try:
         basis, int_rep = saturate(field_rep)
     except BudgetExceeded as exc:
-        step, verdict = _run_step(field_rep, "(0)", seed, budget, False)
-        if verdict.status == REDUCIBLE:
-            return _make_cert(rep, config, steps=[step],
-                              rule=RULE_DIRECT_OVER_K,
-                              conclusion=REDUCIBLE_WITH_WITNESS,
-                              witness=_format_rows(field_rep.ring,
-                                                   verdict.witness))
-        return _make_cert(rep, config, steps=[step],
-                          reason="no-integral-model: %s" % (exc,))
-
-    R = int_rep.ring
-    lattice_rows = _format_rows(basis.ring, basis.rows())
-    steps = []
-    reducible = []
-    explicit = primes is not None
-
-    if explicit:
-        candidates = _normalize_prime_list(primes, R)
-    elif R == ZZ:
-        # a saturated generator and its inverse are integral, so each
-        # determinant is +-1 and no prime divides one; the specs are built
-        # as the loop reaches them, and it stops after AUTO_PATIENCE
-        # fruitless ones
-        candidates = (PrimeSpec.integer(p) for p in _primes_ascending())
+        model = {}
+        candidates = []
+        no_model = "no-integral-model: %s" % (exc,)
     else:
-        candidates = (PrimeSpec.maximal(p, c, R)
-                      for p in _primes_ascending() for c in AUTO_SHIFTS)
+        model = {"base_ring": int_rep.ring.to_json(),
+                 "lattice": _format_rows(basis.ring, basis.rows())}
+        candidates = _candidates(primes, int_rep.ring)
+        no_model = None
 
     def finish(**kw):
-        return _make_cert(rep, config, base_ring=R.to_json(),
-                          lattice=lattice_rows, steps=steps,
-                          reducible_primes=list(reducible), **kw)
+        return _make_cert(rep, config, steps=steps,
+                          reducible_primes=list(reducible), **model, **kw)
 
-    fruitless = 0
     for prime in candidates:
-        if not explicit and (fruitless >= AUTO_PATIENCE
-                             or len(steps) >= MAX_PRIMES):
-            break
         if prime.kind == PrimeSpec.LINEAR:
             fam = _linear_descent(int_rep, prime, steps, seed, budget,
                                   oracle_check)
@@ -378,14 +361,8 @@ def certify(rep, primes=None, seed=0, budget=200, oracle_check=False):
                 return finish(rule=RULE_HEIGHT_ONE_FAMILY,
                               conclusion=IRREDUCIBLE_CERTIFIED,
                               family=fam)
-            fruitless += 1
             continue
-        try:
-            red = reduce_rep(int_rep, prime)
-        except BadPrime as exc:
-            if explicit:
-                steps.append(_skip_step(prime, exc))
-            continue
+        red = reduce_rep(int_rep, prime)
         step, verdict = _run_step(red, prime, seed, budget, oracle_check)
         steps.append(step)
         if verdict.status == IRREDUCIBLE:
@@ -402,18 +379,6 @@ def certify(rep, primes=None, seed=0, budget=200, oracle_check=False):
                                   conclusion=REDUCIBLE_WITH_WITNESS,
                                   witness=_format_rows(field_rep.ring,
                                                        lifted[1]))
-        fruitless += 1
-
-    # Z[t] auto mode: try the height-one descent before giving up
-    if not explicit and isinstance(R, PolynomialRingZ):
-        for c in AUTO_SHIFTS:
-            prime = PrimeSpec.linear(c, R)
-            fam = _linear_descent(int_rep, prime, steps, seed, budget,
-                                  oracle_check)
-            if fam is not None:
-                return finish(rule=RULE_HEIGHT_ONE_FAMILY,
-                              conclusion=IRREDUCIBLE_CERTIFIED,
-                              family=fam)
 
     step, verdict = _run_step(field_rep, "(0)", seed, budget, False)
     steps.append(step)
@@ -421,19 +386,16 @@ def certify(rep, primes=None, seed=0, budget=200, oracle_check=False):
         return finish(rule=RULE_DIRECT_OVER_K,
                       conclusion=REDUCIBLE_WITH_WITNESS,
                       witness=_format_rows(field_rep.ring, verdict.witness))
-    return finish(reason=_inconclusive_reason(reducible, verdict.status))
+    return finish(reason=no_model or _inconclusive_reason(reducible,
+                                                          verdict.status))
 
 
 def _linear_descent(int_rep, prime, steps, seed, budget, oracle_check):
     """Height-one route: reduce at (t-c) to a representation over Q and
-    certify that recursively.  On success appends the step (with the
-    sub-certificate embedded) and returns the family list; otherwise
-    records the failed step and returns None."""
-    try:
-        red = reduce_rep(int_rep, prime)
-    except BadPrime as exc:
-        steps.append(_skip_step(prime, exc))
-        return None
+    certify that recursively.  Appends the step, with the sub-certificate
+    embedded, and returns the family list when the fibre certifies, None
+    otherwise."""
+    red = reduce_rep(int_rep, prime)
     sub = certify(red, primes=None, seed=seed, budget=budget,
                   oracle_check=oracle_check)
     step = {

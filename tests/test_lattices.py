@@ -290,13 +290,15 @@ def _assert_canonical_z(basis):
 def _assert_integral_model(rep, b, int_rep, ring):
     """B^-1 g B and B^-1 g^-1 B are integral for every generator g, and
     int_rep's generators are the former, computed by generic Matrix
-    arithmetic over the field."""
+    arithmetic over the field.  So each has a unit determinant, and no
+    prime of the ring makes a reduction singular."""
     binv = b.inverse()
     assert int_rep.ring == ring
     for i, g in enumerate(rep.generators):
         assert (binv * g * b).from_fraction_field(ring) == \
             int_rep.generators[i]
         (binv * g.inverse() * b).from_fraction_field(ring)
+        assert ring.is_unit(int_rep.generators[i].det())
 
 
 class TestSaturationInvariants:
