@@ -48,7 +48,7 @@ from .oracle import count_invariant
 from .reps import over_fraction_field, rep_to_json
 from .rings import PolynomialRingZ, QQ, RationalFunctionField, ZZ, is_prime
 
-TOOLKIT_VERSION = "0.3.0"
+TOOLKIT_VERSION = "0.4.0"
 
 RULE_REGULAR_ONE_PRIME = "RegularOnePrime"
 RULE_HEIGHT_ONE_FAMILY = "HeightOneFamily"
@@ -69,10 +69,6 @@ AUTO_PATIENCE = 8
 
 # largest subspace-lattice size the --oracle cross-check will enumerate
 ORACLE_POINTS = 2 ** 12
-
-# most reductions the automatic prime search attempts; recorded in the
-# config of every certificate
-MAX_PRIMES = 50
 
 
 def canonical_json(obj):
@@ -188,12 +184,13 @@ def _normalize_prime_list(primes, R):
 
 def _candidates(primes, R):
     """The primes the run tries before the search over K: an explicit list
-    as given; else the first AUTO_PATIENCE primes of Z, (2) to (19), or
+    as given, less the zero prime, since (0) there means that search; else the first AUTO_PATIENCE primes of Z, (2) to (19), or
     maximal pairs (p, t-c) of Z[t], (2,t-0) to (5,t-1), then the height-one
     primes (t-c).  A saturated generator and its inverse are integral, so
     each determinant is a unit and every reduction is defined."""
     if primes is not None:
-        return _normalize_prime_list(primes, R)
+        return [q for q in _normalize_prime_list(primes, R)
+                if q.kind != PrimeSpec.ZERO]
     small = filter(is_prime, count(2))
     if R == ZZ:
         return [PrimeSpec.integer(p) for p in islice(small, AUTO_PATIENCE)]
@@ -304,14 +301,15 @@ def certify(rep, primes=None, seed=0, budget=200, oracle_check=False):
     """Run the criterion on a representation over Q or Q(t).
 
     primes: optional explicit candidate list (ints, PrimeSpec strings, or
-    PrimeSpec objects); the automatic candidates of _candidates when
-    omitted.  The run tries each candidate in order and stops at the first
-    step that concludes: an irreducible reduction, a height-one descent
-    whose fibre certifies, or a reducible reduction at a prime (p) of Z
-    whose witness lifts to an invariant subspace over K
-    (lattices.lift_witness).  Otherwise it ends with the direct search over
-    K, the (0) step, whose only certifying outcome is a witness.  Without
-    an integral model there is no candidate, and the (0) step is the run.
+    PrimeSpec objects), where (0) stands for the search over K that ends
+    every run; the automatic candidates of _candidates when omitted.  The
+    run tries each candidate in order and stops at the first step that
+    concludes: an irreducible reduction, a height-one descent whose fibre
+    certifies, or a reducible reduction at a prime (p) of Z whose witness
+    lifts to an invariant subspace over K (lattices.lift_witness).
+    Otherwise it ends with the (0) step, the direct search over K, whose
+    only certifying outcome is a witness.  Without an integral model there
+    is no candidate, and the (0) step is the run.
     seed and budget feed every MeatAxe call.  oracle_check additionally
     enumerates invariant subspaces of each finite reduction when small
     enough and insists the verdict matches.
@@ -330,7 +328,6 @@ def certify(rep, primes=None, seed=0, budget=200, oracle_check=False):
                    [x if isinstance(x, int) else str(x) for x in primes]),
         "seed": seed,
         "budget": budget,
-        "max_primes": MAX_PRIMES,
         "oracle": bool(oracle_check),
     }
     field_rep = over_fraction_field(rep)

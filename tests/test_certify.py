@@ -22,11 +22,13 @@ from irredcert.lattices import LIFT_BITS
 from irredcert.matrices import Matrix
 from irredcert.meataxe import REDUCIBLE, is_irreducible
 from irredcert.prng import XorShift64
-from irredcert.reps import Representation, conjugate, direct_sum
+from irredcert.reps import Representation, conjugate, direct_sum, load_rep
 from irredcert.rings import QQ, PolynomialRingZ, RationalFunctionField, ZZ
 
 # the module, which the package's certify function shadows as an attribute
 certify_module = importlib.import_module("irredcert.certify")
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 S3_RELS = [[(0, 1)] * 3, [(1, 1)] * 2, [(0, 1), (1, 1)] * 2]
 
@@ -244,13 +246,13 @@ class TestLiftedWitness:
         assert verify(cert, rep)
 
     def test_zero_prime_over_z_does_not_lift(self, monkeypatch):
-        # "(0)" on an explicit list is a reduction over Z with no p to lift
+        # "(0)" on an explicit list is the search over Q, with no p to lift
         # by: the run is the one without lifting, as before lifts existed
         for rep in (liftable_sum(3, None),
                     conjugate(liftable_sum(2, 3), rational_basis(5))):
             cert = certify(rep, primes=["(0)"])
             assert cert.conclusion == REDUCIBLE_WITH_WITNESS
-            assert [s["prime"] for s in cert.steps] == ["(0)", "(0)"]
+            assert [s["prime"] for s in cert.steps] == ["(0)"]
             assert not any("lift" in s for s in cert.steps)
             assert canonical_json(cert.to_json()) == canonical_json(
                 no_lift_certificate(rep, monkeypatch,
@@ -394,8 +396,7 @@ class TestCertificateDocument:
 
     def test_package_version_is_the_toolkit_version(self):
         # read by regex, as tomllib is new in Python 3.11
-        text = (pathlib.Path(__file__).resolve().parents[1]
-                / "pyproject.toml").read_text(encoding="utf-8")
+        text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
         found = re.findall(r'^version = "([^"]+)"$', text, re.MULTILINE)
         assert found == [TOOLKIT_VERSION]
 
@@ -484,6 +485,22 @@ class TestVerifyReplay:
     def test_wrong_rep_fails(self):
         cert = certify(s3_over(QQ))
         assert not verify(cert, q8_rep())
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "data").glob("*.json")),
+                             ids=lambda path: path.stem)
+    def test_zero_prime_list_verifies(self, path):
+        # "(0)" on an explicit list is the search over K that ends every
+        # run, not a reduction that could certify: each rep's run is that
+        # one step, and an irreducible rep ends Inconclusive
+        rep = load_rep(str(path))
+        cert = certify(rep, primes=["(0)"])
+        assert [s["prime"] for s in cert.steps] == ["(0)"]
+        golden = json.loads((ROOT / "tests" / "golden" / (path.stem
+                                                           + ".cert.json"))
+                            .read_text(encoding="utf-8"))
+        if golden["conclusion"] != REDUCIBLE_WITH_WITNESS:
+            assert cert.conclusion == INCONCLUSIVE_RUN
+        assert verify(cert, rep) and replay(cert, rep)
 
     def test_seed_changes_transcript_not_conclusion(self):
         a = certify(s3_over(QQ), seed=1)

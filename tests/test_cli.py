@@ -346,13 +346,11 @@ class TestErrorsAndPlumbing:
                            "--primes", "5", "--oracle", s3)
         assert code == 0
         assert json.loads(out)["config"] == {
-            "budget": 7, "max_primes": 50, "oracle": True, "primes": [5],
-            "seed": 5}
+            "budget": 7, "oracle": True, "primes": [5], "seed": 5}
         code, out, _ = run(capsys, "certify", s3)
         assert code == 0
         assert json.loads(out)["config"] == {
-            "budget": 200, "max_primes": 50, "oracle": False, "primes": None,
-            "seed": 0}
+            "budget": 200, "oracle": False, "primes": None, "seed": 0}
         code, out, _ = run(capsys, "meataxe", "--seed", "3", s3)
         assert json.loads(out)["transcript"]["seed"] == 3
         code, out, _ = run(capsys, "meataxe", s3)
