@@ -62,9 +62,8 @@ INCONCLUSIVE_RUN = "Inconclusive"
 # maximal pairs (p, t-c), and when choosing height-one primes (t-c)
 AUTO_SHIFTS = (0, 1, -1)
 
-# the automatic prime search tries this many reductions: the first primes
-# of Z, or the first maximal pairs (p, t-c) of Z[t], which the height-one
-# primes (t-c) follow; explicit prime lists are always honored in full
+# reductions the automatic prime search tries before the height-one primes
+# (t-c) of Z[t] (see _candidates); explicit lists are honored in full
 AUTO_PATIENCE = 8
 
 # largest subspace-lattice size the --oracle cross-check will enumerate
@@ -184,10 +183,11 @@ def _normalize_prime_list(primes, R):
 
 def _candidates(primes, R):
     """The primes the run tries before the search over K: an explicit list
-    as given, less the zero prime, since (0) there means that search; else the first AUTO_PATIENCE primes of Z, (2) to (19), or
-    maximal pairs (p, t-c) of Z[t], (2,t-0) to (5,t-1), then the height-one
-    primes (t-c).  A saturated generator and its inverse are integral, so
-    each determinant is a unit and every reduction is defined."""
+    as given, less the zero prime, since (0) there stands for that search;
+    else the first AUTO_PATIENCE primes of Z, (2) to (19), or maximal pairs
+    (p, t-c) of Z[t], (2,t-0) to (5,t-1), then the height-one primes (t-c).
+    A saturated generator and its inverse are integral, so each determinant
+    is a unit and every reduction is defined."""
     if primes is not None:
         return [q for q in _normalize_prime_list(primes, R)
                 if q.kind != PrimeSpec.ZERO]
@@ -337,18 +337,18 @@ def certify(rep, primes=None, seed=0, budget=200, oracle_check=False):
     try:
         basis, int_rep = saturate(field_rep)
     except BudgetExceeded as exc:
-        model = {}
+        base_ring = lattice = None
         candidates = []
         no_model = "no-integral-model: %s" % (exc,)
     else:
-        model = {"base_ring": int_rep.ring.to_json(),
-                 "lattice": _format_rows(basis.ring, basis.rows())}
+        base_ring = int_rep.ring.to_json()
+        lattice = _format_rows(basis.ring, basis.rows())
         candidates = _candidates(primes, int_rep.ring)
         no_model = None
 
     def finish(**kw):
-        return _make_cert(rep, config, steps=steps,
-                          reducible_primes=list(reducible), **model, **kw)
+        return _make_cert(rep, config, base_ring=base_ring, lattice=lattice,
+                          steps=steps, reducible_primes=list(reducible), **kw)
 
     for prime in candidates:
         if prime.kind == PrimeSpec.LINEAR:
