@@ -37,10 +37,15 @@ GOLDEN = os.path.join(HERE, "golden")
 # three height-one descents, whose fibres lift in their sub-certificates,
 # and the search over Q(t), which splits it.  scaled_shear and sqrt2 have no
 # integral model, so base_ring and lattice are null and the search over Q is
-# their one step: it splits the shear, and sqrt2 (x^2 - 2) exits 2
+# their one step: it splits the shear, and sqrt2 (x^2 - 2) exits 2.
+# s30_qt (S30 standard over Q(t), constant entries, d = 29) is the one
+# HeightOneFamily golden: its eight maximal pairs are reducible, since 2, 3
+# and 5 divide 30, and the descent at (t-0) certifies, its fibre reducible
+# at (2), (3) and (5), where no witness lifts, and irreducible at (7)
 CERTIFY = [("b3", 0), ("b3_qt", 0), ("d4", 0), ("q8", 2), ("s3", 0), ("s3_qt", 0),
-           ("s3_scaled", 0), ("s3_sgn_qt", 0), ("s4", 0), ("s4_sgn", 0),
-           ("s6", 0), ("s9", 0), ("scaled_shear", 0), ("sqrt2", 2)]
+           ("s3_scaled", 0), ("s3_sgn_qt", 0), ("s30_qt", 0), ("s4", 0),
+           ("s4_sgn", 0), ("s6", 0), ("s9", 0), ("scaled_shear", 0),
+           ("sqrt2", 2)]
 
 # q8 mod 3 has a 4-dimensional commutant, d0 = 4; b3 (order 48, three
 # generators) mod 3 has a relation module of dimension 97, which hom_dim
