@@ -109,23 +109,10 @@ class Certificate:
             self.conclusion, self.rule, len(self.steps))
 
     def to_json(self):
-        return {
-            "format": "irredcert-certificate",
-            "toolkit_version": self.toolkit_version,
-            "input_digest": self.input_digest,
-            "label": self.label,
-            "config": self.config,
-            "base_ring": self.base_ring,
-            "lattice": self.lattice,
-            "steps": self.steps,
-            "rule": self.rule,
-            "conclusion": self.conclusion,
-            "witness": self.witness,
-            "family": self.family,
-            "reducible_primes": self.reducible_primes,
-            "reason": self.reason,
-            "self_digest": self.self_digest,
-        }
+        doc = {"format": "irredcert-certificate"}
+        for name in self.__slots__:
+            doc[name] = getattr(self, name)
+        return doc
 
     @classmethod
     def from_json(cls, obj):
