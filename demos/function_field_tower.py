@@ -26,9 +26,13 @@ def main():
     b = certify(rep, primes=["(t-0)"])
     print("\nroute B, linear prime (t-0), recursion over Q:")
     print("  rule:", b.rule, "conclusion:", b.conclusion)
-    print("  family:", b.family)
-    sub = b.steps[0]["sub_certificate"]
-    print("  embedded certificate concludes:", sub["conclusion"])
+    step = b.steps[0]
+    sub = step["sub_certificate"]
+    deciding = [s["prime"] for s in sub["steps"]
+                if s["verdict"] == "irreducible"]
+    print("  descent at:", step["prime"])
+    print("  embedded certificate concludes:", sub["conclusion"],
+          "at", deciding[0])
 
     assert verify(a, rep) and verify(b, rep)
     assert a.conclusion == b.conclusion

@@ -26,9 +26,9 @@ byte, then runs the checker on the certificate.
 Rules:
   RegularOnePrime one prime of Z, or one maximal (p, t-c) of Z[t]; the
                   localization there is regular local.
-  HeightOneFamily height-one prime (t-c) of Z[t] with a recursive
-                  certificate over its residue field Q; the recorded family
-                  is the tower's prime list.
+  HeightOneFamily height-one prime (t-c) of Z[t], whose localization is a
+                  DVR, with a recursive certificate over its residue field
+                  Q; that sub-certificate is the whole proof.
   DirectOverK     reducibility witness over the base field, re-verified
                   exactly: found by the MeatAxe over K itself (the zero
                   ideal), or lifted from a reducible reduction at a prime
@@ -48,7 +48,7 @@ from .oracle import count_invariant
 from .reps import over_fraction_field, rep_to_json
 from .rings import PolynomialRingZ, QQ, RationalFunctionField, ZZ, is_prime
 
-TOOLKIT_VERSION = "0.4.0"
+TOOLKIT_VERSION = "0.5.0"
 
 RULE_REGULAR_ONE_PRIME = "RegularOnePrime"
 RULE_HEIGHT_ONE_FAMILY = "HeightOneFamily"
@@ -95,8 +95,7 @@ class Certificate:
 
     __slots__ = ("toolkit_version", "input_digest", "label", "config",
                  "base_ring", "lattice", "steps", "rule", "conclusion",
-                 "witness", "family", "reducible_primes", "reason",
-                 "self_digest")
+                 "witness", "reducible_primes", "reason", "self_digest")
 
     def __init__(self, **kw):
         for name in self.__slots__:
@@ -120,6 +119,10 @@ class Certificate:
             raise ValueError("certificate document must be a JSON object")
         if obj.get("format") != "irredcert-certificate":
             raise ValueError("not a certificate document")
+        unknown = set(obj) - set(cls.__slots__) - {"format"}
+        if unknown:
+            raise ValueError("certificate document has unknown keys %s"
+                             % sorted(unknown))
         kw = {}
         for name in cls.__slots__:
             if name not in obj:
@@ -253,7 +256,6 @@ def _make_cert(rep, config, **kw):
         "rule": None,
         "conclusion": INCONCLUSIVE_RUN,
         "witness": None,
-        "family": None,
         "reducible_primes": [],
         "reason": None,
         "self_digest": "",
@@ -268,9 +270,12 @@ def _format_rows(K, rows):
     return [[K.format(a) for a in row] for row in rows]
 
 
-def _inconclusive_reason(reducible, probe_status):
+def _inconclusive_reason(candidates, reducible, probe_status):
     parts = []
-    if reducible:
+    if not candidates:
+        parts.append("no prime was tried: the explicit prime list has none "
+                     "besides (0)")
+    elif reducible:
         parts.append("reductions were reducible at %s, which the one-sided "
                      "criterion cannot convert into a conclusion over K"
                      % ", ".join(reducible))
@@ -339,12 +344,10 @@ def certify(rep, primes=None, seed=0, budget=200, oracle_check=False):
 
     for prime in candidates:
         if prime.kind == PrimeSpec.LINEAR:
-            fam = _linear_descent(int_rep, prime, steps, seed, budget,
-                                  oracle_check)
-            if fam is not None:
+            if _linear_descent(int_rep, prime, steps, seed, budget,
+                               oracle_check):
                 return finish(rule=RULE_HEIGHT_ONE_FAMILY,
-                              conclusion=IRREDUCIBLE_CERTIFIED,
-                              family=fam)
+                              conclusion=IRREDUCIBLE_CERTIFIED)
             continue
         red = reduce_rep(int_rep, prime)
         step, verdict = _run_step(red, prime, seed, budget, oracle_check)
@@ -370,15 +373,14 @@ def certify(rep, primes=None, seed=0, budget=200, oracle_check=False):
         return finish(rule=RULE_DIRECT_OVER_K,
                       conclusion=REDUCIBLE_WITH_WITNESS,
                       witness=_format_rows(field_rep.ring, verdict.witness))
-    return finish(reason=no_model or _inconclusive_reason(reducible,
-                                                          verdict.status))
+    return finish(reason=no_model or _inconclusive_reason(
+        candidates, reducible, verdict.status))
 
 
 def _linear_descent(int_rep, prime, steps, seed, budget, oracle_check):
     """Height-one route: reduce at (t-c) to a representation over Q and
     certify that recursively.  Appends the step, with the sub-certificate
-    embedded, and returns the family list when the fibre certifies, None
-    otherwise."""
+    embedded, and returns whether the fibre certified."""
     red = reduce_rep(int_rep, prime)
     sub = certify(red, primes=None, seed=seed, budget=budget,
                   oracle_check=oracle_check)
@@ -392,12 +394,7 @@ def _linear_descent(int_rep, prime, steps, seed, budget, oracle_check):
         "sub_certificate": sub.to_json(),
     }
     steps.append(step)
-    if sub.conclusion != IRREDUCIBLE_CERTIFIED:
-        return None
-    if sub.family:
-        return [str(prime)] + list(sub.family)
-    deciding = [s["prime"] for s in sub.steps if s["verdict"] == IRREDUCIBLE]
-    return [str(prime)] + deciding
+    return sub.conclusion == IRREDUCIBLE_CERTIFIED
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,10 @@ representation alone:
              nullity every projective point of both kernels does, within
              the MeatAxe's enumeration bound.
 
-HeightOneFamily checks the family condition and then the sub-certificate,
-recursively, against the reduction at (t-c) of the checked integral model.
+HeightOneFamily needs base ring Z[t] and an irreducible step at a prime
+(t-c), whose localization is a DVR, so the criterion holds there; the step's
+sub-certificate is checked, recursively, against the reduction at (t-c) of
+the checked integral model, and that is the whole proof.
 ReducibleWithWitness checks that the witness spans a proper invariant
 subspace over K.  An Inconclusive certificate claims nothing.
 
@@ -42,8 +44,8 @@ from .certify import (INCONCLUSIVE_RUN, IRREDUCIBLE_CERTIFIED,
                       RULE_HEIGHT_ONE_FAMILY, RULE_REGULAR_ONE_PRIME,
                       TOOLKIT_VERSION, Certificate, compute_self_digest,
                       rep_digest)
-from .errors import (BadPrime, IntegralityError, IrredcertError,
-                     SingularError, VersionMismatch)
+from .errors import (IntegralityError, IrredcertError, SingularError,
+                     VersionMismatch)
 from .lattices import PrimeSpec, reduce_rep
 from .matrices import (Matrix, _constant_q_matrix, char_poly, integer_rows,
                        integral_conjugates, kernel_basis, poly_at_matrix,
@@ -298,42 +300,17 @@ def _parse_factor(K, text, d):
 
 
 # ---------------------------------------------------------------------------
-# the height-one family
-
-
-def family_condition_trivial_intersection(family, ring):
-    """Symbolic condition (i): the recorded primes are pairwise distinct
-    nonzero primes, so the (implicitly infinite) family they are drawn
-    from has trivial intersection.  For distinct rational primes this is
-    the classical statement that an integer divisible by arbitrarily
-    large primes is zero; the (t-c) entry contributes a height-one prime
-    meeting the lifted rational primes only at maximal ideals."""
-    if not family:
-        return False
-    specs = []
-    for text in family:
-        spec = None
-        for base in (ring, ZZ):
-            try:
-                spec = PrimeSpec.parse(text, base)
-                break
-            except (BadPrime, ValueError, TypeError):
-                continue
-        if spec is None or spec.kind == PrimeSpec.ZERO:
-            return False
-        specs.append(spec)
-    return len(set(str(s) for s in specs)) == len(specs)
+# the height-one descent
 
 
 def _check_family(cert, int_rep):
-    """HeightOneFamily: the recorded family passes the trivial-intersection
-    condition, and the sub-certificate at its first prime (t-c) checks
-    against the reduction of the checked integral model there."""
+    """HeightOneFamily: the first irreducible step with a sub-certificate is
+    at a prime (t-c) of Z[t], and the sub-certificate, at this version and
+    concluding IrreducibleCertified, checks against the reduction of the
+    checked integral model there."""
     R = int_rep.ring
     _require(isinstance(R, PolynomialRingZ), "HeightOneFamily needs base "
              "ring Z[t]")
-    _require(family_condition_trivial_intersection(cert.family, R),
-             "the family is not a list of distinct nonzero primes")
     _require(isinstance(cert.steps, list), "steps is not a list")
     step = next((s for s in cert.steps if isinstance(s, dict)
                  and s.get("verdict") == meataxe.IRREDUCIBLE
@@ -341,9 +318,8 @@ def _check_family(cert, int_rep):
     _require(step is not None, "no step carries an irreducible "
              "sub-certificate")
     prime = _parse_prime(step.get("prime"), R)
-    _require(prime.kind == PrimeSpec.LINEAR and str(prime) == cert.family[0],
-             "the sub-certificate's prime %s is not the family's first "
-             "prime (t-c)", prime)
+    _require(prime.kind == PrimeSpec.LINEAR, "the sub-certificate's prime %s "
+             "is not a height-one prime (t-c)", prime)
     sub = Certificate.from_json(step["sub_certificate"])
     _require(sub.toolkit_version == TOOLKIT_VERSION,
              "the sub-certificate has toolkit version %r", sub.toolkit_version)

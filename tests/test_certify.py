@@ -16,14 +16,13 @@ from irredcert.certify import (Certificate, IRREDUCIBLE_CERTIFIED,
                                RULE_REGULAR_ONE_PRIME, TOOLKIT_VERSION,
                                canonical_json, certify, compute_self_digest,
                                rep_digest, replay, verify)
-from irredcert.check import family_condition_trivial_intersection
 from irredcert.errors import VersionMismatch
 from irredcert.lattices import LIFT_BITS
 from irredcert.matrices import Matrix
 from irredcert.meataxe import REDUCIBLE, is_irreducible
 from irredcert.prng import XorShift64
 from irredcert.reps import Representation, conjugate, direct_sum, load_rep
-from irredcert.rings import QQ, PolynomialRingZ, RationalFunctionField, ZZ
+from irredcert.rings import QQ, RationalFunctionField, ZZ
 
 # the module, which the package's certify function shadows as an attribute
 certify_module = importlib.import_module("irredcert.certify")
@@ -330,9 +329,13 @@ class TestCertifyOverQt:
         cert = certify(s3_over(self.qt()), primes=["(t-0)"])
         assert cert.conclusion == IRREDUCIBLE_CERTIFIED
         assert cert.rule == RULE_HEIGHT_ONE_FAMILY
-        assert cert.family == ["(t-0)", "(2)"]
-        sub = cert.steps[0]["sub_certificate"]
+        [step] = cert.steps
+        assert step["prime"] == "(t-0)" and step["verdict"] == "irreducible"
+        sub = step["sub_certificate"]
         assert sub["conclusion"] == IRREDUCIBLE_CERTIFIED
+        assert sub["rule"] == RULE_REGULAR_ONE_PRIME
+        assert [(s["prime"], s["verdict"]) for s in sub["steps"]] == \
+            [("(2)", "irreducible")]
 
     def test_paths_agree_and_verify(self):
         rep = s3_over(self.qt())
@@ -416,15 +419,6 @@ class TestCertificateDocument:
         with pytest.raises(ValueError):
             Certificate.from_json(blob)
 
-    def test_family_condition(self):
-        ZT = PolynomialRingZ("t")
-        assert family_condition_trivial_intersection(["(t-0)", "(2)"], ZT)
-        assert family_condition_trivial_intersection(["(2)", "(3)", "(5)"], ZT)
-        assert not family_condition_trivial_intersection([], ZT)
-        assert not family_condition_trivial_intersection(["(2)", "(2)"], ZT)
-        assert not family_condition_trivial_intersection(["(0)"], ZT)
-        assert not family_condition_trivial_intersection(["nonsense"], ZT)
-
 
 class TestVerifyReplay:
 
@@ -500,6 +494,11 @@ class TestVerifyReplay:
                             .read_text(encoding="utf-8"))
         if golden["conclusion"] != REDUCIBLE_WITH_WITNESS:
             assert cert.conclusion == INCONCLUSIVE_RUN
+        if cert.lattice is not None and cert.conclusion == INCONCLUSIVE_RUN:
+            # the run tried no prime, and its reason says so
+            assert cert.reason.startswith(
+                "undecided: no prime was tried: the explicit prime list has "
+                "none besides (0); "), cert.reason
         assert verify(cert, rep) and replay(cert, rep)
 
     def test_seed_changes_transcript_not_conclusion(self):

@@ -343,10 +343,19 @@ class TestTamperedCertifyingFields:
             b["steps"][0]["sub_certificate"] = redigested(sub).to_json()
         assert self.reason(cert, rep, sub_inconclusive) == \
             "the sub-certificate concludes 'Inconclusive'"
-        assert "not the family's first prime" in self.reason(
-            cert, rep, lambda b: b["steps"][0].update(prime="(t-1)"))
-        assert "distinct nonzero primes" in self.reason(
-            cert, rep, lambda b: b.update(family=["(t-0)", "(t-0)"]))
+        # the fibres at (t-0), (t-1) and (t+1) are the same S3 over Q, but a
+        # sub-certificate holds only at the prime of its own reduction
+        for other in ("(t-1)", "(t+1)"):
+            assert self.reason(cert, rep, lambda b: b["steps"][0].update(
+                prime=other)) == ("sub-certificate at %s: input_digest does "
+                                  "not match the representation" % other)
+        moved = certify(rep, primes=["(t-1)"]).steps[0]["sub_certificate"]
+        assert self.reason(cert, rep, lambda b: b["steps"][0].update(
+            sub_certificate=moved)) == ("sub-certificate at (t-0): "
+                                        "input_digest does not match the "
+                                        "representation")
+        assert "not a height-one prime" in self.reason(
+            cert, rep, lambda b: b["steps"][0].update(prime="(2,t-0)"))
 
 
 class TestNoSearch:
@@ -385,6 +394,8 @@ BAD_FACTORS = ["x^", "", "x^-1", "1/0", 5, None, "x^99999999999",
 BAD_PRIMES = ["(2", "(1e3)", "(%d)" % 10 ** 30, "(2,t-0)", "(-3)", 5, None,
               "(t-x)", "()"]
 BAD_VALUES = [None, 5, "x", [], {}, [None], {"ring": "Fp", "p": 4}]
+# primes other than (t-0) for a (t-0) step or a copy of it put first
+OTHER_LINEAR = ["(t-1)", "(t+1)", "(t-2)", "(2,t-0)", "(2)", "(0)"]
 # (words, coeffs) past the MeatAxe's limits of 3 words of 6 letters
 LONG_SAMPLES = [([[0] * 7], ["1"]), ([[0]] * 4, ["1"] * 4),
                 ([[1] * 10 ** 5], ["1"])]
@@ -421,7 +432,9 @@ def _mutations(rng, base, qt_family):
         lambda b: b.update(witness=rng.choice(BAD_VALUES)),
     ]
     family_edits = [
-        lambda b: b.update(family=rng.choice(BAD_VALUES)),
+        lambda b: b["steps"][0].update(prime=rng.choice(OTHER_LINEAR)),
+        lambda b: b["steps"].insert(0, dict(b["steps"][0],
+                                            prime=rng.choice(OTHER_LINEAR))),
         lambda b: b["steps"][0].update(
             sub_certificate=rng.choice(BAD_VALUES)),
         lambda b: b["steps"][0]["sub_certificate"].update(
@@ -480,6 +493,26 @@ class TestMalformed:
             out = json.loads(capsys.readouterr().out)
             assert out["reason"] == ("generator 0 is not integral in the "
                                      "recorded lattice"), argv
+
+    @pytest.mark.parametrize("name,family", [("s3", None),
+                                             ("s30_qt", ["(t-0)", "(7)"])])
+    def test_cli_rejects_an_unknown_key(self, capsys, tmp_path, name,
+                                        family):
+        # a key the format does not name is no part of the digest, the
+        # checks or the replay, so the document is refused before them
+        path = tmp_path / "cert.json"
+        rep = str(DATA / (name + ".json"))
+        blob = copy(load_certificate(str(GOLDEN / (name + ".cert.json"))))
+        path.write_text(json.dumps(blob))
+        assert main(["verify", str(path), rep]) == 0
+        capsys.readouterr()
+        blob["family"] = family
+        path.write_text(json.dumps(blob))
+        for argv in ([], ["--replay"]):
+            assert main(["verify", str(path), rep] + argv) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err == {"error": "ValueError", "detail": "certificate "
+                           "document has unknown keys ['family']"}, argv
 
     def test_cli_replay_flags_a_non_certifying_edit(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
