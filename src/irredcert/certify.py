@@ -40,15 +40,15 @@ import hashlib
 import json
 from itertools import count, islice
 
-from .errors import (BadPrime, BudgetExceeded, IrredcertError, SizeBound,
-                     VersionMismatch)
+from .errors import (BadPrime, BudgetExceeded, IntegralityError,
+                     IrredcertError, SizeBound, VersionMismatch)
 from .lattices import PrimeSpec, lift_witness, reduce_rep, saturate
 from .meataxe import INCONCLUSIVE, IRREDUCIBLE, REDUCIBLE, is_irreducible
 from .oracle import count_invariant
 from .reps import over_fraction_field, rep_to_json
 from .rings import PolynomialRingZ, QQ, RationalFunctionField, ZZ, is_prime
 
-TOOLKIT_VERSION = "0.5.0"
+TOOLKIT_VERSION = "0.6.0"
 
 RULE_REGULAR_ONE_PRIME = "RegularOnePrime"
 RULE_HEIGHT_ONE_FAMILY = "HeightOneFamily"
@@ -176,8 +176,8 @@ def _candidates(primes, R):
     as given, less the zero prime, since (0) there stands for that search;
     else the first AUTO_PATIENCE primes of Z, (2) to (19), or maximal pairs
     (p, t-c) of Z[t], (2,t-0) to (5,t-1), then the height-one primes (t-c).
-    A saturated generator and its inverse are integral, so each determinant
-    is a unit and every reduction is defined."""
+    saturate admits only generators of determinant +-1, so each integral
+    generator's determinant is a unit and every reduction is defined."""
     if primes is not None:
         return [q for q in _normalize_prime_list(primes, R)
                 if q.kind != PrimeSpec.ZERO]
@@ -328,7 +328,7 @@ def certify(rep, primes=None, seed=0, budget=200, oracle_check=False):
 
     try:
         basis, int_rep = saturate(field_rep)
-    except BudgetExceeded as exc:
+    except (BudgetExceeded, IntegralityError) as exc:
         base_ring = lattice = None
         candidates = []
         no_model = "no-integral-model: %s" % (exc,)

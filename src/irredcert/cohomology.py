@@ -32,8 +32,7 @@ commutant, the flag that the universal deformation stays irreducible.
 
 from .errors import GroupTooLarge
 from .matrices import Matrix, kernel_basis
-from .meataxe import INCONCLUSIVE, IRREDUCIBLE, endo_dim, hom_dim, \
-    is_irreducible
+from .meataxe import INCONCLUSIVE, IRREDUCIBLE, hom_dim, is_irreducible
 from .reps import adjoint_rep
 from .rings import ExtensionField, PrimeField
 
@@ -257,10 +256,10 @@ class ObstructionReport:
 
 def obstruction_report(rep, seed=0, budget=200):
     """Close the group, compute (d0, d1, d2) for the adjoint module, the
-    commutant dimension, and the flags of the report."""
+    commutant dimension, and the flags of the report.  The adjoint module
+    is all of End(V) under conjugation, so H^0(G, End V) = End_G(V) and the
+    commutant dimension is d0."""
     table = close_group(rep)
-    ad = adjoint_rep(rep)
-    dims = cohomology_dims(table, ad)
-    schur = endo_dim(rep)
+    dims = cohomology_dims(table, adjoint_rep(rep))
     verdict = is_irreducible(rep, seed=seed, budget=budget)
-    return ObstructionReport(table.order, dims, schur, verdict.status)
+    return ObstructionReport(table.order, dims, dims[0], verdict.status)

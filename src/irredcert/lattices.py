@@ -24,11 +24,11 @@ entrywise to an integral model; lift_witness() lifts an invariant subspace
 of a reduction mod p back to one over Q, p-adically and by rational
 reconstruction, when that subspace has a unique lift.
 
-The saturation's Z-lattice chain runs on plain ints: the lattice is held
-as its canonical pair (H, D), each matrix is scaled once to an integer
-matrix over a common denominator (matrices.scaled_rows), and a round is
-one integer HNF; rounds and budget are counted as for the chain
-L -> L + sum_g gL itself.  The Q(t) case runs on Z[t] numerators over one
+The saturation's Z-lattice chain runs on the generators alone and on plain
+ints: the lattice is held as its canonical pair (H, D), each matrix is
+scaled once to an integer matrix over a common denominator
+(matrices.scaled_rows), and a round is one integer HNF; rounds and budget
+are counted as for the chain L -> L + sum_g gL itself.  The Q(t) case runs on Z[t] numerators over one
 denominator (matrices.poly_rows) and their products at t = 2^k.  The
 generators in the stable lattice's basis, over Q and Q(t), come from
 matrices.integral_conjugates, the conjugation the checker runs.
@@ -251,24 +251,6 @@ def _stable_lattice_z(mats, d, budget):
     return None
 
 
-def _saturate_q(rep, budget):
-    """The canonical pair of the stable Z-lattice of a representation over Q,
-    and its generators over Z in that lattice's basis."""
-    gens = []
-    for g in rep.generators:
-        gens.append(g)
-        gens.append(g.inverse())
-    pair = _stable_lattice_z(gens, rep.dim, budget)
-    if pair is None:
-        raise BudgetExceeded(
-            "lattice chain did not stabilize in %d rounds; the generated "
-            "group probably stabilizes no lattice (infinite image or non-unit "
-            "determinants)" % (budget,))
-    # the columns of the pair are the basis; integral_conjugates takes rows
-    return pair, list(integral_conjugates(list(zip(*pair[0])),
-                                          rep.generators))
-
-
 def _qt_column_hnf(cols):
     """Column HNF over Q[t] of a list of Fraction-tuple columns; pivots monic,
     entries left of a pivot reduced to lower degree.  Returns the canonical
@@ -314,19 +296,20 @@ def _saturate_qt(rep, budget):
     denominator (matrices.poly_rows) and their packed products.
 
     Stage 1 works over the PID Q[t]: grow the Q[t]-span of the standard basis
-    under all generators and inverses, canonicalizing by column HNF over Q[t]
-    after clearing a global denominator, until the chain stabilizes.  The
-    generators and inverses share one denominator E, so a round is one
-    product of [E I; G_1; ...] by the basis numerators A, over E D.  The
-    stabilized basis T conjugates every generator into GL_d(Q[t]).
+    under the generators, canonicalizing by column HNF over Q[t] after
+    clearing a global denominator, until the chain stabilizes.  The
+    generators share one denominator E, so a round is one product of
+    [E I; G_1; ...] by the basis numerators A, over E D.  The stabilized
+    basis T conjugates every generator into GL_d(Q[t]).
 
     Stage 2 restores Z-integrality with a constant basis change: the matrices
     T^-1 g T have polynomial entries, and a constant S works iff S^-1 A_j S is
-    integral for every coefficient matrix A_j of every T^-1 g T.  So the
-    standard Z-lattice is grown under all those coefficient matrices until
-    stable.  If either chain fails to stabilize the input has no reachable
-    integral model and BudgetExceeded propagates.  Both conjugations are
-    matrices.conjugate_numerators, whose quotients are decided on Z[t]
+    integral for every coefficient matrix A_j of every T^-1 g T, g over the
+    generators alone.  So the standard Z-lattice is grown under all those
+    coefficient matrices until stable.  If either chain fails to stabilize
+    the input has no reachable integral model and BudgetExceeded
+    propagates.  Both conjugations are matrices.conjugate_numerators,
+    whose quotients are decided on Z[t]
     values: in Q[t] by the primitive part and content of the divisor
     (Gauss's lemma), in Z[t] by integral_conjugates.
 
@@ -337,10 +320,7 @@ def _saturate_qt(rep, budget):
     K = rep.ring
     ZT = PolynomialRingZ(K.var)
     d = rep.dim
-    gens = []
-    for g in rep.generators:
-        gens.append(g)
-        gens.append(g.inverse())
+    gens = rep.generators
     stacked, E = poly_rows(Matrix._raw(K, d * len(gens), d,
                                        [a for g in gens for a in g.entries]))
     images = [[E if i == j else () for j in range(d)]
@@ -424,28 +404,40 @@ def saturate(rep, budget=64):
 
     Returns (basis, int_rep): basis is the d x d matrix over the field whose
     columns span the lattice, and int_rep acts integrally (over Z or Z[t])
-    in that basis and is conjugate to rep over the field.  The lattice chain
-    L + sum_g g L grows from the standard lattice; for a finite matrix group
-    it stabilizes within the orbit length, and the budget (default 64 rounds)
-    converts divergence into BudgetExceeded."""
+    in that basis and is conjugate to rep over the field.  A generator of
+    determinant other than +-1 stabilizes no lattice that its inverse does
+    (docs/background.md), and raises IntegralityError at once.  Otherwise
+    the chain L + sum_g gL, g over the generators alone, grows from the
+    standard lattice; for a finite matrix group it stabilizes within the
+    orbit length, and the budget (default 64 rounds) converts divergence
+    into BudgetExceeded."""
     K = rep.ring
-    if K == QQ:
-        pair, ints = _saturate_q(rep, budget)
-        return (_pair_basis(pair, K),
-                Representation(ZZ, ints, rep.relations, label=rep.label))
-    if isinstance(K, RationalFunctionField):
-        const_gens = [_constant_q_matrix(g) for g in rep.generators]
-        if all(m is not None for m in const_gens):
-            qrep = Representation(QQ, const_gens, rep.relations, label=rep.label)
-            pair, ints = _saturate_q(qrep, budget)
-            ZT = PolynomialRingZ(K.var)
-            ints = [g.change_ring(ZT) for g in ints]
-            return (_pair_basis(pair, K),
-                    Representation(ZT, ints, rep.relations, label=rep.label))
-        return _saturate_qt(rep, budget)
     if K == ZZ or isinstance(K, PolynomialRingZ):
         return saturate(over_fraction_field(rep), budget)
-    raise ValueError("saturate expects a representation over Q or Q(t)")
+    if K != QQ and not isinstance(K, RationalFunctionField):
+        raise ValueError("saturate expects a representation over Q or Q(t)")
+    for i, g in enumerate(rep.generators):
+        det = g.det()
+        if det not in (K.one(), K.neg(K.one())):
+            raise IntegralityError(
+                "generator %d has determinant %s, not ±1, so no lattice "
+                "is stable under the group it generates" % (i, K.format(det)))
+    gens = rep.generators
+    if K != QQ:
+        gens = [_constant_q_matrix(g) for g in gens]
+        if any(m is None for m in gens):
+            return _saturate_qt(rep, budget)
+    pair = _stable_lattice_z(gens, rep.dim, budget)
+    if pair is None:
+        raise BudgetExceeded(
+            "lattice chain did not stabilize in %d rounds; the generated "
+            "group probably stabilizes no lattice (infinite image or non-unit "
+            "determinants)" % (budget,))
+    # the columns of the pair are the basis; integral_conjugates takes rows
+    ints = integral_conjugates(list(zip(*pair[0])), gens)
+    R = ZZ if K == QQ else PolynomialRingZ(K.var)
+    return (_pair_basis(pair, K),
+            Representation(R, list(ints), rep.relations, label=rep.label))
 
 
 def reduce_rep(int_rep, prime):

@@ -188,6 +188,20 @@ class TestCertifyOverQ:
         assert cert.reason.startswith("no-integral-model")
         assert verify(cert, rep)
 
+    def test_non_unit_determinant_reason(self):
+        # x^2 - 2 over Q: the determinant test stops saturation before any
+        # round, and the one step is the search over Q
+        rep = Representation(QQ, [[[0, 2], [1, 0]]], [], label="sqrt2")
+        cert = certify(rep)
+        assert cert.conclusion == INCONCLUSIVE_RUN
+        assert cert.lattice is None and cert.base_ring is None
+        assert cert.reason == (
+            "no-integral-model: generator 0 has determinant -2, not \u00b11, "
+            "so no lattice is stable under the group it generates")
+        assert [step["prime"] for step in cert.steps] == ["(0)"]
+        assert verify(cert, rep)
+        assert replay(cert, rep)
+
     def test_no_integral_model_reducible_probe(self):
         # scaled shear: no stable lattice, but K-level witness still found
         rep = Representation(QQ, [Matrix(QQ, [[Fraction(1, 2), Fraction(1)],

@@ -173,6 +173,16 @@ class TestReduceCommand:
         assert code == 1
         assert json.loads(err)["error"] == "BadPrime"
 
+    def test_non_unit_determinant_exit_1(self, capsys):
+        # sqrt2's generator has determinant -2: no lattice, no reduction
+        code, out, err = run(capsys, "reduce", f"{DATA}/sqrt2.json",
+                             "--prime", "(3)")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "IntegralityError",
+            "detail": "generator 0 has determinant -2, not \u00b11, so no "
+                      "lattice is stable under the group it generates"}
+
     def test_zt_tower(self, capsys):
         code, out, _ = run(capsys, "reduce", f"{DATA}/s3_qt.json",
                            "--prime", "(2,t-0)")

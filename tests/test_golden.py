@@ -37,7 +37,9 @@ GOLDEN = os.path.join(HERE, "golden")
 # three height-one descents, whose fibres lift in their sub-certificates,
 # and the search over Q(t), which splits it.  scaled_shear and sqrt2 have no
 # integral model, so base_ring and lattice are null and the search over Q is
-# their one step: it splits the shear, and sqrt2 (x^2 - 2) exits 2.
+# their one step: it splits the shear, whose lattice chain diverges, and
+# sqrt2 (x^2 - 2) exits 2, its reason naming generator 0 and its
+# determinant -2, which no stable lattice allows.
 # s30_qt (S30 standard over Q(t), constant entries, d = 29) is the one
 # HeightOneFamily golden: its eight maximal pairs are reducible, since 2, 3
 # and 5 divide 30, and the descent at (t-0) certifies, its fibre reducible

@@ -7,11 +7,13 @@ from fractions import Fraction
 import pytest
 
 from irredcert.certify import certify, verify
-from irredcert.errors import BadPrime, BudgetExceeded, ShapeError
+from irredcert.errors import (BadPrime, BudgetExceeded, IntegralityError,
+                              ShapeError)
 from irredcert.lattices import PrimeSpec, reduce_rep, saturate
 from irredcert.matrices import Matrix
 from irredcert.prng import XorShift64
-from irredcert.reps import Representation, conjugate, evaluate, load_rep
+from irredcert.reps import (Representation, conjugate, evaluate, load_rep,
+                            over_fraction_field)
 from irredcert.rings import ZZ, QQ, PolynomialRingZ, PrimeField, \
     RationalFunctionField
 
@@ -175,13 +177,31 @@ class TestSaturate:
         assert int_rep2.generators == int_rep.generators
 
     def test_budget_exceeded_for_half(self):
-        rep = Representation(QQ, [Matrix(QQ, [[Fraction(1, 2)]])], [])
+        # determinant 1 and no stable lattice: the chain diverges
+        rep = Representation(QQ, [Matrix(QQ, [[2, 0], [0, Fraction(1, 2)]])],
+                             [])
         with pytest.raises(BudgetExceeded):
             saturate(rep)
-        # non-unit integer determinant diverges the same way
-        rep2 = Representation(QQ, [Matrix(QQ, [[2]])], [])
+        shear = load_rep(os.path.join(DATA, "scaled_shear.json"))
         with pytest.raises(BudgetExceeded):
-            saturate(rep2)
+            saturate(shear)
+
+    @pytest.mark.parametrize("ring,gens,index,det", [
+        (QQ, [[[Fraction(1, 2)]]], 0, "1/2"),
+        (QQ, [[[2]]], 0, "2"),
+        (QQ, [[[0, 2], [1, 0]]], 0, "-2"),
+        (ZZ, [[[1, 0], [0, 1]], [[3, 1], [1, 1]]], 1, "2"),
+        (QT, [[[((0, 1), (1,)), 0], [0, 1]]], 0, "t"),
+        (QT, [[[0, -1], [1, -1]], [[Fraction(1, 2), 0], [0, 1]]], 1, "1/2")])
+    def test_non_unit_determinant_message(self, ring, gens, index, det):
+        # certificates quote this text as "no-integral-model: ..."; it comes
+        # before any round, so no budget reaches the chain
+        rep = Representation(ring, gens, [])
+        with pytest.raises(IntegralityError) as info:
+            saturate(rep, budget=0)
+        assert str(info.value) == (
+            "generator %d has determinant %s, not \u00b11, so no lattice is "
+            "stable under the group it generates" % (index, det))
 
     def test_qt_constant_delegates(self):
         rep = s3_over(QT)
@@ -301,6 +321,31 @@ def _assert_integral_model(rep, b, int_rep, ring):
         assert ring.is_unit(int_rep.generators[i].det())
 
 
+def reference_saturate(rep, budget=64):
+    """The chain L + sum_g gL with g over the generators and their inverses,
+    as saturation ran before it tested determinants.  saturate grows its
+    chain under every generator of its input, so on the generators followed
+    by their inverses it runs exactly this chain.  Returns the basis and
+    the integral model of rep's own generators."""
+    gens = list(over_fraction_field(rep).generators)
+    both = Representation(gens[0].ring, gens + [g.inverse() for g in gens])
+    basis, int_rep = saturate(both, budget)
+    return basis, int_rep.generators[:len(gens)]
+
+
+def _assert_matches_reference(rep, basis, int_rep):
+    """The chain on the generators alone ends at the lattice and the
+    integral model of the chain with inverses."""
+    ref_basis, ref_gens = reference_saturate(rep)
+    assert basis == ref_basis
+    assert int_rep.generators == ref_gens
+
+
+# the reps in data/ with no integral model: sqrt2 has a generator of
+# determinant -2, and the scaled shear's chain diverges
+NO_MODEL = ("scaled_shear", "sqrt2")
+
+
 class TestSaturationInvariants:
 
     @pytest.mark.parametrize("gens,seed", [
@@ -315,6 +360,7 @@ class TestSaturationInvariants:
         _assert_canonical_z(basis)
         assert Lattice(basis).contains_lattice(Lattice.standard(d))
         _assert_integral_model(rep, basis, int_rep, ZZ)
+        _assert_matches_reference(rep, basis, int_rep)
 
     @pytest.mark.parametrize("gens", [sym_gens(3), signed_gens(3)])
     def test_conjugated_over_qt(self, gens):
@@ -335,6 +381,15 @@ class TestSaturationInvariants:
                    for g in rep.generators for num, den in g.entries)
         basis, int_rep = saturate(rep)
         _assert_integral_model(rep, basis, int_rep, ZT)
+        _assert_matches_reference(rep, basis, int_rep)
+
+    @pytest.mark.parametrize("name", sorted(
+        name[:-len(".json")] for name in os.listdir(DATA)
+        if name.endswith(".json") and name[:-len(".json")] not in NO_MODEL))
+    def test_data_reps_match_reference(self, name):
+        rep = load_rep(os.path.join(DATA, name + ".json"))
+        basis, int_rep = saturate(rep)
+        _assert_matches_reference(rep, basis, int_rep)
 
     def test_s3_scaled_budget_boundary(self):
         rep = load_rep(os.path.join(DATA, "s3_scaled.json"))
@@ -344,14 +399,17 @@ class TestSaturationInvariants:
         assert basis == Matrix(QQ, [[1, 0], [0, Fraction(1, 2)]])
 
     def test_budget_exceeded_message(self):
-        # certificates quote this text as "no-integral-model: ..."
-        rep = Representation(QQ, [Matrix(QQ, [[2, 0], [0, 1]])], [])
-        with pytest.raises(BudgetExceeded) as info:
-            saturate(rep, budget=5)
-        assert str(info.value) == (
-            "lattice chain did not stabilize in 5 rounds; the generated "
-            "group probably stabilizes no lattice (infinite image or "
-            "non-unit determinants)")
+        # certificates quote this text as "no-integral-model: ..."; both
+        # inputs have determinant 1, so only the chain's budget stops them
+        for gen in ([[2, 0], [0, Fraction(1, 2)]],
+                    [[Fraction(1, 2), 1], [0, 2]]):
+            rep = Representation(QQ, [Matrix(QQ, gen)], [])
+            with pytest.raises(BudgetExceeded) as info:
+                saturate(rep, budget=5)
+            assert str(info.value) == (
+                "lattice chain did not stabilize in 5 rounds; the generated "
+                "group probably stabilizes no lattice (infinite image or "
+                "non-unit determinants)")
 
 
 class TestReduce:
