@@ -28,10 +28,11 @@ The saturation's Z-lattice chain runs on the generators alone and on plain
 ints: the lattice is held as its canonical pair (H, D), each matrix is
 scaled once to an integer matrix over a common denominator
 (matrices.scaled_rows), and a round is one integer HNF; rounds and budget
-are counted as for the chain L -> L + sum_g gL itself.  The Q(t) case runs on Z[t] numerators over one
-denominator (matrices.poly_rows) and their products at t = 2^k.  The
-generators in the stable lattice's basis, over Q and Q(t), come from
-matrices.integral_conjugates, the conjugation the checker runs.
+are counted as for the chain L -> L + sum_g gL itself.  The Q(t) case
+runs on Z[t] numerators over one denominator (matrices.poly_rows) and
+their products at t = 2^k.  The generators in the stable lattice's basis,
+over Q and Q(t), come from matrices.integral_conjugates, the conjugation
+the checker runs.
 """
 
 import math
@@ -309,9 +310,9 @@ def _saturate_qt(rep, budget):
     coefficient matrices until stable.  If either chain fails to stabilize
     the input has no reachable integral model and BudgetExceeded
     propagates.  Both conjugations are matrices.conjugate_numerators,
-    whose quotients are decided on Z[t]
-    values: in Q[t] by the primitive part and content of the divisor
-    (Gauss's lemma), in Z[t] by integral_conjugates.
+    whose quotients are decided on Z[t] values: in Q[t] by the primitive
+    part and content of the divisor (Gauss's lemma), in Z[t] by
+    integral_conjugates.
 
     Returns the basis T H / D over Q(t), for the stable pair (H, D) of stage
     2, and the integral model over Z[t].  T is invertible, as stage 1 keeps
