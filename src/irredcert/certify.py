@@ -40,9 +40,10 @@ import hashlib
 import json
 from itertools import count, islice
 
-from .errors import (BadPrime, BudgetExceeded, IntegralityError,
-                     IrredcertError, SizeBound, VersionMismatch)
-from .lattices import PrimeSpec, lift_witness, reduce_rep, saturate
+from .errors import (BadPrime, BudgetExceeded, IrredcertError, SizeBound,
+                     VersionMismatch)
+from .lattices import (PrimeSpec, lift_witness, non_unit_determinant,
+                       reduce_rep, saturate)
 from .meataxe import INCONCLUSIVE, IRREDUCIBLE, REDUCIBLE, is_irreducible
 from .oracle import count_invariant
 from .reps import over_fraction_field, rep_to_json
@@ -326,17 +327,21 @@ def certify(rep, primes=None, seed=0, budget=200, oracle_check=False):
     steps = []
     reducible = []
 
-    try:
-        basis, int_rep = saturate(field_rep)
-    except (BudgetExceeded, IntegralityError) as exc:
-        base_ring = lattice = None
-        candidates = []
-        no_model = "no-integral-model: %s" % (exc,)
-    else:
+    # tested here, as an IntegralityError from saturate itself is a bug
+    no_model = non_unit_determinant(field_rep)
+    if no_model is None:
+        try:
+            basis, int_rep = saturate(field_rep)
+        except BudgetExceeded as exc:
+            no_model = str(exc)
+    if no_model is None:
         base_ring = int_rep.ring.to_json()
         lattice = _format_rows(basis.ring, basis.rows())
         candidates = _candidates(primes, int_rep.ring)
-        no_model = None
+    else:
+        base_ring = lattice = None
+        candidates = []
+        no_model = "no-integral-model: %s" % (no_model,)
 
     def finish(**kw):
         return _make_cert(rep, config, base_ring=base_ring, lattice=lattice,

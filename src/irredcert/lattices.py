@@ -24,9 +24,9 @@ entrywise to an integral model; lift_witness() lifts an invariant subspace
 of a reduction mod p back to one over Q, p-adically and by rational
 reconstruction, when that subspace has a unique lift.
 
-The saturation's Z-lattice chain runs on the generators alone and on plain
-ints: the lattice is held as its canonical pair (H, D), each matrix is
-scaled once to an integer matrix over a common denominator
+The saturation's Z-lattice chain runs on the generators and their
+inverses, on plain ints: the lattice is held as its canonical pair (H, D),
+each matrix is scaled once to an integer matrix over a common denominator
 (matrices.scaled_rows), and a round is one integer HNF; rounds and budget
 are counted as for the chain L -> L + sum_g gL itself.  The Q(t) case
 runs on Z[t] numerators over one denominator (matrices.poly_rows) and
@@ -292,27 +292,37 @@ def _qt_column_hnf(cols):
     return [tuple(col) for col in cols[:r]]
 
 
+def non_unit_determinant(rep):
+    """Why no lattice is stable under rep's group over Q or Q(t), from the
+    first generator of determinant other than +-1, or None if there is none."""
+    K = rep.ring
+    for i, det in enumerate(rep.determinants):
+        if det not in (K.one(), K.neg(K.one())):
+            return ("generator %d has determinant %s, not ±1, so no lattice "
+                    "is stable under the group it generates"
+                    % (i, K.format(det)))
+
+
 def _saturate_qt(rep, budget):
     """Saturation over Q(t), in two stages, on Z[t] numerators over one
     denominator (matrices.poly_rows) and their packed products.
 
     Stage 1 works over the PID Q[t]: grow the Q[t]-span of the standard basis
-    under the generators, canonicalizing by column HNF over Q[t] after
-    clearing a global denominator, until the chain stabilizes.  The
-    generators share one denominator E, so a round is one product of
-    [E I; G_1; ...] by the basis numerators A, over E D.  The stabilized
-    basis T conjugates every generator into GL_d(Q[t]).
+    under all generators and inverses, canonicalizing by column HNF over Q[t]
+    after clearing a global denominator, until the chain stabilizes.  The
+    generators and inverses share one denominator E, so a round is one
+    product of [E I; G_1; ...] by the basis numerators A, over E D.  The
+    stabilized basis T conjugates every generator into GL_d(Q[t]).
 
     Stage 2 restores Z-integrality with a constant basis change: the matrices
     T^-1 g T have polynomial entries, and a constant S works iff S^-1 A_j S is
-    integral for every coefficient matrix A_j of every T^-1 g T, g over the
-    generators alone.  So the standard Z-lattice is grown under all those
-    coefficient matrices until stable.  If either chain fails to stabilize
-    the input has no reachable integral model and BudgetExceeded
-    propagates.  Both conjugations are matrices.conjugate_numerators,
-    whose quotients are decided on Z[t] values: in Q[t] by the primitive
-    part and content of the divisor (Gauss's lemma), in Z[t] by
-    integral_conjugates.
+    integral for every coefficient matrix A_j of every T^-1 g T.  So the
+    standard Z-lattice is grown under all those coefficient matrices until
+    stable.  If either chain fails to stabilize the input has no reachable
+    integral model and BudgetExceeded propagates.  Both conjugations are
+    matrices.conjugate_numerators, whose quotients are decided on Z[t]
+    values: in Q[t] by the primitive part and content of the divisor
+    (Gauss's lemma), in Z[t] by integral_conjugates.
 
     Returns the basis T H / D over Q(t), for the stable pair (H, D) of stage
     2, and the integral model over Z[t].  T is invertible, as stage 1 keeps
@@ -321,7 +331,7 @@ def _saturate_qt(rep, budget):
     K = rep.ring
     ZT = PolynomialRingZ(K.var)
     d = rep.dim
-    gens = rep.generators
+    gens = [h for g in rep.generators for h in (g, g.inverse())]
     stacked, E = poly_rows(Matrix._raw(K, d * len(gens), d,
                                        [a for g in gens for a in g.entries]))
     images = [[E if i == j else () for j in range(d)]
@@ -374,11 +384,7 @@ def _saturate_qt(rep, budget):
     for x, q in conjugate_numerators(a, gens):
         content = math.gcd(*q) * (1 if q[-1] > 0 else -1)
         prim = tuple(c // content for c in q)
-        try:
-            x = [_divexact(v, prim) for row in x for v in row]
-        except IntegralityError:
-            raise BudgetExceeded("stabilized Q[t]-basis failed to clear "
-                                 "denominators (unexpected)") from None
+        x = [_divexact(v, prim) for row in x for v in row]
         for j in range(max(map(len, x))):
             m = Matrix._raw(QQ, d, d, [Fraction(v[j], content) if j < len(v)
                                        else Fraction(0) for v in x])
@@ -406,29 +412,27 @@ def saturate(rep, budget=64):
     Returns (basis, int_rep): basis is the d x d matrix over the field whose
     columns span the lattice, and int_rep acts integrally (over Z or Z[t])
     in that basis and is conjugate to rep over the field.  A generator of
-    determinant other than +-1 stabilizes no lattice that its inverse does
-    (docs/background.md), and raises IntegralityError at once.  Otherwise
-    the chain L + sum_g gL, g over the generators alone, grows from the
-    standard lattice; for a finite matrix group it stabilizes within the
-    orbit length, and the budget (default 64 rounds) converts divergence
-    into BudgetExceeded."""
+    determinant other than +-1 stabilizes no lattice that its inverse does,
+    and raises IntegralityError with the reason of non_unit_determinant.
+    Otherwise the chain L + sum_g gL, g over the generators and inverses,
+    grows from the standard lattice; for a finite matrix group it
+    stabilizes within the orbit length, and the budget (default 64 rounds)
+    converts divergence into BudgetExceeded (docs/background.md)."""
     K = rep.ring
     if K == ZZ or isinstance(K, PolynomialRingZ):
         return saturate(over_fraction_field(rep), budget)
     if K != QQ and not isinstance(K, RationalFunctionField):
         raise ValueError("saturate expects a representation over Q or Q(t)")
-    for i, g in enumerate(rep.generators):
-        det = g.det()
-        if det not in (K.one(), K.neg(K.one())):
-            raise IntegralityError(
-                "generator %d has determinant %s, not ±1, so no lattice "
-                "is stable under the group it generates" % (i, K.format(det)))
+    reason = non_unit_determinant(rep)
+    if reason is not None:
+        raise IntegralityError(reason)
     gens = rep.generators
     if K != QQ:
         gens = [_constant_q_matrix(g) for g in gens]
         if any(m is None for m in gens):
             return _saturate_qt(rep, budget)
-    pair = _stable_lattice_z(gens, rep.dim, budget)
+    pair = _stable_lattice_z([h for g in gens for h in (g, g.inverse())],
+                             rep.dim, budget)
     if pair is None:
         raise BudgetExceeded(
             "lattice chain did not stabilize in %d rounds; the generated "

@@ -37,9 +37,11 @@ def normalize_word(word):
 
 
 class Representation:
-    """Immutable: ring, dim, generators (tuple of Matrix), relations, label."""
+    """Immutable: ring, dim, generators (tuple of Matrix), their
+    determinants (a tuple over ring), relations, label."""
 
-    __slots__ = ("ring", "dim", "generators", "relations", "label")
+    __slots__ = ("ring", "dim", "generators", "determinants", "relations",
+                 "label")
 
     def __init__(self, ring, generators, relations=(), label=""):
         if not generators:
@@ -56,12 +58,14 @@ class Representation:
         dim = gens[0].nrows
         if any(g.nrows != dim for g in gens):
             raise ShapeError("generators must share one dimension")
-        for g in gens:
-            if ring.is_zero(g.det()):
+        dets = tuple(g.det() for g in gens)
+        for g, det in zip(gens, dets):
+            if ring.is_zero(det):
                 raise SingularError("generator %r is singular" % (g,))
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "determinants", dets)
         object.__setattr__(self, "relations",
                            tuple(normalize_word(w) for w in relations))
         object.__setattr__(self, "label", str(label))

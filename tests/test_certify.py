@@ -16,7 +16,7 @@ from irredcert.certify import (Certificate, IRREDUCIBLE_CERTIFIED,
                                RULE_REGULAR_ONE_PRIME, TOOLKIT_VERSION,
                                canonical_json, certify, compute_self_digest,
                                rep_digest, replay, verify)
-from irredcert.errors import VersionMismatch
+from irredcert.errors import IntegralityError, VersionMismatch
 from irredcert.lattices import LIFT_BITS
 from irredcert.matrices import Matrix
 from irredcert.meataxe import REDUCIBLE, is_irreducible
@@ -201,6 +201,20 @@ class TestCertifyOverQ:
         assert [step["prime"] for step in cert.steps] == ["(0)"]
         assert verify(cert, rep)
         assert replay(cert, rep)
+
+    @pytest.mark.parametrize("name,rep", [
+        ("integral_conjugates", s3_over(QQ)),
+        ("_divexact", load_rep(ROOT / "data" / "s3_sgn_qt.json"))])
+    def test_integrality_error_after_the_chain_propagates(self, monkeypatch,
+                                                          name, rep):
+        # only the determinant test means "no integral model": a conjugate
+        # that fails to be integral in a stable lattice, over Q or in stage
+        # 2 over Q(t), is a bug, and no certificate may hide it
+        def broken(*args):
+            raise IntegralityError("a conjugate is not integral in the basis")
+        monkeypatch.setattr(lattices, name, broken)
+        with pytest.raises(IntegralityError):
+            certify(rep)
 
     def test_no_integral_model_reducible_probe(self):
         # scaled shear: no stable lattice, but K-level witness still found

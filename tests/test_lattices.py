@@ -9,8 +9,9 @@ import pytest
 from irredcert.certify import certify, verify
 from irredcert.errors import (BadPrime, BudgetExceeded, IntegralityError,
                               ShapeError)
-from irredcert.lattices import PrimeSpec, reduce_rep, saturate
-from irredcert.matrices import Matrix
+from irredcert.lattices import (PrimeSpec, _pair_basis, _stable_lattice_z,
+                                reduce_rep, saturate)
+from irredcert.matrices import Matrix, _constant_q_matrix
 from irredcert.prng import XorShift64
 from irredcert.reps import (Representation, conjugate, evaluate, load_rep,
                             over_fraction_field)
@@ -321,24 +322,30 @@ def _assert_integral_model(rep, b, int_rep, ring):
         assert ring.is_unit(int_rep.generators[i].det())
 
 
-def reference_saturate(rep, budget=64):
-    """The chain L + sum_g gL with g over the generators and their inverses,
-    as saturation ran before it tested determinants.  saturate grows its
-    chain under every generator of its input, so on the generators followed
-    by their inverses it runs exactly this chain.  Returns the basis and
-    the integral model of rep's own generators."""
-    gens = list(over_fraction_field(rep).generators)
-    both = Representation(gens[0].ring, gens + [g.inverse() for g in gens])
-    basis, int_rep = saturate(both, budget)
-    return basis, int_rep.generators[:len(gens)]
+def generators_alone_basis(rep, budget=64):
+    """The end of the chain L + sum_g gL with g over the generators alone,
+    not their inverses, for a representation over Q or with constant
+    entries over Q(t), or None when budget rounds pass without one."""
+    gens = [_constant_q_matrix(g) for g in rep.generators]
+    pair = _stable_lattice_z(gens, rep.dim, budget)
+    return None if pair is None else _pair_basis(pair, rep.ring)
 
 
-def _assert_matches_reference(rep, basis, int_rep):
-    """The chain on the generators alone ends at the lattice and the
-    integral model of the chain with inverses."""
-    ref_basis, ref_gens = reference_saturate(rep)
-    assert basis == ref_basis
-    assert int_rep.generators == ref_gens
+def long_orbit(n):
+    """S_n's permutation representation, each g replaced by c g c^-1 for
+    c = diag(2, 1, ..., 1): the chain adds one coordinate vector over 2 per
+    round, so it takes about n / 2 rounds with the inverses and n without."""
+    rep = Representation(QQ, [Matrix(QQ, g) for g in sym_gens(n)], [])
+    c = Matrix(QQ, [[2 if i == j == 0 else int(i == j) for j in range(n)]
+                    for i in range(n)])
+    return conjugate(rep, c)
+
+
+def long_orbit_lattice(n):
+    """The basis diag(1, 1/2, ..., 1/2) of long_orbit(n)'s stable lattice,
+    c (Z^n / 2) for the lattice Z^n / 2 that c^-1 Z^n spans under S_n."""
+    return Matrix(QQ, [[Fraction(int(i == j), 1 if i == 0 else 2)
+                        for j in range(n)] for i in range(n)])
 
 
 # the reps in data/ with no integral model: sqrt2 has a generator of
@@ -360,7 +367,9 @@ class TestSaturationInvariants:
         _assert_canonical_z(basis)
         assert Lattice(basis).contains_lattice(Lattice.standard(d))
         _assert_integral_model(rep, basis, int_rep, ZZ)
-        _assert_matches_reference(rep, basis, int_rep)
+        # with determinants +-1, gL in L means gL = L, so the chain on the
+        # generators alone ends at the same lattice
+        assert generators_alone_basis(rep) == basis
 
     @pytest.mark.parametrize("gens", [sym_gens(3), signed_gens(3)])
     def test_conjugated_over_qt(self, gens):
@@ -381,15 +390,37 @@ class TestSaturationInvariants:
                    for g in rep.generators for num, den in g.entries)
         basis, int_rep = saturate(rep)
         _assert_integral_model(rep, basis, int_rep, ZT)
-        _assert_matches_reference(rep, basis, int_rep)
 
     @pytest.mark.parametrize("name", sorted(
         name[:-len(".json")] for name in os.listdir(DATA)
         if name.endswith(".json") and name[:-len(".json")] not in NO_MODEL))
-    def test_data_reps_match_reference(self, name):
+    def test_data_reps_generators_alone(self, name):
+        # b3_qt and s3_sgn_qt have entries in t, which the chain on Z^d
+        # does not take: they only saturate
         rep = load_rep(os.path.join(DATA, name + ".json"))
-        basis, int_rep = saturate(rep)
-        _assert_matches_reference(rep, basis, int_rep)
+        basis, _ = saturate(rep)
+        field_rep = over_fraction_field(rep)
+        if all(_constant_q_matrix(g) is not None
+               for g in field_rep.generators):
+            assert generators_alone_basis(field_rep) == basis
+
+    def test_long_orbit_budget_boundary(self):
+        # the inverses stay in the chain for its reach: it needs 7 rounds
+        # here, the chain on the generators alone 12
+        rep = long_orbit(12)
+        with pytest.raises(BudgetExceeded):
+            saturate(rep, budget=6)
+        basis, _ = saturate(rep, budget=7)
+        assert basis == long_orbit_lattice(12)
+        assert generators_alone_basis(rep, budget=11) is None
+        assert generators_alone_basis(rep, budget=12) == basis
+
+    def test_long_orbit_default_budget(self):
+        # about 33 rounds with the inverses, 66 without: past the default
+        # budget of 64 on the generators alone
+        rep = long_orbit(66)
+        basis, _ = saturate(rep)
+        assert basis == long_orbit_lattice(66)
 
     def test_s3_scaled_budget_boundary(self):
         rep = load_rep(os.path.join(DATA, "s3_scaled.json"))
