@@ -6,7 +6,8 @@ corpus rep in data/, tests/golden/<rep>.reduce.<prime>.json the stdout of
 the stdout of `irredcert obstruction` on each of those reductions that
 lands in a finite field, and tests/golden/<rep>.meataxe.json the stdout of
 `irredcert meataxe` on each prime-field rep in data/fp/ (d from 16 to 48
-over F_2, F_3, F_101 and F_65521, made once with perfbench/gen.py).  A change
+over F_2, F_3, F_101 and F_65521, made once with perfbench/gen.py, and one
+block triangular rep of d = 5 over F_3 from a seeded search).  A change
 that alters a certificate or a transcript must bump TOOLKIT_VERSION; after
 such a deliberate change, regenerate the files:
 
@@ -77,9 +78,13 @@ OBSTRUCTION = [(rep, prime) for rep, prime in REDUCE
 # takes an equal-degree split that draws from the factoring's own
 # generator, and the factors of its first three samples all have nullity 2
 # or more, so their probes draw from the sampler's; the witness comes from
-# a random combination of the third sample's probe, at x + 10
+# a random combination of the third sample's probe, at x + 10.  A block
+# triangular rep of dim 5 mod 3 (invariant subspace of dim 2) has a kernel
+# of nullity 2 at its first sample, x + 1, that every proper submodule
+# misses: all its projective points spin to the whole space, and the first
+# dual vector splits it
 MEATAXE = ["b32_mod101", "b8_twisted_sum_mod101", "block24_mod65521",
-           "rand48_mod101", "s25_mod2", "s27_mod3"]
+           "block5_mod3", "rand48_mod101", "s25_mod2", "s27_mod3"]
 
 
 def _prime_tag(prime):
