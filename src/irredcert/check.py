@@ -18,11 +18,15 @@ representation alone:
              the deciding sample (within the MeatAxe's limits on words),
              its characteristic polynomial matches the record, the
              recorded factor g is irreducible over F_p (Rabin) and
-             divides it, and Norton's test holds for g: when the nullity
-             of g(theta) equals deg g, the first primal and dual kernel
-             vectors spin to the whole space (Holt-Rees); for a larger
-             nullity every projective point of both kernels does, within
-             the MeatAxe's enumeration bound.
+             divides it, and Norton's test holds for g: the first vector
+             of ker g(theta)^T spins to the whole space under the
+             transposed generators, and so does the first vector of
+             ker g(theta) when the nullity of g(theta) equals deg g
+             (Holt-Rees), or every projective point of ker g(theta) for a
+             larger nullity, within the MeatAxe's enumeration bound
+             (Norton's lemma: a proper submodule that misses ker g(theta)
+             lies in the image of g(theta), so the first dual vector
+             spins inside its annihilator).
 
 HeightOneFamily needs base ring Z[t] and an irreducible step at a prime
 (t-c), whose localization is a DVR, so the criterion holds there; the step's
@@ -218,7 +222,10 @@ def _parse_prime(text, R):
 
 
 def _check_norton(red, transcript):
-    """Norton's test on the deciding sample of a transcript over F_p."""
+    """Norton's test on the deciding sample of a transcript over F_p: the
+    first vector of ker g(theta), or every projective point of it for a
+    nullity above deg g, and then the first vector of ker g(theta)^T, spin
+    to the whole space."""
     K, d = red.ring, red.dim
     decision = transcript["decision"]
     samples = transcript["samples"]
@@ -242,22 +249,19 @@ def _check_norton(red, transcript):
     ker, dual = kernel_basis(n), kernel_basis(n.transpose())
     nullity, deg = len(ker), polys.degree(g)
     if nullity == deg:
-        primal, duals = ker[:1], dual[:1]
+        primal = ker[:1]
     else:
         _require(nullity > deg and K.order ** nullity <= meataxe.ENUM_BOUND,
                  "nullity %d ≠ deg %d, and %d^%d passes the enumeration "
                  "bound", nullity, deg, K.order, nullity)
         primal = meataxe._projective_kernel(K, ker)
-        duals = meataxe._projective_kernel(K, dual)
     gens = list(red.generators)
     for v in primal:
         _require(len(meataxe.spin(K, gens, v)) == d,
                  "a vector of ker g(theta) spins to a proper subspace")
     tgens = [m.transpose() for m in gens]
-    for u in duals:
-        _require(len(meataxe.spin(K, tgens, u)) == d, "a vector of "
-                 "ker g(theta)^T spins to a proper subspace under the "
-                 "transposed generators")
+    _require(len(meataxe.spin(K, tgens, dual[0])) == d, "ker g(theta)^T "
+             "spins to a proper subspace under the transposed generators")
 
 
 def _theta(red, words, coeffs):

@@ -14,7 +14,7 @@ from irredcert.certify import (Certificate, IRREDUCIBLE_CERTIFIED,
                                _make_cert, canonical_json, certify,
                                compute_self_digest, load_certificate,
                                rep_digest, replay, verify)
-from irredcert.check import rejection
+from irredcert.check import _check_norton, _Rejected, rejection
 from irredcert.cli import main
 from irredcert.errors import IrredcertError
 from irredcert.matrices import Matrix
@@ -291,6 +291,26 @@ class TestTamperedCertifyingFields:
         cert = forged(rep, 3, one_sample([[1]], ["1"], "x^2 + 2", "x + 2"))
         assert "ker g(theta)^T spins to a proper subspace" in \
             rejection(cert, rep)
+
+    def test_dual_vector_after_a_full_enumeration(self):
+        # block5_mod3 at its deciding sample: every projective point of
+        # ker g(theta), x + 1 of nullity 2, spins to the whole space, and
+        # the first vector of ker g(theta)^T spins to a proper subspace, so
+        # a transcript that claims irreducible there is rejected by it
+        rep = load_rep(str(DATA / "fp" / "block5_mod3.json"))
+        golden = json.loads((GOLDEN / "block5_mod3.meataxe.json").read_text())
+        transcript = golden["transcript"]
+        decision = transcript["decision"]
+        sample = transcript["samples"][decision["sample"]]
+        assert [r["events"] for r in sample["factors"]][-1] == \
+            ["primal_enumeration_full", "dual_enumeration_proper:3"]
+        transcript["decision"] = {"status": "irreducible",
+                                  "sample": decision["sample"],
+                                  "factor": decision["factor"]}
+        with pytest.raises(_Rejected) as exc:
+            _check_norton(rep, transcript)
+        assert str(exc.value) == ("ker g(theta)^T spins to a proper subspace "
+                                  "under the transposed generators")
 
     def test_rule(self):
         rep, cert = s3_q(), certify(s3_q())

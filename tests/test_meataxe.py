@@ -11,6 +11,7 @@ import pytest
 from irredcert import meataxe, polys
 from irredcert.errors import AbsIrredUndecided
 from irredcert.fpoly import pack, unpack
+from irredcert.lattices import PrimeSpec, reduce_rep, saturate
 from irredcert.matrices import Matrix, packed_columns
 from irredcert.meataxe import (INCONCLUSIVE, IRREDUCIBLE, REDUCIBLE,
                                _combination, _decide, _echelon_rows,
@@ -20,9 +21,10 @@ from irredcert.meataxe import (INCONCLUSIVE, IRREDUCIBLE, REDUCIBLE,
 from irredcert.oracle import count_invariant
 from irredcert.prng import XorShift64
 from irredcert.reps import Representation, conjugate, direct_sum, load_rep
-from irredcert.rings import QQ, ExtensionField, PrimeField, \
+from irredcert.rings import QQ, ZZ, ExtensionField, PrimeField, \
     RationalFunctionField
 
+import two_sided_norton
 from generic_fp import FIELD_SIZES, GenericFp, matrix_cases, random_rows
 from generic_q import GenericQ, rational_cases
 
@@ -166,6 +168,100 @@ class TestOracleAgreement:
                     assert (v.status == IRREDUCIBLE) == brute_irreducible
                     cases += 1
         assert cases == 200
+
+
+def random_block_triangular(K, d, rng):
+    """Two generators with a common invariant subspace of random dimension
+    k: block upper triangular, conjugated by one random invertible matrix
+    so that the subspace is no coordinate subspace."""
+    k = 1 + rng.randrange(d - 1)
+    c = random_invertible(K, d, rng)
+    gens = []
+    for _ in range(2):
+        a = random_invertible(K, k, rng)
+        b = random_invertible(K, d - k, rng)
+        rows = [list(a.row(i)) + [rng.randrange(K.p) for _ in range(d - k)]
+                for i in range(k)]
+        rows += [[0] * k + list(b.row(i)) for i in range(d - k)]
+        gens.append(c * Matrix(K, rows) * c.inverse())
+    return gens
+
+
+def lemma_sweep(n):
+    """n seeded reps over F_2 and F_3 of dims 3 to 5, alternately block
+    triangular (random_block_triangular) and random pairs, which are
+    mostly irreducible."""
+    rng = XorShift64(2310)
+    for i in range(n):
+        K = PrimeField(2 + i % 2)
+        d = 3 + rng.randrange(3)
+        if i % 4 < 2:
+            gens = random_block_triangular(K, d, rng)
+        else:
+            gens = [random_invertible(K, d, rng) for _ in range(2)]
+        yield Representation(K, gens, [])
+
+
+def norton_spins(monkeypatch, rep):
+    """The verdict on rep and, for each Norton test, its primal and dual
+    spin counts."""
+    counts = []
+    spin_, attempt = meataxe.spin, meataxe._norton_attempt
+
+    def counted_attempt(*args):
+        counts.append({"primal": 0, "dual": 0})
+        return attempt(*args)
+
+    def counted_spin(K, mats, v):
+        counts[-1]["primal" if mats[0] is rep.generators[0] else "dual"] += 1
+        return spin_(K, mats, v)
+
+    with monkeypatch.context() as m:
+        m.setattr(meataxe, "_norton_attempt", counted_attempt)
+        m.setattr(meataxe, "spin", counted_spin)
+        verdict = is_irreducible(rep)
+    return verdict, counts
+
+
+class TestNortonLemma:
+    """After a full primal enumeration the engine spins one dual vector,
+    where the reference (tests/two_sided_norton.py) enumerates the whole
+    dual kernel: Norton's lemma says the first dual vector decides."""
+
+    def test_matches_two_sided_enumeration(self, monkeypatch):
+        ends = {"dual_enumeration_full": 0, "dual_enumeration_proper": 0}
+        reps = list(lemma_sweep(3000))
+        for rep in reps:
+            got = is_irreducible(rep)
+            with monkeypatch.context() as m:
+                m.setattr(meataxe, "_norton_attempt",
+                          two_sided_norton.norton_attempt)
+                want = is_irreducible(rep)
+            assert got.status == want.status
+            assert got.transcript == want.transcript
+            assert got.witness == want.witness
+            for sample in got.transcript["samples"]:
+                for rec in sample["factors"]:
+                    if "primal_enumeration_full" in rec["events"]:
+                        ends[rec["events"][-1].split(":")[0]] += 1
+        assert len(reps) == 3000
+        # both branches of the lemma are met
+        assert min(ends.values()) > 0, ends
+
+    def test_s9_mod_2_deciding_spins(self, monkeypatch):
+        # the S9 standard rep mod 2 is decided by its first sample, x + 1
+        # of nullity 7: 127 projective points, then one dual vector, where
+        # the two-sided enumeration spins 127 on each side
+        int_rep = saturate(load_rep(str(DATA / "s9.json")))[1]
+        red = reduce_rep(int_rep, PrimeSpec.parse("(2)", ZZ))
+        verdict, counts = norton_spins(monkeypatch, red)
+        assert verdict.status == IRREDUCIBLE
+        assert counts[-1] == {"primal": 127, "dual": 1}
+        monkeypatch.setattr(meataxe, "_norton_attempt",
+                            two_sided_norton.norton_attempt)
+        verdict, counts = norton_spins(monkeypatch, red)
+        assert verdict.status == IRREDUCIBLE
+        assert counts[-1] == {"primal": 127, "dual": 127}
 
 
 class TestConjugationInvariance:
