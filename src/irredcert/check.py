@@ -19,14 +19,11 @@ representation alone:
              its characteristic polynomial matches the record, the
              recorded factor g is irreducible over F_p (Rabin) and
              divides it, and Norton's test holds for g: the first vector
-             of ker g(theta)^T spins to the whole space under the
-             transposed generators, and so does the first vector of
-             ker g(theta) when the nullity of g(theta) equals deg g
-             (Holt-Rees), or every projective point of ker g(theta) for a
-             larger nullity, within the MeatAxe's enumeration bound
-             (Norton's lemma: a proper submodule that misses ker g(theta)
-             lies in the image of g(theta), so the first dual vector
-             spins inside its annihilator).
+             of ker g(theta) spins to the whole space when the nullity of
+             g(theta) equals deg g (Holt-Rees), every projective point of
+             it for a larger nullity, within the MeatAxe's enumeration
+             bound, and then the first vector of ker g(theta)^T does
+             (Norton's lemma).
 
 HeightOneFamily needs base ring Z[t] and an irreducible step at a prime
 (t-c), whose localization is a DVR, so the criterion holds there; the step's
@@ -118,9 +115,9 @@ def _check(cert, rep):
              and R.fraction_field() == field_rep.ring,
              "base ring %r is not Z or Z[t] under the field %r", R,
              field_rep.ring)
-    int_rep = Representation(R, _integral_generators(cert.lattice, field_rep,
-                                                     R),
-                             rep.relations, label=rep.label)
+    gens, dets = _integral_generators(cert.lattice, field_rep, R)
+    int_rep = Representation(R, gens, rep.relations, label=rep.label,
+                             determinants=dets)
     if cert.rule == RULE_REGULAR_ONE_PRIME:
         _check_one_prime(cert.steps, int_rep)
     else:
@@ -160,9 +157,9 @@ def _parse_rows(K, rows, dim):
 
 def _integral_generators(lattice, field_rep, R):
     """The matrices X = B^-1 g B over R for the recorded basis B, each
-    checked integral with det X = +-1: from matrices.integral_conjugates,
-    on integer rows when B and every g are constant and on Z[t] rows
-    otherwise."""
+    checked integral with det X = +-1, and their determinants over R: from
+    matrices.integral_conjugates, on integer rows when B and every g are
+    constant and on Z[t] rows otherwise."""
     K, d = field_rep.ring, field_rep.dim
     _require(isinstance(lattice, list) and len(lattice) == d
              and all(isinstance(row, list) and len(row) == d
@@ -185,11 +182,13 @@ def _integral_generators(lattice, field_rep, R):
         # the conjugates come in order, so len(xs) names the failing one
         raise _Rejected("generator %d is not integral in the recorded "
                         "lattice" % (len(xs),)) from None
+    dets = []
     for i, x in enumerate(xs):
         det = x.det()
         _require(x.ring.is_unit(det), "generator %d has determinant %s in "
                  "the recorded lattice, not +-1", i, x.ring.format(det))
-    return [x if x.ring == R else x.change_ring(R) for x in xs]
+        dets.append(R.coerce(det))
+    return [x if x.ring == R else x.change_ring(R) for x in xs], dets
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +221,7 @@ def _parse_prime(text, R):
 
 
 def _check_norton(red, transcript):
-    """Norton's test on the deciding sample of a transcript over F_p: the
-    first vector of ker g(theta), or every projective point of it for a
-    nullity above deg g, and then the first vector of ker g(theta)^T, spin
-    to the whole space."""
+    """Norton's test on the deciding sample of a transcript over F_p."""
     K, d = red.ring, red.dim
     decision = transcript["decision"]
     samples = transcript["samples"]

@@ -402,7 +402,9 @@ def _saturate_qt(rep, budget):
     a = zt_product(a, [[(h[j][i],) if h[j][i] else () for j in range(d)]
                        for i in range(d)])
     ints = list(integral_conjugates(a, rep.generators))
-    int_rep = Representation(ZT, ints, rep.relations, label=rep.label)
+    int_rep = Representation(ZT, ints, rep.relations, label=rep.label,
+                             determinants=map(ZT.from_fraction_field,
+                                              rep.determinants))
     return from_poly_rows(K, a, tuple(den_h * c for c in den)), int_rep
 
 
@@ -442,7 +444,9 @@ def saturate(rep, budget=64):
     ints = integral_conjugates(list(zip(*pair[0])), gens)
     R = ZZ if K == QQ else PolynomialRingZ(K.var)
     return (_pair_basis(pair, K),
-            Representation(R, list(ints), rep.relations, label=rep.label))
+            Representation(R, list(ints), rep.relations, label=rep.label,
+                           determinants=map(R.from_fraction_field,
+                                            rep.determinants)))
 
 
 def reduce_rep(int_rep, prime):
@@ -456,13 +460,17 @@ def reduce_rep(int_rep, prime):
         raise ValueError("reduce_rep needs a representation over %r" % (R,))
     mats = int_rep.generators
     k = prime.residue_ring()
+    # the residue map is a ring map: it reduces the determinants too
+    dets = [prime.reduce_scalar(a) for a in int_rep.determinants]
     if prime.kind == PrimeSpec.ZERO:
         return Representation(k, [m.to_fraction_field() for m in mats],
-                              int_rep.relations, label=int_rep.label)
+                              int_rep.relations, label=int_rep.label,
+                              determinants=dets)
     reduced = [m.map_entries(prime.reduce_scalar, k) for m in mats]
     label = "%s mod %s" % (int_rep.label, prime) if int_rep.label else ""
     try:
-        return Representation(k, reduced, int_rep.relations, label=label)
+        return Representation(k, reduced, int_rep.relations, label=label,
+                              determinants=dets)
     except SingularError:
         # the only check of Representation that raises it is on the
         # generator determinants, made before the relations are evaluated

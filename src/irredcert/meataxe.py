@@ -21,12 +21,11 @@ both sides therefore certify irreducibility (Norton's criterion).
 
 For higher nullity one primal vector is not decisive; over a finite field
 the case closes after enumerating all projective classes of ker g(theta),
-which this module does whenever q^nullity stays under a fixed bound.  Once
-every one of them spins to the whole space, every proper invariant
-subspace misses the kernel, so lies in the image of g(theta), whose
-annihilator is ker g(theta)^T: the first dual vector then spins properly
-exactly when the module is reducible (Norton's lemma, docs/background.md),
-and it alone is spun.  At the oracle-comparison sizes
+which this module does whenever q^nullity stays under a fixed bound, and
+then one dual vector: once every class spins to the whole space, a proper
+invariant subspace lies in the image of g(theta), so the first vector of
+ker g(theta)^T spins properly exactly when the module is reducible
+(Norton's lemma, docs/background.md).  At the oracle-comparison sizes
 (dim <= 3 over F_2, F_3) the bound always holds, so no verdict there is ever
 Inconclusive.  Over Q and Q(t) enumeration is impossible and undecided
 samples simply consume budget; certification is expected to reduce modulo a
@@ -79,8 +78,7 @@ REDUCIBLE = "reducible"
 INCONCLUSIVE = "inconclusive"
 
 # cap on q^nullity for exhaustive kernel enumeration in the higher
-# multiplicity case; 4096 keeps the worst case at 4,096 spins, fewer than
-# q^nullity projective points and one dual vector
+# multiplicity case; 4096 keeps the worst case at 4,096 spins
 ENUM_BOUND = 4096
 
 # random algebra elements are sums of at most SAMPLE_WORDS words of at most
@@ -449,11 +447,9 @@ def _norton_attempt(rep, theta, g, rec, rng):
     """Run Norton's test for one irreducible factor g of char_poly(theta):
     one spin on each side when the nullity of g(theta) is deg g; when it
     is larger and affordable, every projective point of ker g(theta) and
-    then the first vector of ker g(theta)^T, which decides once the
-    primal points all spin to the whole space (Norton's lemma) and is the
-    first point an enumeration of the dual kernel would spin; and else a
-    probe for reducibility only, which spins the basis of each kernel and
-    draws its random combinations of ker g(theta) from rng.
+    then the first vector of ker g(theta)^T (Norton's lemma); and else a
+    probe for reducibility only, which spins each kernel's basis and draws
+    its random combinations of ker g(theta) from rng.
 
     Returns (status, witness_rows) on a decision, None when this factor
     cannot decide (higher multiplicity, enumeration too large or field

@@ -38,12 +38,14 @@ def normalize_word(word):
 
 class Representation:
     """Immutable: ring, dim, generators (tuple of Matrix), their
-    determinants (a tuple over ring), relations, label."""
+    determinants (a tuple over ring; computed unless given, and nonzero),
+    relations, label."""
 
     __slots__ = ("ring", "dim", "generators", "determinants", "relations",
                  "label")
 
-    def __init__(self, ring, generators, relations=(), label=""):
+    def __init__(self, ring, generators, relations=(), label="",
+                 determinants=None):
         if not generators:
             raise ValueError("need at least one generator")
         gens = []
@@ -58,7 +60,7 @@ class Representation:
         dim = gens[0].nrows
         if any(g.nrows != dim for g in gens):
             raise ShapeError("generators must share one dimension")
-        dets = tuple(g.det() for g in gens)
+        dets = tuple(determinants or map(Matrix.det, gens))
         for g, det in zip(gens, dets):
             if ring.is_zero(det):
                 raise SingularError("generator %r is singular" % (g,))
@@ -131,7 +133,9 @@ def over_fraction_field(rep):
         return rep
     return Representation(R.fraction_field(),
                           [g.to_fraction_field() for g in rep.generators],
-                          rep.relations, label=rep.label)
+                          rep.relations, label=rep.label,
+                          determinants=map(R.to_fraction_field,
+                                           rep.determinants))
 
 
 def adjoint_rep(rep):

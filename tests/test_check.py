@@ -14,13 +14,14 @@ from irredcert.certify import (Certificate, IRREDUCIBLE_CERTIFIED,
                                _make_cert, canonical_json, certify,
                                compute_self_digest, load_certificate,
                                rep_digest, replay, verify)
-from irredcert.check import _check_norton, _Rejected, rejection
+from irredcert.check import (_check_norton, _integral_generators,
+                             _Rejected, rejection)
 from irredcert.cli import main
 from irredcert.errors import IrredcertError
 from irredcert.matrices import Matrix
 from irredcert.meataxe import is_irreducible
-from irredcert.reps import Representation, load_rep
-from irredcert.rings import QQ, ZZ, PrimeField
+from irredcert.reps import Representation, load_rep, over_fraction_field
+from irredcert.rings import QQ, ZZ, PrimeField, ring_from_json
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DATA = ROOT / "data"
@@ -104,6 +105,18 @@ class TestAccepts:
             assert verify(cert, rep), cert
             assert replay(cert, rep), cert
 
+    def test_integral_generators_keep_their_determinants(self):
+        # the determinants the lattice check computes are those of the
+        # integral model it builds, over its base ring
+        for name, cert, rep in golden_pairs():
+            if cert.lattice is None:
+                continue
+            R = ring_from_json(cert.base_ring)
+            gens, dets = _integral_generators(cert.lattice,
+                                              over_fraction_field(rep), R)
+            assert repr(dets) == repr([g.det() for g in gens]), name
+            assert all(R.is_unit(a) for a in dets), name
+
     def test_dimension_one_needs_no_sample(self):
         rep = Representation(QQ, [[[-1]]], [[(0, 1), (0, 1)]], label="sign")
         cert = forged(rep, 3, {"samples": [], "decision": {}})
@@ -111,7 +124,8 @@ class TestAccepts:
 
     def test_enumeration_whatever_the_events_say(self):
         # theta = 1 on S3 mod 5: the factor x - 1 has nullity 2 > deg 1, so
-        # the checker enumerates both kernels (25 points each)
+        # the checker spins the 6 projective points of ker g(theta) and the
+        # first vector of ker g(theta)^T
         rep = Representation(QQ, [[[1, 0], [0, 1]]] + S3, [], label="s3i")
         cert = forged(rep, 5, one_sample([[0]], ["1"], "x^2 + 3*x + 1",
                                          "x + 4"))

@@ -514,6 +514,41 @@ class TestReduce:
             assert reduction_functorial(rep, PrimeSpec.integer(p), words)
 
 
+class TestKnownDeterminants:
+    """saturate, reduce_rep and over_fraction_field pass on the
+    determinants they know; each is the determinant of its generator, in
+    the ring's own form."""
+
+    @staticmethod
+    def assert_determinants(rep):
+        assert repr(rep.determinants) == \
+            repr(tuple(g.det() for g in rep.generators))
+
+    @pytest.mark.parametrize("name", ["b3", "b3_qt", "d4", "q8", "s3",
+                                      "s3_qt", "s3_scaled", "s3_sgn_qt",
+                                      "s4", "s4_sgn", "s6", "s9"])
+    def test_data_reps(self, name):
+        _, int_rep = saturate(load_rep(os.path.join(DATA, name + ".json")))
+        self.assert_determinants(int_rep)
+        self.assert_determinants(over_fraction_field(int_rep))
+        R = int_rep.ring
+        primes = (["(0)", "(2)", "(3)", "(5)"] if R == ZZ else
+                  ["(0)", "(t-0)", "(t+1)", "(2,t-0)", "(3,t-1)"])
+        for text in primes:
+            self.assert_determinants(reduce_rep(int_rep,
+                                                PrimeSpec.parse(text, R)))
+
+    def test_bad_prime_from_a_vanishing_determinant(self):
+        t = ZT.coerce((0, 1))
+        rep = Representation(ZT, [Matrix(ZT, [[t, ZT.one()],
+                                              [ZT.zero(), ZT.one()]])], [])
+        with pytest.raises(BadPrime):
+            reduce_rep(rep, PrimeSpec.maximal(3, 0))
+        with pytest.raises(BadPrime):
+            reduce_rep(rep, PrimeSpec.linear(0))
+        self.assert_determinants(reduce_rep(rep, PrimeSpec.maximal(3, 1)))
+
+
 def evaluate_trace_z(rep, word):
     m = evaluate(rep, word)
     return m.trace()

@@ -39,6 +39,16 @@ def test_singular_generator_rejected():
         Representation(QQ, [[[1, 1], [2, 2]]])
 
 
+def test_known_determinants_are_not_recomputed(monkeypatch):
+    gens = [Matrix(QQ, [[0, -1], [1, -1]]), Matrix(QQ, [[0, 1], [1, 0]])]
+    monkeypatch.setattr(Matrix, "det", None)
+    rep = Representation(QQ, gens, determinants=[Fraction(1), Fraction(-1)])
+    assert rep.determinants == (1, -1)
+    # a zero among them is still refused
+    with pytest.raises(SingularError):
+        Representation(QQ, gens, determinants=[Fraction(1), Fraction(0)])
+
+
 def test_evaluate_examples():
     rep = s3_rep()
     assert evaluate(rep, []).is_identity()
