@@ -434,7 +434,7 @@ def _combination(K, coeffs, vecs):
 
 
 def _kernel_vectors(K, kind, ker):
-    """The vectors of a kernel basis that Norton's test of this kind spins:
+    """The vectors of ker g(theta) that Norton's test of this kind spins:
     the first one, every projective point, or the basis itself."""
     if kind == "spin":
         return ker[:1]

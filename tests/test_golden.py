@@ -28,9 +28,10 @@ DATA_FP = os.path.join(DATA, "fp")
 GOLDEN = os.path.join(HERE, "golden")
 
 # (rep, exit code of `certify`); q8 has no certifying prime and exits 2.
-# s9 (standard rep, d = 8) certifies at (2) by enumerating both projective
-# kernels of nullity 7; s6 (d = 5) is split at (3) by a dual spin, whose
-# witness is the annihilator _perp_witness computes, and certifies at (5);
+# s9 (standard rep, d = 8) certifies at (2) by enumerating the projective
+# kernel of nullity 7, then one dual vector; s6 (d = 5) is split at (3) by
+# a dual spin, whose witness is the annihilator _perp_witness computes, and
+# certifies at (5);
 # s4_sgn (S4 standard + sign in a non-unimodular basis) is reducible, and
 # its witness mod 3 lifts to Q: it ends ReducibleWithWitness by DirectOverK
 # at (3).  s3_sgn_qt (S3 standard + sign over Q(t), conjugated by
