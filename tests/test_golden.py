@@ -4,10 +4,12 @@ tests/golden/<rep>.cert.json is the stdout of `irredcert certify` on each
 corpus rep in data/, tests/golden/<rep>.reduce.<prime>.json the stdout of
 `irredcert reduce` at one prime, tests/golden/<rep>.obstruction.<prime>.json
 the stdout of `irredcert obstruction` on each of those reductions that
-lands in a finite field, and tests/golden/<rep>.meataxe.json the stdout of
+lands in a finite field, tests/golden/<rep>.meataxe.json the stdout of
 `irredcert meataxe` on each prime-field rep in data/fp/ (d from 16 to 48
 over F_2, F_3, F_101 and F_65521, made once with perfbench/gen.py, and one
-block triangular rep of d = 5 over F_3 from a seeded search).  A change
+block triangular rep of d = 5 over F_3 from a seeded search), and
+tests/golden/<rep>.meataxe.<seed>.json its stdout on a rep over Q in data/
+at that seed.  A change
 that alters a certificate or a transcript must bump TOOLKIT_VERSION; after
 such a deliberate change, regenerate the files:
 
@@ -87,6 +89,14 @@ OBSTRUCTION = [(rep, prime) for rep, prime in REDUCE
 MEATAXE = ["b32_mod101", "b8_twisted_sum_mod101", "block24_mod65521",
            "block5_mod3", "rand48_mod101", "s25_mod2", "s27_mod3"]
 
+# the MeatAxe over Q that runs out of budget: every other rep over Q in
+# data/ decides at its first sample, but q8 spans a quaternion division
+# algebra, so g(theta) = 0 for each factor g of every sample, every probe
+# spins to the whole space and the run exits 2 after its 200 samples.
+# Seed 0 is pinned inside q8.cert.json, as the search over Q that ends its
+# certificate; seeds 1 and 2 draw other samples
+MEATAXE_Q = [("q8", 1), ("q8", 2)]
+
 
 def _prime_tag(prime):
     """(2,t-1) -> 2_t-1, a file-name-safe spelling of a prime spec."""
@@ -121,6 +131,12 @@ def obstruction_case(rep, prime):
 def meataxe_case(rep):
     path = os.path.join(GOLDEN, "%s.meataxe.json" % rep)
     return path, ["meataxe", os.path.join(DATA_FP, rep + ".json")]
+
+
+def meataxe_q_case(rep, seed):
+    path = os.path.join(GOLDEN, "%s.meataxe.%d.json" % (rep, seed))
+    return path, ["meataxe", os.path.join(DATA, rep + ".json"),
+                  "--seed", str(seed)]
 
 
 def _read(path):
@@ -160,12 +176,21 @@ def test_meataxe_transcript_matches_golden(rep):
     assert text == _read(path)
 
 
+@pytest.mark.parametrize("rep,seed", MEATAXE_Q)
+def test_meataxe_q_transcript_matches_golden(rep, seed):
+    path, argv = meataxe_q_case(rep, seed)
+    got_code, text = run_cli(argv)
+    assert got_code == 2
+    assert text == _read(path)
+
+
 def regenerate():
     os.makedirs(GOLDEN, exist_ok=True)
     cases = ([certify_case(rep) for rep, _ in CERTIFY]
              + [reduce_case(rep, prime) for rep, prime in REDUCE]
              + [obstruction_case(rep, prime) for rep, prime in OBSTRUCTION]
-             + [meataxe_case(rep) for rep in MEATAXE])
+             + [meataxe_case(rep) for rep in MEATAXE]
+             + [meataxe_q_case(rep, seed) for rep, seed in MEATAXE_Q])
     for path, argv in cases:
         _, text = run_cli(argv)
         with open(path, "w", encoding="utf-8") as fh:
