@@ -65,8 +65,9 @@ from .rings import (QQ, ZZ, PolynomialRingZ, PrimeField,
 
 
 class Matrix:
-    """Immutable matrix over a RingDescriptor.  Over a PrimeField, _cols
-    caches the packed columns (packed_columns)."""
+    """Immutable matrix over a RingDescriptor.  _cols caches from first use
+    the packed columns over a PrimeField (packed_columns) and the integer
+    rows over Q (kept_integer_rows): a generator is packed or scaled once."""
 
     __slots__ = ("ring", "nrows", "ncols", "entries", "_cols")
 
@@ -723,6 +724,15 @@ def integer_rows(m):
     den = denominator_lcm(e)
     flat = scaled_rows([e], den)[0]
     return [flat[i * n:(i + 1) * n] for i in range(m.nrows)], den
+
+
+def kept_integer_rows(m):
+    """integer_rows(m) for m over Q, kept with m in _cols as tuples, which
+    its callers share; det and inverse mutate what integer_rows returns."""
+    if m._cols is None:
+        rows, den = integer_rows(m)
+        object.__setattr__(m, "_cols", (tuple(map(tuple, rows)), den))
+    return m._cols
 
 
 def int_product(a, b):

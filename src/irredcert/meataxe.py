@@ -39,18 +39,22 @@ Kronecker-packed vectors (fpoly.pack): a vector is one int with one slot
 per coordinate, M w is a sum of the packed columns of M scaled by the
 coordinates of w, and a reduction step adds a multiple of a packed row,
 with its factor read from one slot; the slots are reduced mod p once per
-vector, when fpoly.monic_slots scales it to a leading 1.  Over Q the loop
-and theta run on integer rows: a span does not change when its vectors or
-the matrices are scaled, so each generator is scaled once to an integer
-matrix, vectors are primitive integer vectors, and reduction is
-fraction-free.  The canonical reduced echelon form is taken once, for a
-proper spin only.  The ring alone selects these paths; Q(t), F_q and any
-other descriptor take the generic code, the reference in the tests.  One
-sampling loop, _decide, serves finite fields and Q; only where the
-factors of the characteristic polynomial come from differs.  hom_dim
-spins a module together with the images of its vectors in two forms:
-packed pairs over F_p, reduced and scaled as in _grow, and rows of
-scalars over every other field, Q included.
+vector, when fpoly.monic_slots scales it to a leading 1.  Over Q the loop,
+theta and g(theta) run on integer rows: a span, a kernel and an echelon
+form do not change when vectors or matrices are scaled, so matrices are
+scaled to integer ones, vectors are primitive, and reduction is
+fraction-free; the canonical echelon form is taken once, for a proper spin
+only.  The ring alone selects these paths; Q(t), F_q and any other
+descriptor take the generic code, the reference in the tests.  One
+sampling loop, _decide, serves finite fields and Q; only where the factors
+of the characteristic polynomial come from differs.  A run computes once
+what its samples would repeat, each a function of its key: the generators'
+integer rows and transposes, over Q each distinct characteristic
+polynomial's factors, and the lines its probes spun, which would spin full
+again; so no transcript depends on the reuse.  hom_dim spins a module
+together with the images of its vectors in two forms: packed pairs over
+F_p, reduced and scaled as in _grow, and rows of scalars over every other
+field, Q included.
 
 Each run is deterministic given (rep, seed, budget) and yields a transcript
 suitable for embedding in a certificate.  Reducible verdicts always carry a
@@ -60,14 +64,14 @@ witness basis that has been re-verified exactly against every generator.
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import mul, neg
 
 from . import polys
 from .errors import AbsIrredUndecided, SingularError
 from .fpoly import monic_slots, pack, slot_bytes, unpack
 from .matrices import (Matrix, _constant_q_matrix, _reduce_fp, char_poly,
                        denominator_lcm, eliminate_fp, int_product,
-                       integer_rows, kernel_basis, packed_columns,
+                       kept_integer_rows, kernel_basis, packed_columns,
                        poly_at_matrix, rref, scaled_rows)
 from .prng import XorShift64
 from .reps import Representation, evaluate
@@ -178,18 +182,14 @@ def _grow(K, mats, vecs, cap):
     rows only, so no row is revisited when one joins, and the loop stops
     at the vector that makes cap rows.
 
-    Over F_p the vectors are packed: M w is the sum of the packed columns
-    of M (packed_columns) scaled by the entries of w, each vector is
-    reduced against the packed rows (_reduce_fp) at their pivots' slot
-    shifts and made monic once (fpoly.monic_slots, in C for p < 256), and
-    the queue holds the entries of the reduced vectors, which span the
-    same space as the images.  Slots hold d products from M w and at most
-    d - 1 from the reduction, within packed_columns' bound.  A span does not change when its vectors or the matrices are
-    scaled (Holt-Rees), so over Q the loop runs on integer rows: each
-    matrix is scaled once to D m over the least common denominator D of
-    its entries, the vectors become primitive integer vectors, the
-    reduction is fraction-free, and each new row is divided by its
-    content.  Over any other field the rows have leading entry 1."""
+    Over F_p the vectors are packed (packed_columns, _reduce_fp at the
+    pivots' slot shifts, fpoly.monic_slots), and the queue holds the
+    entries of the reduced vectors, which span the same space as the
+    images; slots hold d products from M w and at most d - 1 from the
+    reduction, within packed_columns' bound.  Over Q the matrices are
+    their integer rows (kept_integer_rows), the vectors primitive integer
+    vectors, and each new row is divided by its content.  Over any other
+    field the rows have leading entry 1."""
     rows, pivots = [], []
     if isinstance(K, PrimeField):
         p, d = K.p, len(vecs[0]) if vecs else 0
@@ -214,7 +214,7 @@ def _grow(K, mats, vecs, cap):
             return _packed_echelon(p, d, nb, rows)
     else:
         if K == QQ:
-            mats = [integer_rows(m)[0] for m in mats]
+            mats = [kept_integer_rows(m)[0] for m in mats]
             apply, zero = _apply_int, 0
             vecs = [_primitive(v) for v in vecs]
 
@@ -340,16 +340,13 @@ def _sample_theta(rep, rng, index):
 
 def _theta_q(rep, words, coeffs):
     """sum c rho(w) over Q.  Each word is multiplied out on the integer
-    rows D g of its letters under a running denominator, the product of
-    their D; one Fraction per entry is built at the end."""
-    scaled = {}
+    rows D g of its letters (kept_integer_rows) under a running denominator,
+    the product of their D; one Fraction per entry is built at the end."""
     terms = []
     for w, c in zip(words, coeffs):
         prod, den = None, c.denominator
         for l in w:
-            if l not in scaled:
-                scaled[l] = integer_rows(rep.generators[l])
-            rows, e = scaled[l]
+            rows, e = kept_integer_rows(rep.generators[l])
             prod = rows if prod is None else int_product(prod, rows)
             den *= e
         terms.append((prod, c.numerator, den))
@@ -443,7 +440,40 @@ def _kernel_vectors(K, kind, ker):
     return ker
 
 
-def _norton_attempt(rep, theta, g, rec, rng):
+def _poly_at_q(g, theta):
+    """A nonzero multiple of g(theta) over Q, which has the reduced echelon
+    form of g(theta), so kernel_basis gives the same bases for it and its
+    transpose: for theta = A / D on its integer rows (kept_integer_rows),
+    L D^k g(theta) = sum L g_i D^(k-i) A^i by Horner, k - 1 products, with
+    k = deg g >= 1 and L the least common denominator of g."""
+    rows, den = kept_integer_rows(theta)
+    k, c = len(g) - 1, scaled_rows([g], denominator_lcm(g))[0]
+    acc = [[c[k] * x for x in r] for r in rows]
+    for i in range(k - 1, -1, -1):
+        for j, r in enumerate(acc):
+            r[j] += c[i] * den ** (k - i)
+        if i:
+            acc = int_product(rows, acc)
+    return Matrix(QQ, acc)
+
+
+def _new_lines(K, vecs, seen):
+    """The vectors whose lines are not in seen, each line joining it as its
+    vector is yielded, keyed over Q by the primitive integer vector with a
+    positive lead, over any other field by the vector scaled to a lead 1."""
+    for v in vecs:
+        if K == QQ:
+            w = _primitive(v)
+            key = tuple(w if next(filter(None, w)) > 0 else map(neg, w))
+        else:
+            inv = K.inv(next(a for a in v if not K.is_zero(a)))
+            key = tuple(K.mul(inv, a) for a in v)
+        if key not in seen:
+            seen.add(key)
+            yield v
+
+
+def _norton_attempt(rep, tgens, spun, theta, g, rec, rng):
     """Run Norton's test for one irreducible factor g of char_poly(theta):
     one spin on each side when the nullity of g(theta) is deg g; when it
     is larger and affordable, every projective point of ker g(theta) and
@@ -451,13 +481,16 @@ def _norton_attempt(rep, theta, g, rec, rng):
     probe for reducibility only, which spins each kernel's basis and draws
     its random combinations of ker g(theta) from rng.
 
+    _decide builds tgens, the transposed generators, and spun, the lines
+    probes have spun on each side, once per run.  A probe skips a line in
+    spun: a proper spin ends the run, so the line spun full and would again.
+
     Returns (status, witness_rows) on a decision, None when this factor
     cannot decide (higher multiplicity, enumeration too large or field
     infinite and no reducibility found)."""
     K = rep.ring
     d = rep.dim
-    gens = list(rep.generators)
-    N = poly_at_matrix(K, g, theta)
+    N = _poly_at_q(g, theta) if K == QQ else poly_at_matrix(K, g, theta)
     ker = kernel_basis(N)
     nullity = len(ker)
     degg = polys.degree(g)
@@ -480,8 +513,8 @@ def _norton_attempt(rep, theta, g, rec, rng):
         combos = [_combination(K, [_random_scalar(K, rng) for _ in ker], ker)
                   for _ in range(4)]
         vectors = ker + [v for v in combos if any(not K.is_zero(a) for a in v)]
-    for v in vectors:
-        rows = spin(K, gens, v)
+    for v in _new_lines(K, vectors, spun[0]) if kind == "probe" else vectors:
+        rows = spin(K, rep.generators, v)
         if len(rows) < d:
             events.append("primal_%s_proper:%d" % (kind, len(rows)))
             return REDUCIBLE, rows
@@ -489,8 +522,7 @@ def _norton_attempt(rep, theta, g, rec, rng):
         events.append("primal_%s_full" % (kind,))
 
     dual = kernel_basis(N.transpose())
-    tgens = [m.transpose() for m in gens]
-    for u in dual if kind == "probe" else dual[:1]:
+    for u in _new_lines(K, dual, spun[1]) if kind == "probe" else dual[:1]:
         drows = spin(K, tgens, u)
         if len(drows) < d:
             events.append("dual_%s_proper:%d" % (kind, len(drows)))
@@ -509,8 +541,7 @@ def _finish(rep, transcript, status, witness, sample_index, factor_str):
         "factor": factor_str,
     }
     if witness is not None:
-        K = rep.ring
-        if not subspace_is_invariant(K, list(rep.generators), witness):
+        if not subspace_is_invariant(rep.ring, rep.generators, witness):
             raise AssertionError("internal error: witness failed exact "
                                  "re-verification")
         transcript["decision"]["witness_dim"] = len(witness)
@@ -527,26 +558,23 @@ def _base_transcript(rep, seed, budget):
     }
 
 
-def _certified_factors_q(f, roots):
-    """Certainly-irreducible factors of a monic f over Q that we can find
-    cheaply: linear factors from its rational roots (given, as computed
-    once per sample), plus any squarefree part certified irreducible by a
-    good-reduction witness.  Sorted with linear factors first."""
-    out = []
-    seen = set()
-    for r in roots:
-        g = (QQ.neg(QQ.coerce(r)), QQ.one())
-        if g not in seen:
-            seen.add(g)
-            out.append(g)
+def _analyse_q(f):
+    """(irreducible, factors) for a monic f over Q: whether f is certified
+    irreducible, and else its certainly-irreducible factors that are cheap
+    to find: linear ones from its distinct rational roots, then squarefree
+    parts certified irreducible by a good-reduction witness.  The roots of
+    a part are those of f at which it vanishes."""
+    roots = polys.rational_roots(f)
+    if polys.certify_irreducible_q(f, roots) is True:
+        return True, []
+    out = [(-r, QQ.one()) for r in roots]
     for s in polys.squarefree_parts(QQ, f):
-        # a part already listed as a root's linear factor is not tried again
-        if polys.degree(s) in (0, polys.degree(f)) or s in seen:
-            continue
-        seen.add(s)
-        if polys.certify_irreducible_q(s) is True:
+        # a linear part is listed already, as the factor of a root
+        if 1 < polys.degree(s) < polys.degree(f) and \
+                polys.certify_irreducible_q(s, [
+                    r for r in roots if not polys.evaluate(QQ, s, r)]) is True:
             out.append(s)
-    return out
+    return False, out
 
 
 def _decide(rep, seed, budget):
@@ -556,12 +584,16 @@ def _decide(rep, seed, budget):
     are the distinct irreducible ones, smallest degree first, from
     polys.factor_stream: it splits off only the factors that are read, and
     draws from no generator but its own, so rng draws only theta and the
-    probes' combinations.  Over Q they are those
-    _certified_factors_q finds, after the check that the characteristic
-    polynomial itself is irreducible."""
+    probes' combinations.  Over Q they are those _analyse_q finds, after
+    the check that the characteristic polynomial itself is irreducible,
+    once per distinct polynomial in a run: both are functions of it, so
+    their reuse changes no transcript.  See also _norton_attempt."""
     K = rep.ring
     rng = XorShift64(seed)
     transcript = _base_transcript(rep, seed, budget)
+    tgens = [m.transpose() for m in rep.generators]
+    spun = (set(), set())
+    analysed = {}           # over Q: f -> (irreducible, factors)
     for i in range(budget):
         theta, srec = _sample_theta(rep, rng, i)
         f = char_poly(theta)
@@ -571,19 +603,20 @@ def _decide(rep, seed, budget):
         if K.characteristic > 0:
             factors = polys.factor_stream(K, f)
         else:
+            if f not in analysed:
+                analysed[f] = _analyse_q(f)
+            irreducible, factors = analysed[f]
             # an irreducible characteristic polynomial leaves theta no
             # invariant subspace at all, let alone a G-invariant one
-            roots = polys.rational_roots(f)
-            if polys.certify_irreducible_q(f, roots) is True:
+            if irreducible:
                 srec["factors"].append({"poly": srec["charpoly"],
                                         "events": ["charpoly_irreducible"]})
                 return _finish(rep, transcript, IRREDUCIBLE, None, i,
                                srec["charpoly"])
-            factors = _certified_factors_q(f, roots)
         for g in factors:
             rec = {"poly": polys.format_poly_generic(K, g, "x")}
             srec["factors"].append(rec)
-            out = _norton_attempt(rep, theta, g, rec, rng)
+            out = _norton_attempt(rep, tgens, spun, theta, g, rec, rng)
             if out is not None:
                 return _finish(rep, transcript, out[0], out[1], i, rec["poly"])
     transcript["decision"] = {"status": INCONCLUSIVE,
@@ -647,8 +680,6 @@ def _decide_qt(rep, seed, budget):
     # sampled algebra elements come from the roots of a specialized
     # characteristic polynomial
     rng = XorShift64(seed)
-    gens = list(rep.generators)
-    d = rep.dim
     for i in range(min(budget, 24)):
         theta, srec = _sample_theta(rep, rng, i)
         transcript["samples"].append(srec)
@@ -666,14 +697,11 @@ def _decide_qt(rep, seed, budget):
             g = (K.neg(K.coerce(lam)), K.one())
             rec = {"poly": polys.format_poly_generic(K, g, "x")}
             srec["factors"].append(rec)
-            N = poly_at_matrix(K, g, theta)
-            ker = kernel_basis(N)
+            ker = kernel_basis(poly_at_matrix(K, g, theta))
             rec["nullity"] = len(ker)
-            if not ker:
-                continue
             for v in ker:
-                rows = spin(K, gens, v)
-                if len(rows) < d:
+                rows = spin(K, rep.generators, v)
+                if len(rows) < rep.dim:
                     rec["events"] = ["primal_spin_proper:%d" % (len(rows),)]
                     return _finish(rep, transcript, REDUCIBLE, rows, i,
                                    rec["poly"])

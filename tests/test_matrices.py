@@ -15,8 +15,8 @@ import pytest
 from irredcert.errors import IntegralityError, ShapeError, SingularError
 from irredcert.matrices import (
     Matrix, _bareiss, _det_field, _row_hnf, char_poly, fraction_free_inverse,
-    int_product, integer_rows, integral_conjugates, kernel_basis, kronecker,
-    poly_at_matrix, poly_rows, rank, rref,
+    int_product, integer_rows, integral_conjugates, kept_integer_rows,
+    kernel_basis, kronecker, poly_at_matrix, poly_rows, rank, rref,
 )
 from irredcert.prng import XorShift64
 from irredcert.rings import ZZ, QQ, PolynomialRingZ, PrimeField, \
@@ -414,6 +414,19 @@ def test_inverse_over_q_matches_the_generic_path():
                                      for i in range(n)]
     assert Matrix(ZZ, [[2, 1], [1, 3]]).inverse().entries == \
         Matrix(KG, [[2, 1], [1, 3]]).inverse().entries
+
+
+def test_kept_integer_rows():
+    """The integer rows a matrix over Q keeps are integer_rows as tuples,
+    computed once; det and inverse, which eliminate in place on
+    integer_rows, leave them as they were."""
+    m = Matrix(QQ, [[Fraction(1, 2), 3], [Fraction(-2, 3), 0]])
+    kept = kept_integer_rows(m)
+    assert kept == (((3, 18), (-4, 0)), 6)
+    rows, den = integer_rows(m)
+    assert kept == (tuple(map(tuple, rows)), den)
+    assert m.det() == 2 and m.inverse() * m == Matrix.identity(QQ, 2)
+    assert kept_integer_rows(m) is kept
 
 
 def test_integral_conjugates_match_the_generic_path():

@@ -12,11 +12,13 @@ from irredcert import meataxe, polys
 from irredcert.errors import AbsIrredUndecided
 from irredcert.fpoly import pack, unpack
 from irredcert.lattices import PrimeSpec, reduce_rep, saturate
-from irredcert.matrices import Matrix, packed_columns
+from irredcert.matrices import (Matrix, char_poly, kernel_basis,
+                                packed_columns, poly_at_matrix)
 from irredcert.meataxe import (INCONCLUSIVE, IRREDUCIBLE, REDUCIBLE,
                                _combination, _decide, _echelon_rows,
-                               _reduce_against, _reduce_fp, _sample_theta,
-                               endo_dim, is_absolutely_irreducible,
+                               _poly_at_q, _reduce_against, _reduce_fp,
+                               _sample_theta, endo_dim,
+                               is_absolutely_irreducible,
                                is_irreducible, spin, subspace_is_invariant)
 from irredcert.oracle import count_invariant
 from irredcert.prng import XorShift64
@@ -668,33 +670,80 @@ class TestRationalIntegerRows:
                 assert tq.entries == tg.entries, (name, i)
                 assert all(type(x) is Fraction for x in tq.entries)
 
+    def test_poly_at_q_is_a_multiple(self, cases):
+        # on integer rows, g(theta) comes out as a nonzero multiple, which
+        # has the same kernel bases on both sides
+        rng = XorShift64(47)
+        nullities = set()
+        for gens in cases.values():
+            rep = Representation(QQ, gens, [])
+            for i in range(4):
+                theta = _sample_theta(rep, rng, i)[0]
+                parts = polys.squarefree_parts(QQ, char_poly(theta))
+                for g in parts + [(Fraction(-1, 3), QQ.one())]:
+                    ref = poly_at_matrix(QQ, g, theta)
+                    got = _poly_at_q(g, theta)
+                    k = next((b / a for a, b in zip(ref.entries, got.entries)
+                              if a), 1)
+                    assert k and got == ref.scale(k)
+                    assert kernel_basis(got) == kernel_basis(ref)
+                    assert kernel_basis(got.transpose()) == \
+                        kernel_basis(ref.transpose())
+                    nullities.add(len(kernel_basis(ref)) > 0)
+        assert nullities == {True, False}
+
     def test_decide_q_matches_generic(self, cases):
+        # q8 runs out of budget: its samples repeat characteristic
+        # polynomials and probe lines, so a run reuses its analyses and
+        # skips the lines that spun full
+        runs = [(name, gens, seed, 12) for name, gens in cases.items()
+                for seed in (0, 3)]
+        q8 = [g.rows() for g in load_rep(str(DATA / "q8.json")).generators]
+        runs += [("q8", q8, seed, 40) for seed in (0, 3)]
         statuses = set()
-        for name, gens in cases.items():
-            for seed in (0, 3):
-                vq = _decide(Representation(QQ, gens, []), seed, 12)
-                vg = _decide(Representation(self.KG, gens, []), seed, 12)
-                assert vq.status == vg.status, name
-                assert vq.witness == vg.witness, name
-                assert json.dumps(vq.transcript, sort_keys=True) == \
-                    json.dumps(vg.transcript, sort_keys=True), name
-                statuses.add(vq.status)
-        assert statuses == {IRREDUCIBLE, REDUCIBLE}
+        for name, gens, seed, budget in runs:
+            vq = _decide(Representation(QQ, gens, []), seed, budget)
+            vg = _decide(Representation(self.KG, gens, []), seed, budget)
+            assert vq.status == vg.status, name
+            assert vq.witness == vg.witness, name
+            assert json.dumps(vq.transcript, sort_keys=True) == \
+                json.dumps(vg.transcript, sort_keys=True), name
+            statuses.add(vq.status)
+            if name == "q8":
+                polys_seen = [s["charpoly"] for s in vq.transcript["samples"]]
+                assert len(set(polys_seen)) < len(polys_seen) == budget
+        assert statuses == {IRREDUCIBLE, REDUCIBLE, INCONCLUSIVE}
 
-    def test_rational_roots_once_per_polynomial(self, cases, monkeypatch):
-        # the roots of a sampled characteristic polynomial serve both the
-        # irreducibility check and the factor list, and a repeated
-        # squarefree part is tried once
-        calls = []
-        roots = polys.rational_roots
+    @staticmethod
+    def _q8_calls(monkeypatch, sites):
+        """The arguments of each call to the given (module, name) sites in
+        q8's search over Q at seed 0, the (0) step of its certificate."""
+        calls = {name: [] for _, name in sites}
+        for module, name in sites:
+            def counted(*args, _f=getattr(module, name), _log=calls[name]):
+                _log.append(args)
+                return _f(*args)
+            monkeypatch.setattr(module, name, counted)
+        verdict = is_irreducible(load_rep(str(DATA / "q8.json")), seed=0)
+        assert verdict.status == INCONCLUSIVE
+        return verdict, calls
 
-        def counted(f):
-            calls.append(tuple(f))
-            return roots(f)
+    def test_rational_roots_once_per_polynomial(self, monkeypatch):
+        # the roots of a characteristic polynomial serve the irreducibility
+        # check and the factor list, the roots of each squarefree part are
+        # read off them, and a polynomial that recurs reuses its analysis
+        verdict, calls = self._q8_calls(monkeypatch,
+                                        [(polys, "rational_roots")])
+        seen = [tuple(args[0]) for args in calls["rational_roots"]]
+        assert len(set(seen)) == len(seen) == len(
+            {s["charpoly"] for s in verdict.transcript["samples"]}) == 64
 
-        monkeypatch.setattr(polys, "rational_roots", counted)
-        rep = Representation(QQ, cases["s4+s5_big"], [])
-        for seed in range(4):
-            calls.clear()
-            assert is_irreducible(rep, seed=seed).status == REDUCIBLE
-            assert calls and len(set(calls)) == len(calls), seed
+    def test_q8_work_counts(self, monkeypatch):
+        # 200 samples, one char_poly each, but 64 distinct characteristic
+        # polynomials, and every probe line spins at most once per side:
+        # 2,400 spins and 379 rational_roots calls before a run shared them
+        _, calls = self._q8_calls(monkeypatch, [
+            (polys, "rational_roots"), (meataxe, "spin"),
+            (meataxe, "char_poly")])
+        assert {k: len(v) for k, v in calls.items()} == {
+            "rational_roots": 64, "spin": 567, "char_poly": 200}

@@ -12,10 +12,11 @@ from irredcert import meataxe, polys
 from irredcert.matrices import kernel_basis, poly_at_matrix
 
 
-def norton_attempt(rep, theta, g, rec, rng):
+def norton_attempt(rep, tgens, spun, theta, g, rec, rng):
     """Norton's test for one irreducible factor g of char_poly(theta),
     enumerating both projective kernels; the signature and return value of
-    meataxe._norton_attempt."""
+    meataxe._norton_attempt.  It transposes the generators itself and
+    ignores the run's sets of lines that spun full."""
     K = rep.ring
     d = rep.dim
     gens = list(rep.generators)
