@@ -4,6 +4,8 @@ The bar complex in bar_complex.py is the independent oracle for
 cohomology_dims.
 """
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,13 @@ from irredcert.cohomology import (close_group, cohomology_dims, module_action,
 from irredcert.errors import GroupTooLarge
 from irredcert.matrices import Matrix
 from irredcert.meataxe import endo_dim
-from irredcert.reps import Representation, adjoint_rep, trivial_rep
+from irredcert.reps import Representation, adjoint_rep, load_rep, trivial_rep
 from irredcert.rings import ExtensionField, PrimeField
 
 from bar_complex import (_numpy_differential, bar_differential, exact_dims,
                          numpy_dims)
 
+DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
 F4 = ExtensionField(2, (1, 1, 1))
 F9 = ExtensionField(3, (1, 0, 1))
 
@@ -255,6 +258,23 @@ class TestObstructionReport:
         assert report.unobstructed
         assert report.universal_deformation_irreducible is True
         assert report.predicted_ring is not None
+
+    def test_sl2_f4_bounded_by_its_sylow_subgroup(self):
+        # restriction to a Sylow p-subgroup P is injective on H^i for
+        # i >= 1 (Brown, Cohomology of Groups, III.10.4), so d1 and d2 of
+        # SL2(F_4) are at most those of P, its upper unitriangular
+        # matrices (order 4), which the bar complex computes
+        rep = load_rep(DATA / "fq" / "sl2_f4.json")
+        report = obstruction_report(rep)
+        assert (report.group_order, report.d0, report.d1, report.d2) \
+            == (60, 1, 0, 1)
+        x = F4.coerce((0, 1))
+        sylow = Representation(F4, [[[1, 1], [0, 1]], [[1, x], [0, 1]]])
+        table = close_group(sylow)
+        assert table.order == 4
+        _, p1, p2 = exact_dims(table, adjoint_rep(sylow))
+        assert (p1, p2) == (2, 2)
+        assert report.d1 <= p1 and report.d2 <= p2
 
     def test_trivial_group(self):
         K = PrimeField(5)

@@ -4,7 +4,8 @@ tests/golden/<rep>.cert.json is the stdout of `irredcert certify` on each
 corpus rep in data/, tests/golden/<rep>.reduce.<prime>.json the stdout of
 `irredcert reduce` at one prime, tests/golden/<rep>.obstruction.<prime>.json
 the stdout of `irredcert obstruction` on each of those reductions that
-lands in a finite field, tests/golden/<rep>.meataxe.json the stdout of
+lands in a finite field, tests/golden/<rep>.obstruction.json its stdout on
+each rep over an extension field in data/fq/, tests/golden/<rep>.meataxe.json the stdout of
 `irredcert meataxe` on each prime-field rep in data/fp/ (d from 16 to 48
 over F_2, F_3, F_101 and F_65521, made once with perfbench/gen.py, and one
 block triangular rep of d = 5 over F_3 from a seeded search), and
@@ -27,6 +28,7 @@ from irredcert.cli import main
 HERE = os.path.dirname(os.path.abspath(__file__))
 DATA = os.path.join(os.path.dirname(HERE), "data")
 DATA_FP = os.path.join(DATA, "fp")
+DATA_FQ = os.path.join(DATA, "fq")
 GOLDEN = os.path.join(HERE, "golden")
 
 # (rep, exit code of `certify`); q8 has no certifying prime and exits 2.
@@ -69,6 +71,10 @@ REDUCE = ([(rep, prime) for rep in ("s3", "s3_scaled", "d4", "s4")
 # s4 mod 2 and b3_qt at (2,t-1) are the obstructed ones, d2 = 2 and 1
 OBSTRUCTION = [(rep, prime) for rep, prime in REDUCE
                if prime not in ("(t-0)", "(0)")]
+
+# the reps over an extension field: the natural rep of SL2(F_4) over F_4
+# (order 60), irreducible with scalar commutant and d = (1, 0, 1)
+OBSTRUCTION_FQ = ["sl2_f4"]
 
 
 # the reps over F_p: S27 standard mod 3 and a block triangular rep mod
@@ -128,6 +134,11 @@ def obstruction_case(rep, prime):
     return path, ["obstruction", reduced]
 
 
+def obstruction_fq_case(rep):
+    path = os.path.join(GOLDEN, "%s.obstruction.json" % rep)
+    return path, ["obstruction", os.path.join(DATA_FQ, rep + ".json")]
+
+
 def meataxe_case(rep):
     path = os.path.join(GOLDEN, "%s.meataxe.json" % rep)
     return path, ["meataxe", os.path.join(DATA_FP, rep + ".json")]
@@ -168,6 +179,14 @@ def test_obstruction_report_matches_golden(rep, prime):
     assert text == _read(path)
 
 
+@pytest.mark.parametrize("rep", OBSTRUCTION_FQ)
+def test_obstruction_report_over_fq_matches_golden(rep):
+    path, argv = obstruction_fq_case(rep)
+    got_code, text = run_cli(argv)
+    assert got_code == 0
+    assert text == _read(path)
+
+
 @pytest.mark.parametrize("rep", MEATAXE)
 def test_meataxe_transcript_matches_golden(rep):
     path, argv = meataxe_case(rep)
@@ -189,6 +208,7 @@ def regenerate():
     cases = ([certify_case(rep) for rep, _ in CERTIFY]
              + [reduce_case(rep, prime) for rep, prime in REDUCE]
              + [obstruction_case(rep, prime) for rep, prime in OBSTRUCTION]
+             + [obstruction_fq_case(rep) for rep in OBSTRUCTION_FQ]
              + [meataxe_case(rep) for rep in MEATAXE]
              + [meataxe_q_case(rep, seed) for rep, seed in MEATAXE_Q])
     for path, argv in cases:

@@ -22,7 +22,8 @@ from irredcert.meataxe import (INCONCLUSIVE, IRREDUCIBLE, REDUCIBLE,
                                is_irreducible, spin, subspace_is_invariant)
 from irredcert.oracle import count_invariant
 from irredcert.prng import XorShift64
-from irredcert.reps import Representation, conjugate, direct_sum, load_rep
+from irredcert.reps import (Representation, adjoint_rep, conjugate,
+                            direct_sum, load_rep)
 from irredcert.rings import QQ, ZZ, ExtensionField, PrimeField, \
     RationalFunctionField
 
@@ -340,6 +341,23 @@ class TestEndoDim:
     def test_rational_s3(self):
         assert endo_dim(s3_over(QQ)) == 1
 
+    def test_sl2_f4_natural_and_adjoint(self):
+        # the natural rep of SL2(F_4) over F_4 has scalar commutant; the
+        # commutant of its adjoint End(V) is spanned by the identity and
+        # X -> tr(X) I, nilpotent in characteristic 2, where tr(I) = 0
+        rep = load_rep(DATA / "fq" / "sl2_f4.json")
+        assert endo_dim(rep) == 1
+        assert endo_dim(adjoint_rep(rep)) == 2
+
+    def test_rotation_over_f9(self):
+        # x^2 + 1 is the modulus of F_9, so the rotation by 90 degrees has
+        # the eigenvalues x and -x there: two distinct lines, each
+        # invariant, and a diagonalizable commutant of dimension 2
+        rep = Representation(ExtensionField(3, (1, 0, 1)),
+                             [[[0, -1], [1, 0]]], [])
+        assert endo_dim(rep) == 2
+        assert is_irreducible(rep).status == REDUCIBLE
+
 
 class TestAbsoluteIrreducibility:
 
@@ -358,6 +376,9 @@ class TestAbsoluteIrreducibility:
     def test_requires_finite_field(self):
         with pytest.raises(ValueError):
             is_absolutely_irreducible(s3_over(QQ))
+
+    def test_sl2_f4_natural(self):
+        assert is_absolutely_irreducible(load_rep(DATA / "fq" / "sl2_f4.json"))
 
     def test_irreducible_but_not_absolutely(self):
         # rotation by 90 degrees over F_3: x^2+1 is irreducible mod 3, so the
