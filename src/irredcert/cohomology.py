@@ -20,8 +20,10 @@ read off the echelon kernel basis.  Every h(A) comes from meataxe.hom_dim,
 which spins A from a few seed vectors and carries their images, so its
 unknowns are the m entries of each seed's image (27 for B3's I on its
 9-dimensional adjoint, 45 for its R) rather than the m dim A entries of a
-whole homomorphism.  One exact code path serves every field (Brown,
-"Cohomology of Groups", III.5-6).
+whole homomorphism (Brown, "Cohomology of Groups", III.5-6).  Over
+F_q = F_p(alpha), q = p^k, I and R are defined over F_p, and H^i(G, Res M)
+is H^i(G, M) seen as an F_p-space, so the whole computation runs over F_p
+on the restriction of scalars of M and divides each dimension by k.
 
 The obstruction report packages the deformation-theoretic numbers for the
 adjoint module: d_i = dim H^i(G, ad), the commutant dimension, the
@@ -31,9 +33,9 @@ commutant, the flag that the universal deformation stays irreducible.
 """
 
 from .errors import GroupTooLarge
-from .matrices import Matrix, kernel_basis
+from .matrices import Matrix, kernel_basis, restrict_scalars
 from .meataxe import INCONCLUSIVE, IRREDUCIBLE, hom_dim, is_irreducible
-from .reps import adjoint_rep
+from .reps import Representation, adjoint_rep
 from .rings import ExtensionField, PrimeField
 
 # close_group tabulates groups of at most this order
@@ -164,10 +166,16 @@ def _kernel_action(K, boundary, perms):
 
 
 def cohomology_dims(table, module):
-    """(dim H^0, dim H^1, dim H^2) of the module over the table group."""
+    """(dim H^0, dim H^1, dim H^2) of the module over the table group; over
+    F_q, those of its restriction to F_p divided by k."""
     K = module.ring
     if not K.is_field:
         raise ValueError("cohomology needs field coefficients")
+    if isinstance(K, ExtensionField):
+        # H^i(G, Res M) is H^i(G, M) as an F_p-space, k times as large
+        res = Representation(PrimeField(K.p),
+                             [restrict_scalars(g) for g in module.generators])
+        return tuple(d // K.k for d in cohomology_dims(table, res))
     module_action(table, module)        # rejects a module G does not act on
     n, k, m = table.order, len(table.gen_indices), module.dim
     rho = module.generators

@@ -371,6 +371,23 @@ def kronecker(a, b):
     return Matrix._raw(R, a.nrows * b.nrows, a.ncols * b.ncols, out)
 
 
+def restrict_scalars(m):
+    """A d x e matrix m over F_q = F_p(alpha), q = p^k, as the dk x ek
+    matrix over F_p in which each entry c is the k x k block of
+    multiplication by c on the basis 1, alpha, ..., alpha^(k-1): an
+    injective ring map, Res(xy) = Res(x) Res(y) and Res(x + y) = Res(x) +
+    Res(y)."""
+    K, k = m.ring, m.ring.k
+    powers = [K.coerce((0,) * t + (1,)) for t in range(k)]
+    blocks = {}
+    for c in set(m.entries):
+        cols = [K.mul(c, a) + (0,) * k for a in powers]
+        blocks[c] = [[col[s] for col in cols] for s in range(k)]
+    return Matrix._raw(PrimeField(K.p), m.nrows * k, m.ncols * k,
+                       [x for i in range(m.nrows) for s in range(k)
+                        for c in m.row(i) for x in blocks[c][s]])
+
+
 def poly_at_matrix(K, coeffs, m):
     """Evaluate a polynomial (ascending coefficient tuple over K) at a square
     matrix over K, by Horner: deg - 1 products for degree >= 1, each with m

@@ -52,9 +52,9 @@ what its samples would repeat, each a function of its key: the generators'
 integer rows and transposes, over Q each distinct characteristic
 polynomial's factors, and the lines its probes spun, which would spin full
 again; so no transcript depends on the reuse.  hom_dim spins a module
-together with the images of its vectors in two forms: packed pairs over
-F_p, reduced and scaled as in _grow, and rows of scalars over every other
-field, Q included.
+together with the images of its vectors as packed pairs over F_p, reduced
+and scaled as in _grow, and over F_q on the restriction of scalars to F_p;
+over Q and Q(t) it raises ValueError.
 
 Each run is deterministic given (rep, seed, budget) and yields a transcript
 suitable for embedding in a certificate.  Reducible verdicts always carry a
@@ -72,7 +72,7 @@ from .fpoly import monic_slots, pack, slot_bytes, unpack
 from .matrices import (Matrix, _constant_q_matrix, _reduce_fp, char_poly,
                        denominator_lcm, eliminate_fp, int_product,
                        kept_integer_rows, kernel_basis, packed_columns,
-                       poly_at_matrix, rref, scaled_rows)
+                       poly_at_matrix, restrict_scalars, rref, scaled_rows)
 from .prng import XorShift64
 from .reps import Representation, evaluate
 from .rings import QQ, ExtensionField, PrimeField, RationalFunctionField
@@ -150,18 +150,14 @@ def _reduce_against(K, rows, pivots, w):
     Over Q the rows and w are integer vectors, and the step
     w <- (a/g) w - (c/g) r, with a = r[pivot], c = w[pivot] and
     g = gcd(a, c), is fraction-free: the result is a nonzero multiple of
-    the reduction over Q.  A row with a = 1 takes w - c r without the gcd,
-    so the monic Fraction rows of hom_dim reduce here too.  Over any other
-    field the rows have leading entry 1 (over F_p, _reduce_fp takes packed
-    rows)."""
+    the reduction over Q.  Over any other field the rows have leading
+    entry 1 (over F_p, _reduce_fp takes packed rows)."""
     if K == QQ:
         for pi, r in zip(pivots, rows):
             c = w[pi]
             if c:
-                a = r[pi]
-                if a != 1:
-                    g = gcd(a, c)
-                    a, c = a // g, c // g
+                g = gcd(r[pi], c)
+                a, c = r[pi] // g, c // g
                 w = [a * x - c * y for x, y in zip(w, r)]
         return w
     w = list(w)
@@ -738,8 +734,8 @@ def is_irreducible(rep, seed=0, budget=200):
 
 
 def hom_dim(K, src_gens, dst_gens):
-    """dim Hom_G(A, M) for modules A and M over the field K, given by the
-    matrices a_j and rho_j of the same generators, by spinning A with
+    """dim Hom_G(A, M) for modules A and M over the finite field K, given by
+    the matrices a_j and rho_j of the same generators, by spinning A with
     images (Holt, Eick and O'Brien, ch. 7).
 
     The seeds are the unit vectors of A that the spin of the earlier seeds
@@ -755,121 +751,82 @@ def hom_dim(K, src_gens, dst_gens):
     matrices.
 
     The image is kept column by column, so a new seed appends its m
-    columns.  As in _grow, over F_p the pair is one packed int, reduced by
+    columns.  As in _grow, the pair is one packed int, reduced by
     _reduce_fp and pivoted and scaled by fpoly.monic_slots: the vector
     fills the low a slots, so the pivot falls among them exactly when the
     vector is nonzero mod p, and otherwise the m equations share one
     nonzero factor, which leaves their rank alone.  rho_j acts on all
     columns at once: row k of the image, read off every m-th slot, times
-    the packed column k of rho_j.  Every other field, Q included, takes
-    the descriptor form: rows of scalars, Matrix.apply and _reduce_against."""
+    the packed column k of rho_j.
+
+    Over F_q = F_p(alpha), q = p^k, the F_q-maps A -> M are the F_p-maps
+    Res A -> Res M (matrices.restrict_scalars) that commute with alpha, an
+    F_p-space of k times their F_q-dimension; so the F_p count runs on the
+    restricted generators and one more pair, alpha on A and on M."""
+    if not isinstance(K, (PrimeField, ExtensionField)):
+        raise ValueError("hom_dim needs a finite field, not %r" % (K,))
+    if len(src_gens) != len(dst_gens):
+        raise ValueError("hom_dim got %d source and %d target generators"
+                         % (len(src_gens), len(dst_gens)))
     a, m = src_gens[0].nrows, dst_gens[0].nrows
     if not a or not m:
         return 0
+    if isinstance(K, ExtensionField):
+        alpha = K.coerce((0, 1))
+        src, dst = ([restrict_scalars(g) for g in gens]
+                    + [restrict_scalars(Matrix.identity(K, d).scale(alpha))]
+                    for gens, d in ((src_gens, a), (dst_gens, m)))
+        return hom_dim(PrimeField(K.p), src, dst) // K.k
+    p = K.p
+    # slots meet a products from a_j or m from rho_j, a from reduction
+    nb = slot_bytes(p, a + max(a, m))
+    sh = 8 * nb                 # as in _grow, the pivots are slot shifts
+    # every m-th slot, for as many image columns as there can be
+    spread = int.from_bytes((b"\xff" * nb + bytes(nb * (m - 1))) * m * a,
+                            "little")
+    gens = [(pack(x.transpose().entries, nb, p, a),
+             pack(r.transpose().entries, nb, p, m))
+            for x, r in zip(src_gens, dst_gens)]
     rows, pivots = [], []
-    # each form gives seed(t, n), the pair of e_t after n unknowns;
-    # step(b, gen), the pair of a_j b; and reduce(w, n), the pair w over n
-    # unknowns reduced and scaled: (its entries or None when it is 0, the
-    # queue item when it is kept)
-    if isinstance(K, PrimeField):
-        p, zero = K.p, 0
-        # slots meet a products from a_j or m from rho_j, a from reduction
-        nb = slot_bytes(p, a + max(a, m))
-        sh = 8 * nb
-        # every m-th slot, for as many image columns as there can be
-        spread = int.from_bytes((b"\xff" * nb + bytes(nb * (m - 1))) * m * a,
-                                "little")
-        gens = [(pack(x.transpose().entries, nb, p, a),
-                 pack(r.transpose().entries, nb, p, m))
-                for x, r in zip(src_gens, dst_gens)]
-
-        def seed(t, n):
-            return (1 << sh * t) + sum(1 << sh * (a + m * (n + i) + i)
-                                       for i in range(m))
-
-        def step(b, gen):
-            v, img = b
-            xcols, rcols = gen
-            img = sum(c * (img >> sh * k & spread)
-                      for k, c in enumerate(rcols))
-            return sum(map(mul, v, xcols)) + (img << sh * a)
-
-        def reduce(w, n):
-            out = monic_slots(_reduce_fp(w, rows, pivots, p, nb), a + m * n,
-                              nb, p)
-            if out is None:
-                return None, None
-            idx, w, u = out
-            if idx >= a:
-                return u, None
-            rows.append(w)
-            pivots.append(sh * idx)     # as in _grow, slot shifts
-            return u, (u[:a], w >> sh * a)
-    else:
-        zero, one = K.zero(), K.one()
-        gens = list(zip(src_gens, dst_gens))
-
-        def seed(t, n):
-            w = [zero] * (a + m * (n + m))
-            for r in rows:
-                r.extend(w[len(r):])
-            w[t] = one
-            for i in range(m):
-                w[a + m * (n + i) + i] = one
-            return w
-
-        def step(b, gen):
-            x, r = gen
-            w = list(x.apply(b[:a]))
-            for i in range(a, len(b), m):
-                w.extend(r.apply(b[i:i + m]))
-            return w
-
-        def reduce(w, n):
-            u = _reduce_against(K, rows, pivots, w)
-            idx = next((i for i, c in enumerate(u) if c != zero), None)
-            if idx is None:
-                return None, None
-            if u[idx] != one:
-                inv = K.inv(u[idx])
-                u = [K.mul(inv, c) for c in u]
-            if idx >= a:
-                return u, None
-            rows.append(u)
-            pivots.append(idx)
-            return u, u
-
-    n = 0                   # unknowns so far, m per seed
-    eqs = {}                # equations as tuples, each once
+    n = 0                       # unknowns so far, m per seed
+    eqs = {}                    # equations as tuples, each once
     for t in range(a):
         if len(rows) == a:
             break
         # e_t with X e_t = y, m new unknowns y that the kept pairs do not
-        # involve (their rows are padded with zeros); a new seed when the
-        # spin so far misses e_t
-        b = reduce(seed(t, n), n + m)[1]
-        if b is None:
-            continue
-        n += m
-        queue = [b]
-        while queue:
-            b = queue.pop()
-            for gen in gens:
-                u, kept = reduce(step(b, gen), n)
-                if kept is not None:
-                    queue.append(kept)
-                elif u is not None:
+        # involve; a new seed unless the spin so far reaches e_t, when it
+        # is the first pair to reduce to 0, before any is kept
+        before, width = len(rows), a + m * (n + m)
+        todo = [(1 << sh * t) + sum(1 << sh * (a + m * (n + i) + i)
+                                    for i in range(m))]
+        while todo:
+            out = monic_slots(_reduce_fp(todo.pop(), rows, pivots, p, nb),
+                              width, nb, p)
+            if out is None:
+                continue
+            idx, w, u = out
+            if idx >= a:
+                if len(rows) > before:
                     for i in range(m):
                         eqs[tuple(u[a + i::m])] = None
-    eqs = [list(e) + [zero] * (n - len(e)) for e in eqs]
-    return n - len(_grow(K, [], eqs, 0)[0])
+                continue
+            # kept: push the pairs of a_j b, with rho_j times its image
+            rows.append(w)
+            pivots.append(sh * idx)
+            v, img = u[:a], w >> sh * a
+            for xcols, rcols in gens:
+                todo.append(sum(map(mul, v, xcols)) + (sum(
+                    c * (img >> sh * k & spread)
+                    for k, c in enumerate(rcols)) << sh * a))
+        if len(rows) > before:
+            n += m
+    return n - len(_grow(K, [], [e + (0,) * (n - len(e)) for e in eqs],
+                         0)[0])
 
 
 def endo_dim(rep):
-    """Dimension over the base field of the commutant {X : Xg = gX for all
-    generators}."""
-    if not rep.ring.is_field:
-        raise ValueError("endo_dim works over a field")
+    """Dimension over the finite base field of the commutant
+    {X : Xg = gX for all generators}."""
     return hom_dim(rep.ring, rep.generators, rep.generators)
 
 

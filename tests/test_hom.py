@@ -1,17 +1,19 @@
 """meataxe.hom_dim against the stacked reference system (hom_system.py).
 
-hom_dim spins A from a few seed unit vectors and carries their images;
-the reference solves X a_j = rho_j X in all dim M * dim A unknowns.  The
-cases are pairs of modules for the same generators, built from seeded
-random blocks over F_2, F_3, F_101, F_4, Q and Q(t): a 0-dimensional A,
-A = M, dim A != dim M, direct sums, extensions, rational conjugates of
-them, and modules that need several seeds.  The modules that
+hom_dim spins A from a few seed unit vectors and carries their images, on
+packed vectors over F_p and over F_q by restriction of scalars to F_p;
+the reference solves X a_j = rho_j X in all dim M * dim A unknowns with
+descriptor arithmetic over the field itself.  The cases are pairs of
+modules for the same generators, built from seeded random blocks over
+F_2, F_3, F_101, F_4, F_8 and F_9: a 0-dimensional A, A = M,
+dim A != dim M, direct sums, extensions, conjugates of them by small
+integer matrices, and modules that need several seeds.  The modules that
 cohomology_dims hands to hom_dim (F, the augmentation ideal and the
-relation module) are checked the same way.
+relation module) are checked the same way.  Over Q and Q(t) hom_dim
+raises ValueError.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -25,16 +27,13 @@ from irredcert.rings import (QQ, ExtensionField, PrimeField,
 
 from hom_system import stacked_hom_dim
 
-QT = RationalFunctionField("t")
-T = QT.coerce(((0, 1), (1,)))
-
 FIELDS = {
     "F2": PrimeField(2),
     "F3": PrimeField(3),
     "F101": PrimeField(101),
     "F4": ExtensionField(2, (1, 1, 1)),
-    "Q": QQ,
-    "Q(t)": QT,
+    "F9": ExtensionField(3, (1, 0, 1)),
+    "F8": ExtensionField(2, (1, 1, 0, 1)),
 }
 
 NGENS = 2
@@ -43,16 +42,7 @@ NGENS = 2
 def scalar(K, rng):
     if isinstance(K, PrimeField):
         return rng.randrange(K.p)
-    if isinstance(K, ExtensionField):
-        return K.coerce(tuple(rng.randrange(K.p) for _ in range(K.k)))
-    if K == QQ:
-        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-    # a + b t, now and then over t + 1
-    a = K.add(K.coerce(rng.randint(-2, 2)),
-              K.mul(K.coerce(rng.randint(-1, 1)), T))
-    if rng.randrange(4) == 0:
-        a = K.mul(a, K.inv(K.add(T, K.one())))
-    return a
+    return K.coerce(tuple(rng.randrange(K.p) for _ in range(K.k)))
 
 
 def block(K, rng, d):
@@ -93,8 +83,7 @@ def extension(K, rng, xs, ys):
 
 
 def conjugate(K, rng, xs):
-    """P x P^-1 for one random invertible P with small integer entries: a
-    rational conjugate."""
+    """P x P^-1 for one random invertible P with small integer entries."""
     d = xs[0].nrows
     while True:
         c = Matrix(K, [[K.coerce(rng.randint(-2, 2)) for _ in range(d)]
@@ -155,6 +144,27 @@ def test_known_dimensions(field):
     assert endo_dim(rep) == 4
 
 
+@pytest.mark.parametrize("K", [QQ, RationalFunctionField("t")],
+                         ids=["Q", "Q(t)"])
+def test_infinite_fields_raise(K):
+    with pytest.raises(ValueError, match="finite field"):
+        hom_dim(K, trivial(K, 2), trivial(K, 3))
+    with pytest.raises(ValueError, match="finite field"):
+        endo_dim(Representation(K, trivial(K, 2), []))
+
+
+def test_generator_counts_must_match():
+    """One matrix per generator on each side: a missing one is an error,
+    not a silently smaller group."""
+    K = FIELDS["F3"]
+    rng = random.Random("F3")
+    src, dst = block(K, rng, 2), block(K, rng, 2)
+    with pytest.raises(ValueError, match="target generators"):
+        hom_dim(K, src[:1], dst)
+    with pytest.raises(ValueError, match="target generators"):
+        hom_dim(K, src, dst[:1])
+
+
 def small_group(K, gens):
     return Representation(K, [Matrix(K, g) for g in gens])
 
@@ -180,25 +190,29 @@ def seed_count(K, mats):
     (PrimeField(3), [[[0, -1], [1, 0]], [[1, 0], [0, -1]]]),    # D4
     (PrimeField(5), [[[0, -1], [1, 0]], [[1, 0], [0, -1]]]),
     (ExtensionField(2, (1, 1, 1)), [[[0, -1], [1, 0]]]),        # C4 on F_4
-], ids=["C2-F2", "S3-F2", "S3-F3", "D4-F3", "D4-F5", "C4-F4"])
+    (ExtensionField(3, (1, 0, 1)), [[[0, -1], [1, -1]]]),       # C3 on F_9
+], ids=["C2-F2", "S3-F2", "S3-F3", "D4-F3", "D4-F5", "C4-F4", "C3-F9"])
 def test_cohomology_modules_match_stacked_system(monkeypatch, K, gens):
     """Each hom_dim that cohomology_dims makes, on F, the augmentation
     ideal and the relation module of the adjoint, agrees with the stacked
-    system.  With two generators and more than one element, the relation
+    system.  Over F_q these are F_p modules, on the restriction of the
+    adjoint.  With two generators and more than one element, the relation
     module needs several seeds."""
     rep = small_group(K, gens)
     table, module = close_group(rep), adjoint_rep(rep)
     sources = []
 
-    def checked(K, src, dst):
-        got = hom_dim(K, src, dst)
-        assert got == stacked_hom_dim(K, src, dst)
-        sources.append(src)
+    def checked(F, src, dst):
+        got = hom_dim(F, src, dst)
+        assert got == stacked_hom_dim(F, src, dst)
+        assert F == PrimeField(K.p)
+        sources.append((F, src))
         return got
 
     monkeypatch.setattr(cohomology, "hom_dim", checked)
     cohomology_dims(table, module)
     n, k = table.order, len(gens)
-    assert [src[0].nrows for src in sources] == [1, n - 1, n * (k - 1) + 1]
+    assert [src[0].nrows for _, src in sources] \
+        == [1, n - 1, n * (k - 1) + 1]
     if n > 1 and k > 1:
-        assert seed_count(K, sources[2]) > 1
+        assert seed_count(*sources[2]) > 1

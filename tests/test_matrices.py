@@ -16,11 +16,12 @@ from irredcert.errors import IntegralityError, ShapeError, SingularError
 from irredcert.matrices import (
     Matrix, _bareiss, _det_field, _row_hnf, char_poly, fraction_free_inverse,
     int_product, integer_rows, integral_conjugates, kept_integer_rows,
-    kernel_basis, kronecker, poly_at_matrix, poly_rows, rank, rref,
+    kernel_basis, kronecker, poly_at_matrix, poly_rows, rank,
+    restrict_scalars, rref,
 )
 from irredcert.prng import XorShift64
-from irredcert.rings import ZZ, QQ, PolynomialRingZ, PrimeField, \
-    RationalFunctionField
+from irredcert.rings import ZZ, QQ, ExtensionField, PolynomialRingZ, \
+    PrimeField, RationalFunctionField
 
 from generic_fp import FIELD_SIZES, GenericFp, matrix_cases, random_rows
 from generic_q import GenericQ, basis_change, conjugated, rational_cases, \
@@ -493,6 +494,34 @@ def test_kronecker():
     assert k.entry(0, 1) == 1 and k.entry(0, 3) == 2
     # trace multiplicativity
     assert k.trace() == a.trace() * b.trace()
+
+
+@pytest.mark.parametrize("K", [ExtensionField(2, (1, 1, 0, 1)),
+                               ExtensionField(3, (1, 0, 1))],
+                         ids=["F8", "F9"])
+def test_restrict_scalars_is_a_ring_map(K):
+    """Res(xy) = Res(x) Res(y) and Res(x + y) = Res(x) + Res(y) over F_p,
+    also for a column vector, whose restriction is its coefficients, and
+    Res(alpha I) commutes with every Res(x)."""
+    rng = random.Random(repr(K))
+    F, k = PrimeField(K.p), K.k
+
+    def rand(nr, nc):
+        return Matrix(K, [[K.element(rng.randrange(K.order))
+                           for _ in range(nc)] for _ in range(nr)])
+
+    alpha = restrict_scalars(Matrix.identity(K, 3).scale(K.coerce((0, 1))))
+    for _ in range(10):
+        x, y, v = rand(3, 3), rand(3, 3), rand(3, 1)
+        rx, ry, rv = map(restrict_scalars, (x, y, v))
+        assert rx.ring == F and (rx.nrows, rx.ncols) == (3 * k, 3 * k)
+        assert restrict_scalars(x * y) == rx * ry
+        assert restrict_scalars(x + y) == rx + ry
+        assert restrict_scalars(x * v) == rx * rv
+        assert alpha * rx == rx * alpha
+        assert [rv.entry(i * k + s, 0) for i in range(3) for s in range(k)] \
+            == [(v.entry(i, 0) + (0,) * k)[s] for i in range(3)
+                for s in range(k)]
 
 
 def test_pow():
