@@ -5,7 +5,8 @@ corpus rep in data/, tests/golden/<rep>.reduce.<prime>.json the stdout of
 `irredcert reduce` at one prime, tests/golden/<rep>.obstruction.<prime>.json
 the stdout of `irredcert obstruction` on each of those reductions that
 lands in a finite field, tests/golden/<rep>.obstruction.json its stdout on
-each rep over an extension field in data/fq/, tests/golden/<rep>.meataxe.json the stdout of
+each rep over an extension field in data/fq/,
+tests/golden/<rep>.meataxe.json the stdout of
 `irredcert meataxe` on each prime-field rep in data/fp/ (d from 16 to 48
 over F_2, F_3, F_101 and F_65521, made once with perfbench/gen.py, and one
 block triangular rep of d = 5 over F_3 from a seeded search), and
