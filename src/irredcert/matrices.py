@@ -19,17 +19,22 @@ and Q(t).  A matrix over Q is an integer matrix over one denominator
 Z[t] (poly_rows), whose entries are evaluated at t = 2^k, so that their
 products, determinant, inverse and integral conjugates are integer linear
 algebra too (see the section on Z[t] below).  Entries in canonical form
-are built again only for the values that leave these kernels.
+are built again only for the values that leave these kernels.  char_poly
+over Q is det(yI - A) in Z[y] for m = A / D, by CRT over its images mod
+primes below 2^47 (int_char_poly, Hessenberg on int lists), and
+kernel_basis over Z is the basis over Q times one factor, by fraction-free
+Gauss-Jordan.
 
 The ring alone selects a path.  Every other ring, apply over every ring,
-and the sums, rref and char_poly over Q and Q(t), take the generic
-descriptor code, which stays the reference the tests compare the packed
-paths against.
+and the sums and rref over Q and Q(t) and char_poly over Q(t), take the
+generic descriptor code, which stays the reference the tests compare the
+packed paths against.
 
 The module-level algorithms:
 
     rref(m)         reduced row echelon form over a field, with pivot columns
-    kernel_basis(m) basis of the right null space over a field
+    kernel_basis(m) basis of the right null space over a field, and over Z
+                    that basis over Q times one common factor
     integer_rows(m) D m as integer rows, for a matrix m over Q and the
                     least common denominator D of its entries
     poly_rows(m)    D m as Z[t] rows, for a matrix m over Q(t) and a common
@@ -43,10 +48,11 @@ The module-level algorithms:
                     Z[t] rows, for saturation, reduction and the checker
     char_poly(m)    monic characteristic polynomial over a field: over F_p
                     by one spin of packed [vector | polynomial] pairs
-                    (_spin_char_poly, Keller-Gehrig), elsewhere by
-                    Hessenberg reduction plus the standard determinant
-                    recurrence (no division by integers, so it is safe in
-                    small characteristic, unlike Faddeev-LeVerrier)
+                    (_spin_char_poly, Keller-Gehrig), over Q from
+                    int_char_poly, elsewhere by Hessenberg reduction plus
+                    the standard determinant recurrence (no division by
+                    integers, so it is safe in small characteristic,
+                    unlike Faddeev-LeVerrier)
     _row_hnf(rows, ncols)  row-style Hermite normal form over Z of integer
                     rows, behind the canonical lattice bases of saturation
 
@@ -55,13 +61,16 @@ The HNF recipe is the classical gcd-driven elimination (see Cohen,
 """
 
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from itertools import count
+from math import comb, isqrt, lcm
 from operator import mul
 
 from .errors import IntegralityError, ShapeError, SingularError
 from .fpoly import monic_slots, pack, slot_bytes, trim, unpack
+from .polys import descale
 from .rings import (QQ, ZZ, PolynomialRingZ, PrimeField,
-                    RationalFunctionField)
+                    RationalFunctionField, is_prime)
 
 
 class Matrix:
@@ -553,16 +562,24 @@ def rank(m):
 
 def kernel_basis(m):
     """Basis of {v : m v = 0} over a field, one vector per free column,
-    in column order (a canonical echelon-style basis)."""
+    in column order (a canonical echelon-style basis).  Over Z, that basis
+    over Q times one common factor d, in integers: fraction-free
+    Gauss-Jordan (_bareiss) leaves d times the reduced echelon form."""
     K = m.ring
-    red, pivots = rref(m)
+    if K == ZZ:
+        rows, pivots = m.rows(), []
+        one = _bareiss(rows, m.ncols, True, pivots)[0]
+        red = _from_rows(ZZ, rows, m.ncols)
+    else:
+        red, pivots = rref(m)
+        one = K.one()
     pivset = set(pivots)
     basis = []
     for free in range(m.ncols):
         if free in pivset:
             continue
         v = [K.zero()] * m.ncols
-        v[free] = K.one()
+        v[free] = one
         for r, pc in enumerate(pivots):
             v[pc] = K.neg(red.entry(r, free))
         basis.append(tuple(v))
@@ -600,9 +617,10 @@ def _det_field(m):
 
 def char_poly(m):
     """Monic characteristic polynomial det(xI - m) over a field, as an
-    ascending coefficient tuple: over F_p by _spin_char_poly, elsewhere by
-    Hessenberg reduction, which keeps every division a genuine field
-    division, so that it works in any characteristic."""
+    ascending coefficient tuple: over F_p by _spin_char_poly, over Q from
+    det(yI - A) in Z[y] for m = A / D (int_char_poly) as D^-n F(Dx), and
+    elsewhere by Hessenberg reduction, which keeps every division a
+    genuine field division, so that it works in any characteristic."""
     K = m.ring
     if not K.is_field:
         raise IntegralityError("char_poly requires field entries; "
@@ -611,6 +629,9 @@ def char_poly(m):
         raise ShapeError("char_poly of a non-square matrix")
     if isinstance(K, PrimeField):
         return _spin_char_poly(m)
+    if K == QQ:
+        rows, den = integer_rows(m)
+        return descale(int_char_poly(rows), den)
     n = m.nrows
     h = m.rows()
     for j in range(n - 2):
@@ -634,27 +655,17 @@ def char_poly(m):
             for r in range(n):
                 h[r][j + 1] = K.add(h[r][j + 1], K.mul(f, h[r][i]))
     # Leading-minor recurrence for Hessenberg h (checked by hand at 2x2, 3x3):
-    # p_k = (x - h[k-1][k-1]) p_{k-1}
-    #       - sum_{i=0}^{k-2} h[i][k-1] (prod_{j=i+1}^{k-1} h[j][j-1]) p_i
-    zero = K.zero()
-    one = K.one()
-    polys = [(one,)]
-    for k in range(1, n + 1):
-        prev = polys[k - 1]
-        diag = h[k - 1][k - 1]
-        cur = [zero] * (len(prev) + 1)
-        for idx, c in enumerate(prev):
-            cur[idx + 1] = K.add(cur[idx + 1], c)
-            cur[idx] = K.sub(cur[idx], K.mul(diag, c))
-        run = one
-        for i in range(k - 2, -1, -1):
-            run = K.mul(run, h[i + 1][i])
+    # p_{k+1} = x p_k - sum_{i=0}^{k} h[i][k] (prod_{j=i+1}^{k} h[j][j-1]) p_i
+    polys = [(K.one(),)]
+    for k in range(n):
+        cur, run = [K.zero()] + list(polys[k]), K.one()
+        for i in range(k, -1, -1):
+            c = K.mul(h[i][k], run)
+            cur[:i + 1] = [K.sub(a, K.mul(c, b))
+                           for a, b in zip(cur, polys[i])]
+            run = K.mul(run, h[i][i - 1])
             if K.is_zero(run):
                 break
-            coeff = K.mul(h[i][k - 1], run)
-            if not K.is_zero(coeff):
-                for idx, c in enumerate(polys[i]):
-                    cur[idx] = K.sub(cur[idx], K.mul(coeff, c))
         polys.append(tuple(cur))
     return polys[n]
 
@@ -718,6 +729,70 @@ def _spin_char_poly(m):
     return tuple(f) if inv == 1 else tuple([c * inv % p for c in f])
 
 
+@lru_cache(maxsize=None)
+def _crt_prime(i):
+    """The i-th prime below 2^47, counting down from 0, certified by
+    is_prime once, when first needed: none is found at import."""
+    p = _crt_prime(i - 1) - 2 if i else (1 << 47) - 1
+    while not is_prime(p):
+        p -= 2
+    return p
+
+
+def int_char_poly(rows):
+    """det(yI - A) in Z[y], ascending, for a square integer matrix A: its
+    images mod primes below 2^47 (_char_poly_mod), combined by CRT until
+    their product M exceeds 2B.  The coefficient of y^(n-k) is a sum of
+    C(n, k) principal minors, each at most R^k by Hadamard's inequality, R
+    the largest row 2-norm; so B = max C(n, k) R^k bounds the coefficients,
+    and they are the residues in (-M/2, M/2] (Dumas, Pernet and Wan, ISSAC
+    2005)."""
+    n = len(rows)
+    r = isqrt(max((sum(a * a for a in row) for row in rows), default=0)) + 1
+    bound = 2 * max(comb(n, k) * r ** k for k in range(n + 1))
+    primes, m = map(_crt_prime, count()), 1
+    while m <= bound:
+        p = next(primes)
+        fp, t = _char_poly_mod(rows, p), pow(m, -1, p)
+        f = fp if m == 1 else [a + m * ((b - a) * t % p)
+                               for a, b in zip(f, fp)]
+        m *= p
+    return [a - m if 2 * a > m else a for a in f]
+
+
+def _char_poly_mod(rows, p):
+    """det(yI - A) mod p for integer rows A, by char_poly's Hessenberg
+    reduction and recurrence on int lists; each step makes its row
+    operations before the column operations that undo them."""
+    n = len(rows)
+    h = [[a % p for a in row] for row in rows]
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if piv is None:
+            continue
+        h[j + 1], h[piv] = h[piv], h[j + 1]
+        for row in h:
+            row[j + 1], row[piv] = row[piv], row[j + 1]
+        top, inv = h[j + 1][j:], pow(h[j + 1][j], -1, p)
+        fs = [h[i][j] * inv % p for i in range(j + 2, n)]
+        for i, f in enumerate(fs, j + 2):
+            if f:
+                h[i][j:] = [(a - f * b) % p for a, b in zip(h[i][j:], top)]
+        for row in h:
+            row[j + 1] = (row[j + 1] + sum(map(mul, fs, row[j + 2:]))) % p
+    polys = [[1]]
+    for k in range(n):
+        cur, run = [0] + polys[k], 1
+        for i in range(k, -1, -1):
+            c = h[i][k] * run % p
+            cur[:i + 1] = [a - c * b for a, b in zip(cur, polys[i])]
+            run = run * h[i][i - 1] % p
+            if not run:
+                break
+        polys.append([c % p for c in cur])
+    return polys[n]
+
+
 # ---------------------------------------------------------------------------
 # matrices over Q on integer rows, and fraction-free elimination over Z
 
@@ -773,31 +848,42 @@ def _constant_q_matrix(m):
     return Matrix._raw(QQ, m.nrows, m.ncols, out)
 
 
-def _bareiss(a, n, jordan):
+def _bareiss(a, n, jordan, pivots=None):
     """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) in place
-    on the integer rows a, n of them, pivoting in the first n columns.
-    With jordan, every other row is updated at each pivot (Gauss-Jordan);
-    without, only the rows below.  Returns (d, sign): d is the last pivot,
-    0 when the first n columns are singular, and sign d is their
-    determinant.  Every entry met is a minor of a, so each division is
-    exact."""
-    prev, sign = 1, 1
+    on the integer rows a, pivoting in the first n columns.  With jordan,
+    every other row is updated at each pivot (Gauss-Jordan); without, only
+    the rows below.  Returns (d, sign): d is the last pivot, 0 when the
+    first n columns are singular, and sign d is their determinant for n
+    rows.  Every entry met is a minor of a, so each division is exact.
+
+    Given a list pivots, a column with no pivot is passed over, pivots
+    receives the pivot columns and d is the last pivot (1 if none); rows
+    are then updated from the first column passed over, so with jordan
+    they end as d times the reduced echelon form from that column on."""
+    prev, sign, r, lo = 1, 1, 0, None
     for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
+        piv = next((i for i in range(r, len(a)) if a[i][k]), None)
         if piv is None:
-            return 0, sign
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
+            if pivots is None:
+                return 0, sign
+            lo = k if lo is None else lo
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
             sign = -sign
-        prow = a[k]
-        p, tail = prow[k], prow[k + 1:]
-        for i in range(0 if jordan else k + 1, n):
-            if i != k:
+        prow = a[r]
+        s = k + 1 if lo is None else lo
+        p, tail = prow[k], prow[s:]
+        for i in range(0 if jordan else r + 1, len(a)):
+            if i != r:
                 row = a[i]
                 f = row[k]
-                row[k + 1:] = [(p * x - f * y) // prev
-                               for x, y in zip(row[k + 1:], tail)]
+                row[s:] = [(p * x - f * y) // prev
+                           for x, y in zip(row[s:], tail)]
         prev = p
+        r += 1
+        if pivots is not None:
+            pivots.append(k)
     return prev, sign
 
 

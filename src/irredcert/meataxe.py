@@ -44,7 +44,9 @@ theta and g(theta) run on integer rows: a span, a kernel and an echelon
 form do not change when vectors or matrices are scaled, so matrices are
 scaled to integer ones, vectors are primitive, and reduction is
 fraction-free; the canonical echelon form is taken once, for a proper spin
-only.  The ring alone selects these paths; Q(t), F_q and any other
+only.  So do the characteristic polynomial of theta = A / D, det(yI - A)
+in Z[y] by CRT, its factor analysis over Z, and the kernels of g(theta),
+taken over Z: Fractions are made for the transcript and the witness.  The ring alone selects these paths; Q(t), F_q and any other
 descriptor take the generic code, the reference in the tests.  One
 sampling loop, _decide, serves finite fields and Q; only where the factors
 of the characteristic polynomial come from differs.  A run computes once
@@ -70,12 +72,13 @@ from . import polys
 from .errors import AbsIrredUndecided, SingularError
 from .fpoly import monic_slots, pack, slot_bytes, unpack
 from .matrices import (Matrix, _constant_q_matrix, _reduce_fp, char_poly,
-                       denominator_lcm, eliminate_fp, int_product,
-                       kept_integer_rows, kernel_basis, packed_columns,
-                       poly_at_matrix, restrict_scalars, rref, scaled_rows)
+                       denominator_lcm, eliminate_fp, int_char_poly,
+                       int_product, kept_integer_rows, kernel_basis,
+                       packed_columns, poly_at_matrix, restrict_scalars, rref,
+                       scaled_rows)
 from .prng import XorShift64
 from .reps import Representation, evaluate
-from .rings import QQ, ExtensionField, PrimeField, RationalFunctionField
+from .rings import QQ, ZZ, ExtensionField, PrimeField, RationalFunctionField
 
 IRREDUCIBLE = "irreducible"
 REDUCIBLE = "reducible"
@@ -140,7 +143,9 @@ def _content_free(w):
 
 def _primitive(v):
     """The primitive integer vector on the line of a rational vector."""
-    return _content_free(scaled_rows([v], denominator_lcm(v))[0])
+    if not all(type(a) is int for a in v):
+        v = scaled_rows([v], denominator_lcm(v))[0]
+    return _content_free(list(v))
 
 
 def _reduce_against(K, rows, pivots, w):
@@ -303,7 +308,8 @@ def _nonzero_scalar(K, rng):
 
 
 def _sample_theta(rep, rng, index):
-    """Algebra element theta = sum c_i * rho(w_i) plus its transcript record.
+    """Algebra element theta = sum c_i * rho(w_i) plus its transcript record;
+    over Q theta is (A, D), theta = A / D (_theta_q).
 
     The first len(generators) samples are the generators themselves; after
     that, 1..SAMPLE_WORDS words of 1..SAMPLE_WORD_LENGTH letters with nonzero
@@ -335,9 +341,10 @@ def _sample_theta(rep, rng, index):
 
 
 def _theta_q(rep, words, coeffs):
-    """sum c rho(w) over Q.  Each word is multiplied out on the integer
-    rows D g of its letters (kept_integer_rows) under a running denominator,
-    the product of their D; one Fraction per entry is built at the end."""
+    """sum c rho(w) over Q as (A, D): integer rows A and the least D > 0
+    with theta = A / D.  Each word is multiplied out on the integer rows
+    D g of its letters (kept_integer_rows) under a running denominator,
+    the product of their D, and the sum is divided by its content."""
     terms = []
     for w, c in zip(words, coeffs):
         prod, den = None, c.denominator
@@ -352,8 +359,9 @@ def _theta_q(rep, words, coeffs):
         f = num * (common // den)
         flat = (x for row in prod for x in row)
         acc = [a + f * x for a, x in zip(acc, flat)]
-    return Matrix._raw(QQ, rep.dim, rep.dim,
-                       [Fraction(a, common) for a in acc])
+    g, d = gcd(common, *acc), rep.dim
+    return [[a // g for a in acc[i:i + d]] for i in range(0, d * d, d)], \
+        common // g
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +422,11 @@ def _projective_kernel_fp(p, ker):
 
 
 def _combination(K, coeffs, vecs):
-    """sum c_i v_i, or over Q a positive multiple of it on integer rows:
-    the vector is only spun, and a spin depends only on its line."""
+    """sum c_i v_i, or over Q, for integer vectors v_i, a positive multiple
+    of it: the vector is only spun, and a spin depends only on its line."""
     if K == QQ:
         cs = scaled_rows([coeffs], denominator_lcm(coeffs))[0]
-        rows = scaled_rows(vecs, denominator_lcm(a for v in vecs for a in v))
-        return [sum(map(mul, cs, col)) for col in zip(*rows)]
+        return [sum(map(mul, cs, col)) for col in zip(*vecs)]
     v = [K.zero()] * len(vecs[0])
     for a, b in zip(coeffs, vecs):
         v = [K.add(x, K.mul(a, y)) for x, y in zip(v, b)]
@@ -437,12 +444,12 @@ def _kernel_vectors(K, kind, ker):
 
 
 def _poly_at_q(g, theta):
-    """A nonzero multiple of g(theta) over Q, which has the reduced echelon
-    form of g(theta), so kernel_basis gives the same bases for it and its
-    transpose: for theta = A / D on its integer rows (kept_integer_rows),
+    """A nonzero multiple of g(theta) over Q, as a matrix over Z, which has
+    the reduced echelon form of g(theta), so kernel_basis gives the bases of
+    g(theta) and its transpose times one common factor: for theta = (A, D),
     L D^k g(theta) = sum L g_i D^(k-i) A^i by Horner, k - 1 products, with
     k = deg g >= 1 and L the least common denominator of g."""
-    rows, den = kept_integer_rows(theta)
+    rows, den = theta
     k, c = len(g) - 1, scaled_rows([g], denominator_lcm(g))[0]
     acc = [[c[k] * x for x in r] for r in rows]
     for i in range(k - 1, -1, -1):
@@ -450,7 +457,7 @@ def _poly_at_q(g, theta):
             r[j] += c[i] * den ** (k - i)
         if i:
             acc = int_product(rows, acc)
-    return Matrix(QQ, acc)
+    return Matrix._raw(ZZ, len(acc), len(acc), [x for r in acc for x in r])
 
 
 def _new_lines(K, vecs, seen):
@@ -554,23 +561,29 @@ def _base_transcript(rep, seed, budget):
     }
 
 
-def _analyse_q(f):
-    """(irreducible, factors) for a monic f over Q: whether f is certified
-    irreducible, and else its certainly-irreducible factors that are cheap
-    to find: linear ones from its distinct rational roots, then squarefree
-    parts certified irreducible by a good-reduction witness.  The roots of
-    a part are those of f at which it vanishes."""
-    roots = polys.rational_roots(f)
-    if polys.certify_irreducible_q(f, roots) is True:
-        return True, []
-    out = [(-r, QQ.one()) for r in roots]
-    for s in polys.squarefree_parts(QQ, f):
+def _analyse_q(F, D):
+    """(charpoly, irreducible, factors) for f = descale(F, D) over Q, with
+    (F, D) as integralize_monic gives them: f as the transcript writes
+    it, whether f is certified irreducible, and else its certainly
+    irreducible factors that are cheap to find: linear ones from its
+    distinct rational roots, then squarefree parts certified irreducible
+    by a good-reduction witness.  The work runs on F in Z[y]: y = Dx maps
+    the roots, monic gcds and quotients of f to those of F, so its roots
+    are r / D for F's integer roots r and its squarefree parts are F's
+    under descale, in the same order."""
+    charpoly = polys.format_poly_generic(QQ, polys.descale(F, D), "x")
+    roots = polys.integer_roots(F)
+    if polys.certify_irreducible_q(F, roots) is True:
+        return charpoly, True, []
+    out = [(Fraction(-r, D), QQ.one()) for r in roots]
+    for s in polys.squarefree_parts(ZZ, F):
         # a linear part is listed already, as the factor of a root
-        if 1 < polys.degree(s) < polys.degree(f) and \
-                polys.certify_irreducible_q(s, [
-                    r for r in roots if not polys.evaluate(QQ, s, r)]) is True:
-            out.append(s)
-    return False, out
+        if 1 < polys.degree(s) < polys.degree(F) and \
+                polys.certify_irreducible_q(
+                    polys.integralize_monic(s, D)[0],
+                    [r for r in roots if not polys.evaluate(ZZ, s, r)]) is True:
+            out.append(polys.descale(s, D))
+    return charpoly, False, out
 
 
 def _decide(rep, seed, budget):
@@ -582,33 +595,37 @@ def _decide(rep, seed, budget):
     draws from no generator but its own, so rng draws only theta and the
     probes' combinations.  Over Q they are those _analyse_q finds, after
     the check that the characteristic polynomial itself is irreducible,
-    once per distinct polynomial in a run: both are functions of it, so
-    their reuse changes no transcript.  See also _norton_attempt."""
+    once per distinct polynomial in a run, from det(yI - A) in Z[y] for
+    theta = A / D: both are functions of it, so their reuse changes no
+    transcript.  See also _norton_attempt."""
     K = rep.ring
     rng = XorShift64(seed)
     transcript = _base_transcript(rep, seed, budget)
     tgens = [m.transpose() for m in rep.generators]
     spun = (set(), set())
-    analysed = {}           # over Q: f -> (irreducible, factors)
+    analysed = {}   # over Q: integralize_monic(F, D) -> _analyse_q of it
     for i in range(budget):
         theta, srec = _sample_theta(rep, rng, i)
-        f = char_poly(theta)
-        srec["charpoly"] = polys.format_poly_generic(K, f, "x")
-        srec["factors"] = []
-        transcript["samples"].append(srec)
         if K.characteristic > 0:
+            f = char_poly(theta)
+            charpoly, irreducible = polys.format_poly_generic(K, f, "x"), False
             factors = polys.factor_stream(K, f)
         else:
-            if f not in analysed:
-                analysed[f] = _analyse_q(f)
-            irreducible, factors = analysed[f]
-            # an irreducible characteristic polynomial leaves theta no
-            # invariant subspace at all, let alone a G-invariant one
-            if irreducible:
-                srec["factors"].append({"poly": srec["charpoly"],
-                                        "events": ["charpoly_irreducible"]})
-                return _finish(rep, transcript, IRREDUCIBLE, None, i,
-                               srec["charpoly"])
+            key = polys.integralize_monic(int_char_poly(theta[0]),
+                                          theta[1]) if K == QQ else \
+                polys.integralize_monic(char_poly(theta))   # test descriptors
+            if key not in analysed:
+                analysed[key] = _analyse_q(*key)
+            charpoly, irreducible, factors = analysed[key]
+        srec["charpoly"] = charpoly
+        srec["factors"] = []
+        transcript["samples"].append(srec)
+        # an irreducible characteristic polynomial leaves theta no invariant
+        # subspace at all, let alone a G-invariant one
+        if irreducible:
+            srec["factors"].append({"poly": charpoly,
+                                    "events": ["charpoly_irreducible"]})
+            return _finish(rep, transcript, IRREDUCIBLE, None, i, charpoly)
         for g in factors:
             rec = {"poly": polys.format_poly_generic(K, g, "x")}
             srec["factors"].append(rec)

@@ -31,7 +31,11 @@ descriptor.  On top of it sit:
     modulo a small prime, and a certificate of irreducibility over Q by
     reduction modulo a small prime (irreducible mod ell implies irreducible
     over Q for monic integral f, by Gauss's lemma; fpoly.is_irreducible
-    decides the reduction).
+    decides the reduction).  Both run on a monic integer polynomial, to
+    which integralize_monic scales a Fraction one; the MeatAxe over Q keeps
+    its characteristic polynomials in that form, descale maps them back,
+    and over ZZ the squarefree parts come from the primitive remainder
+    sequence.
 """
 
 import math
@@ -136,11 +140,31 @@ def monic(K, f):
 
 
 def gcd_monic(K, f, g):
+    """The monic gcd over a field; over ZZ, for monic f, the monic gcd over
+    Q by the primitive remainder sequence (Gauss's lemma)."""
     if isinstance(K, rings.PrimeField):
         return tuple(fpoly.gcd_monic(f, g, K.p))
+    if K == rings.ZZ:
+        return _gcd_z(f, g)
     while g:
         f, g = g, mod(K, f, g)
     return monic(K, f)
+
+
+def _gcd_z(f, g):
+    """gcd_monic over ZZ: each pseudo-remainder is divided by its content,
+    and the last nonzero one is returned with a positive lead."""
+    f = list(f)
+    while g:
+        r, g = f, [a // math.gcd(*g) for a in g]
+        while len(r) >= len(g):
+            c, k = r[-1], len(r) - len(g)
+            r = [g[-1] * a for a in r]
+            for i, b in enumerate(g):
+                r[k + i] -= c * b
+            r = fpoly.trim(r)
+        f, g = g, r
+    return tuple(a // math.gcd(*f) * (1 if f[-1] > 0 else -1) for a in f)
 
 
 def derivative(K, f):
@@ -334,23 +358,14 @@ def factor_stream(K, f):
 
 
 def rational_roots(f):
-    """All rational roots of a nonzero polynomial with Fraction coefficients.
-
-    After the roots at 0 are split off, the roots of the monic f / lead are
-    r / c for the integer roots r of the monic integer polynomial
-    c^n f(x/c) / lead (integralize_monic)."""
+    """All rational roots of a nonzero polynomial with Fraction coefficients,
+    ascending: r / c for the integer roots r of the monic integer
+    polynomial c^n f(x/c) / lead (integralize_monic)."""
     if not f:
         raise ValueError("zero polynomial")
-    f = [Fraction(a) for a in f]
-    roots = set()
-    if not f[0]:
-        roots.add(Fraction(0))
-        while not f[0]:
-            f.pop(0)
-    lead = f[-1]
-    ints, c = integralize_monic([a / lead for a in f])
-    roots.update(Fraction(r, c) for r in _integer_roots(ints))
-    return sorted(roots)
+    lead = Fraction(f[-1])
+    ints, c = integralize_monic([Fraction(a) / lead for a in f])
+    return [Fraction(r, c) for r in integer_roots(ints)]
 
 
 def _horner(f, a):
@@ -361,21 +376,22 @@ def _horner(f, a):
     return acc
 
 
-def _integer_roots(f):
-    """The integer roots of a monic integer polynomial with f(0) != 0.
+def integer_roots(f):
+    """The integer roots of a monic integer polynomial, ascending.
 
-    They are those of its squarefree part s, which stays squarefree modulo
-    all primes ell but the finitely many dividing its discriminant.  A root
-    of s mod ell is simple, so it lifts uniquely by Newton's iteration; once
-    the modulus M exceeds twice the Cauchy bound 1 + max |s_i| on the roots,
-    the residue of the lift in (-M/2, M/2] is the only integer root it can
-    give, and it is checked exactly."""
+    With the roots at 0 split off, they are those of its squarefree part s,
+    which stays squarefree modulo all primes ell but the finitely many
+    dividing its discriminant.  A root of s mod ell is simple, so it lifts
+    uniquely by Newton's iteration; once the modulus M exceeds twice the
+    Cauchy bound 1 + max |s_i| on the roots, the residue of the lift in
+    (-M/2, M/2] is the only integer root it can give, and it is checked
+    exactly."""
+    k = next(i for i, a in enumerate(f) if a)
+    f, out = f[k:], [0] if k else []
     if len(f) < 2:
-        return []
-    s = tuple(Fraction(a) for a in f)
-    K = rings.QQ
-    s = divmod_poly(K, s, gcd_monic(K, s, derivative(K, s)))[0]
-    s = [int(a) for a in s]  # monic, so integral by Gauss's lemma
+        return out
+    Z = rings.ZZ
+    s = list(divmod_poly(Z, f, gcd_monic(Z, f, derivative(Z, f)))[0])
     ds = [i * a for i, a in enumerate(s)][1:]
     ell = 2
     while True:
@@ -387,7 +403,6 @@ def _integer_roots(f):
         while not rings.is_prime(ell):
             ell += 1
     bound = 2 * (1 + max(abs(a) for a in s[:-1]))
-    out = []
     for r in range(ell):
         if _horner(red, r) % ell:
             continue
@@ -399,21 +414,31 @@ def _integer_roots(f):
             r -= m
         if not _horner(s, r):
             out.append(r)
-    return out
+    return sorted(out)
 
 
 _CERT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-def integralize_monic(f):
-    """Substitute x -> x/c into a monic Fraction polynomial to obtain a monic
-    integer polynomial; returns (coeffs, c).  Roots scale by c."""
+def integralize_monic(f, d=1):
+    """(c^n g(x/c), c) for the monic g = descale(f, d), f with Fraction or
+    int coefficients: a monic integer polynomial, as a tuple, and the least
+    common denominator c of g, on numerators and denominators only; for an
+    integer f, a canonical key for descale(f, d).  Roots scale by c / d."""
     if not f or f[-1] != 1:
         raise ValueError("expected a monic polynomial")
-    c = math.lcm(*(coef.denominator for coef in f))
     n = len(f) - 1
-    out = [int(f[i] * c ** (n - i)) for i in range(n + 1)]
-    return out, c
+    dens = [a.denominator * d ** (n - i) for i, a in enumerate(f)]
+    c = math.lcm(*(e // math.gcd(a.numerator, e) for a, e in zip(f, dens)))
+    return tuple(a.numerator * c ** (n - i) // e
+                 for i, (a, e) in enumerate(zip(f, dens))), c
+
+
+def descale(f, d):
+    """d^-n f(dx) over Q for an integer polynomial f of degree n and d > 0:
+    for f = det(yI - A), the characteristic polynomial of A / d."""
+    n = len(f) - 1
+    return tuple(Fraction(a, d ** (n - i)) for i, a in enumerate(f))
 
 
 def certify_irreducible_q(f, roots=None):
@@ -421,9 +446,13 @@ def certify_irreducible_q(f, roots=None):
     reducible, None if undecided within the modular budget.
 
     Degrees 2 and 3 are decided by the rational-root theorem; a caller that
-    already has rational_roots(f) passes it as roots.  Higher degrees look
-    for a prime ell with f squarefree and irreducible mod ell, which
-    certifies irreducibility over Q; failure to find one proves nothing."""
+    already has the rational roots of f, or of its integralize_monic form,
+    passes them as roots.  A repeated factor, found by one gcd over Z,
+    makes f reducible.  Higher degrees look for a prime ell with the
+    integralize_monic form of f squarefree and irreducible mod ell, which
+    certifies irreducibility over Q; failure to find one proves nothing.
+    Which primes qualify depends on that form, which is f itself for a
+    monic f in Z[x], as the MeatAxe passes its polynomials."""
     n = len(f) - 1
     if n <= 1:
         return n == 1
@@ -433,12 +462,12 @@ def certify_irreducible_q(f, roots=None):
         return False
     if n <= 3:
         return True
-    ints, _ = integralize_monic(f)
+    f = integralize_monic(f)[0]
+    if degree(gcd_monic(rings.ZZ, f, derivative(rings.ZZ, f))) > 0:
+        return False
     for ell in _CERT_PRIMES:
         K = rings.PrimeField(ell)
-        red = normalize(K, [c % ell for c in ints])
-        if degree(red) != n:
-            continue
+        red = normalize(K, [c % ell for c in f])
         if degree(gcd_monic(K, red, derivative(K, red))) > 0:
             continue
         if fpoly.is_irreducible(list(red), ell):

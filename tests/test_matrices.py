@@ -7,21 +7,26 @@ package itself needs no Smith form, so snf lives here with its tests; hnf
 and integer_kernel live in integer_lattices, shared with the lattice tests.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import irredcert
+from irredcert import matrices
 from irredcert.errors import IntegralityError, ShapeError, SingularError
 from irredcert.matrices import (
     Matrix, _bareiss, _det_field, _row_hnf, char_poly, fraction_free_inverse,
-    int_product, integer_rows, integral_conjugates, kept_integer_rows,
-    kernel_basis, kronecker, poly_at_matrix, poly_rows, rank,
-    restrict_scalars, rref,
+    int_char_poly, int_product, integer_rows, integral_conjugates,
+    kept_integer_rows, kernel_basis, kronecker, poly_at_matrix, poly_rows,
+    rank, restrict_scalars, rref,
 )
 from irredcert.prng import XorShift64
 from irredcert.rings import ZZ, QQ, ExtensionField, PolynomialRingZ, \
-    PrimeField, RationalFunctionField
+    PrimeField, RationalFunctionField, is_prime
 
 from generic_fp import FIELD_SIZES, GenericFp, matrix_cases, random_rows
 from generic_q import GenericQ, basis_change, conjugated, rational_cases, \
@@ -301,6 +306,89 @@ def test_char_poly_trace_det():
         assert cp[0] == -m.det()
 
 
+class TestCharPolyOverQ:
+    """char_poly over QQ comes from det(yI - A) in Z[y] by CRT over primes
+    below 2^47 (int_char_poly); over GenericQ the same matrix takes the
+    generic Hessenberg reduction on Fractions, which is the reference."""
+
+    @staticmethod
+    def _cases(rng):
+        cases = {}
+        for name, gens in rational_cases(rng).items():
+            g, h = Matrix(QQ, gens[0]), Matrix(QQ, gens[-1])
+            cases[name] = g.rows()
+            cases[name + " product"] = (g * h + h.scale(Fraction(1, 3))).rows()
+        cases["zero"] = [[0] * 5 for _ in range(5)]
+        cases["scalar"] = [[Fraction(-7, 3) if i == j else 0
+                            for j in range(4)] for i in range(4)]
+        strict = [[rng.randint(-3, 3) if j > i else 0 for j in range(5)]
+                  for i in range(5)]
+        cases["nilpotent"] = conjugated(GenericQ(), [strict],
+                                        basis_change(rng, 5, big=True))[0].rows()
+        cases["d = 1"] = [[Fraction(-22, 7)]]
+        cases["huge"] = [[Fraction(3 ** 80 + rng.randint(-9, 9), 9999991)
+                          for _ in range(4)] for _ in range(4)]
+        return cases
+
+    def test_matches_generic(self, monkeypatch):
+        calls = []
+
+        def counted(rows, p, _f=matrices._char_poly_mod):
+            calls.append(p)
+            return _f(rows, p)
+
+        monkeypatch.setattr(matrices, "_char_poly_mod", counted)
+        primes_used = {}
+        for name, rows in self._cases(XorShift64(2027)).items():
+            del calls[:]
+            got = char_poly(Matrix(QQ, rows))
+            assert got == char_poly(Matrix(GenericQ(), rows)), name
+            assert all(type(a) is Fraction for a in got) and got[-1] == 1
+            assert all(is_prime(p) and p < 2 ** 47 for p in calls)
+            primes_used[name] = len(calls)
+        # entries near 3^80 over 9,999,991 need several primes
+        assert primes_used["huge"] >= 3 and primes_used["zero"] == 1
+
+    def test_matches_generic_at_d_48(self):
+        # a product of the two generators of S49's standard rep, under an
+        # upper bidiagonal basis change with diagonal 1, 1/2, 2/3, ...
+        scales = [Fraction(1), Fraction(1, 2), Fraction(2, 3)]
+        c = Matrix(QQ, [[scales[i % 3] if i == j else int(j == i + 1)
+                         for j in range(48)] for i in range(48)])
+        g, h = (Matrix(QQ, m) for m in std_sn(49))
+        rows = (c * g * h * c.inverse()).rows()
+        assert char_poly(Matrix(QQ, rows)) == \
+            char_poly(Matrix(GenericQ(), rows))
+
+    def test_int_char_poly_is_over_z(self):
+        # det(yI - A) for integer A: companion of y^3 - 2y + 5, and A / D
+        # gives D^-n F(Dx)
+        a = [[0, 0, -5], [1, 0, 2], [0, 1, 0]]
+        assert int_char_poly(a) == [5, -2, 0, 1]
+        m = Matrix(QQ, [[Fraction(x, 7) for x in row] for row in a])
+        assert char_poly(m) == (Fraction(5, 343), Fraction(-2, 49), 0, 1)
+        assert int_char_poly([]) == [1]
+
+    def test_primes_are_certified_on_first_use(self):
+        # importing the package computes no prime; once computed, they are
+        # the largest primes below 2^47, in descending order, none skipped
+        code = ("import irredcert, irredcert.cli, irredcert.matrices as m; "
+                "print(m._crt_prime.cache_info().currsize)")
+        src = os.path.dirname(os.path.dirname(irredcert.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "0"
+        char_poly(Matrix(QQ, self._cases(XorShift64(2027))["huge"]))
+        k = matrices._crt_prime.cache_info().currsize
+        assert k >= 3
+        primes = [matrices._crt_prime(i) for i in range(k)]
+        bounds = [2 ** 47] + primes
+        for hi, p in zip(bounds, primes):
+            assert is_prime(p)
+            assert not any(is_prime(q) for q in range(p + 1, hi))
+
+
 def test_bareiss_det_matches_the_field_path():
     """Forward-only and Gauss-Jordan, _bareiss ends on the same last pivot
     d and sign, and sign d is the determinant over Q: on random integer
@@ -328,6 +416,39 @@ def test_kernel_basis():
     assert kernel_basis(z) == [(1, 0), (0, 1)]
     m = Matrix(QQ, [[1, 1], [2, 2]])
     assert kernel_basis(m) == [(Fraction(-1), Fraction(1))]
+
+
+def test_kernel_over_z_is_the_basis_over_q_times_one_factor():
+    """Over Z, kernel_basis (fraction-free Gauss-Jordan, _bareiss passing
+    over columns with no pivot) gives the canonical basis over Q, the
+    descriptor path over GenericQ, times one common factor: on integer
+    matrices of every rank, square, wide and tall, some with zero
+    columns."""
+    rng = XorShift64(23)
+    KG = GenericQ()
+    nullities = set()
+    for _ in range(300):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        r = rng.randint(0, min(nr, nc))
+        a = [[rng.randint(-5, 5) for _ in range(r)] for _ in range(nr)]
+        b = [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(r)]
+        rows = int_product(a, b) if r else [[0] * nc for _ in range(nr)]
+        if rng.randrange(3) == 0:
+            j = rng.randrange(nc)
+            for row in rows:
+                row[j] = 0
+        got = kernel_basis(Matrix(ZZ, rows))
+        ref = kernel_basis(Matrix(KG, rows))
+        assert len(got) == len(ref), rows
+        nullities.add((len(ref), nc))
+        assert all(type(x) is int for v in got for x in v)
+        if ref:
+            j = next(i for i, x in enumerate(ref[0]) if x)
+            d = Fraction(got[0][j]) / ref[0][j]
+            assert d and all(Fraction(x) == d * y for v, w in zip(got, ref)
+                             for x, y in zip(v, w)), rows
+    assert {k for k, _ in nullities} == set(range(7))
+    assert any(k == 0 for k, _ in nullities) and (6, 6) in nullities
 
 
 def test_kernel_random_soundness():

@@ -12,8 +12,8 @@ from irredcert import meataxe, polys
 from irredcert.errors import AbsIrredUndecided
 from irredcert.fpoly import pack, unpack
 from irredcert.lattices import PrimeSpec, reduce_rep, saturate
-from irredcert.matrices import (Matrix, char_poly, kernel_basis,
-                                packed_columns, poly_at_matrix)
+from irredcert.matrices import (Matrix, char_poly, integer_rows,
+                                kernel_basis, packed_columns, poly_at_matrix)
 from irredcert.meataxe import (INCONCLUSIVE, IRREDUCIBLE, REDUCIBLE,
                                _combination, _decide, _echelon_rows,
                                _poly_at_q, _reduce_against, _reduce_fp,
@@ -589,6 +589,18 @@ def _rational_vectors(rng, d):
     ]
 
 
+def _one_factor_apart(got, ref):
+    """Whether the vectors got are those of ref times one nonzero factor."""
+    if len(got) != len(ref):
+        return False
+    if not ref:
+        return True
+    j = next(i for i, x in enumerate(ref[0]) if x)
+    k = Fraction(got[0][j]) / ref[0][j]
+    return k != 0 and all(Fraction(x) == k * y for v, w in zip(got, ref)
+                          for x, y in zip(v, w))
+
+
 class TestRationalIntegerRows:
     """Over QQ the spin, the invariance check, theta and the direct search
     run on integer rows; over GenericQ the same data takes the generic
@@ -651,13 +663,18 @@ class TestRationalIntegerRows:
         assert _reduce_against(QQ, rows, pivots, [-2, 2, 0]) == [0, 0, 0]
 
     def test_probe_is_a_positive_multiple(self):
-        # a probe over Q is a multiple of sum c_i v_i on integer rows
+        # a probe over Q combines an integer kernel basis, as kernel_basis
+        # gives it over Z, on integers: a positive multiple of sum c_i v_i,
+        # for rational coefficients too
         rng = XorShift64(43)
         for _ in range(30):
-            vecs = [[Fraction(rng.randint(-9, 9), rng.choice([1, 3, 1000003]))
+            vecs = [[rng.randint(-9, 9) * rng.choice([1, 3, 1000003])
                      for _ in range(5)] for _ in range(3)]
-            coeffs = [QQ.coerce(rng.randint(-3, 3)) for _ in vecs]
-            ref = _combination(self.KG, coeffs, vecs)
+            coeffs = [QQ.coerce(Fraction(rng.randint(-3, 3),
+                                         rng.choice([1, 2, 3])))
+                      for _ in vecs]
+            ref = _combination(self.KG, coeffs,
+                               [[Fraction(a) for a in v] for v in vecs])
             got = _combination(QQ, coeffs, vecs)
             assert all(type(a) is int for a in got)
             k = next((Fraction(g) / r for g, r in zip(got, ref) if r), 1)
@@ -687,31 +704,42 @@ class TestRationalIntegerRows:
             rg = Representation(self.KG, gens, [])
             a, b = XorShift64(5), XorShift64(5)
             for i in range(12):
+                # theta over Q is (A, D): integer rows over the least
+                # common denominator of the generic theta's entries
                 tq, rec_q = _sample_theta(rq, a, i)
                 tg, rec_g = _sample_theta(rg, b, i)
-                assert tq.ring == QQ and rec_q == rec_g
-                assert tq.entries == tg.entries, (name, i)
-                assert all(type(x) is Fraction for x in tq.entries)
+                assert rec_q == rec_g
+                d = tg.nrows
+                assert tq == integer_rows(Matrix._raw(QQ, d, d, tg.entries)), \
+                    (name, i)
+                assert all(type(x) is int for r in tq[0] for x in r)
+                assert type(tq[1]) is int and tq[1] > 0
 
     def test_poly_at_q_is_a_multiple(self, cases):
-        # on integer rows, g(theta) comes out as a nonzero multiple, which
-        # has the same kernel bases on both sides
+        # on integer rows, g(theta) comes out as a nonzero multiple over Z,
+        # whose kernel bases on both sides are those of g(theta) times one
+        # common factor each
         rng = XorShift64(47)
         nullities = set()
         for gens in cases.values():
             rep = Representation(QQ, gens, [])
+            d = rep.dim
             for i in range(4):
                 theta = _sample_theta(rep, rng, i)[0]
-                parts = polys.squarefree_parts(QQ, char_poly(theta))
+                tm = Matrix._raw(QQ, d, d, [Fraction(a, theta[1])
+                                            for r in theta[0] for a in r])
+                parts = polys.squarefree_parts(QQ, char_poly(tm))
                 for g in parts + [(Fraction(-1, 3), QQ.one())]:
-                    ref = poly_at_matrix(QQ, g, theta)
+                    ref = poly_at_matrix(QQ, g, tm)
                     got = _poly_at_q(g, theta)
+                    assert got.ring == ZZ
                     k = next((b / a for a, b in zip(ref.entries, got.entries)
                               if a), 1)
-                    assert k and got == ref.scale(k)
-                    assert kernel_basis(got) == kernel_basis(ref)
-                    assert kernel_basis(got.transpose()) == \
-                        kernel_basis(ref.transpose())
+                    assert k and Matrix(QQ, got.rows()) == ref.scale(k)
+                    for m, r in ((got, ref), (got.transpose(),
+                                              ref.transpose())):
+                        assert _one_factor_apart(kernel_basis(m),
+                                                 kernel_basis(r))
                     nullities.add(len(kernel_basis(ref)) > 0)
         assert nullities == {True, False}
 
@@ -751,22 +779,39 @@ class TestRationalIntegerRows:
         assert verdict.status == INCONCLUSIVE
         return verdict, calls
 
-    def test_rational_roots_once_per_polynomial(self, monkeypatch):
-        # the roots of a characteristic polynomial serve the irreducibility
-        # check and the factor list, the roots of each squarefree part are
-        # read off them, and a polynomial that recurs reuses its analysis
-        verdict, calls = self._q8_calls(monkeypatch,
-                                        [(polys, "rational_roots")])
-        seen = [tuple(args[0]) for args in calls["rational_roots"]]
-        assert len(set(seen)) == len(seen) == len(
-            {s["charpoly"] for s in verdict.transcript["samples"]}) == 64
+    def test_analysis_once_per_polynomial(self, monkeypatch):
+        # each distinct characteristic polynomial is analysed once, on its
+        # integer form (integralize_monic), whose integer roots serve the
+        # irreducibility check and the factor list; rational_roots is not
+        # called, and the irreducibility certificate runs on integers
+        verdict, calls = self._q8_calls(monkeypatch, [
+            (meataxe, "_analyse_q"), (polys, "integer_roots"),
+            (polys, "rational_roots"), (polys, "certify_irreducible_q")])
+        seen = calls["_analyse_q"]
+        assert len(set(seen)) == len(seen) == len(calls["integer_roots"]) \
+            == len({s["charpoly"] for s in verdict.transcript["samples"]}) \
+            == 64
+        assert all(type(d) is int and all(type(a) is int for a in f)
+                   for f, d in seen)
+        assert calls["rational_roots"] == []
+        assert len(calls["certify_irreducible_q"]) >= 64
+        assert all(type(a) is int for f, _ in calls["certify_irreducible_q"]
+                   for a in f)
 
     def test_q8_work_counts(self, monkeypatch):
-        # 200 samples, one char_poly each, but 64 distinct characteristic
-        # polynomials, and every probe line spins at most once per side:
-        # 2,400 spins and 379 rational_roots calls before a run shared them
+        # 200 samples, one characteristic polynomial each, over Z from
+        # integer rows and never by the Fraction path of char_poly, but 64
+        # distinct ones, and every probe line spins at most once per side:
+        # 2,400 spins and 379 analyses before a run shared them.  Every
+        # g(theta) is a matrix over Z, and its kernels, primal and dual, are
+        # taken there: 400, two for each sample's one factor attempt
         _, calls = self._q8_calls(monkeypatch, [
-            (polys, "rational_roots"), (meataxe, "spin"),
-            (meataxe, "char_poly")])
+            (meataxe, "_analyse_q"), (meataxe, "spin"),
+            (meataxe, "int_char_poly"), (meataxe, "char_poly"),
+            (meataxe, "kernel_basis")])
         assert {k: len(v) for k, v in calls.items()} == {
-            "rational_roots": 64, "spin": 567, "char_poly": 200}
+            "_analyse_q": 64, "spin": 567, "int_char_poly": 200,
+            "char_poly": 0, "kernel_basis": 400}
+        assert all(type(a) is int for (rows,) in calls["int_char_poly"]
+                   for r in rows for a in r)
+        assert all(m.ring == ZZ for (m,) in calls["kernel_basis"])

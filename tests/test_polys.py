@@ -8,10 +8,11 @@ import pytest
 from irredcert import fpoly, polys
 from irredcert.errors import SingularError
 from irredcert.prng import XorShift64
-from irredcert.rings import (QQ, ExtensionField, PrimeField,
+from irredcert.rings import (QQ, ZZ, ExtensionField, PrimeField,
                              RationalFunctionField)
 
 from generic_fp import GenericFp
+from generic_q import GenericQ
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -390,6 +391,95 @@ def test_certify_irreducible_q():
     # x^4 + 4 = (x^2-2x+2)(x^2+2x+2): no rational roots, must not claim True
     f = (Fraction(4), Fraction(0), Fraction(0), Fraction(0), one)
     assert polys.certify_irreducible_q(f) is not True
+
+
+def test_certify_irreducible_q_repeated_factors(monkeypatch):
+    # a repeated factor is certainly reducible: one gcd over Z says so,
+    # before any prime is tried
+    def no_prime(*args):
+        raise AssertionError("a prime was tried")
+
+    one, zero = Fraction(1), Fraction(0)
+    square = polys.mul(QQ, (one, zero, one), (one, zero, one))  # (x^2+1)^2
+    f = polys.mul(QQ, polys.mul(QQ, (Fraction(-2), zero, one),
+                                (Fraction(-2), zero, one)), (Fraction(5), one))
+    monkeypatch.setattr(fpoly, "is_irreducible", no_prime)
+    assert polys.certify_irreducible_q(square) is False
+    assert polys.certify_irreducible_q(f) is False      # (x^2-2)^2 (x+5)
+    monkeypatch.undo()
+    # x^4 + 4 = (x^2-2x+2)(x^2+2x+2) is squarefree and reducible
+    x4 = (Fraction(4), zero, zero, zero, one)
+    assert polys.certify_irreducible_q(x4) is not True
+
+
+def _rational_square_root(q):
+    """The nonnegative rational square root of q >= 0, or None."""
+    n, d = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return Fraction(n, d) if n * n == q.numerator and d * d == \
+        q.denominator else None
+
+
+def _random_product(rng):
+    """A monic product over Q of linear and quadratic factors with
+    multiplicities 1 to 3, and its distinct rational roots: those of the
+    linear factors, and of a quadratic x^2 + b x + a by the quadratic
+    formula when b^2 - 4a is a rational square."""
+    one = Fraction(1)
+    f, roots = (one,), set()
+    for _ in range(rng.randint(0, 3)):
+        r = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+        roots.add(r)
+        for _ in range(rng.randint(1, 3)):
+            f = polys.mul(QQ, f, (-r, one))
+    for _ in range(rng.randint(0, 2)):
+        a = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        b = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+        disc = b * b - 4 * a
+        w = _rational_square_root(disc) if disc >= 0 else None
+        if w is not None:
+            roots.update(((-b + w) / 2, (-b - w) / 2))
+        for _ in range(rng.randint(1, 2)):
+            f = polys.mul(QQ, f, (a, b, one))
+    return f, sorted(roots)
+
+
+def test_analysis_over_z_matches_q():
+    """f = descale(F, D) for F in Z[y] monic: the integer roots of F over D
+    are the rational roots of f, the squarefree parts of F over ZZ (by the
+    primitive remainder sequence) map by descale to those of f over
+    GenericQ, in order, and integralize_monic(F, D) recovers
+    integralize_monic(f) from any scaling D of F."""
+    rng = XorShift64(2027)
+    KG = GenericQ()
+    shapes = set()
+    for _ in range(300):
+        f, roots = _random_product(rng)
+        if len(f) < 2:
+            continue
+        ints, c = polys.integralize_monic(f)
+        n = len(f) - 1
+        d = c * rng.randint(1, 5)
+        F = [int(a * d ** (n - i)) for i, a in enumerate(f)]
+        assert polys.descale(F, d) == f
+        assert polys.integralize_monic(F, d) == (ints, c)
+        got = [Fraction(r, d) for r in polys.integer_roots(F)]
+        assert got == roots
+        parts = polys.squarefree_parts(ZZ, F)
+        assert [polys.descale(s, d) for s in parts] == \
+            polys.squarefree_parts(KG, f), f
+        assert all(type(a) is int and s[-1] == 1 for s in parts for a in s)
+        shapes.add((len(parts), len(f) - 1 > sum(len(s) - 1 for s in parts)))
+    # single and several parts, with and without repeated factors
+    assert {(1, False), (1, True), (2, True), (3, True)} <= shapes
+
+
+def test_gcd_over_z_is_primitive():
+    # the primitive gcd with a positive lead, monic for monic inputs
+    f = (6, -5, 1)              # (x - 2)(x - 3)
+    g = (-4, 0, 1)              # (x - 2)(x + 2)
+    assert polys.gcd_monic(ZZ, f, g) == (-2, 1)
+    assert polys.gcd_monic(ZZ, (4, 6), (-6, -9)) == (2, 3)
+    assert polys.gcd_monic(ZZ, (1, 0, 1), (5, 1)) == (1,)
 
 
 def test_evaluate_and_powmod():
