@@ -9,7 +9,8 @@ each rep over an extension field in data/fq/,
 tests/golden/<rep>.meataxe.json the stdout of
 `irredcert meataxe` on each prime-field rep in data/fp/ (d from 16 to 48
 over F_2, F_3, F_101 and F_65521, made once with perfbench/gen.py, and one
-block triangular rep of d = 5 over F_3 from a seeded search), and
+block triangular rep of d = 5 over F_3 from a seeded search, and S9's
+standard rep mod 2, d = 8, as `irredcert reduce` prints it), and
 tests/golden/<rep>.meataxe.<seed>.json its stdout on a rep over Q in data/
 at that seed.  A change
 that alters a certificate or a transcript must bump TOOLKIT_VERSION; after
@@ -98,9 +99,11 @@ OBSTRUCTION_FQ = ["sl2_f4"]
 # triangular rep of dim 5 mod 3 (invariant subspace of dim 2) has a kernel
 # of nullity 2 at its first sample, x + 1, that every proper submodule
 # misses: all its projective points spin to the whole space, and the first
-# dual vector splits it
+# dual vector splits it.  S9 standard mod 2, the reduction that certifies
+# s9, is irreducible, decided at its first sample, x + 1 of nullity 7, by
+# enumerating the 127 points of its kernel and one dual vector
 MEATAXE = ["b32_mod101", "b8_twisted_sum_mod101", "block24_mod65521",
-           "block5_mod3", "rand48_mod101", "s25_mod2", "s27_mod3"]
+           "block5_mod3", "rand48_mod101", "s25_mod2", "s27_mod3", "s9_mod2"]
 
 # the MeatAxe over Q that runs out of budget: every other rep over Q in
 # data/ decides at its first sample, but q8 spans a quaternion division
