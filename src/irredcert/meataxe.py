@@ -21,13 +21,15 @@ both sides therefore certify irreducibility (Norton's criterion).
 
 For higher nullity one primal vector is not decisive; over a finite field
 the case closes after enumerating all projective classes of ker g(theta),
-which this module does whenever q^nullity stays under a fixed bound, and
-then one dual vector: once every class spins to the whole space, a proper
+which this module does whenever q^nullity is at most ENUM_BOUND (32),
+and then one dual vector: once every class spins to the whole space, a proper
 invariant subspace lies in the image of g(theta), so the first vector of
 ker g(theta)^T spins properly exactly when the module is reducible
 (Norton's lemma, docs/background.md).  At the oracle-comparison sizes
 (dim <= 3 over F_2, F_3) the bound always holds, so no verdict there is ever
-Inconclusive.  Over Q and Q(t) enumeration is impossible and undecided
+Inconclusive.  A larger kernel is probed for reducibility only, and the
+sampling moves on to the next theta, as Holt and Rees do when the nullity
+exceeds the degree.  Over Q and Q(t) enumeration is impossible and undecided
 samples simply consume budget; certification is expected to reduce modulo a
 prime first and use this path only as a fallback.
 
@@ -85,8 +87,11 @@ REDUCIBLE = "reducible"
 INCONCLUSIVE = "inconclusive"
 
 # cap on q^nullity for exhaustive kernel enumeration in the higher
-# multiplicity case; 4096 keeps the worst case at 4,096 spins
-ENUM_BOUND = 4096
+# multiplicity case: at most 32 spins, which covers the oracle sizes (dim
+# <= 3 over F_2 and F_3, 3^3 = 27); past it a probe and a fresh sample are
+# cheaper (S9 mod 2 spun all 127 points of a kernel of nullity 7, where its
+# next sample decides by two spins)
+ENUM_BOUND = 32
 
 # random algebra elements are sums of at most SAMPLE_WORDS words of at most
 # SAMPLE_WORD_LENGTH letters each
@@ -732,7 +737,8 @@ def is_irreducible(rep, seed=0, budget=200):
     Returns a MeataxeVerdict; Reducible verdicts carry an exactly verified
     echelon witness basis, Irreducible means Norton's criterion succeeded,
     and Inconclusive means the sampling budget ran out (possible only over
-    Q and Q(t), or past the enumeration bound over big finite fields)."""
+    Q and Q(t), or over a finite field when every sample's factors have
+    nullity above their degree and q^nullity above ENUM_BOUND)."""
     K = rep.ring
     if not K.is_field:
         raise ValueError("the irreducibility test works over a field; "

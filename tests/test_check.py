@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from irredcert import meataxe
 from irredcert.certify import (Certificate, IRREDUCIBLE_CERTIFIED,
                                RULE_REGULAR_ONE_PRIME, TOOLKIT_VERSION,
                                _make_cert, canonical_json, certify,
@@ -283,11 +284,25 @@ class TestTamperedCertifyingFields:
                     "decision"].update(sample=bad)), bad
 
     def test_nullity_beyond_the_enumeration_bound(self):
-        # theta = 1 mod 101: nullity 2 against deg 1, and 101^2 > 4096
+        # theta = 1 mod 101: nullity 2 against deg 1, and 101^2 > 32
         rep = Representation(QQ, [[[1, 0], [0, 1]]] + S3, [], label="s3i")
         cert = forged(rep, 101, one_sample([[0]], ["1"], "x^2 + 99*x + 1",
                                            "x + 100"))
         assert rejection(cert, rep).startswith("nullity 2 ≠ deg 1")
+
+    def test_enumeration_under_the_old_bound(self, monkeypatch):
+        # s9's certificate of toolkit 0.6.0, whose enumeration bound was
+        # 4096, at the current version: it decides at (2) by enumerating
+        # the 127 points of x + 1 of nullity 7, which the bound of 32 no
+        # longer allows
+        rep = load_rep(str(DATA / "s9.json"))
+        with monkeypatch.context() as m:
+            m.setattr(meataxe, "ENUM_BOUND", 4096)
+            cert = certify(rep)
+        events = cert.steps[0]["meataxe"]["samples"][0]["factors"][0]["events"]
+        assert events == ["primal_enumeration_full", "dual_enumeration_full"]
+        assert rejection(cert, rep) == ("nullity 7 ≠ deg 1, and 2^7 passes "
+                                        "the enumeration bound")
 
     def test_enumeration_finds_a_proper_spin(self):
         # S3 mod 3 has an invariant line, which the enumeration meets

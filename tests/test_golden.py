@@ -34,10 +34,11 @@ DATA_FQ = os.path.join(DATA, "fq")
 GOLDEN = os.path.join(HERE, "golden")
 
 # (rep, exit code of `certify`); q8 has no certifying prime and exits 2.
-# s9 (standard rep, d = 8) certifies at (2) by enumerating the projective
-# kernel of nullity 7, then one dual vector; s6 (d = 5) is split at (3) by
-# a dual spin, whose witness is the annihilator _perp_witness computes, and
-# certifies at (5);
+# s9 (standard rep, d = 8) certifies at (2) by one spin on each side at its
+# second sample, x^2 + x + 1 of nullity 2, after the probe of x + 1 of
+# nullity 7 at its first, past the enumeration bound, left it undecided;
+# s6 (d = 5) is split at (3) by a dual spin, whose witness is the
+# annihilator _perp_witness computes, and certifies at (5);
 # s4_sgn (S4 standard + sign in a non-unimodular basis) is reducible, and
 # its witness mod 3 lifts to Q: it ends ReducibleWithWitness by DirectOverK
 # at (3).  s3_sgn_qt (S3 standard + sign over Q(t), conjugated by
@@ -100,8 +101,9 @@ OBSTRUCTION_FQ = ["sl2_f4"]
 # of nullity 2 at its first sample, x + 1, that every proper submodule
 # misses: all its projective points spin to the whole space, and the first
 # dual vector splits it.  S9 standard mod 2, the reduction that certifies
-# s9, is irreducible, decided at its first sample, x + 1 of nullity 7, by
-# enumerating the 127 points of its kernel and one dual vector
+# s9, is irreducible: x + 1 at its first sample has nullity 7, and 2^7 is
+# past the enumeration bound, so its probe draws random combinations and
+# the second sample decides at x^2 + x + 1
 MEATAXE = ["b32_mod101", "b8_twisted_sum_mod101", "block24_mod65521",
            "block5_mod3", "rand48_mod101", "s25_mod2", "s27_mod3", "s9_mod2"]
 

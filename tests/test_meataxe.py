@@ -29,7 +29,7 @@ from irredcert.rings import QQ, ZZ, ExtensionField, PrimeField, \
 
 import two_sided_norton
 from generic_fp import FIELD_SIZES, GenericFp, matrix_cases, random_rows
-from generic_q import GenericQ, rational_cases
+from generic_q import GenericQ, rational_cases, std_sn
 
 QT = RationalFunctionField("t")
 DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
@@ -251,20 +251,38 @@ class TestNortonLemma:
         # both branches of the lemma are met
         assert min(ends.values()) > 0, ends
 
-    def test_s9_mod_2_deciding_spins(self, monkeypatch):
-        # the S9 standard rep mod 2 is decided by its first sample, x + 1
-        # of nullity 7: 127 projective points, then one dual vector, where
-        # the two-sided enumeration spins 127 on each side
-        int_rep = saturate(load_rep(str(DATA / "s9.json")))[1]
-        red = reduce_rep(int_rep, PrimeSpec.parse("(2)", ZZ))
+    def test_s7_mod_2_deciding_spins(self, monkeypatch):
+        # the S7 standard rep mod 2 is decided by its first sample, x + 1
+        # of nullity 5: 2^5 = 32 is within the enumeration bound, so 31
+        # projective points, then one dual vector, where the two-sided
+        # enumeration spins 31 on each side
+        red = Representation(PrimeField(2), std_sn(7), [], label="S7 mod 2")
         verdict, counts = norton_spins(monkeypatch, red)
         assert verdict.status == IRREDUCIBLE
-        assert counts[-1] == {"primal": 127, "dual": 1}
+        assert counts == [{"primal": 31, "dual": 1}]
         monkeypatch.setattr(meataxe, "_norton_attempt",
                             two_sided_norton.norton_attempt)
         verdict, counts = norton_spins(monkeypatch, red)
         assert verdict.status == IRREDUCIBLE
-        assert counts[-1] == {"primal": 127, "dual": 127}
+        assert counts == [{"primal": 31, "dual": 31}]
+
+    def test_s9_mod_2_takes_a_fresh_sample(self, monkeypatch):
+        # the S9 standard rep mod 2 has x + 1 of nullity 7 at its first
+        # sample, and 2^7 passes the enumeration bound: the kernel is
+        # probed (its 7 basis vectors and 4 combinations, then the 7 dual
+        # basis vectors) where 127 points were enumerated, and the second
+        # sample decides by one spin on each side at x^2 + x + 1
+        int_rep = saturate(load_rep(str(DATA / "s9.json")))[1]
+        red = reduce_rep(int_rep, PrimeSpec.parse("(2)", ZZ))
+        verdict, counts = norton_spins(monkeypatch, red)
+        assert verdict.status == IRREDUCIBLE
+        samples = verdict.transcript["samples"]
+        assert [(r["poly"], r["nullity"], r["events"])
+                for r in samples[0]["factors"]] == \
+            [("x + 1", 7, ["undecided_high_multiplicity"])]
+        assert verdict.transcript["decision"] == {
+            "status": IRREDUCIBLE, "sample": 1, "factor": "x^2 + x + 1"}
+        assert counts == [{"primal": 11, "dual": 7}, {"primal": 1, "dual": 1}]
 
 
 class TestConjugationInvariance:
