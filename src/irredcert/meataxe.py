@@ -300,8 +300,10 @@ def _random_scalar(K, rng):
         return rng.randrange(K.p)
     if isinstance(K, ExtensionField):
         return K.coerce(tuple(rng.randrange(K.p) for _ in range(K.k)))
-    # Q and Q(t): small integer box
-    return K.coerce(rng.randrange(7) - 3)
+    # Q and Q(t): small integer box; over Q a plain int, which _theta_q,
+    # _combination and QQ.format read as they read a Fraction
+    c = rng.randrange(7) - 3
+    return c if K == QQ else K.coerce(c)
 
 
 def _nonzero_scalar(K, rng):
