@@ -743,13 +743,19 @@ def int_char_poly(rows):
     """det(yI - A) in Z[y], ascending, for a square integer matrix A: its
     images mod primes below 2^47 (_char_poly_mod), combined by CRT until
     their product M exceeds 2B.  The coefficient of y^(n-k) is a sum of
-    C(n, k) principal minors, each at most R^k by Hadamard's inequality, R
-    the largest row 2-norm; so B = max C(n, k) R^k bounds the coefficients,
-    and they are the residues in (-M/2, M/2] (Dumas, Pernet and Wan, ISSAC
-    2005)."""
+    C(n, k) principal minors; by Hadamard's inequality each is at most the
+    product of its k rows' 2-norms, so at most P_k, the product of the k
+    largest row 2-norms of A.  So B = max C(n, k) P_k bounds the
+    coefficients, and they are the residues in (-M/2, M/2] (Dumas, Pernet
+    and Wan, ISSAC 2005)."""
     n = len(rows)
-    r = isqrt(max((sum(a * a for a in row) for row in rows), default=0)) + 1
-    bound = 2 * max(comb(n, k) * r ** k for k in range(n + 1))
+    norms = sorted((isqrt(sum(a * a for a in row)) + 1 for row in rows),
+                   reverse=True)
+    bound = top = 1
+    for k, r in enumerate(norms, 1):
+        top *= r
+        bound = max(bound, comb(n, k) * top)
+    bound *= 2
     primes, m = map(_crt_prime, count()), 1
     while m <= bound:
         p = next(primes)

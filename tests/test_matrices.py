@@ -349,16 +349,26 @@ class TestCharPolyOverQ:
         # entries near 3^80 over 9,999,991 need several primes
         assert primes_used["huge"] >= 3 and primes_used["zero"] == 1
 
-    def test_matches_generic_at_d_48(self):
+    def test_matches_generic_at_d_48(self, monkeypatch):
         # a product of the two generators of S49's standard rep, under an
-        # upper bidiagonal basis change with diagonal 1, 1/2, 2/3, ...
+        # upper bidiagonal basis change with diagonal 1, 1/2, 2/3, ...; the
+        # CRT bound C(n, k) times the product of the k largest row norms
+        # takes 17 primes, where C(n, k) R^k, R the largest, took 31
         scales = [Fraction(1), Fraction(1, 2), Fraction(2, 3)]
         c = Matrix(QQ, [[scales[i % 3] if i == j else int(j == i + 1)
                          for j in range(48)] for i in range(48)])
         g, h = (Matrix(QQ, m) for m in std_sn(49))
         rows = (c * g * h * c.inverse()).rows()
+        calls = []
+
+        def counted(rows, p, _f=matrices._char_poly_mod):
+            calls.append(p)
+            return _f(rows, p)
+
+        monkeypatch.setattr(matrices, "_char_poly_mod", counted)
         assert char_poly(Matrix(QQ, rows)) == \
             char_poly(Matrix(GenericQ(), rows))
+        assert len(calls) == 17
 
     def test_int_char_poly_is_over_z(self):
         # det(yI - A) for integer A: companion of y^3 - 2y + 5, and A / D
