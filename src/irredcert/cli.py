@@ -34,8 +34,7 @@ EXIT_INCONCLUSIVE = 2
 
 
 def _emit(doc):
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _split_outside_parens(text):
@@ -205,9 +204,9 @@ def main(argv=None):
     try:
         return args.func(args)
     except (IrredcertError, OSError, ValueError) as exc:
-        json.dump({"error": type(exc).__name__, "detail": str(exc)},
-                  sys.stderr, indent=2, sort_keys=True)
-        sys.stderr.write("\n")
+        sys.stderr.write(json.dumps({"error": type(exc).__name__,
+                                     "detail": str(exc)},
+                                    indent=2, sort_keys=True) + "\n")
         return EXIT_ERROR
 
 
