@@ -21,17 +21,17 @@ both sides therefore certify irreducibility (Norton's criterion).
 
 For higher nullity one primal vector is not decisive; over a finite field
 the case closes after enumerating all projective classes of ker g(theta),
-which this module does whenever q^nullity is at most ENUM_BOUND (32),
-and then one dual vector: once every class spins to the whole space, a proper
+which this module does whenever q^nullity is at most ENUM_BOUND (32), and
+then one dual vector: once every class spins to the whole space, a proper
 invariant subspace lies in the image of g(theta), so the first vector of
 ker g(theta)^T spins properly exactly when the module is reducible
 (Norton's lemma, docs/background.md).  At the oracle-comparison sizes
 (dim <= 3 over F_2, F_3) the bound always holds, so no verdict there is ever
 Inconclusive.  A larger kernel is probed for reducibility only, and the
 sampling moves on to the next theta, as Holt and Rees do when the nullity
-exceeds the degree.  Over Q and Q(t) enumeration is impossible and undecided
-samples simply consume budget; certification is expected to reduce modulo a
-prime first and use this path only as a fallback.
+exceeds the degree.  Over Q and Q(t) enumeration is impossible and
+undecided samples simply consume budget; certification is expected to
+reduce modulo a prime first and use this path only as a fallback.
 
 The spin and the invariance check share one span-growing loop, _grow: the
 spin grows the span of one vector until it is closed or the whole space,
