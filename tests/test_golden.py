@@ -10,7 +10,8 @@ tests/golden/<rep>.meataxe.json the stdout of
 `irredcert meataxe` on each prime-field rep in data/fp/ (d from 16 to 48
 over F_2, F_3, F_101 and F_65521, made once with perfbench/gen.py, and one
 block triangular rep of d = 5 over F_3 from a seeded search, and S9's
-standard rep mod 2, d = 8, as `irredcert reduce` prints it), and
+standard rep mod 2, d = 8, as `irredcert reduce` prints it) and on each
+rep over an extension field in data/fq/, and
 tests/golden/<rep>.meataxe.<seed>.json its stdout on a rep over Q in data/
 at that seed.  A change
 that alters a certificate or a transcript must bump TOOLKIT_VERSION; after
@@ -57,9 +58,11 @@ GOLDEN = os.path.join(HERE, "golden")
 # under random.Random(2027)) has isomorphic summands, so each of its eight
 # reductions is reducible and no witness lifts; the search over Q splits
 # it by a probe over Q, the kernel of x + 1 at the first generator having
-# nullity 2, and one probe vector spins to a proper subspace of dim 3
-CERTIFY = [("b3", 0), ("b3_b3", 0), ("b3_qt", 0), ("d4", 0), ("q8", 2),
-           ("s3", 0), ("s3_qt", 0),
+# nullity 2, and one probe vector spins to a proper subspace of dim 3.
+# c2_sign (the sign character of C2 over Q, d = 1) certifies at (2), where
+# its reduction is the 1 x 1 matrix [1]
+CERTIFY = [("b3", 0), ("b3_b3", 0), ("b3_qt", 0), ("c2_sign", 0), ("d4", 0),
+           ("q8", 2), ("s3", 0), ("s3_qt", 0),
            ("s3_scaled", 0), ("s3_sgn_qt", 0), ("s30_qt", 0), ("s4", 0),
            ("s4_sgn", 0), ("s6", 0), ("s9", 0), ("scaled_shear", 0),
            ("sqrt2", 2)]
@@ -106,6 +109,16 @@ OBSTRUCTION_FQ = ["sl2_f4"]
 # the second sample decides at x^2 + x + 1
 MEATAXE = ["b32_mod101", "b8_twisted_sum_mod101", "block24_mod65521",
            "block5_mod3", "rand48_mod101", "s25_mod2", "s27_mod3", "s9_mod2"]
+
+# the reps over F_4: SL2(F_4) natural decides by one spin on each side at
+# x + alpha.  With the identity as their first generator, sl2_f4_identity
+# (irreducible) and c3_split_f4 (reducible, C3 acting by [[0, 1], [1, 1]],
+# whose eigenvalues lie in F_4) enumerate the 5 projective points of
+# ker(theta + 1), of nullity 2, at sample 0: every point of sl2_f4_identity
+# spins to the whole space and so does its first dual vector, while the
+# third point of c3_split_f4, (1, alpha), spins to its witness, which pins
+# the order of the enumeration
+MEATAXE_FQ = ["c3_split_f4", "sl2_f4", "sl2_f4_identity"]
 
 # the MeatAxe over Q that runs out of budget: every other rep over Q in
 # data/ decides at its first sample, but q8 spans a quaternion division
@@ -154,6 +167,11 @@ def obstruction_fq_case(rep):
 def meataxe_case(rep):
     path = os.path.join(GOLDEN, "%s.meataxe.json" % rep)
     return path, ["meataxe", os.path.join(DATA_FP, rep + ".json")]
+
+
+def meataxe_fq_case(rep):
+    path = os.path.join(GOLDEN, "%s.meataxe.json" % rep)
+    return path, ["meataxe", os.path.join(DATA_FQ, rep + ".json")]
 
 
 def meataxe_q_case(rep, seed):
@@ -207,6 +225,14 @@ def test_meataxe_transcript_matches_golden(rep):
     assert text == _read(path)
 
 
+@pytest.mark.parametrize("rep", MEATAXE_FQ)
+def test_meataxe_fq_transcript_matches_golden(rep):
+    path, argv = meataxe_fq_case(rep)
+    got_code, text = run_cli(argv)
+    assert got_code == 0
+    assert text == _read(path)
+
+
 @pytest.mark.parametrize("rep,seed", MEATAXE_Q)
 def test_meataxe_q_transcript_matches_golden(rep, seed):
     path, argv = meataxe_q_case(rep, seed)
@@ -222,6 +248,7 @@ def regenerate():
              + [obstruction_case(rep, prime) for rep, prime in OBSTRUCTION]
              + [obstruction_fq_case(rep) for rep in OBSTRUCTION_FQ]
              + [meataxe_case(rep) for rep in MEATAXE]
+             + [meataxe_fq_case(rep) for rep in MEATAXE_FQ]
              + [meataxe_q_case(rep, seed) for rep, seed in MEATAXE_Q])
     for path, argv in cases:
         _, text = run_cli(argv)

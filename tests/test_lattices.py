@@ -391,6 +391,26 @@ class TestSaturationInvariants:
         basis, int_rep = saturate(rep)
         _assert_integral_model(rep, basis, int_rep, ZT)
 
+    @pytest.mark.parametrize("name", ["s3_qt", "s30_qt"])
+    def test_constant_qt_saturates_as_over_q(self, name):
+        # a Q(t) rep with constant entries saturates to the lattice and the
+        # model of the same rep over Q, read as constants
+        rep = load_rep(os.path.join(DATA, name + ".json"))
+        field_rep = over_fraction_field(rep)
+        assert field_rep.ring == QT
+        gens = [_constant_q_matrix(g) for g in field_rep.generators]
+        assert all(g is not None for g in gens)
+        basis, int_rep = saturate(field_rep)
+        basis_q, int_q = saturate(Representation(QQ, gens, rep.relations,
+                                                 label=rep.label))
+        assert _constant_q_matrix(basis) == basis_q
+        assert int_rep.ring == ZT
+        for g, g_q in zip(int_rep.generators, int_q.generators):
+            assert g.entries == tuple(ZT.coerce(a) for a in g_q.entries)
+        assert int_rep.determinants == tuple(ZT.coerce(a)
+                                             for a in int_q.determinants)
+        assert QT.as_constant(basis.det()) == basis_q.det()
+
     @pytest.mark.parametrize("name", sorted(
         name[:-len(".json")] for name in os.listdir(DATA)
         if name.endswith(".json") and name[:-len(".json")] not in NO_MODEL))
