@@ -49,7 +49,7 @@ from .oracle import count_invariant
 from .reps import over_fraction_field, rep_to_json
 from .rings import PolynomialRingZ, QQ, RationalFunctionField, ZZ, is_prime
 
-TOOLKIT_VERSION = "0.7.0"
+TOOLKIT_VERSION = "0.8.0"
 
 RULE_REGULAR_ONE_PRIME = "RegularOnePrime"
 RULE_HEIGHT_ONE_FAMILY = "HeightOneFamily"

@@ -10,8 +10,7 @@ representation alone:
              integral over R with det X = +-1, so L = B R^d is stable under
              g and g^-1 (X^-1 is integral too); X comes from
              matrices.integral_conjugates, the conjugation saturation
-             runs, on integer rows for a constant basis and generators and
-             on Z[t] rows otherwise;
+             runs, on integer rows over Q and on Z[t] rows over Q(t);
   prime      the irreducible step's prime is an integer prime of Z or a
              maximal (p, t-c) of Z[t], where every X reduces;
   reduction  theta is rebuilt from the recorded words and coefficients of
@@ -48,9 +47,8 @@ from .certify import (INCONCLUSIVE_RUN, IRREDUCIBLE_CERTIFIED,
 from .errors import (IntegralityError, IrredcertError, SingularError,
                      VersionMismatch)
 from .lattices import PrimeSpec, reduce_rep
-from .matrices import (Matrix, _constant_q_matrix, char_poly, integer_rows,
-                       integral_conjugates, kernel_basis, poly_at_matrix,
-                       poly_rows)
+from .matrices import (Matrix, char_poly, integer_rows, integral_conjugates,
+                       kernel_basis, poly_at_matrix, poly_rows)
 from .reps import Representation, evaluate, over_fraction_field
 from .rings import ZZ, PolynomialRingZ, parse_poly_string, ring_from_json
 
@@ -158,8 +156,8 @@ def _parse_rows(K, rows, dim):
 def _integral_generators(lattice, field_rep, R):
     """The matrices X = B^-1 g B over R for the recorded basis B, each
     checked integral with det X = +-1, and their determinants over R: from
-    matrices.integral_conjugates, on integer rows when B and every g are
-    constant and on Z[t] rows otherwise."""
+    matrices.integral_conjugates, on integer rows over Q and on Z[t] rows
+    over Q(t), whatever the entries."""
     K, d = field_rep.ring, field_rep.dim
     _require(isinstance(lattice, list) and len(lattice) == d
              and all(isinstance(row, list) and len(row) == d
@@ -167,14 +165,10 @@ def _integral_generators(lattice, field_rep, R):
              "the lattice is not a %d x %d matrix", d, d)
     b = Matrix._raw(K, d, d, [a for row in _parse_rows(K, lattice, d)
                               for a in row])
-    const = [_constant_q_matrix(m) for m in (b,) + field_rep.generators]
-    if all(m is not None for m in const):
-        a, gens = integer_rows(const[0])[0], const[1:]
-    else:
-        a, gens = poly_rows(b)[0], field_rep.generators
+    a = (integer_rows(b) if R == ZZ else poly_rows(b))[0]
     xs = []
     try:
-        for x in integral_conjugates(a, gens):
+        for x in integral_conjugates(a, field_rep.generators):
             xs.append(x)
     except SingularError:
         raise _Rejected("the lattice basis is singular") from None
@@ -188,7 +182,7 @@ def _integral_generators(lattice, field_rep, R):
         _require(x.ring.is_unit(det), "generator %d has determinant %s in "
                  "the recorded lattice, not +-1", i, x.ring.format(det))
         dets.append(R.coerce(det))
-    return [x if x.ring == R else x.change_ring(R) for x in xs], dets
+    return xs, dets
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +201,6 @@ def _check_one_prime(steps, int_rep):
              "the irreducible step is at %s, not an integer or maximal prime",
              prime)
     red = reduce_rep(int_rep, prime)
-    if red.dim == 1:
-        return
     transcript = step.get("meataxe")
     _require(isinstance(transcript, dict), "the irreducible step at %s has "
              "no MeatAxe transcript", prime)

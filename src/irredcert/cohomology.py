@@ -43,18 +43,16 @@ GROUP_BOUND = 64
 
 
 class FiniteGroupTable:
-    """A finite matrix group as a lookup structure: elements in BFS order
-    from the identity, multiplication and inverse tables, and for every
-    element one generator word reaching it."""
+    """A finite matrix group as a lookup structure, holding what the
+    cohomology reads: elements in BFS order from the identity, the
+    multiplication table, and the index of each generator."""
 
-    __slots__ = ("elements", "mult", "inverse", "gen_indices", "words")
+    __slots__ = ("elements", "mult", "gen_indices")
 
-    def __init__(self, elements, mult, inverse, gen_indices, words):
+    def __init__(self, elements, mult, gen_indices):
         self.elements = tuple(elements)
         self.mult = tuple(tuple(row) for row in mult)
-        self.inverse = tuple(inverse)
         self.gen_indices = tuple(gen_indices)
-        self.words = tuple(tuple(w) for w in words)
 
     @property
     def order(self):
@@ -70,7 +68,8 @@ def close_group(rep):
 
     The closure meets e g for every element e and generator g, and the
     multiplication table follows from those products alone: element j is
-    e g for the element e before it on its word, so x j = (x e) g.
+    first met as e g, for its parent e and its last generator g, so
+    x j = (x e) g.
 
     Raises GroupTooLarge past GROUP_BOUND elements."""
     K = rep.ring
@@ -80,8 +79,7 @@ def close_group(rep):
     ident = Matrix.identity(K, rep.dim)
     elements = [ident]
     index = {ident: 0}
-    words = [()]
-    parent = [None]
+    parent, last = [None], [None]
     right = []          # right[x][gi]: the index of element x times g_gi
     frontier = [0]
     while frontier:
@@ -97,8 +95,8 @@ def close_group(rep):
                                             "elements" % (GROUP_BOUND,))
                     index[f] = len(elements)
                     elements.append(f)
-                    words.append(words[ei] + (gi,))
                     parent.append(ei)
+                    last.append(gi)
                     nxt.append(index[f])
                 right[ei].append(index[f])
         frontier = nxt
@@ -107,11 +105,10 @@ def close_group(rep):
     for i in range(n):
         row = [i]
         for j in range(1, n):
-            row.append(right[row[parent[j]]][words[j][-1]])
+            row.append(right[row[parent[j]]][last[j]])
         mult.append(row)
-    inverse = [mult[i].index(0) for i in range(n)]
     gen_indices = [index[g] for g in rep.generators]
-    return FiniteGroupTable(elements, mult, inverse, gen_indices, words)
+    return FiniteGroupTable(elements, mult, gen_indices)
 
 
 def module_action(table, module):

@@ -29,8 +29,8 @@ class BadPrime(IrredcertError):
 
 
 class BudgetExceeded(IrredcertError):
-    """An iterative search (saturation rounds, meataxe words, splitting
-    attempts) hit its configured budget without reaching a decision."""
+    """A lattice chain of saturation ran its budget of rounds without
+    stabilizing (the MeatAxe reports a spent budget as Inconclusive)."""
 
 
 class SizeBound(IrredcertError):

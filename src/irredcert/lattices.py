@@ -42,11 +42,10 @@ from operator import mul
 from . import polys
 from .errors import (BadPrime, BudgetExceeded, IntegralityError, ShapeError,
                      SingularError)
-from .matrices import (Matrix, _constant_q_matrix, _divexact, _pmul,
-                       _row_hnf, conjugate_numerators, denominator_lcm,
-                       eliminate_fp, from_poly_rows, int_product,
-                       integral_conjugates, poly_rows, scaled_rows,
-                       zt_product)
+from .matrices import (Matrix, _divexact, _pmul, _row_hnf,
+                       conjugate_numerators, denominator_lcm, eliminate_fp,
+                       from_poly_rows, int_product, integral_conjugates,
+                       poly_rows, scaled_rows, zt_product)
 from .meataxe import _echelon_rows, subspace_is_invariant
 from .fpoly import pack, slot_bytes, unpack
 from .rings import (ZZ, QQ, PolynomialRingZ, PrimeField, RationalFunctionField,
@@ -327,7 +326,9 @@ def _saturate_qt(rep, budget):
     Returns the basis T H / D over Q(t), for the stable pair (H, D) of stage
     2, and the integral model over Z[t].  T is invertible, as stage 1 keeps
     full rank, and when T is constant it is the identity (a constant
-    full-rank HNF over Q[t]), so a constant basis is the canonical H / D."""
+    full-rank HNF over Q[t]), so a constant basis is the canonical H / D.
+    With constant generators stage 1 stops after one round with T = I, and
+    stage 2 is the chain over Q on the same matrices: same basis and model."""
     K = rep.ring
     ZT = PolynomialRingZ(K.var)
     d = rep.dim
@@ -419,7 +420,8 @@ def saturate(rep, budget=64):
     Otherwise the chain L + sum_g gL, g over the generators and inverses,
     grows from the standard lattice; for a finite matrix group it
     stabilizes within the orbit length, and the budget (default 64 rounds)
-    converts divergence into BudgetExceeded (docs/background.md)."""
+    converts divergence into BudgetExceeded (docs/background.md).  Over
+    Q(t), whatever the entries, _saturate_qt runs it."""
     K = rep.ring
     if K == ZZ or isinstance(K, PolynomialRingZ):
         return saturate(over_fraction_field(rep), budget)
@@ -428,24 +430,21 @@ def saturate(rep, budget=64):
     reason = non_unit_determinant(rep)
     if reason is not None:
         raise IntegralityError(reason)
-    gens = rep.generators
     if K != QQ:
-        gens = [_constant_q_matrix(g) for g in gens]
-        if any(m is None for m in gens):
-            return _saturate_qt(rep, budget)
+        return _saturate_qt(rep, budget)
+    gens = rep.generators
     pair = _stable_lattice_z([h for g in gens for h in (g, g.inverse())],
                              rep.dim, budget)
     if pair is None:
         raise BudgetExceeded(
-            "lattice chain did not stabilize in %d rounds; the generated "
-            "group probably stabilizes no lattice (infinite image or non-unit "
-            "determinants)" % (budget,))
+            "lattice chain did not stabilize in %d rounds: the group "
+            "stabilizes no lattice, or the chain reaches one only after more "
+            "rounds" % (budget,))
     # the columns of the pair are the basis; integral_conjugates takes rows
     ints = integral_conjugates(list(zip(*pair[0])), gens)
-    R = ZZ if K == QQ else PolynomialRingZ(K.var)
     return (_pair_basis(pair, K),
-            Representation(R, list(ints), rep.relations, label=rep.label,
-                           determinants=map(R.from_fraction_field,
+            Representation(ZZ, list(ints), rep.relations, label=rep.label,
+                           determinants=map(ZZ.from_fraction_field,
                                             rep.determinants)))
 
 

@@ -27,7 +27,10 @@ invariant subspace lies in the image of g(theta), so the first vector of
 ker g(theta)^T spins properly exactly when the module is reducible
 (Norton's lemma, docs/background.md).  At the oracle-comparison sizes
 (dim <= 3 over F_2, F_3) the bound always holds, so no verdict there is ever
-Inconclusive.  A larger kernel is probed for reducibility only, and the
+Inconclusive.  Dimension 1 takes the same path and decides at sample 0:
+its characteristic polynomial is linear, so over Q it is certified
+irreducible, and over a finite field its factor has nullity 1 and one spin
+on each side ends the test.  A larger kernel is probed for reducibility only, and the
 sampling moves on to the next theta, as Holt and Rees do when the nullity
 exceeds the degree.  Over Q and Q(t) enumeration is impossible and
 undecided samples simply consume budget; certification is expected to
@@ -67,6 +70,7 @@ witness basis that has been re-verified exactly against every generator.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd, lcm
 from operator import mul, neg
 
@@ -384,29 +388,10 @@ def _projective_kernel(K, ker):
     if isinstance(K, PrimeField):
         yield from _projective_kernel_fp(K.p, ker)
         return
-    elements = list(K.iter_elements())
-    n = len(ker)
-    d = len(ker[0])
+    elements, n = list(K.iter_elements()), len(ker)
     for lead in range(n):
-        tail = n - lead - 1
-        counters = [0] * tail
-        while True:
-            coeffs = [K.zero()] * lead + [K.one()] + \
-                [elements[c] for c in counters]
-            v = [K.zero()] * d
-            for a, b in zip(coeffs, ker):
-                if not K.is_zero(a):
-                    v = [K.add(x, K.mul(a, y)) for x, y in zip(v, b)]
-            yield v
-            i = 0
-            while i < tail:
-                counters[i] += 1
-                if counters[i] < len(elements):
-                    break
-                counters[i] = 0
-                i += 1
-            else:
-                break
+        for rest in product(elements, repeat=n - lead - 1):
+            yield _combination(K, (K.one(),) + rest[::-1], ker[lead:])
 
 
 def _projective_kernel_fp(p, ker):
@@ -740,17 +725,12 @@ def is_irreducible(rep, seed=0, budget=200):
     echelon witness basis, Irreducible means Norton's criterion succeeded,
     and Inconclusive means the sampling budget ran out (possible only over
     Q and Q(t), or over a finite field when every sample's factors have
-    nullity above their degree and q^nullity above ENUM_BOUND)."""
+    nullity above their degree and q^nullity above ENUM_BOUND).  A 1 x 1
+    rep takes the same path and decides at its first sample."""
     K = rep.ring
     if not K.is_field:
         raise ValueError("the irreducibility test works over a field; "
                          "reduce modulo a prime first")
-    if rep.dim == 1:
-        return MeataxeVerdict(
-            IRREDUCIBLE, None,
-            {"seed": seed, "budget": budget, "field": K.to_json(), "dim": 1,
-             "samples": [],
-             "decision": {"status": IRREDUCIBLE, "reason": "dimension 1"}})
     if isinstance(K, (PrimeField, ExtensionField)) or K == QQ:
         return _decide(rep, seed, budget)
     if isinstance(K, RationalFunctionField):

@@ -118,10 +118,20 @@ class TestAccepts:
             assert repr(dets) == repr([g.det() for g in gens]), name
             assert all(R.is_unit(a) for a in dets), name
 
-    def test_dimension_one_needs_no_sample(self):
+    def test_dimension_one_is_checked_like_any_other(self):
+        # the engine decides a 1 x 1 reduction by Norton's test at sample 0,
+        # and the checker checks that transcript: emptied, it is rejected
         rep = Representation(QQ, [[[-1]]], [[(0, 1), (0, 1)]], label="sign")
-        cert = forged(rep, 3, {"samples": [], "decision": {}})
+        cert = certify(rep)
+        assert cert.steps[0]["meataxe"]["decision"]["sample"] == 0
         assert rejection(cert, rep) is None
+        for transcript in ({"samples": [], "decision": {}},
+                           {"samples": [], "decision": {
+                               "status": "irreducible",
+                               "reason": "dimension 1"}}):
+            blob = copy(cert)
+            blob["steps"][0]["meataxe"] = transcript
+            assert rejection(redigested(blob), rep) is not None
 
     def test_enumeration_whatever_the_events_say(self):
         # theta = 1 on S3 mod 5: the factor x - 1 has nullity 2 > deg 1, so

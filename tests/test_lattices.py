@@ -458,9 +458,9 @@ class TestSaturationInvariants:
             with pytest.raises(BudgetExceeded) as info:
                 saturate(rep, budget=5)
             assert str(info.value) == (
-                "lattice chain did not stabilize in 5 rounds; the generated "
-                "group probably stabilizes no lattice (infinite image or "
-                "non-unit determinants)")
+                "lattice chain did not stabilize in 5 rounds: the group "
+                "stabilizes no lattice, or the chain reaches one only after "
+                "more rounds")
 
 
 class TestReduce:
