@@ -181,7 +181,7 @@ def _integral_generators(lattice, field_rep, R):
         det = x.det()
         _require(x.ring.is_unit(det), "generator %d has determinant %s in "
                  "the recorded lattice, not +-1", i, x.ring.format(det))
-        dets.append(R.coerce(det))
+        dets.append(det)
     return xs, dets
 
 

@@ -30,9 +30,9 @@ ker g(theta)^T spins properly exactly when the module is reducible
 Inconclusive.  Dimension 1 takes the same path and decides at sample 0:
 its characteristic polynomial is linear, so over Q it is certified
 irreducible, and over a finite field its factor has nullity 1 and one spin
-on each side ends the test.  A larger kernel is probed for reducibility only, and the
-sampling moves on to the next theta, as Holt and Rees do when the nullity
-exceeds the degree.  Over Q and Q(t) enumeration is impossible and
+on each side ends the test.  A larger kernel is probed for reducibility
+only, and the sampling moves on to the next theta, as Holt and Rees do when
+the nullity exceeds the degree.  Over Q and Q(t) enumeration is impossible and
 undecided samples simply consume budget; certification is expected to
 reduce modulo a prime first and use this path only as a fallback.
 

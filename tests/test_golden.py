@@ -60,7 +60,8 @@ GOLDEN = os.path.join(HERE, "golden")
 # it by a probe over Q, the kernel of x + 1 at the first generator having
 # nullity 2, and one probe vector spins to a proper subspace of dim 3.
 # c2_sign (the sign character of C2 over Q, d = 1) certifies at (2), where
-# its reduction is the 1 x 1 matrix [1]
+# its reduction [1] is decided at sample 0 by one spin on each side at
+# x + 1, as at any other dimension
 CERTIFY = [("b3", 0), ("b3_b3", 0), ("b3_qt", 0), ("c2_sign", 0), ("d4", 0),
            ("q8", 2), ("s3", 0), ("s3_qt", 0),
            ("s3_scaled", 0), ("s3_sgn_qt", 0), ("s30_qt", 0), ("s4", 0),
