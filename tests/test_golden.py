@@ -61,8 +61,14 @@ GOLDEN = os.path.join(HERE, "golden")
 # nullity 2, and one probe vector spins to a proper subspace of dim 3.
 # c2_sign (the sign character of C2 over Q, d = 1) certifies at (2), where
 # its reduction [1] is decided at sample 0 by one spin on each side at
-# x + 1, as at any other dimension
-CERTIFY = [("b3", 0), ("b3_b3", 0), ("b3_qt", 0), ("c2_sign", 0), ("d4", 0),
+# x + 1, as at any other dimension.
+# b8 (B8 signed permutations over Q, d = 8, disguised by perfbench/gen.py's
+# disguise_q under random.Random(2021)) takes four rounds of the lattice
+# chain, the most of any golden, and certifies at (3), its reduction at (2)
+# being reducible; B8 has order 10,321,920, far past GROUP_BOUND, so it has
+# no reduction golden and no obstruction report
+CERTIFY = [("b3", 0), ("b3_b3", 0), ("b3_qt", 0), ("b8", 0), ("c2_sign", 0),
+           ("d4", 0),
            ("q8", 2), ("s3", 0), ("s3_qt", 0),
            ("s3_scaled", 0), ("s3_sgn_qt", 0), ("s30_qt", 0), ("s4", 0),
            ("s4_sgn", 0), ("s6", 0), ("s9", 0), ("scaled_shear", 0),

@@ -449,6 +449,28 @@ class TestSaturationInvariants:
         basis, _ = saturate(rep, budget=2)
         assert basis == Matrix(QQ, [[1, 0], [0, Fraction(1, 2)]])
 
+    @pytest.mark.parametrize("name,rounds,text", [
+        ("s4_sgn", 3, "lattice chain did not stabilize in 2 rounds: the "
+         "group stabilizes no lattice, or the chain reaches one only after "
+         "more rounds"),
+        ("b3_b3", 2, "lattice chain did not stabilize in 1 rounds: the "
+         "group stabilizes no lattice, or the chain reaches one only after "
+         "more rounds"),
+        ("b8", 4, "lattice chain did not stabilize in 3 rounds: the group "
+         "stabilizes no lattice, or the chain reaches one only after more "
+         "rounds"),
+        ("b3_qt", 2, "Q[t]-lattice chain did not stabilize in 1 rounds"),
+        ("s3_sgn_qt", 2, "Q[t]-lattice chain did not stabilize in 1 rounds")])
+    def test_data_reps_budget_boundary(self, name, rounds, text):
+        # rounds is the budget the chain needs, its confirming round
+        # included; over Q(t) it is the count of stage 1, and stage 2 fits
+        # in the same budget
+        rep = load_rep(os.path.join(DATA, name + ".json"))
+        saturate(rep, budget=rounds)
+        with pytest.raises(BudgetExceeded) as info:
+            saturate(rep, budget=rounds - 1)
+        assert str(info.value) == text
+
     def test_budget_exceeded_message(self):
         # certificates quote this text as "no-integral-model: ..."; both
         # inputs have determinant 1, so only the chain's budget stops them
