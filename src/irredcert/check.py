@@ -9,8 +9,8 @@ representation alone:
   lattice    for the recorded basis B and every generator g, X = B^-1 g B is
              integral over R with det X = +-1, so L = B R^d is stable under
              g and g^-1 (X^-1 is integral too); X comes from
-             matrices.integral_conjugates, the conjugation saturation
-             runs, on integer rows over Q and on Z[t] rows over Q(t);
+             matrices.integral_conjugates, on integer rows over Q and on
+             Z[t] rows over Q(t), apart from saturation's own model;
   prime      the irreducible step's prime is an integer prime of Z or a
              maximal (p, t-c) of Z[t], where every X reduces;
   reduction  theta is rebuilt from the recorded words and coefficients of

@@ -24,15 +24,14 @@ entrywise to an integral model; lift_witness() lifts an invariant subspace
 of a reduction mod p back to one over Q, p-adically and by rational
 reconstruction, when that subspace has a unique lift.
 
-The saturation's Z-lattice chain runs on the generators and their
-inverses, on plain ints: the lattice is held as its canonical pair (H, D),
-each matrix is scaled once to an integer matrix over a common denominator
-(matrices.scaled_rows), and a round is one integer HNF; rounds and budget
-are counted as for the chain L -> L + sum_g gL itself.  The Q(t) case
-runs on Z[t] numerators over one denominator (matrices.poly_rows) and
-their products at t = 2^k.  The generators in the stable lattice's basis,
-over Q and Q(t), come from matrices.integral_conjugates, the conjugation
-the checker runs.
+The saturation's Z-lattice chain runs on plain ints, a lattice held as its
+canonical pair (H, D) and a matrix as integer rows over a denominator: a
+round tests each image for membership by forward substitution against the
+triangular H, and only the images that leave the lattice enter an integer
+HNF.  The round where none leaves confirms the lattice, and its quotients
+are the integral model H^-1 g H.  The Q(t) case runs on Z[t] numerators
+over one denominator (matrices.poly_rows) and their products at t = 2^k,
+then on the same integer chain.
 """
 
 import math
@@ -40,14 +39,13 @@ from fractions import Fraction
 from operator import mul
 
 from . import polys
-from .errors import (BadPrime, BudgetExceeded, IntegralityError, ShapeError,
-                     SingularError)
+from .errors import BadPrime, BudgetExceeded, IntegralityError, SingularError
 from .matrices import (Matrix, _divexact, _pmul, _row_hnf,
-                       conjugate_numerators, denominator_lcm, eliminate_fp,
-                       from_poly_rows, int_product, integral_conjugates,
-                       poly_rows, scaled_rows, zt_product)
+                       conjugate_numerators, eliminate_fp,
+                       fraction_free_inverse, from_poly_rows, int_product,
+                       kept_integer_rows, poly_rows, zt_product)
 from .meataxe import _echelon_rows, subspace_is_invariant
-from .fpoly import pack, slot_bytes, unpack
+from .fpoly import pack, slot_bytes, trim, unpack
 from .rings import (ZZ, QQ, PolynomialRingZ, PrimeField, RationalFunctionField,
                     is_prime)
 from .reps import Representation, over_fraction_field
@@ -228,26 +226,54 @@ def _pair_basis(pair, K):
 # saturation
 
 
-def _stable_lattice_z(mats, d, budget):
-    """Run the Z-lattice chain L_0 = Z^d, L_{k+1} = L_k + sum_m m L_k for
-    some d x d matrices over Q, on plain ints.
+def _test_images(rows, e, h, failed):
+    """Forward substitution with floor quotients, row by row: M H = e H X + R
+    with 0 <= R_ij < e H_ii, for m = M / e (the integer rows of M) and a
+    lower triangular H (its columns h).  m h_j lies in span_Z(H) iff column
+    j of R is 0; each other column goes to failed with e.  Returns X."""
+    w = [[sum(map(mul, row, col)) for col in h] for row in rows]
+    xs, rs = [], []
+    for i, hrow in enumerate(zip(*h)):
+        acc = w[i]
+        for x, c in zip(xs, hrow):
+            if c:
+                c *= e
+                acc = [a - c * b for a, b in zip(acc, x)]
+        p = e * hrow[i]
+        xs.append([a // p for a in acc])
+        rs.append([a % p for a in acc])
+    failed.extend((r, e) for r in zip(*rs) if any(r))
+    return xs
 
-    Returns the canonical pair (H, D) of the first L_k with L_{k+1} = L_k,
-    or None when budget rounds pass without one.  Each matrix is scaled once
-    to E*m over the common denominator E, so for L_k = H / D one round is
-    the Z-span of E*H and every (E*m)*H, over D*E."""
-    E = denominator_lcm(a for m in mats for a in m.entries)
-    scaled = [scaled_rows(m.rows(), E) for m in mats]
+
+def _stable_lattice_z(mats, d, budget, more=None):
+    """Run the Z-lattice chain L_0 = Z^d, L_{k+1} = L_k + sum_m m L_k on
+    plain ints, for matrices m = M / e over Q as pairs (rows of M, e > 0).
+    With L_k = H / D, a round tests each image m h, h a column of H, for
+    membership in L_k (_test_images); only those that fail enter the HNF of
+    E H and them over D E, E the common denominator, which still gives
+    L_{k+1}.  The round where none fails confirms L_k, and its quotients
+    are H^-1 m H.  more() returns matrices that keep every lattice those of
+    mats keep (their inverses, at determinant +-1): untested in the
+    confirming round, they join every round from the first that grows.
+    Returns ((H, D), [H^-1 m H as rows per m in mats]) for the first stable
+    L_k, or None after budget rounds without one."""
     pair = (tuple(tuple(int(i == j) for i in range(d)) for j in range(d)), 1)
+    extra = None
     for _ in range(budget):
         h, den = pair
+        failed = []
+        models = [_test_images(rows, e, h, failed) for rows, e in mats]
+        if not failed:
+            return pair, models
+        if extra is None:
+            extra = list(more()) if more is not None else []
+        for rows, e in extra:
+            _test_images(rows, e, h, failed)
+        E = math.lcm(*(e for _, e in mats + extra))
         cols = [[E * a for a in col] for col in h]
-        for g in scaled:
-            cols.extend([sum(map(mul, row, col)) for row in g] for col in h)
-        new = _canonical_pair(cols, den * E)
-        if new == pair:
-            return pair
-        pair = new
+        cols.extend([E // e * a for a in r] for r, e in failed)
+        pair = _canonical_pair(cols, den * E)
     return None
 
 
@@ -291,6 +317,20 @@ def _qt_column_hnf(cols):
     return [tuple(col) for col in cols[:r]]
 
 
+def _in_qt_span(cols, w):
+    """Whether the Z[t] column w lies in the Q[t]-span of the columns cols
+    of a full-rank lower triangular Z[t] matrix, by forward substitution
+    over Q[t]: False at the first division that leaves a remainder."""
+    r = list(w)
+    for i, col in enumerate(cols):
+        q, rem = polys.divmod_poly(QQ, r[i], tuple(map(Fraction, col[i])))
+        if rem:
+            return False
+        r[i + 1:] = [polys.sub(QQ, v, polys.mul(QQ, q, c))
+                     for v, c in zip(r[i + 1:], col[i + 1:])]
+    return True
+
+
 def non_unit_determinant(rep):
     """Why no lattice is stable under rep's group over Q or Q(t), from the
     first generator of determinant other than +-1, or None if there is none."""
@@ -310,18 +350,20 @@ def _saturate_qt(rep, budget):
     under all generators and inverses, canonicalizing by column HNF over Q[t]
     after clearing a global denominator, until the chain stabilizes.  The
     generators and inverses share one denominator E, so a round is one
-    product of [E I; G_1; ...] by the basis numerators A, over E D.  The
-    stabilized basis T conjugates every generator into GL_d(Q[t]).
+    product of [E I; G_1; ...] by the basis numerators A, over E D; its
+    images are tested for membership first (_in_qt_span), and only those
+    that fail enter the HNF.  The stable basis T conjugates every generator
+    into GL_d(Q[t]).
 
     Stage 2 restores Z-integrality with a constant basis change: the matrices
     T^-1 g T have polynomial entries, and a constant S works iff S^-1 A_j S is
     integral for every coefficient matrix A_j of every T^-1 g T.  So the
     standard Z-lattice is grown under all those coefficient matrices until
-    stable.  If either chain fails to stabilize the input has no reachable
-    integral model and BudgetExceeded propagates.  Both conjugations are
-    matrices.conjugate_numerators, whose quotients are decided on Z[t]
-    values: in Q[t] by the primitive part and content of the divisor
-    (Gauss's lemma), in Z[t] by integral_conjugates.
+    stable, by _stable_lattice_z, whose confirming round gives the model
+    X_g = sum_j t^j H^-1 A_j H.  If either chain fails to stabilize the input
+    has no reachable integral model and BudgetExceeded propagates.  T^-1 g T
+    is matrices.conjugate_numerators, divided in Z[t] by the primitive part
+    of the divisor (Gauss's lemma).
 
     Returns the basis T H / D over Q(t), for the stable pair (H, D) of stage
     2, and the integral model over Z[t].  T is invertible, as stage 1 keeps
@@ -331,8 +373,8 @@ def _saturate_qt(rep, budget):
     stage 2 is the chain over Q on the same matrices: same basis and model."""
     K = rep.ring
     ZT = PolynomialRingZ(K.var)
-    d = rep.dim
-    gens = [h for g in rep.generators for h in (g, g.inverse())]
+    d, n = rep.dim, len(rep.generators)
+    gens = list(rep.generators) + [g.inverse() for g in rep.generators]
     stacked, E = poly_rows(Matrix._raw(K, d * len(gens), d,
                                        [a for g in gens for a in g.entries]))
     images = [[E if i == j else () for j in range(d)]
@@ -367,42 +409,46 @@ def _saturate_qt(rep, budget):
     for _ in range(budget):
         a, den = basis_rows(*current)
         prod = zt_product(images, a)
-        new = canonical_qt([[prod[b + i][j] for i in range(d)]
-                            for b in range(0, len(prod), d)
-                            for j in range(d)], _pmul(den, E))
-        if len(new[0]) != d:
-            raise ShapeError("saturation lost rank; generators not invertible?")
-        if new == current:
+        cols = [[prod[b + i][j] for i in range(d)]
+                for b in range(0, len(prod), d) for j in range(d)]
+        # cols[:d] span E L; as over Q, the inverses' images are tested
+        # only in a round where a generator's leave L
+        base = cols[:d]
+        failed = [w for w in cols[d:d * (n + 1)] if not _in_qt_span(base, w)]
+        if not failed:
             break
-        current = new
+        failed += [w for w in cols[d * (n + 1):] if not _in_qt_span(base, w)]
+        current = canonical_qt(base + failed, _pmul(den, E))
     else:
         raise BudgetExceeded("Q[t]-lattice chain did not stabilize in %d rounds"
                              % (budget,))
 
-    # stage 2: coefficient matrices of every T^-1 g T = x / q, acting on Q^d
-    a, den = basis_rows(*current)
-    coeff_maps = []
+    # stage 2: T^-1 g T = x / q = sum_j t^j A_j, each A_j as (integer rows,
+    # content of q); the inverses' maps keep what the generators' keep
+    maps = []
     for x, q in conjugate_numerators(a, gens):
-        content = math.gcd(*q) * (1 if q[-1] > 0 else -1)
+        content = math.gcd(*q)
         prim = tuple(c // content for c in q)
-        x = [_divexact(v, prim) for row in x for v in row]
-        for j in range(max(map(len, x))):
-            m = Matrix._raw(QQ, d, d, [Fraction(v[j], content) if j < len(v)
-                                       else Fraction(0) for v in x])
-            if not m.is_zero():
-                coeff_maps.append(m)
-
-    pair = _stable_lattice_z(coeff_maps, d, budget)
-    if pair is None:
+        x = [[_divexact(v, prim) for v in row] for row in x]
+        maps.append([([[v[j] if j < len(v) else 0 for v in row] for row in x],
+                      content)
+                     for j in range(max(len(v) for row in x for v in row))])
+    found = _stable_lattice_z([m for ms in maps[:n] for m in ms], d, budget,
+                              lambda: (m for ms in maps[n:] for m in ms))
+    if found is None:
         raise BudgetExceeded("coefficient lattice did not stabilize in %d "
                              "rounds; no Z[t]-integral model with a constant "
                              "basis change was found" % (budget,))
 
-    # B = T H / D_H for the stable pair (H, D_H): numerators A H over den D_H
-    h, den_h = pair
+    # the model from the confirming round, and B = T H / D_H for the stable
+    # pair (H, D_H): numerators A H over den D_H
+    (h, den_h), models = found
+    models = iter(models)
+    ints = [Matrix._raw(ZT, d, d, [tuple(trim(list(v))) for rows in zip(*xs)
+                                   for v in zip(*rows)])
+            for xs in ([next(models) for _ in ms] for ms in maps[:n])]
     a = zt_product(a, [[(h[j][i],) if h[j][i] else () for j in range(d)]
                        for i in range(d)])
-    ints = list(integral_conjugates(a, rep.generators))
     int_rep = Representation(ZT, ints, rep.relations, label=rep.label,
                              determinants=map(ZT.from_fraction_field,
                                               rep.determinants))
@@ -432,18 +478,29 @@ def saturate(rep, budget=64):
         raise IntegralityError(reason)
     if K != QQ:
         return _saturate_qt(rep, budget)
-    gens = rep.generators
-    pair = _stable_lattice_z([h for g in gens for h in (g, g.inverse())],
-                             rep.dim, budget)
-    if pair is None:
+    # with det g = +-1, [L : gL] = 1, so gL in L forces gL = L and
+    # g^-1 L = L: the confirming round tests the generators alone, and the
+    # inverses, g^-1 = e R / c for g = G / e and G R = c I, join the rounds
+    # that grow (docs/background.md)
+    gens = [kept_integer_rows(g) for g in rep.generators]
+
+    def inverses():
+        for rows, e in gens:
+            r, c = fraction_free_inverse(rows)
+            s = c // abs(c) * math.gcd(c, *(e * a for row in r for a in row))
+            yield [[e * a // s for a in row] for row in r], c // s
+
+    found = _stable_lattice_z(gens, rep.dim, budget, inverses)
+    if found is None:
         raise BudgetExceeded(
             "lattice chain did not stabilize in %d rounds: the group "
             "stabilizes no lattice, or the chain reaches one only after more "
             "rounds" % (budget,))
-    # the columns of the pair are the basis; integral_conjugates takes rows
-    ints = integral_conjugates(list(zip(*pair[0])), gens)
+    pair, models = found
+    ints = [Matrix._raw(ZZ, rep.dim, rep.dim, [a for row in x for a in row])
+            for x in models]
     return (_pair_basis(pair, K),
-            Representation(ZZ, list(ints), rep.relations, label=rep.label,
+            Representation(ZZ, ints, rep.relations, label=rep.label,
                            determinants=map(ZZ.from_fraction_field,
                                             rep.determinants)))
 

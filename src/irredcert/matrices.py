@@ -45,7 +45,7 @@ The module-level algorithms:
                     it is Matrix.det over Z and Q); Matrix.inverse over Z,
                     Q, Z[t] and Q(t) runs on it
     integral_conjugates(a, gens)  B^-1 g B over Z or Z[t], on integer or
-                    Z[t] rows, for saturation, reduction and the checker
+                    Z[t] rows, for the checker
     char_poly(m)    monic characteristic polynomial over a field: over F_p
                     by one spin of packed [vector | polynomial] pairs
                     (_spin_char_poly, Keller-Gehrig), over Q from

@@ -130,9 +130,10 @@ def parse_poly_string(s, var):
 
     def take():
         nonlocal pos
-        t = tokens[pos]
+        if pos == len(tokens):
+            raise ValueError("polynomial %r ends too early" % (s,))
         pos += 1
-        return t
+        return tokens[pos - 1]
 
     def parse_factor():
         t = take()

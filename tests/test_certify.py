@@ -203,13 +203,15 @@ class TestCertifyOverQ:
         assert replay(cert, rep)
 
     @pytest.mark.parametrize("name,rep", [
-        ("integral_conjugates", s3_over(QQ)),
         ("_divexact", load_rep(ROOT / "data" / "s3_sgn_qt.json"))])
     def test_integrality_error_after_the_chain_propagates(self, monkeypatch,
                                                           name, rep):
         # only the determinant test means "no integral model": a conjugate
-        # that fails to be integral in a stable lattice, over Q or in stage
-        # 2 over Q(t), is a bug, and no certificate may hide it
+        # T^-1 g T that fails to be integral over Q[t] once stage 1 over
+        # Q(t) is stable is a bug, and no certificate may hide it.  Over Q
+        # and in stage 2 the model is read off the confirming round, whose
+        # quotients are exact by construction
+        # (test_lattices.py::TestModelFromTheConfirmingRound)
         def broken(*args):
             raise IntegralityError("a conjugate is not integral in the basis")
         monkeypatch.setattr(lattices, name, broken)

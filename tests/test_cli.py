@@ -46,6 +46,16 @@ MALFORMED_REPS = {
     "fractional_letter": {"ring": "Q", "dim": 1, "generators": [[["1"]]],
                           "relations": [[[0.9, 1.5]]]},
 }
+# polynomial text that ends where the grammar needs another token, which
+# once escaped the loader as IndexError: over Z[t], Q(t) and F_q, whose
+# variable is x
+MALFORMED_REPS.update(
+    ("truncated_%d_%s" % (i, tag),
+     {"ring": ring, "dim": 1, "generators": [[[entry.replace("t", var)]]]})
+    for i, entry in enumerate(["t^", "2*", "1/", "t+", "-", "t^2*"])
+    for tag, ring, var in (
+        ("zt", "Z[t]", "t"), ("qt", {"ring": "Q(t)", "var": "t"}, "t"),
+        ("fq", {"ring": "Fq", "p": 2, "modulus": [1, 1, 1]}, "x")))
 
 
 def _f7_doc(entry):

@@ -1,10 +1,14 @@
 """Representation construction, word evaluation, derived representations."""
 
+import copy
+import json
+import pathlib
+import random
 from fractions import Fraction
 
 import pytest
 
-from irredcert.errors import ShapeError, SingularError
+from irredcert.errors import IrredcertError, ShapeError, SingularError
 from irredcert.matrices import Matrix
 from irredcert.prng import XorShift64
 from irredcert.reps import (
@@ -164,3 +168,67 @@ def test_json_roundtrip():
 def test_json_missing_field():
     with pytest.raises(ValueError):
         rep_from_json({"dim": 2, "generators": []})
+
+
+# ---------------------------------------------------------------------------
+# the loader under seeded mutations of the documents in data/
+
+DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
+
+# what a mutated field becomes: every JSON type, and strings the scalar
+# grammars of Q, Z[t], Q(t), F_p and F_q meet
+FUZZ_VALUES = [None, True, False, 0, 1, -3, 2 ** 70, 1.5, "", " ", "0",
+               "1/0", "t", "x", "t^", "x^", "2*", "1/", "t+", "-", "t^2*",
+               "(1)/(", "(t)/(0)", "((t))", "t^-1", "1e3", "½", [], {},
+               [[]], [None], [[0, 1]], {"ring": "Fp"}, {"ring": "Q(t)"}]
+
+
+def _paths(node, path=()):
+    """The path of every node of a JSON document, the root included."""
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, path + (i,))
+
+
+def _mutate(rng, doc):
+    """doc with one field cut, replaced, dropped, or, for a string, cut short
+    or with one character changed."""
+    path = rng.choice([p for p in _paths(doc) if p])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key, value = path[-1], parent[path[-1]]
+    kind = rng.randrange(4)
+    if kind == 0 and isinstance(value, str) and value:
+        parent[key] = value[:rng.randrange(len(value))]
+    elif kind == 1 and isinstance(value, str) and value:
+        i = rng.randrange(len(value))
+        parent[key] = value[:i] + rng.choice("t^*/+-()x01 ") + value[i + 1:]
+    elif kind == 2:
+        parent.pop(key)
+    else:
+        parent[key] = copy.deepcopy(rng.choice(FUZZ_VALUES))
+
+
+def test_loader_fuzz():
+    # every mutated document loads or ends in a typed error; the CLI turns
+    # both error classes into exit code 1 (test_cli.py, MALFORMED_REPS)
+    docs = [json.loads(path.read_text())
+            for path in sorted(DATA.glob("**/*.json"))]
+    rng = random.Random(2030)
+    loaded = 0
+    for _ in range(500):
+        doc = copy.deepcopy(rng.choice(docs))
+        for _ in range(rng.choice((1, 2))):
+            _mutate(rng, doc)
+        try:
+            rep_from_json(doc)
+            loaded += 1
+        except (IrredcertError, ValueError):
+            pass
+    # most mutations are malformed, but not all: the test reaches both ends
+    assert 0 < loaded < 500
