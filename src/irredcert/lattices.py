@@ -466,8 +466,9 @@ def saturate(rep, budget=64):
     Otherwise the chain L + sum_g gL, g over the generators and inverses,
     grows from the standard lattice; for a finite matrix group it
     stabilizes within the orbit length, and the budget (default 64 rounds)
-    converts divergence into BudgetExceeded (docs/background.md).  Over
-    Q(t), whatever the entries, _saturate_qt runs it."""
+    converts divergence into BudgetExceeded (docs/background.md).  int_rep
+    is read off the round that confirms the lattice (_stable_lattice_z).
+    Over Q(t), whatever the entries, _saturate_qt runs it."""
     K = rep.ring
     if K == ZZ or isinstance(K, PolynomialRingZ):
         return saturate(over_fraction_field(rep), budget)
