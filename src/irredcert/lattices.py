@@ -411,8 +411,8 @@ def _saturate_qt(rep, budget):
         prod = zt_product(images, a)
         cols = [[prod[b + i][j] for i in range(d)]
                 for b in range(0, len(prod), d) for j in range(d)]
-        # cols[:d] span E L; as over Q, the inverses' images are tested
-        # only in a round where a generator's leave L
+        # cols[:d] are E A, the basis over E D; as over Q, the inverses'
+        # images are tested only in a round where a generator's leave L
         base = cols[:d]
         failed = [w for w in cols[d:d * (n + 1)] if not _in_qt_span(base, w)]
         if not failed:

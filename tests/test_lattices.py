@@ -353,6 +353,9 @@ def long_orbit_lattice(n):
 # the reps in data/ with no integral model: sqrt2 has a generator of
 # determinant -2, and the scaled shear's chain diverges
 NO_MODEL = ("scaled_shear", "sqrt2")
+MODEL_REPS = sorted(name[:-len(".json")] for name in os.listdir(DATA)
+                    if name.endswith(".json")
+                    and name[:-len(".json")] not in NO_MODEL)
 
 
 class TestSaturationInvariants:
@@ -413,9 +416,7 @@ class TestSaturationInvariants:
                                              for a in int_q.determinants)
         assert QT.as_constant(basis.det()) == basis_q.det()
 
-    @pytest.mark.parametrize("name", sorted(
-        name[:-len(".json")] for name in os.listdir(DATA)
-        if name.endswith(".json") and name[:-len(".json")] not in NO_MODEL))
+    @pytest.mark.parametrize("name", MODEL_REPS)
     def test_data_reps_generators_alone(self, name):
         # b3_qt and s3_sgn_qt have entries in t, which the chain on Z^d
         # does not take: they only saturate
@@ -519,9 +520,7 @@ class TestModelFromTheConfirmingRound:
             assert g.ring == x.ring and g.entries == x.entries
             assert g.ring.is_unit(g.det())
 
-    @pytest.mark.parametrize("name", sorted(
-        name[:-len(".json")] for name in os.listdir(DATA)
-        if name.endswith(".json") and name[:-len(".json")] not in NO_MODEL))
+    @pytest.mark.parametrize("name", MODEL_REPS)
     def test_data_reps(self, name):
         rep = over_fraction_field(load_rep(os.path.join(DATA, name + ".json")))
         self.assert_model_is_the_conjugation(rep)
