@@ -43,7 +43,7 @@ from .errors import BadPrime, BudgetExceeded, IntegralityError, SingularError
 from .matrices import (Matrix, _divexact, _pmul, _row_hnf,
                        conjugate_numerators, eliminate_fp,
                        fraction_free_inverse, from_poly_rows, int_product,
-                       kept_integer_rows, poly_rows, zt_product)
+                       integer_rows, poly_rows, zt_product)
 from .meataxe import _echelon_rows, subspace_is_invariant
 from .fpoly import pack, slot_bytes, trim, unpack
 from .rings import (ZZ, QQ, PolynomialRingZ, PrimeField, RationalFunctionField,
@@ -378,7 +378,7 @@ def _saturate_qt(rep, budget):
     stacked, E = poly_rows(Matrix._raw(K, d * len(gens), d,
                                        [a for g in gens for a in g.entries]))
     images = [[E if i == j else () for j in range(d)]
-              for i in range(d)] + stacked
+              for i in range(d)] + list(stacked)
 
     def canonical_qt(columns, den):
         # columns: Z[t] numerators over the Z[t] denominator den; make den
@@ -483,7 +483,7 @@ def saturate(rep, budget=64):
     # g^-1 L = L: the confirming round tests the generators alone, and the
     # inverses, g^-1 = e R / c for g = G / e and G R = c I, join the rounds
     # that grow (docs/background.md)
-    gens = [kept_integer_rows(g) for g in rep.generators]
+    gens = [integer_rows(g) for g in rep.generators]
 
     def inverses():
         for rows, e in gens:

@@ -10,8 +10,6 @@ column, one slot per entry, reduced mod p once, on unpacking or when a
 pivot row is made monic (fpoly.monic_slots).  A product is a sum of
 packed columns scaled by ints, one column per entry of the other factor,
 and a row operation adds a multiple of the packed pivot row.
-The packed columns of a matrix are computed once and kept with it, so a
-generator packs once for all the products and spins it enters.
 
 In characteristic 0 one integer elimination, _bareiss, serves Z, Q, Z[t]
 and Q(t).  A matrix over Q is an integer matrix over one denominator
@@ -19,7 +17,12 @@ and Q(t).  A matrix over Q is an integer matrix over one denominator
 Z[t] (poly_rows), whose entries are evaluated at t = 2^k, so that their
 products, determinant, inverse and integral conjugates are integer linear
 algebra too (see the section on Z[t] below).  Entries in canonical form
-are built again only for the values that leave these kernels.  char_poly
+are built again only for the values that leave these kernels.
+
+Each ring keeps one form per matrix, built on first use by one function
+and shared by every later caller, so a generator is packed or scaled
+once: packed columns over F_p, integer rows over Q and Z and Z[t] rows
+over Q(t) and Z[t].  A caller that eliminates in place copies it.  char_poly
 over Q is det(yI - A) in Z[y] for m = A / D, by CRT over its images mod
 primes below 2^47 (int_char_poly, Hessenberg on int lists), and
 kernel_basis over Z is the basis over Q times one factor, by fraction-free
@@ -35,10 +38,10 @@ The module-level algorithms:
     rref(m)         reduced row echelon form over a field, with pivot columns
     kernel_basis(m) basis of the right null space over a field, and over Z
                     that basis over Q times one common factor
-    integer_rows(m) D m as integer rows, for a matrix m over Q and the
-                    least common denominator D of its entries
-    poly_rows(m)    D m as Z[t] rows, for a matrix m over Q(t) and a common
-                    denominator D in Z[t]
+    integer_rows(m) D m as integer rows, for a matrix m over Q or Z and
+                    the least common denominator D of its entries
+    poly_rows(m)    D m as Z[t] rows, for a matrix m over Q(t) or Z[t] and
+                    a common denominator D in Z[t]
     fraction_free_inverse(rows)  d * A^-1 and d = +-det A for an integer
                     matrix A, by fraction-free Gauss-Jordan elimination
                     (_bareiss, Bareiss, Math. Comp. 22, 1968; forward-only
@@ -74,9 +77,9 @@ from .rings import (QQ, ZZ, PolynomialRingZ, PrimeField,
 
 
 class Matrix:
-    """Immutable matrix over a RingDescriptor.  _cols caches from first use
-    the packed columns over a PrimeField (packed_columns) and the integer
-    rows over Q (kept_integer_rows): a generator is packed or scaled once."""
+    """Immutable matrix over a RingDescriptor.  _cols keeps from first use
+    the one form its ring computes on: packed_columns over a PrimeField,
+    integer_rows over Q and Z, poly_rows over Q(t) and Z[t]."""
 
     __slots__ = ("ring", "nrows", "ncols", "entries", "_cols")
 
@@ -288,7 +291,7 @@ class Matrix:
         R, n = self.ring, self.nrows
         if R == QQ or R == ZZ:
             a, den = integer_rows(self)
-            d, sign = _bareiss(a, n, False)
+            d, sign = _bareiss([list(r) for r in a], n, False)
             return sign * d if R == ZZ else Fraction(sign * d, den ** n)
         if isinstance(R, (PolynomialRingZ, RationalFunctionField)):
             a, den = poly_rows(self)
@@ -589,9 +592,9 @@ def kernel_basis(m):
 def _det_field(m):
     K = m.ring
     if isinstance(K, PrimeField):
-        p, n = K.p, m.nrows
-        nb = slot_bytes(p, n)
-        return eliminate_fp(_packed_rows(m, nb), n, nb, p, jordan=False)[1]
+        # the kept columns are the rows of the transpose, of the same det
+        nb, cols = packed_columns(m)
+        return eliminate_fp(list(cols), m.nrows, nb, K.p, jordan=False)[1]
     rows = m.rows()
     n = m.nrows
     det = K.one()
@@ -815,22 +818,18 @@ def scaled_rows(rows, den):
 
 
 def integer_rows(m):
-    """(rows of D m as plain ints, D) for a matrix m over Q and the least
-    common denominator D of its entries, scaled in one pass over the flat
-    entries."""
-    e, n = m.entries, m.ncols
-    den = denominator_lcm(e)
-    flat = scaled_rows([e], den)[0]
-    return [flat[i * n:(i + 1) * n] for i in range(m.nrows)], den
-
-
-def kept_integer_rows(m):
-    """integer_rows(m) for m over Q, kept with m in _cols as tuples, which
-    its callers share; det and inverse mutate what integer_rows returns."""
-    if m._cols is None:
-        rows, den = integer_rows(m)
-        object.__setattr__(m, "_cols", (tuple(map(tuple, rows)), den))
-    return m._cols
+    """(rows of D m as tuples of ints, D) for a matrix m over Q or Z and
+    the least common denominator D of its entries, scaled in one pass over
+    the flat entries on first use and kept with m in _cols.  Every caller
+    shares the rows, so one that eliminates in place copies them."""
+    kept = m._cols
+    if kept is None:
+        e, n = m.entries, m.ncols
+        den = denominator_lcm(e)
+        flat = tuple(scaled_rows([e], den)[0])
+        kept = tuple(flat[i * n:(i + 1) * n] for i in range(m.nrows)), den
+        object.__setattr__(m, "_cols", kept)
+    return kept
 
 
 def int_product(a, b):
@@ -979,15 +978,20 @@ def _exact_quotient(x, q):
 
 
 def poly_rows(m):
-    """(rows of D m as Z[t] values, D) for a matrix m over Q(t) or Z[t]
-    and a common denominator D in Z[t] of its entries
-    (RationalFunctionField.clear_denominators; D = 1 over Z[t]), the Q(t)
-    analogue of integer_rows."""
-    R, e, n = m.ring, m.entries, m.ncols
-    den = (1,)
-    if isinstance(R, RationalFunctionField):
-        e, den = R.clear_denominators(e)
-    return [list(e[i * n:(i + 1) * n]) for i in range(m.nrows)], den
+    """(rows of D m as tuples of Z[t] values, D) for a matrix m over Q(t)
+    or Z[t] and a common denominator D in Z[t] of its entries
+    (RationalFunctionField.clear_denominators; D = 1 over Z[t]): the Q(t)
+    analogue of integer_rows, kept with m in _cols as it is."""
+    kept = m._cols
+    if kept is None:
+        R, e, n = m.ring, m.entries, m.ncols
+        den = (1,)
+        if isinstance(R, RationalFunctionField):
+            e, den = R.clear_denominators(e)
+        kept = tuple(tuple(e[i * n:(i + 1) * n])
+                     for i in range(m.nrows)), den
+        object.__setattr__(m, "_cols", kept)
+    return kept
 
 
 def from_poly_rows(R, rows, den):

@@ -79,7 +79,7 @@ from .errors import AbsIrredUndecided, SingularError
 from .fpoly import monic_slots, pack, slot_bytes, unpack
 from .matrices import (Matrix, _constant_q_matrix, _reduce_fp, char_poly,
                        denominator_lcm, eliminate_fp, int_char_poly,
-                       int_product, kept_integer_rows, kernel_basis,
+                       int_product, integer_rows, kernel_basis,
                        packed_columns, poly_at_matrix, restrict_scalars, rref,
                        scaled_rows)
 from .prng import XorShift64
@@ -196,8 +196,8 @@ def _grow(K, mats, vecs, cap):
     pivots' slot shifts, fpoly.monic_slots), and the queue holds the
     entries of the reduced vectors, which span the same space as the
     images; slots hold d products from M w and at most d - 1 from the
-    reduction, within packed_columns' bound.  Over Q the matrices are
-    their integer rows (kept_integer_rows), the vectors primitive integer
+    reduction, within packed_columns' bound.  Over Q the matrices are the
+    integer rows they keep (integer_rows), the vectors primitive integer
     vectors, and each new row is divided by its content.  Over any other
     field the rows have leading entry 1."""
     rows, pivots = [], []
@@ -224,7 +224,7 @@ def _grow(K, mats, vecs, cap):
             return _packed_echelon(p, d, nb, rows)
     else:
         if K == QQ:
-            mats = [kept_integer_rows(m)[0] for m in mats]
+            mats = [integer_rows(m)[0] for m in mats]
             apply, zero = _apply_int, 0
             vecs = [_primitive(v) for v in vecs]
 
@@ -354,13 +354,13 @@ def _sample_theta(rep, rng, index):
 def _theta_q(rep, words, coeffs):
     """sum c rho(w) over Q as (A, D): integer rows A and the least D > 0
     with theta = A / D.  Each word is multiplied out on the integer rows
-    D g of its letters (kept_integer_rows) under a running denominator,
-    the product of their D, and the sum is divided by its content."""
+    D g its letters keep (integer_rows) under a running denominator, the
+    product of their D, and the sum is divided by its content."""
     terms = []
     for w, c in zip(words, coeffs):
         prod, den = None, c.denominator
         for l in w:
-            rows, e = kept_integer_rows(rep.generators[l])
+            rows, e = integer_rows(rep.generators[l])
             prod = rows if prod is None else int_product(prod, rows)
             den *= e
         terms.append((prod, c.numerator, den))
@@ -380,37 +380,16 @@ def _theta_q(rep, words, coeffs):
 
 
 def _projective_kernel(K, ker):
-    """One representative per line of the span of the kernel basis (finite
-    fields only; first nonzero coordinate normalized to 1 by construction):
-    for each lead basis vector in turn, the lead vector plus every
-    combination of the later ones, the coefficient of the first later one
-    changing fastest."""
-    if isinstance(K, PrimeField):
-        yield from _projective_kernel_fp(K.p, ker)
-        return
+    """One representative per line of the span of the kernel basis over
+    a finite field, for the engine and the checker alike (first nonzero
+    coordinate normalized to 1 by construction): for each lead basis
+    vector in turn, the lead vector plus every combination of the later
+    ones, the coefficient of the first later one changing fastest.  The
+    first proper spin picks the witness, so the order is in transcripts."""
     elements, n = list(K.iter_elements()), len(ker)
     for lead in range(n):
         for rest in product(elements, repeat=n - lead - 1):
             yield _combination(K, (K.one(),) + rest[::-1], ker[lead:])
-
-
-def _projective_kernel_fp(p, ker):
-    """_projective_kernel over F_p, in the same order, on the packed basis:
-    each point is one packed sum of a point of the later basis vectors and
-    a multiple of the next one, and each lead's points unpack at once.  A
-    point sums the lead vector and n - 1 multiples, within
-    slot_bytes(p, n)."""
-    n, d = len(ker), len(ker[0])
-    nb = slot_bytes(p, n)
-    basis = pack([a for v in ker for a in v], nb, p, d)
-    for lead in range(n):
-        points = [basis[lead]]
-        for b in reversed(basis[lead + 1:]):
-            multiples = [c * b for c in range(p)]
-            points = [x + y for x in points for y in multiples]
-        flat = unpack(points, d, nb, p)
-        for i in range(0, len(flat), d):
-            yield flat[i:i + d]
 
 
 def _combination(K, coeffs, vecs):

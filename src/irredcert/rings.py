@@ -378,7 +378,7 @@ class RationalField(RingDescriptor):
     def inv(self, a):
         if a == 0:
             raise SingularError("division by zero in Q")
-        return 1 / a
+        return _Q_ONE / a
 
     def format(self, a):
         return str(a)

@@ -6,8 +6,8 @@ slots by lists.  The spin, the invariance check, rref, kernel_basis and det
 are compared with GenericFp on both sides of the switch through
 generic_fp.FIELD_SIZES; here unpack and monic_slots meet a descriptor-call
 reference on random slots, on slots at their bound and on vectors whose
-entries are all p - 1, the packed enumeration of a kernel meets the
-generic one point for point, and products reach the one-byte bound.
+entries are all p - 1, the enumeration of a kernel gives the same points
+over PrimeField and GenericFp, and products reach the one-byte bound.
 """
 
 import pytest
@@ -77,8 +77,9 @@ def test_unpack_and_monic_slots_match_the_reference(p, d, nb):
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 3), (2, 7), (3, 2), (3, 4),
                                  (5, 3), (7, 2), (13, 2)])
 def test_projective_kernel_order_matches_generic(p, n):
-    """The packed enumeration over F_p yields the points of the generic
-    enumeration in the same order, for a basis with entries p - 1."""
+    """The one enumeration of a kernel's projective points yields the same
+    points in the same order over PrimeField as over GenericFp, for a
+    basis with entries p - 1, one point per line."""
     rng = XorShift64(p * n)
     d = n + 3
     basis = [tuple(rng.randrange(p) for _ in range(d)) for _ in range(n - 1)]

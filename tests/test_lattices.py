@@ -12,8 +12,7 @@ from irredcert.errors import (BadPrime, BudgetExceeded, IntegralityError,
 from irredcert.lattices import (PrimeSpec, _pair_basis, _stable_lattice_z,
                                 reduce_rep, saturate)
 from irredcert.matrices import (Matrix, _constant_q_matrix, integer_rows,
-                                integral_conjugates, kept_integer_rows,
-                                poly_rows)
+                                integral_conjugates, poly_rows)
 from irredcert.prng import XorShift64
 from irredcert.reps import (Representation, conjugate, evaluate, load_rep,
                             over_fraction_field)
@@ -328,7 +327,7 @@ def generators_alone_basis(rep, budget=64):
     """The end of the chain L + sum_g gL with g over the generators alone,
     not their inverses, for a representation over Q or with constant
     entries over Q(t), or None when budget rounds pass without one."""
-    gens = [kept_integer_rows(_constant_q_matrix(g)) for g in rep.generators]
+    gens = [integer_rows(_constant_q_matrix(g)) for g in rep.generators]
     found = _stable_lattice_z(gens, rep.dim, budget)
     return None if found is None else _pair_basis(found[0], rep.ring)
 

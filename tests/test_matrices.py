@@ -17,14 +17,16 @@ import pytest
 
 import irredcert
 from irredcert import matrices
+from irredcert.certify import IRREDUCIBLE_CERTIFIED, certify, verify
 from irredcert.errors import IntegralityError, ShapeError, SingularError
 from irredcert.matrices import (
     Matrix, _bareiss, _det_field, _row_hnf, char_poly, fraction_free_inverse,
-    int_char_poly, int_product, integer_rows, integral_conjugates,
-    kept_integer_rows, kernel_basis, kronecker, poly_at_matrix, poly_rows,
-    rank, restrict_scalars, rref,
+    from_poly_rows, int_char_poly, int_product, integer_rows,
+    integral_conjugates, kernel_basis, kronecker, packed_columns,
+    poly_at_matrix, poly_rows, rank, restrict_scalars, rref,
 )
 from irredcert.prng import XorShift64
+from irredcert.reps import load_rep
 from irredcert.rings import ZZ, QQ, ExtensionField, PolynomialRingZ, \
     PrimeField, RationalFunctionField, is_prime
 
@@ -35,6 +37,8 @@ from generic_qt import QT, ZT, generic, over, random_matrix, random_qt, \
     reference_conjugates, reference_det, reference_inverse, singular
 from integer_lattices import check_integer_matrix, hnf, integer_kernel
 
+DATA = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "data")
 F2 = PrimeField(2)
 F5 = PrimeField(5)
 
@@ -548,17 +552,67 @@ def test_inverse_over_q_matches_the_generic_path():
         Matrix(KG, [[2, 1], [1, 3]]).inverse().entries
 
 
-def test_kept_integer_rows():
-    """The integer rows a matrix over Q keeps are integer_rows as tuples,
-    computed once; det and inverse, which eliminate in place on
-    integer_rows, leave them as they were."""
-    m = Matrix(QQ, [[Fraction(1, 2), 3], [Fraction(-2, 3), 0]])
-    kept = kept_integer_rows(m)
-    assert kept == (((3, 18), (-4, 0)), 6)
-    rows, den = integer_rows(m)
-    assert kept == (tuple(map(tuple, rows)), den)
-    assert m.det() == 2 and m.inverse() * m == Matrix.identity(QQ, 2)
-    assert kept_integer_rows(m) is kept
+@pytest.mark.parametrize("ring", [QQ, ZZ, QT, ZT], ids=["Q", "Z", "Qt", "Zt"])
+def test_kept_forms(ring):
+    """integer_rows over Q and Z and poly_rows over Q(t) and Z[t] are
+    computed once and kept with the matrix as tuples of tuples, which
+    every caller shares: det and inverse, which eliminate in place on
+    copies, and products leave them as they were."""
+    if ring in (QQ, ZZ):
+        form = integer_rows
+        m = Matrix(ring, [[Fraction(1, 2), 3], [Fraction(-2, 3), 0]]
+                   if ring == QQ else [[2, 1], [1, 1]])
+    else:
+        form = poly_rows
+        m = random_matrix(random.Random(4), ring, 3, 3, deg=2, den_deg=1)
+    kept = form(m)
+    assert form(m) is kept
+    rows, den = kept
+    assert type(rows) is tuple and all(type(r) is tuple for r in rows)
+    if ring == QQ:
+        assert kept == (((3, 18), (-4, 0)), 6)
+    elif ring == ZZ:
+        assert kept == (((2, 1), (1, 1)), 1)
+    else:
+        assert from_poly_rows(ring, rows, den) == m
+    before = (tuple(rows), den)
+    d = m.det()
+    assert not ring.is_zero(d)
+    inv = m.inverse()
+    if inv.ring == ring:
+        assert inv * m == Matrix.identity(ring, m.nrows)
+    assert (m * m).det() == ring.mul(d, d)
+    assert form(m) is kept and kept == before
+
+
+@pytest.mark.parametrize("name", ["b8", "b3_qt"])
+def test_each_generator_is_scaled_once(name, monkeypatch):
+    """Loading a rep, certifying it and verifying the certificate in one
+    process scales each input generator once: every integer_rows over Q
+    and every poly_rows over Q(t) after the first reads the rows the
+    generator keeps.  The scaling calls are keyed by the entries tuple
+    they are handed."""
+    calls = []
+    lcm_of, clear = matrices.denominator_lcm, \
+        RationalFunctionField.clear_denominators
+
+    def counted_lcm(values):
+        calls.append(values)
+        return lcm_of(values)
+
+    def counted_clear(self, values):
+        calls.append(values)
+        return clear(self, values)
+
+    monkeypatch.setattr(matrices, "denominator_lcm", counted_lcm)
+    monkeypatch.setattr(RationalFunctionField, "clear_denominators",
+                        counted_clear)
+    rep = load_rep(os.path.join(DATA, name + ".json"))
+    cert = certify(rep)
+    assert cert.conclusion == IRREDUCIBLE_CERTIFIED
+    assert verify(cert, rep)
+    counts = [sum(v is g.entries for v in calls) for g in rep.generators]
+    assert counts == [1] * len(counts), counts
 
 
 def test_integral_conjugates_match_the_generic_path():
@@ -712,6 +766,19 @@ class TestPrimeFieldKernels:
                     mg.inverse()
             else:
                 assert mf.inverse().entries == mg.inverse().entries, name
+
+    @pytest.mark.parametrize("p,d", FIELD_SIZES)
+    def test_det_on_the_kept_columns(self, p, d):
+        """det eliminates a copy of the packed columns the matrix keeps
+        (det m = det m^T): it packs them on first use, a second det reuses
+        them, they stay as they were, and det is GenericFp's."""
+        _, _, _, pairs = self._pairs(p, d)
+        for name, mf, mg in pairs:
+            assert mf.det() == mg.det(), name
+            kept = packed_columns(mf)
+            cols = list(kept[1])
+            assert mf.det() == mg.det(), name
+            assert packed_columns(mf) is kept and kept[1] == cols, name
 
     @pytest.mark.parametrize("p", [2, 101, 2147483647])
     def test_empty_shapes(self, p):

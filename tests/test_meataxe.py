@@ -723,13 +723,14 @@ class TestRationalIntegerRows:
             a, b = XorShift64(5), XorShift64(5)
             for i in range(12):
                 # theta over Q is (A, D): integer rows over the least
-                # common denominator of the generic theta's entries
+                # common denominator of the generic theta's entries, which
+                # integer_rows keeps as tuples
                 tq, rec_q = _sample_theta(rq, a, i)
                 tg, rec_g = _sample_theta(rg, b, i)
                 assert rec_q == rec_g
                 d = tg.nrows
-                assert tq == integer_rows(Matrix._raw(QQ, d, d, tg.entries)), \
-                    (name, i)
+                assert (tuple(map(tuple, tq[0])), tq[1]) == \
+                    integer_rows(Matrix._raw(QQ, d, d, tg.entries)), (name, i)
                 assert all(type(x) is int for r in tq[0] for x in r)
                 assert type(tq[1]) is int and tq[1] > 0
 

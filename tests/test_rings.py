@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from irredcert import polys
 from irredcert.errors import BadPrime, IntegralityError, SingularError
 from irredcert.prng import XorShift64
 from irredcert.rings import (
@@ -56,6 +57,12 @@ def test_rationals():
     assert QQ.parse("3/4") == Fraction(3, 4)
     assert QQ.format(Fraction(-5, 3)) == "-5/3"
     assert QQ.div(Fraction(1, 2), Fraction(3)) == Fraction(1, 6)
+    # a plain int inverts to a Fraction, so polynomial division over Q
+    # with int coefficients stays exact
+    assert QQ.inv(3) == Fraction(1, 3) and type(QQ.inv(3)) is Fraction
+    q, r = polys.divmod_poly(QQ, (1, 2), (3,))
+    assert (q, r) == ((Fraction(1, 3), Fraction(2, 3)), ())
+    assert all(type(c) is Fraction for c in q)
     with pytest.raises(ValueError):
         QQ.parse("1.5")
     with pytest.raises(ValueError):
