@@ -557,7 +557,7 @@ def test_kept_forms(ring):
     """integer_rows over Q and Z and poly_rows over Q(t) and Z[t] are
     computed once and kept with the matrix as tuples of tuples, which
     every caller shares: det and inverse, which eliminate in place on
-    copies, and products leave them as they were."""
+    copies, and products leave the same immutable rows kept."""
     if ring in (QQ, ZZ):
         form = integer_rows
         m = Matrix(ring, [[Fraction(1, 2), 3], [Fraction(-2, 3), 0]]
@@ -575,14 +575,13 @@ def test_kept_forms(ring):
         assert kept == (((2, 1), (1, 1)), 1)
     else:
         assert from_poly_rows(ring, rows, den) == m
-    before = (tuple(rows), den)
     d = m.det()
     assert not ring.is_zero(d)
     inv = m.inverse()
     if inv.ring == ring:
         assert inv * m == Matrix.identity(ring, m.nrows)
     assert (m * m).det() == ring.mul(d, d)
-    assert form(m) is kept and kept == before
+    assert form(m) is kept
 
 
 @pytest.mark.parametrize("name", ["b8", "b3_qt"])
@@ -775,7 +774,8 @@ class TestPrimeFieldKernels:
         _, _, _, pairs = self._pairs(p, d)
         for name, mf, mg in pairs:
             assert mf.det() == mg.det(), name
-            kept = packed_columns(mf)
+            kept = mf._cols
+            assert kept is not None and packed_columns(mf) is kept, name
             cols = list(kept[1])
             assert mf.det() == mg.det(), name
             assert packed_columns(mf) is kept and kept[1] == cols, name
