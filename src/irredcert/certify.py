@@ -33,7 +33,8 @@ Rules:
                   exactly: found by the MeatAxe over K itself (the zero
                   ideal), or lifted from a reducible reduction at a prime
                   (p) of Z (lattices.lift_witness), whose step records the
-                  digits.
+                  digits; a lift is tried whether or not it is unique, as
+                  the exact check alone concludes.
 """
 
 import hashlib
@@ -49,7 +50,7 @@ from .oracle import count_invariant
 from .reps import over_fraction_field, rep_to_json
 from .rings import PolynomialRingZ, QQ, RationalFunctionField, ZZ, is_prime
 
-TOOLKIT_VERSION = "0.8.0"
+TOOLKIT_VERSION = "0.9.0"
 
 RULE_REGULAR_ONE_PRIME = "RegularOnePrime"
 RULE_HEIGHT_ONE_FAMILY = "HeightOneFamily"

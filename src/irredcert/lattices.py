@@ -22,7 +22,8 @@ and returns its basis and the integral model, the action rewritten over Z
 or Z[t] in that basis; reduce_rep() applies the residue map of a PrimeSpec
 entrywise to an integral model; lift_witness() lifts an invariant subspace
 of a reduction mod p back to one over Q, p-adically and by rational
-reconstruction, when that subspace has a unique lift.
+reconstruction, taking a particular solution per digit when the lift is not
+unique.
 
 The saturation's Z-lattice chain runs on plain ints, a lattice held as its
 canonical pair (H, D) and a matrix as integer rows over a denominator: a
@@ -560,16 +561,20 @@ def _rational(x, m, bound):
 def _sylvester_solver(actions, p):
     """The solver mod p of the stacked Sylvester system L_g(H) = -C_g, for
     L_g(H) = Q_g H - H Z_g over the pairs (Q_g, Z_g) of integer matrices,
-    m x m and k x k, or None when some H != 0 has L_g(H) = 0 for every g.
+    m x m and k x k.
 
     The n = m k unknowns are the entries of H (m x k), the equations the
     entries of every C_g.  One packed elimination of the transposed system
-    next to the identity, [M^T | I], gives n rows [R | S]: R is the reduced
-    echelon basis of the image of M, with pivots at n equations P, and
-    S M_P^T = I.  For c = -vec(C), the sum of c_P times the rows is
-    [c_P R | S^T c_P]: c lies in the image exactly when c_P R = c, and then
-    H = S^T c_P.  So one packed sum both checks a digit and solves it; the
-    solver returns H, or None when C is outside the image."""
+    next to the identity, [M^T | I], gives n rows [R | S].  The r rows with
+    a pivot among the equations are kept: R is then the reduced echelon
+    basis of the image of M, with pivots at r equations P, and S M_P^T = I.
+    The other rows have R = 0, and their S spans the kernel of M, which is
+    Hom_G(W, V/W) in lift_witness; they are dropped.  For c = -vec(C), the
+    sum of c_P times the kept rows is [c_P R | S^T c_P]: c lies in the
+    image exactly when c_P R = c, and then H = S^T c_P solves M H = c, the
+    one solution when r = n and a particular one otherwise.  So one packed
+    sum both checks a digit and solves it; the solver returns H, or None
+    when C is outside the image."""
     m, k = len(actions[0][0]), len(actions[0][1])
     n = m * k
     neq = len(actions) * n
@@ -588,9 +593,9 @@ def _sylvester_solver(actions, p):
     nb = slot_bytes(p, n)
     rows = pack(flat, nb, p, neq + n)
     pivots, _ = eliminate_fp(rows, neq + n, nb, p)
-    if pivots[-1] >= neq:
-        return None
-    rows = pack(unpack(rows, neq + n, nb, p), nb, p, neq + n)
+    rank = sum(c < neq for c in pivots)
+    pivots = pivots[:rank]
+    rows = pack(unpack(rows[:rank], neq + n, nb, p), nb, p, neq + n)
 
     def solve(cs):
         c = [a % p for cg in cs for row in cg for a in row]
@@ -622,20 +627,22 @@ def lift_witness(field_rep, basis, int_rep, p, witness):
     and the complement, g has the blocks [[Z_g, g12], [F_g(Y), Q_g]], with
     Z_g = g11 + g12 Y its action on W and Q_g = g22 - Y g12 that on V/W.
     The linearization of F_g at Y is the Sylvester map L_g(H) = Q_g H -
-    H Z_g, injective on all g together mod p exactly when Hom_G(W, V/W) = 0
-    mod p; then W has one p-adic lift, found digit by digit (Dixon, Numer.
-    Math. 40, 1982): Y_(N+1) = Y_N + p^N H with L_g(H) = -F_g(Y_N) / p^N
-    mod p, from the one elimination of _sylvester_solver at Y0.  Z_g and
-    F_g(Y_N) / p^N are carried exactly from digit to digit, so that a digit
-    costs four products with H per generator.  At N = 2, 4, 8, ... the
-    entries of Y are reconstructed over Q (_rational), and the candidate is
-    moved to field coordinates by the lattice basis and checked by
-    meataxe.subspace_is_invariant, as the checker does.
+    H Z_g, and the lift runs digit by digit (Dixon, Numer. Math. 40, 1982):
+    Y_(N+1) = Y_N + p^N H with L_g(H) = -F_g(Y_N) / p^N mod p, from the one
+    elimination of _sylvester_solver at Y0.  The map is injective on all g
+    together mod p exactly when Hom_G(W, V/W) = 0 mod p, and then W has at
+    most one p-adic lift; otherwise each digit takes the solver's
+    particular solution, one lift among many, which may fail where another
+    would not.  Z_g and F_g(Y_N) / p^N are carried exactly from digit to
+    digit, so that a digit costs four products with H per generator.  At
+    N = 2, 4, 8, ... the entries of Y are reconstructed over Q (_rational),
+    and the candidate is moved to field coordinates by the lattice basis and
+    checked by meataxe.subspace_is_invariant, as the checker does.
 
     Returns (N, rows): the digits lifted and the canonical echelon rows over
-    Q of the first candidate that holds.  None when Hom_G(W, V/W) != 0, when
-    a digit has no solution (W has no lift to Z/p^(N+1)), or when p^N would
-    pass 2^LIFT_BITS: a refused lift proves nothing either way."""
+    Q of the first candidate that holds.  None when a digit has no solution
+    (Y_N has no lift to Z/p^(N+1)), or when p^N would pass 2^LIFT_BITS: a
+    refused lift proves nothing either way."""
     d, k = int_rep.dim, len(witness)
     piv = [next(i for i, a in enumerate(row) if a) for row in witness]
     perm = piv + [i for i in range(d) if i not in piv]
@@ -663,8 +670,6 @@ def lift_witness(field_rep, basis, int_rep, p, witness):
         actions.append((q, z))
         carried.append([g12, g22, z, [[a // p for a in row] for row in f]])
     solve = _sylvester_solver(actions, p)
-    if solve is None:
-        return None
     K, gens, b = field_rep.ring, field_rep.generators, basis.rows()
     digits, pn = 1, p
     while True:

@@ -198,7 +198,10 @@ def pow_mod(K, f, e, m):
 
 
 def format_poly_generic(K, f, var="x"):
-    """Human-readable form with coefficients rendered by K.format."""
+    """Human-readable form with coefficients rendered by K.format.  Over
+    F_q a coefficient outside F_p is written in parentheses, as the field's
+    text of it: its generator may share the name var, as x + (x) for
+    x + alpha over F_4."""
     if not f:
         return "0"
     parts = []
@@ -207,6 +210,8 @@ def format_poly_generic(K, f, var="x"):
         if K.is_zero(c):
             continue
         cs = K.format(c)
+        if isinstance(K, rings.ExtensionField) and len(c) > 1:
+            cs = "(%s)" % cs
         if e == 0:
             body = cs
         else:

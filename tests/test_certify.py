@@ -3,6 +3,7 @@
 import importlib
 import json
 import pathlib
+import random
 import re
 import time
 from fractions import Fraction
@@ -18,11 +19,13 @@ from irredcert.certify import (Certificate, IRREDUCIBLE_CERTIFIED,
                                rep_digest, replay, verify)
 from irredcert.errors import IntegralityError, VersionMismatch
 from irredcert.lattices import LIFT_BITS
-from irredcert.matrices import Matrix
+from irredcert.matrices import Matrix, int_product, rank
 from irredcert.meataxe import REDUCIBLE, is_irreducible
 from irredcert.prng import XorShift64
 from irredcert.reps import Representation, conjugate, direct_sum, load_rep
 from irredcert.rings import QQ, RationalFunctionField, ZZ
+
+from generic_fp import GenericFp
 
 # the module, which the package's certify function shadows as an attribute
 certify_module = importlib.import_module("irredcert.certify")
@@ -94,11 +97,22 @@ def rational_basis(d):
     return Matrix(QQ, rows)
 
 
-# reducible by construction; the summands of each sum are not isomorphic,
-# so some reduction has Hom_G(W, V/W) = 0 and its witness lifts to Q
+# reducible by construction, with summands that are not isomorphic; pieces
+# that are isomorphic lift too (ISOMORPHIC_SUMS)
 LIFTABLE_SUMS = ([("S%d+sgn" % n, n, None) for n in range(3, 7)]
                  + [("B%d+B%d" % (n, m), n, m)
                     for n, m in ((2, 3), (2, 4), (3, 4))])
+
+
+# reducible by construction, with isomorphic pieces, so Hom_G(W, V/W) != 0
+# at every prime: three sums, and the shear, whose line and quotient are
+# both trivial
+ISOMORPHIC_SUMS = {
+    "B3+B3": direct_sum(signed_perm_bn(3), signed_perm_bn(3)),
+    "unipotent": Representation(QQ, [[[1, 1], [0, 1]], [[1, 0], [0, 1]]], [],
+                                label="ut"),
+    "S3+S3": direct_sum(std_sn(3), std_sn(3)),
+    "B2+B2": direct_sum(signed_perm_bn(2), signed_perm_bn(2))}
 
 
 def liftable_sum(n, m):
@@ -115,6 +129,26 @@ def ends_lifted(cert):
             and last["prime"] != "(0)" and last["verdict"] == REDUCIBLE
             and last["lift"]["digits"] >= 2
             and not any("lift" in s for s in rest))
+
+
+def sylvester_rank(actions, p, cs=None):
+    """The rank mod p of H -> (Q_g H - H Z_g)_g over the pairs (Q_g, Z_g),
+    with the right-hand sides C_g of cs as a last column if given, by the
+    generic F_p path, which shares no kernel with the solver."""
+    m, k = len(actions[0][0]), len(actions[0][1])
+    rhs = iter(a for cg in cs or () for row in cg for a in row)
+    rows = []
+    for q, z in actions:
+        for a in range(m):
+            for b in range(k):
+                # entry (a, b) of Q H - H Z, as a row over the entries of H
+                row = [0] * (m * k)
+                for j in range(m):
+                    row[j * k + b] += q[a][j]
+                for i in range(k):
+                    row[a * k + i] -= z[i][b]
+                rows.append([x % p for x in row + ([next(rhs)] if cs else [])])
+    return rank(Matrix(GenericFp(p), rows))
 
 
 def no_lift_certificate(rep, monkeypatch, **kw):
@@ -250,29 +284,97 @@ class TestLiftedWitness:
         assert ends_lifted(cert) and cert.steps[-1]["prime"] == "(3)"
         assert verify(cert, rep) and replay(cert, rep)
 
-    @pytest.mark.parametrize("rep", [
-        direct_sum(signed_perm_bn(3), signed_perm_bn(3)),
-        Representation(QQ, [[[1, 1], [0, 1]], [[1, 0], [0, 1]]], [],
-                       label="ut")], ids=["B3+B3", "unipotent"])
-    def test_isomorphic_pieces_refuse_the_lift(self, rep, monkeypatch):
-        # Hom_G(W, V/W) != 0 at every prime: the Sylvester system of each
-        # of the eight reductions is singular, and the run is the one
-        # without lifting, ending with the search over Q
-        solvers = []
+    @pytest.mark.parametrize("name,disguised", [
+        (name, disguised) for name in ISOMORPHIC_SUMS
+        for disguised in (False, True) if (name, disguised) != ("unipotent",
+                                                                True)],
+        ids=lambda x: {False: "standard", True: "conjugated"}.get(x, x))
+    def test_isomorphic_pieces_lift(self, name, disguised, monkeypatch):
+        # Hom_G(W, V/W) != 0 at every prime, so the Sylvester system of
+        # each lift is singular; a particular solution per digit still
+        # lifts the witness, and the run ends at a reduction.  The
+        # conjugated shear is the case it cannot reach
+        # (test_double_root_is_refused)
+        rep = ISOMORPHIC_SUMS[name]
+        if disguised:
+            rep = conjugate(rep, rational_basis(rep.dim))
+        systems = []
         build = lattices._sylvester_solver
 
         def spy(actions, p):
-            solvers.append(build(actions, p))
-            return solvers[-1]
+            unknowns = len(actions[0][0]) * len(actions[0][1])
+            systems.append((p, sylvester_rank(actions, p), unknowns))
+            return build(actions, p)
         monkeypatch.setattr(lattices, "_sylvester_solver", spy)
         cert = certify(rep)
-        assert solvers == [None] * 8
+        assert ends_lifted(cert), [(s["prime"], s.get("lift"))
+                                   for s in cert.steps]
+        p, r, unknowns = systems[-1]
+        assert cert.steps[-1]["prime"] == "(%d)" % p
+        assert r < unknowns, systems
+        assert verify(cert, rep) and replay(cert, rep)
+
+    def test_double_root_is_refused(self, monkeypatch):
+        # the shear conjugated by rational_basis: its one invariant line is
+        # a double root of the Riccati equation, the Sylvester map is 0 at
+        # every prime, so each digit's solution is H = 0 and Y stays the
+        # witness mod p, which is not the line over Q.  Every lift is
+        # refused and the run is the one without lifting
+        rep = conjugate(ISOMORPHIC_SUMS["unipotent"], rational_basis(2))
+        ranks = []
+        build = lattices._sylvester_solver
+
+        def spy(actions, p):
+            ranks.append(sylvester_rank(actions, p))
+            return build(actions, p)
+        monkeypatch.setattr(lattices, "_sylvester_solver", spy)
+        cert = certify(rep)
+        assert ranks == [0] * 8
         assert cert.conclusion == REDUCIBLE_WITH_WITNESS
         assert cert.steps[-1]["prime"] == "(0)"
         assert not any("lift" in s for s in cert.steps)
         assert canonical_json(cert.to_json()) == canonical_json(
             no_lift_certificate(rep, monkeypatch).to_json())
-        assert verify(cert, rep)
+        assert verify(cert, rep) and replay(cert, rep)
+
+    @pytest.mark.parametrize("gens,p", [
+        ([g.rows() for g in std_sn(3).generators], 5),
+        ([g.rows() for g in signed_perm_bn(2).generators], 3),
+        ([[[1]]], 3)], ids=["S3-mod5", "B2-mod3", "zero-map"])
+    def test_singular_sylvester_solver(self, gens, p):
+        # L_g(H) = g H - H g has the commutant as its kernel: C = -L(H0)
+        # is in the image and solves to some H with L_g(H) = -C_g for
+        # every g; a C outside the image solves to None
+        mats = [[[int(a) for a in row] for row in g] for g in gens]
+        actions = [(g, g) for g in mats]
+        m = len(mats[0])
+        assert sylvester_rank(actions, p) < m * m
+        solve = lattices._sylvester_solver(actions, p)
+
+        def sylvester(h):
+            return [[[(a - b) % p for a, b in zip(x, y)]
+                     for x, y in zip(int_product(g, h), int_product(h, g))]
+                    for g in mats]
+        rng = random.Random(p)
+        hits = misses = 0
+        for _ in range(40):
+            if rng.random() < 0.5:
+                c = [[[-a % p for a in row] for row in lg]
+                     for lg in sylvester([[rng.randrange(p) for _ in range(m)]
+                                          for _ in range(m)])]
+            else:
+                c = [[[rng.randrange(p) for _ in range(m)] for _ in range(m)]
+                     for _ in mats]
+            h = solve(c)
+            if sylvester_rank(actions, p, c) == sylvester_rank(actions, p):
+                hits += 1
+                assert h is not None
+                assert sylvester(h) == [[[-a % p for a in row] for row in cg]
+                                        for cg in c]
+            else:
+                misses += 1
+                assert h is None
+        assert hits and misses
 
     def test_zero_prime_over_z_does_not_lift(self, monkeypatch):
         # "(0)" on an explicit list is the search over Q, with no p to lift
@@ -309,6 +411,45 @@ class TestLiftedWitness:
         assert "lift" not in cert.steps[0]
         assert canonical_json(cert.to_json()) == canonical_json(
             no_lift_certificate(rep, monkeypatch, primes=[7]).to_json())
+
+    def test_q8_lifts_reach_the_cap(self, monkeypatch):
+        # q8 is irreducible over Q, but its commutant, the quaternions,
+        # splits at every odd prime, so each reduction there is U + U with
+        # U of dimension 2: the witness lifts through a singular system to
+        # the cap, and no candidate holds over Q.  Mod 2 the first digit
+        # has no solution
+        prime, moduli, checked = [], {}, []
+        build, rational = lattices._sylvester_solver, lattices._rational
+        invariant = lattices.subspace_is_invariant
+
+        def solver(actions, p):
+            prime[:] = [p]
+            return build(actions, p)
+
+        def reconstruct(x, m, bound):
+            moduli[prime[0]] = max(moduli.get(prime[0], 0), m)
+            return rational(x, m, bound)
+
+        def check(K, gens, rows):
+            checked.append(invariant(K, gens, rows))
+            return checked[-1]
+        monkeypatch.setattr(lattices, "_sylvester_solver", solver)
+        monkeypatch.setattr(lattices, "_rational", reconstruct)
+        monkeypatch.setattr(lattices, "subspace_is_invariant", check)
+        cert = certify(q8_rep())
+        assert checked and not any(checked)
+        odd = [3, 5, 7, 11, 13, 17, 19]
+        assert sorted(moduli) == odd
+        for p in odd:
+            m = moduli[p]
+            assert p ** m.bit_length() % m == 0, p  # a power of p
+            assert (m * m).bit_length() > LIFT_BITS >= m.bit_length(), p
+        assert cert.conclusion == INCONCLUSIVE_RUN
+        assert cert.reducible_primes == ["(%d)" % p for p in [2] + odd]
+        assert cert.steps[-1]["prime"] == "(0)"
+        assert not any("lift" in s for s in cert.steps)
+        assert canonical_json(cert.to_json()) == canonical_json(
+            no_lift_certificate(q8_rep(), monkeypatch).to_json())
 
     def test_wrong_reconstruction_falls_back(self, monkeypatch):
         # every reconstruction is off by one, and the exact check in field

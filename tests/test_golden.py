@@ -55,10 +55,11 @@ GOLDEN = os.path.join(HERE, "golden")
 # and 5 divide 30, and the descent at (t-0) certifies, its fibre reducible
 # at (2), (3) and (5), where no witness lifts, and irreducible at (7).
 # b3_b3 (B3 + B3 over Q, d = 6, disguised by perfbench/gen.py's disguise_q
-# under random.Random(2027)) has isomorphic summands, so each of its eight
-# reductions is reducible and no witness lifts; the search over Q splits
-# it by a probe over Q, the kernel of x + 1 at the first generator having
-# nullity 2, and one probe vector spins to a proper subspace of dim 3.
+# under random.Random(2027)) has isomorphic summands, so Hom_G(W, V/W) != 0
+# at every prime and the Sylvester system of each lift is singular; its
+# reduction at (2) is reducible, and the witness of dim 3 lifts through a
+# particular solution per digit, to one that holds over Q after 8 digits,
+# so it ends ReducibleWithWitness by DirectOverK at (2).
 # c2_sign (the sign character of C2 over Q, d = 1) certifies at (2), where
 # its reduction [1] is decided at sample 0 by one spin on each side at
 # x + 1, as at any other dimension.

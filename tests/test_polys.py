@@ -279,6 +279,52 @@ def test_factor_stream_reads_lazily(K, monkeypatch):
                 assert taken and max(taken) <= 1, (f, taken)
 
 
+def _parse_generic(K, text, var="x"):
+    """Read format_poly_generic's text over F_q back: terms joined by
+    " + ", each c, var^e or c*var^e, where c is an integer or a field text
+    in parentheses.  Raises ValueError on any other term."""
+    f = {}
+    for term in text.split(" + "):
+        if term.startswith("("):
+            inner, _, rest = term[1:].partition(")")
+            c, rest = K.parse(inner), rest.removeprefix("*")
+        elif term[0].isdigit():
+            digits, _, rest = term.partition("*")
+            c = K.coerce(int(digits))
+        else:
+            c, rest = K.one(), term
+        if rest in ("", var):
+            e = len(rest)
+        elif rest.startswith(var + "^"):
+            e = int(rest[len(var) + 1:])
+        else:
+            raise ValueError("bad term %r in %r" % (term, text))
+        if e in f:
+            raise ValueError("repeated power in %r" % (text,))
+        f[e] = c
+    return polys.normalize(K, [f.get(e, K.zero()) for e in range(max(f) + 1)])
+
+
+@pytest.mark.parametrize("K", [F4, F9], ids=["F4", "F9"])
+def test_format_over_fq_reads_back(K):
+    """The field's generator and the variable are both x, so a coefficient
+    outside F_p is written in parentheses: x + alpha over F_4 is x + (x),
+    not x + x.  Random polynomials and their factors read back to
+    themselves, and distinct factors have distinct texts."""
+    assert polys.format_poly_generic(K, ((0, 1), K.one())) == "x + (x)"
+    rng = XorShift64(K.order)
+    for _ in range(30):
+        f = polys.normalize(K, [K.element(rng.randint(0, K.order - 1))
+                                for _ in range(rng.randint(1, 5))]
+                            + [K.element(rng.randint(1, K.order - 1))])
+        factors = polys.distinct_irreducible_factors(K, polys.monic(K, f))
+        texts = [polys.format_poly_generic(K, g) for g in factors]
+        assert len(set(texts)) == len(texts), texts
+        for g, text in zip([f] + factors,
+                           [polys.format_poly_generic(K, f)] + texts):
+            assert _parse_generic(K, text) == g, text
+
+
 def _monic_polys(p, n):
     """Every monic polynomial of degree n over F_p, as int lists."""
     for k in range(p ** n):
